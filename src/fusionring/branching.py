@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, inverse
+from .cyclo import Cyclotomic, exact_sum, inverse
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection
 from .modular_data import ModularDatum
@@ -132,9 +132,8 @@ def derive_rows(branching: ParentBranching, target: ModularDatum,
         entries = []
         for l in singles[m]:
             for k in range(target.size):
-                value = Cyclotomic.zero()
-                for l2, mult in branching.appearances(k):
-                    value = value + parent.s[l][l2] * mult
+                value = exact_sum(parent.s[l][l2] * mult
+                                  for l2, mult in branching.appearances(k))
                 entries.append(DerivedEntry(
                     row=m, col=k, value=value,
                     chain=f"{branching.name}:module{l}"))
@@ -183,16 +182,15 @@ def assemble_system(parents: list[ParentBranching],
         parent = branching.datum
         for l, terms in sorted(branching.rows.items()):
             for m in range(n):
-                rhs = Cyclotomic.zero()
-                for j, bjm in branching.appearances(m):
-                    rhs = rhs + parent.s[l][j] * bjm
+                residual = [parent.s[l][j] * bjm for j, bjm in branching.appearances(m)]
                 coeffs: dict[tuple[int, int], Fraction] = {}
                 for k, blk in sorted(terms.items()):
                     key = _fold(k, m)
                     if key in unknown_set:
                         coeffs[key] = coeffs.get(key, Fraction(0)) + blk
                     else:
-                        rhs = rhs - target.entry(k, m) * blk
+                        residual.append(target.entry(k, m) * -blk)
+                rhs = exact_sum(residual)
                 label = f"{branching.name}:module{l}:col{m}"
                 if coeffs:
                     system.equations.append(Equation(label, coeffs, rhs))
@@ -262,10 +260,7 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
         raise UnderdeterminedError(free)
     for u in reversed(order):
         coeffs, rhs, _ = pivots[u]
-        value = rhs
-        for key, c in coeffs.items():
-            value = value - solution[key] * c
-        solution[u] = value
+        solution[u] = exact_sum([rhs, *(solution[key] * -c for key, c in coeffs.items())])
     new_entries: dict[tuple[int, int], Cyclotomic] = {}
     for (i, j), value in solution.items():
         new_entries[(i, j)] = value
@@ -348,18 +343,14 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
             b_unknown = b in missing_set
             if not b_unknown and not any(k in missing_set for k in terms):
                 continue
-            coeffs: dict[int, Cyclotomic] = {}
-            rhs = Cyclotomic.zero()
-            for k, mult in terms.items():
-                if k in missing_set:
-                    coeffs[k] = coeffs.get(k, Cyclotomic.zero()) + Cyclotomic.from_rational(mult)
-                else:
-                    rhs = rhs - chi[k] * mult
+            coeffs = {k: Cyclotomic.from_rational(mult)
+                      for k, mult in terms.items() if k in missing_set}
+            residual = [chi[k] * -mult for k, mult in terms.items() if k not in missing_set]
             if b_unknown:
                 coeffs[b] = coeffs.get(b, Cyclotomic.zero()) - chi[a]
             else:
-                rhs = rhs + chi[a] * chi[b]
-            rows.append((coeffs, rhs))
+                residual.append(chi[a] * chi[b])
+            rows.append((coeffs, exact_sum(residual)))
         values = _solve_cyclotomic(rows, missing)
         if values is None:
             raise UnderdeterminedError([(r, s) for r in missing])
@@ -404,8 +395,5 @@ def _solve_cyclotomic(rows, unknowns: list[int]):
     solution: dict[int, Cyclotomic] = {}
     for u in reversed(unknowns):
         coeffs, rhs = pivots[u]
-        value = rhs
-        for k, c in coeffs.items():
-            value = value - solution[k] * c
-        solution[u] = value
+        solution[u] = exact_sum([rhs, *(-(solution[k] * c) for k, c in coeffs.items())])
     return solution

@@ -2,7 +2,8 @@
 
 Subcommands: validate, complete, fuse, table, qdim, glob, lattice, regress.
 Exit status: 0 success, 1 validation or fixture failure, 2 parse error,
-3 underdetermined or inconsistent completion, 4 usage error.
+3 underdetermined or inconsistent completion, 4 usage error, 141 (as for
+SIGPIPE) when the reader of standard output goes away, e.g. ``| head -1``.
 
 File arguments accept a path, "-" for stdin, or an @alias into the shipped
 dataset: @s4 (partial datum), @s4_branching, @s4_fixtures.  Output is
@@ -12,6 +13,7 @@ deterministic: identical inputs yield byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import s4_dataset
@@ -32,6 +34,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_COMPLETION = 3
 EXIT_USAGE = 4
+EXIT_PIPE = 141
 
 _ALIASES = {
     "@s4": "s4_partial.mdf",
@@ -260,11 +263,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point file descriptor 1 at devnull, so that the interpreter's final
+    flush of output nobody reads raises no second BrokenPipeError."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # stdout is not backed by a file descriptor
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE
     except (ParseError, DuplicateEntryError, IndexRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -269,12 +269,6 @@ class Cyclotomic:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lifted(self, n: int) -> dict[int, Fraction]:
-        step = n // self.order
-        if step == 1:
-            return self.coeffs
-        return {e * step: c for e, c in self.coeffs.items()}
-
     @staticmethod
     def _coerce(x) -> Cyclotomic:
         if isinstance(x, Cyclotomic):
@@ -284,12 +278,7 @@ class Cyclotomic:
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
 
     def __add__(self, other) -> Cyclotomic:
-        other = self._coerce(other)
-        n = _lcm_order(self.order, other.order)
-        terms = dict(self._lifted(n))
-        for e, c in other._lifted(n).items():
-            terms[e] = terms.get(e, 0) + c
-        return Cyclotomic(n, terms)
+        return exact_sum((self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -308,22 +297,18 @@ class Cyclotomic:
             c0 = other.coeffs.get(0)
             if c0 is None:
                 return Cyclotomic.zero()
-            return Cyclotomic(self.order, {e: c * c0 for e, c in self.coeffs.items()})
+            # A nonzero rational multiple of a canonical form is canonical.
+            return Cyclotomic(self.order, {e: c * c0 for e, c in self.coeffs.items()},
+                              _canonical=True)
         if self.order == 1:
             return other.__mul__(self)
         n = _lcm_order(self.order, other.order)
-        a = self._lifted(n)
-        b = other._lifted(n)
         # Convolve with denominators cleared; integer arithmetic is much
         # faster than Fraction arithmetic in dense products.
-        da = 1
-        for c in a.values():
-            da = da * c.denominator // gcd(da, c.denominator)
-        db = 1
-        for c in b.values():
-            db = db * c.denominator // gcd(db, c.denominator)
-        ia = {e: c.numerator * (da // c.denominator) for e, c in a.items()}
-        ib = {e: c.numerator * (db // c.denominator) for e, c in b.items()}
+        da = _denominator_lcm((self,))
+        db = _denominator_lcm((other,))
+        ia = _lift_into({}, self, n, da)
+        ib = _lift_into({}, other, n, db)
         terms: dict[int, int] = {}
         for e1, c1 in ia.items():
             for e2, c2 in ib.items():
@@ -383,20 +368,109 @@ def _from_int_terms(order: int, terms: dict[int, int], denom: int) -> Cyclotomic
     return Cyclotomic(order, coeffs, _canonical=True)
 
 
-def cached_mul(cache: dict, a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """Multiply through a cache keyed by the operand pair.
+# -- the exact accumulation kernel --------------------------------------------
+#
+# Every sum of many cyclotomic terms (matrix products, Verlinde sums, global
+# dimensions, linear residuals) goes through one path: lift the terms once to
+# their common order N over one shared denominator, add them as integer
+# exponent maps in the group ring Z[C_N], and canonicalize once at the end.
+# The reduction Z[C_N] -> Z[zeta_N] is a ring homomorphism, so deferring it
+# gives exactly the element that per-addition canonicalization would, at the
+# price of one canonicalization per result instead of one per addition.
 
-    Bulk matrix work (Verlinde sums, S^2 checks) multiplies the same few
-    distinct entry values over and over; memoizing the products turns a
-    cubic number of dense convolutions into a handful.
+def _common_order(values) -> int:
+    """The least order (never 2 mod 4) at which every value can be written."""
+    order = 1
+    for v in values:
+        if order % v.order:
+            order = _lcm_order(order, v.order)
+    return order
+
+
+def _denominator_lcm(values) -> int:
+    """The least common denominator of every coefficient of every value."""
+    denom = 1
+    for v in values:
+        for c in v.coeffs.values():
+            d = c.denominator
+            if denom % d:
+                denom = denom * d // gcd(denom, d)
+    return denom
+
+
+def _lift_into(dest: dict[int, int], value: Cyclotomic, order: int,
+               denom: int) -> dict[int, int]:
+    """dest += value * denom as an integer exponent map at ``order``.
+
+    ``order`` must be a multiple of ``value.order`` and ``denom`` a multiple of
+    every coefficient denominator of ``value``.
     """
-    key = (a, b)
-    hit = cache.get(key)
-    if hit is None:
-        hit = a * b
-        cache[key] = hit
-        cache[(b, a)] = hit
-    return hit
+    step = order // value.order
+    get = dest.get
+    for e, c in value.coeffs.items():
+        e *= step
+        dest[e] = get(e, 0) + c.numerator * (denom // c.denominator)
+    return dest
+
+
+def exact_sum(values) -> Cyclotomic:
+    """The exact sum of cyclotomic values, canonicalized once."""
+    values = [v for v in values if v.coeffs]
+    if len(values) < 2:
+        return values[0] if values else Cyclotomic.zero()
+    order = _common_order(values)
+    denom = _denominator_lcm(values)
+    acc: dict[int, int] = {}
+    for v in values:
+        _lift_into(acc, v, order, denom)
+    return _from_int_terms(order, acc, denom)
+
+
+class ProductMemo:
+    """Canonical products memoized by small integer ids of their operands.
+
+    Values are interned once (one hash lookup each); later products are
+    looked up by a pair of ints, so a repeated product costs neither a
+    convolution nor a structural comparison of Fraction coefficients.
+    """
+
+    def __init__(self):
+        self.values: list[Cyclotomic] = []
+        self._ids: dict[Cyclotomic, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+
+    def intern(self, value: Cyclotomic) -> int:
+        vid = self._ids.get(value)
+        if vid is None:
+            vid = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return vid
+
+    def product(self, a: int, b: int) -> int:
+        """The id of values[a] * values[b]."""
+        key = (a, b) if a <= b else (b, a)
+        pid = self._products.get(key)
+        if pid is None:
+            pid = self._products[key] = self.intern(self.values[a] * self.values[b])
+        return pid
+
+
+def matmul(a: list[list[Cyclotomic]], b: list[list[Cyclotomic]]):
+    """The exact product A B, yielded one row (a list) at a time.
+
+    Entry products are memoized by operand ids and each output entry is one
+    ``exact_sum``.  Nothing cubic is held in memory, and a caller that only
+    needs to find a bad row can stop early.
+    """
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("matrix shapes do not match")
+    memo = ProductMemo()
+    left = [[memo.intern(v) for v in row] for row in a]
+    cols = [[memo.intern(v) for v in col] for col in zip(*b)]
+    values, product = memo.values, memo.product
+    for row in left:
+        yield [exact_sum([values[product(x, y)] for x, y in zip(row, col)])
+               for col in cols]
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
@@ -562,35 +636,3 @@ def _format_fraction(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
-
-
-# -- raw-term helpers for accumulation loops -------------------------------
-#
-# Long sums of many small products (the fusion-coefficient loops) avoid one
-# canonicalization per addition by accumulating raw exponent maps at a fixed
-# common order and canonicalizing once at the end.
-
-def lift_terms(a: Cyclotomic, order: int) -> dict[int, Fraction]:
-    """Exponent map of `a` rescaled to a compatible larger order."""
-    if order % a.order:
-        raise ValueError("target order must be a multiple of the element order")
-    return a._lifted(order)
-
-
-def mul_into(dest: dict[int, Fraction], a: dict[int, Fraction],
-             b: dict[int, Fraction], order: int) -> None:
-    """dest += a * b, all raw exponent maps at the same order."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e >= order:
-                e -= order
-            if e in dest:
-                dest[e] += c1 * c2
-            else:
-                dest[e] = c1 * c2
-
-
-def from_terms(order: int, terms: dict[int, Fraction]) -> Cyclotomic:
-    """Canonicalize a raw accumulation into a Cyclotomic."""
-    return Cyclotomic(order, terms)

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, root_of_unity, sqrt_int
+from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
 __all__ = [
     "ParseError", "DuplicateEntryError", "IndexRangeError",
@@ -213,17 +213,26 @@ def eval_expr(node) -> Cyclotomic:
         return -eval_expr(node[1])
     if op == "pow":
         return eval_expr(node[1]) ** node[2]
+    if op in ("add", "sub"):
+        return exact_sum(_summands(node, False))
     a = eval_expr(node[1])
     b = eval_expr(node[2])
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
     if op == "mul":
         return a * b
     if op == "div":
         return a / b
     raise ValueError(f"unknown node {op!r}")
+
+
+def _summands(node, negate: bool):
+    """The signed terms of a chain of additions and subtractions."""
+    op = node[0]
+    if op in ("add", "sub"):
+        yield from _summands(node[1], negate)
+        yield from _summands(node[2], negate != (op == "sub"))
+    else:
+        value = eval_expr(node)
+        yield -value if negate else value
 
 
 def expr_to_text(node, _level: int = 0) -> str:

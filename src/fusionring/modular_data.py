@@ -100,28 +100,8 @@ def qdim(datum: ModularDatum, i: int) -> Cyclotomic:
 
 def glob(datum: ModularDatum) -> Cyclotomic:
     """Global dimension: the sum of squared quantum dimensions."""
-    total = Cyclotomic.zero()
-    for i in range(datum.size):
-        q = qdim(datum, i)
-        total = total + q * q
-    return total
-
-
-def _s_squared(datum: ModularDatum) -> list[list[Cyclotomic]]:
-    # Entry products repeat heavily (matrices here take few distinct
-    # values), so memoize them and add up small canonical elements.
-    n = datum.size
-    cache: dict = {}
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Cyclotomic.zero()
-            for k in range(n):
-                acc = acc + cyclo.cached_mul(cache, datum.s[i][k], datum.s[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
+    qdims = [qdim(datum, i) for i in range(datum.size)]
+    return cyclo.exact_sum(q * q for q in qdims)
 
 
 def charge_conjugation(datum: ModularDatum, store: bool = True) -> list[int]:
@@ -133,12 +113,10 @@ def charge_conjugation(datum: ModularDatum, store: bool = True) -> list[int]:
     """
     if not datum.fully_known():
         raise MissingEntryError("charge conjugation needs a fully known S-matrix")
-    square = _s_squared(datum)
     n = datum.size
     perm = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            v = square[i][j]
+    for i, row in enumerate(cyclo.matmul(datum.s, datum.s)):
+        for j, v in enumerate(row):
             if v == 1:
                 if perm[i] != -1:
                     raise NotPermutationError(f"row {i} of S^2 has two unit entries")
@@ -257,26 +235,24 @@ def validate(datum: ModularDatum) -> ValidationReport:
                     report.dual_mismatches.append(lab.index)
         # With real entries, S^2 = C subsumes unitarity; check it separately
         # only when complex entries are present.
-        if any(not _is_real_entry(v) for row in datum.s for v in row):
-            report.unitary = _check_unitary(datum)
+        conjugates: dict[Cyclotomic, Cyclotomic] = {}
+        for row in datum.s:
+            for v in row:
+                if v not in conjugates:
+                    conjugates[v] = conj(v)
+        if any(c != v for v, c in conjugates.items()):
+            report.unitary = _check_unitary(datum, conjugates)
     return report
 
 
-def _is_real_entry(value: Cyclotomic) -> bool:
-    return conj(value) == value
-
-
-def _check_unitary(datum: ModularDatum) -> bool:
+def _check_unitary(datum: ModularDatum, conjugates: dict[Cyclotomic, Cyclotomic]) -> bool:
+    """S conj(S)^T = I, stopping at the first row that differs."""
     n = datum.size
-    cache: dict = {}
-    conjugated = [[conj(v) for v in row] for row in datum.s]
-    for i in range(n):
-        for j in range(n):
-            acc = Cyclotomic.zero()
-            for k in range(n):
-                acc = acc + cyclo.cached_mul(cache, datum.s[i][k], conjugated[j][k])
-            if acc != (1 if i == j else 0):
-                return False
+    adjoint = [[conjugates[datum.s[j][i]] for j in range(n)] for i in range(n)]
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    for i, row in enumerate(cyclo.matmul(datum.s, adjoint)):
+        if row != [one if j == i else zero for j in range(n)]:
+            return False
     return True
 
 

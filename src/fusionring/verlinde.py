@@ -8,17 +8,19 @@ arithmetic and must canonicalize to a nonnegative rational integer; anything
 else signals an inconsistent S-matrix and aborts the tensor computation with
 the offending triple.
 
-Column quantities S[i,s]/S[0,s] are memoized so the full tensor costs one
-cyclotomic multiply-add per (i,j,k,s) with i <= j, and the (i,j) pair work
-can be partitioned across processes.
+Every coefficient goes through the exact accumulation kernel of ``cyclo``:
+its terms are summed as integer exponent maps at one common order and
+canonicalized once, never once per addition.  Column quantities S[i,s]/S[0,s]
+and S[0,s] S[s,k'] are memoized, so the full tensor costs one raw integer
+multiply-add per (i,j,k,s) with i <= j, and the (i,j) pair work can be
+partitioned across processes.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
@@ -116,23 +118,28 @@ def fusion_coeff(datum: ModularDatum, i: int, j: int, k: int) -> int:
     for s in range(datum.size):
         if not datum.known(s, kd):
             raise MissingEntryError(f"S[{s},{kd}] is unknown")
-    total = Cyclotomic.zero()
+    terms = []
     for s in range(datum.size):
         denom = datum.entry(0, s)
         if denom.is_zero():
             raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
-        total = total + datum.entry(i, s) * datum.entry(j, s) \
-            * datum.entry(s, kd) * inverse(denom)
-    return _integer_coeff(total, (i, j, k))
+        terms.append(datum.entry(i, s) * datum.entry(j, s) * datum.entry(s, kd) * inverse(denom))
+    return _integer_coeff(cyclo.exact_sum(terms), (i, j, k))
 
 
 class _Engine:
     """Memoized per-datum quantities for bulk tensor computation.
 
     Column ratios S[i,s]/S[0,s] and column products S[0,s]*S[s,k'] are
-    precomputed; the hot accumulation runs on integer-scaled exponent maps
-    (denominators cleared once), and rows are cached by the pair-product
-    vector, which collapses e.g. a cyclic group datum from quadratically to
+    canonical products taken from a ``cyclo.ProductMemo``, and every
+    coefficient uses the kernel's integer path: terms are lifted once to the
+    common order over a shared denominator, summed in Z[C_N] and canonicalized
+    once by ``_from_int_terms``.  The engine keeps its own raw convolution of
+    each pair product with each column product instead of going through
+    ``cyclo.matmul``: those products rarely repeat, so memoizing them would
+    canonicalize every term and save nothing (it made the su(2)_24 tensor
+    about 1.6 times slower).  Rows are cached by the vector of pair-product
+    ids, which collapses e.g. a cyclic group datum from quadratically to
     linearly many distinct inner loops.
     """
 
@@ -152,50 +159,47 @@ class _Engine:
             if denom.is_zero():
                 raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
             inv0.append(inverse(denom))
-        cache: dict = {}
-        ratio = {i: [cyclo.cached_mul(cache, datum.entry(i, s), inv0[s])
+        memo = cyclo.ProductMemo()
+        intern = memo.intern
+        inv0_ids = [intern(v) for v in inv0]
+        ratio = {i: [memo.product(intern(datum.entry(i, s)), inv0_ids[s])
                      for s in range(n)] for i in indices}
-        colq = {k: [cyclo.cached_mul(cache, datum.entry(0, s), datum.entry(s, dual[k]))
+        colq = {k: [memo.values[memo.product(intern(datum.entry(0, s)),
+                                             intern(datum.entry(s, dual[k])))]
                     for s in range(n)] for k in indices}
-        common = 1
-        for vals in list(ratio.values()) + list(colq.values()):
-            for v in vals:
-                common = cyclo._lcm_order(common, v.order)
-        denom_r = 1
-        for vals in ratio.values():
-            for v in vals:
-                for c in v.coeffs.values():
-                    denom_r = denom_r * c.denominator // gcd(denom_r, c.denominator)
-        denom_t = 1
-        for vals in colq.values():
-            for v in vals:
-                for c in v.coeffs.values():
-                    denom_t = denom_t * c.denominator // gcd(denom_t, c.denominator)
+        ratio_values = [memo.values[r] for ids in ratio.values() for r in ids]
+        col_values = [v for vals in colq.values() for v in vals]
         self.n = n
-        self.common = common
+        self.common = cyclo._common_order(ratio_values + col_values)
+        self.memo = memo
         self.ratio = ratio
-        self.denom_r = denom_r
-        self.acc_denom = denom_r * denom_r * denom_t
-        self.col_int = {k: [self._scaled(v, denom_t) for v in vals]
+        denom_r = cyclo._denominator_lcm(ratio_values)
+        denom_t = cyclo._denominator_lcm(col_values)
+        # A product of two ratios has denominators dividing denom_r^2, because
+        # the canonical basis is integral.
+        self.pair_denom = denom_r * denom_r
+        self.acc_denom = self.pair_denom * denom_t
+        self.col_int = {k: [cyclo._lift_into({}, v, self.common, denom_t) for v in vals]
                         for k, vals in colq.items()}
+        self._pair_int: dict[int, dict[int, int]] = {}
         self._row_cache: dict = {}
-        self._pair_cache: dict = {}
 
-    def _scaled(self, value: Cyclotomic, denom: int) -> dict[int, int]:
-        terms = cyclo.lift_terms(value, self.common)
-        return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    def _lifted_pair(self, pid: int) -> dict[int, int]:
+        lifted = self._pair_int.get(pid)
+        if lifted is None:
+            lifted = self._pair_int[pid] = cyclo._lift_into(
+                {}, self.memo.values[pid], self.common, self.pair_denom)
+        return lifted
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
         """All N[i,j]^k for k in the index set, in index order."""
-        ri, rj = self.ratio[i], self.ratio[j]
-        pair = tuple(cyclo.cached_mul(self._pair_cache, a, b)
-                     for a, b in zip(ri, rj))
+        product = self.memo.product
+        pair = tuple(product(a, b) for a, b in zip(self.ratio[i], self.ratio[j]))
         cached = self._row_cache.get(pair)
         if cached is not None:
             return cached
         n, common = self.n, self.common
-        d2 = self.denom_r * self.denom_r
-        pair_int = [self._scaled(p, d2) for p in pair]
+        pair_int = [self._lifted_pair(p) for p in pair]
         out = []
         for k in self.indices:
             ck = self.col_int[k]
@@ -207,8 +211,7 @@ class _Engine:
                         if e >= common:
                             e -= common
                         acc[e] = acc.get(e, 0) + c1 * c2
-            value = cyclo.from_terms(
-                common, {e: Fraction(c, self.acc_denom) for e, c in acc.items() if c})
+            value = cyclo._from_int_terms(common, acc, self.acc_denom)
             out.append(_integer_coeff(value, (i, j, k)))
         self._row_cache[pair] = out
         return out
@@ -236,17 +239,19 @@ def fusion_tensor(datum: ModularDatum, indices: list[int] | None = None,
 
     Fails atomically on the first non-integer or negative coefficient.  With
     jobs > 1 the (i,j) pairs are partitioned over worker processes and the
-    results merged in deterministic order.
+    results merged in deterministic order; the worker count is capped by the
+    CPU count and the number of pairs.
     """
     if indices is None:
         indices = list(range(datum.size))
     pos = {idx: p for p, idx in enumerate(indices)}
     m = len(indices)
     pairs = [(indices[a], indices[b]) for a in range(m) for b in range(a, m)]
-    if jobs > 1 and len(pairs) > 1:
-        chunks = [pairs[c::jobs] for c in range(jobs)]
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        chunks = [pairs[c::workers] for c in range(workers)]
         results = []
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(datum, indices)) as pool:
             for part in pool.map(_worker_rows, chunks):
                 results.extend(part)
@@ -365,11 +370,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     ok = True
     for i in range(n):
         for j in range(n):
-            lhs = Cyclotomic.zero()
-            for k in range(n):
-                m = int(N[i, j, k])
-                if m:
-                    lhs = lhs + qdims[k] * m
+            lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(tensor.values[i][j]) if m)
             if lhs != qdims[i] * qdims[j]:
                 ok = False
                 report.failures.append(f"qdim multiplicativity fails at pair ({i}, {j})")

@@ -1,6 +1,8 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -176,3 +178,31 @@ def test_jobs_flag(completed_file, capsys):
     assert code == 0
     assert out.strip() == ("0 + 2 + 3 + 2*4 + 5 + 6 + 2*7 + 8 + 9 + 10 + 11 + "
                            "2*12 + 2*13 + 2*14 + 2*15 + 2*16 + 2*17")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_quietly(completed_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["regress", completed_file, "@s4_fixtures"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_subprocess():
+    # The read end is closed before the child starts, so its first write to
+    # stdout (at the final flush of a small output) hits EPIPE.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fusionring.cli", "lattice", "--k", "2"],
+                              stdout=write_fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

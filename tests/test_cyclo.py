@@ -2,14 +2,16 @@
 
 import cmath
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionring.cyclo import (Cyclotomic, conj, embed, format_exact, inverse,
-                              is_real, root_of_unity, sqrt_int)
+from fusionring.cyclo import (Cyclotomic, conj, embed, exact_sum, format_exact,
+                              inverse, is_real, matmul, root_of_unity, sqrt_int)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -171,3 +173,71 @@ def test_zero_iff_empty_canonical_form(a):
         assert abs(embed(a)) < 1e-10
     else:
         assert abs(embed(a)) > 1e-10
+
+
+# -- the exact accumulation kernel --------------------------------------------
+
+def _sum_by_constructor(xs):
+    """Oracle: add raw Fraction exponent maps at a common order, canonicalize
+    through the constructor."""
+    order = 1
+    for x in xs:
+        order = math.lcm(order, x.order)
+    terms = {}
+    for x in xs:
+        for e, c in x.coeffs.items():
+            key = e * (order // x.order)
+            terms[key] = terms.get(key, 0) + c
+    return Cyclotomic(order, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(elements(), max_size=8))
+def test_exact_sum_matches_per_addition(xs):
+    total = exact_sum(xs)
+    assert total == reduce(operator.add, xs, Cyclotomic.zero())
+    assert total == _sum_by_constructor(xs)
+    assert abs(embed(total) - sum(embed(x) for x in xs)) < 1e-9
+
+
+def test_exact_sum_edge_cases():
+    assert exact_sum([]) == 0
+    assert exact_sum(iter([Cyclotomic.zero(), Cyclotomic.zero()])).is_zero()
+    x = root_of_unity(9, 2) * Fraction(5, 3)
+    assert exact_sum([x]) == x
+    assert exact_sum([x, -x, Cyclotomic.zero()]).is_zero()
+    # 1 + zeta_5 + ... + zeta_5^4 = 0, and the result drops to order 1.
+    assert exact_sum([root_of_unity(5, e) for e in range(5)]).order == 1
+
+
+def _entries():
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.one_of(elements(), rationals.map(Cyclotomic.from_rational),
+                     st.just(Cyclotomic.zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matmul_matches_triple_loop(data):
+    n, m, p = data.draw(st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3)))
+    # Draw entries from a small pool so that memoized products repeat.
+    pool = data.draw(st.lists(_entries(), min_size=1, max_size=4))
+    entry = st.sampled_from(pool) | _entries()
+    a = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=m, max_size=m))
+    naive = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            acc = Cyclotomic.zero()
+            for k in range(m):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        naive.append(row)
+    assert list(matmul(a, b)) == naive
+
+
+def test_matmul_shape_mismatch():
+    one = Cyclotomic.one()
+    with pytest.raises(ValueError):
+        list(matmul([[one, one]], [[one]]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fusionring.cyclo import Cyclotomic, inverse, sqrt_int
+from fusionring.cyclo import Cyclotomic, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      ModuleLabel, NotPermutationError,
@@ -109,3 +109,26 @@ def test_datum_to_file_round_trip(s4_completed):
     for i in range(28):
         for j in range(28):
             assert again.s[i][j] == s4_completed.s[i][j]
+
+
+def test_unitarity_checked_on_complex_data():
+    # Z_4 lattice data has complex entries and is unitary.
+    assert validate(lattice_modular_data(LatticeSpec(2))).unitary is True
+    # S = [[1, i], [i, 1]] has S^2 = [[0, 2i], [2i, 0]] and S conj(S)^T = 2I,
+    # so it is neither a permutation square nor unitary.
+    i = root_of_unity(4, 1)
+    one = Cyclotomic.one()
+    labels = [ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)]
+    report = validate(ModularDatum(labels, [[one, i], [i, one]]))
+    assert report.unitary is False
+    assert not report.ok
+
+
+def test_unitarity_failure_in_a_late_row():
+    # Doubling the last row of S leaves every row of S conj(S)^T but the last
+    # equal to the identity's.
+    datum = lattice_modular_data(LatticeSpec(2))
+    s = [row[:] for row in datum.s]
+    s[-1] = [v * 2 for v in s[-1]]
+    labels = [ModuleLabel(l.index, l.name) for l in datum.labels]
+    assert validate(ModularDatum(labels, s)).unitary is False

@@ -136,6 +136,45 @@ def test_parallel_matches_serial():
     assert serial == parallel == expected_group_fusion(spec)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no worker is ever started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, chunks):
+        return [func(chunk) for chunk in chunks]
+
+
+def test_jobs_clamped_to_cpus_and_pairs(monkeypatch):
+    import os
+
+    from fusionring import verlinde
+
+    monkeypatch.setattr(verlinde, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _SerialPool.max_workers.clear()
+    datum = lattice_modular_data(LatticeSpec(2))
+    expected = expected_group_fusion(LatticeSpec(2))
+    assert fusion_tensor(datum, jobs=10**6) == expected
+    assert fusion_tensor(datum, indices=[0, 1], jobs=10**6) == fusion_tensor(datum, [0, 1])
+    # 4 CPUs cap the full tensor's 10 pairs; the 2-index block has 3 pairs.
+    assert _SerialPool.max_workers == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fusion_tensor(datum, jobs=10**6) == expected
+    assert _SerialPool.max_workers == [4, 3]
+
+
 def test_dual_permutation_realizes_the_inverse():
     # The engine takes (S^-1)[s,k] = S[s,k']; genuine matrix inversion must
     # agree.  Solve S x = e_j column by column over the cyclotomic field.
