@@ -31,6 +31,9 @@ from fusionring.mdf import BranchingSection, DatumFile, FixtureRecord, LabelReco
 from fusionring.modular_data import datum_from_file, qdim
 
 DATA_DIR = ROOT / "src" / "fusionring" / "data"
+HEADER = ("# Generated by scripts/generate_s4_data.py; do not edit by hand.\n"
+          "# src: tags index numbered statements of the source document;\n"
+          "# see DATA_NOTES.txt for known blemishes and soft fixtures.\n")
 
 QDIMS = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
          8, 8, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6, 6, 12, 12]
@@ -624,12 +627,9 @@ def main() -> None:
     fixtures = build_fixture_file()
     audit(partial, branchings)
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    header = ("# Generated by scripts/generate_s4_data.py; do not edit by hand.\n"
-              "# src: tags index numbered statements of the source document;\n"
-              "# see DATA_NOTES.txt for known blemishes and soft fixtures.\n")
-    (DATA_DIR / "s4_partial.mdf").write_text(header + mdf.serialize(partial))
-    (DATA_DIR / "s4_branching.mdf").write_text(header + mdf.serialize(branchings))
-    (DATA_DIR / "s4_fixtures.mdf").write_text(header + mdf.serialize(fixtures))
+    (DATA_DIR / "s4_partial.mdf").write_text(HEADER + mdf.serialize(partial))
+    (DATA_DIR / "s4_branching.mdf").write_text(HEADER + mdf.serialize(branchings))
+    (DATA_DIR / "s4_fixtures.mdf").write_text(HEADER + mdf.serialize(fixtures))
     (DATA_DIR / "DATA_NOTES.txt").write_text(DATA_NOTES)
     print(f"wrote {DATA_DIR}/s4_partial.mdf "
           f"({len(partial.s_entries)} S cells, {len(partial.labels)} labels)")

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, exact_sum, inverse
+from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
+                    eliminate, exact_sum, inverse)
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection
 from .modular_data import ModularDatum
@@ -38,23 +39,6 @@ __all__ = [
 
 class UnderivableError(LookupError):
     """The requested row is not pinned by any single parent module."""
-
-
-class UnderdeterminedError(ValueError):
-    def __init__(self, free_unknowns):
-        super().__init__(f"system leaves unknowns free: {free_unknowns}")
-        self.free_unknowns = free_unknowns
-
-
-class InconsistentSystemError(ValueError):
-    """The relations contradict each other; carries a minimal certificate."""
-
-    def __init__(self, certificate, residual):
-        super().__init__(
-            "contradictory relations "
-            f"(residual {residual}): {sorted(certificate)}")
-        self.certificate = sorted(certificate)
-        self.residual = residual
 
 
 @dataclass
@@ -211,7 +195,7 @@ class CompletionResult:
 
 
 def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
-    """Exact Gaussian elimination over the folded unknowns.
+    """Exact Gauss-Jordan elimination over the folded unknowns.
 
     Raises InconsistentSystemError with the set of source relations whose
     combination is contradictory, or UnderdeterminedError naming free
@@ -220,47 +204,8 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
     """
     if system.check_failures:
         raise InconsistentSystemError(system.check_failures, "known-entry checks failed")
-    rows = [(dict(eq.coeffs), eq.rhs, {eq.label}) for eq in system.equations]
-    solution: dict[tuple[int, int], Cyclotomic] = {}
-    order: list[tuple[int, int]] = []
-    pivots: dict[tuple[int, int], tuple[dict, Cyclotomic, set]] = {}
-    for u in system.unknowns:
-        pivot = None
-        for row in rows:
-            if u in row[0] and row[0][u]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        coeffs, rhs, prov = pivot
-        inv_c = 1 / coeffs[u]
-        coeffs = {key: c * inv_c for key, c in coeffs.items() if key != u}
-        rhs = rhs * inv_c
-        pivots[u] = (coeffs, rhs, prov)
-        order.append(u)
-        reduced = []
-        for rc, rr, rp in rows:
-            if u in rc and rc[u]:
-                factor = rc[u]
-                rc = {key: c for key, c in rc.items() if key != u}
-                for key, c in coeffs.items():
-                    rc[key] = rc.get(key, Fraction(0)) - factor * c
-                    if not rc[key]:
-                        del rc[key]
-                rr = rr - rhs * factor
-                rp = rp | prov
-            if rc:
-                reduced.append((rc, rr, rp))
-            elif not rr.is_zero():
-                raise InconsistentSystemError(rp, rr)
-        rows = reduced
-    free = [u for u in system.unknowns if u not in pivots]
-    if free:
-        raise UnderdeterminedError(free)
-    for u in reversed(order):
-        coeffs, rhs, _ = pivots[u]
-        solution[u] = exact_sum([rhs, *(solution[key] * -c for key, c in coeffs.items())])
+    solution = eliminate([(eq.coeffs, eq.rhs, (eq.label,)) for eq in system.equations],
+                         system.unknowns)
     new_entries: dict[tuple[int, int], Cyclotomic] = {}
     for (i, j), value in solution.items():
         new_entries[(i, j)] = value
@@ -316,7 +261,8 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     the recorded (hard) fusion products, so for each column s containing
     unknowns the eigenvalue equations become an exact linear system in the
     unknown entries of that column.  Agreement with the branching-based
-    completion cross-checks both routes and the fixture transcription.
+    completion cross-checks both routes and the fixture transcription; a
+    contradiction names the relations "N[a,b] colS" that produce it.
     """
     n = target.size
     products: dict[tuple[int, int], dict[int, int]] = {}
@@ -350,50 +296,13 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
                 coeffs[b] = coeffs.get(b, Cyclotomic.zero()) - chi[a]
             else:
                 residual.append(chi[a] * chi[b])
-            rows.append((coeffs, exact_sum(residual)))
-        values = _solve_cyclotomic(rows, missing)
-        if values is None:
-            raise UnderdeterminedError([(r, s) for r in missing])
+            rows.append((coeffs, exact_sum(residual), (f"N[{a},{b}] col{s}",)))
+        try:
+            values = eliminate(rows, missing)
+        except UnderdeterminedError:
+            raise UnderdeterminedError([(r, s) for r in missing]) from None
         s00 = target.entry(0, s)
         for r in missing:
             out[(r, s)] = values[r] * s00
     return out
 
-
-def _solve_cyclotomic(rows, unknowns: list[int]):
-    """Dense elimination over the cyclotomic field for small systems."""
-    pivots: dict[int, tuple[dict, Cyclotomic]] = {}
-    work = [(dict(c), r) for c, r in rows]
-    for u in unknowns:
-        pivot = None
-        for row in work:
-            if u in row[0] and not row[0][u].is_zero():
-                pivot = row
-                break
-        if pivot is None:
-            return None
-        work.remove(pivot)
-        coeffs, rhs = pivot
-        inv_c = inverse(coeffs[u])
-        coeffs = {k: c * inv_c for k, c in coeffs.items() if k != u}
-        rhs = rhs * inv_c
-        pivots[u] = (coeffs, rhs)
-        reduced = []
-        for rc, rr in work:
-            if u in rc and not rc[u].is_zero():
-                factor = rc[u]
-                rc = {k: c for k, c in rc.items() if k != u}
-                for k, c in coeffs.items():
-                    rc[k] = rc.get(k, Cyclotomic.zero()) - factor * c
-                rc = {k: c for k, c in rc.items() if not c.is_zero()}
-                rr = rr - rhs * factor
-            if rc:
-                reduced.append((rc, rr))
-            elif not rr.is_zero():
-                raise InconsistentSystemError({"eigen relations"}, rr)
-        work = reduced
-    solution: dict[int, Cyclotomic] = {}
-    for u in reversed(unknowns):
-        coeffs, rhs = pivots[u]
-        solution[u] = exact_sum([rhs, *(-(solution[k] * c) for k, c in coeffs.items())])
-    return solution

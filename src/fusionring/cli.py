@@ -24,7 +24,8 @@ from .lattice import LatticeSpec, lattice_datum_file
 from .mdf import (DatumFile, DuplicateEntryError, IndexRangeError, ParseError,
                   expr_to_text, parse_file, serialize)
 from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
-                           datum_to_file, glob, qdim, validate)
+                           datum_to_file, glob, quantum_dimensions,
+                           validate)
 from .verlinde import (NegativeResultError, NonIntegerResultError,
                        compare_fixtures, format_formal_sum, fusion_tensor,
                        tensor_to_triples, triples_to_fixtures)
@@ -152,8 +153,9 @@ def cmd_table(args) -> int:
 
 def cmd_qdim(args) -> int:
     datum, _ = _load_datum(args.file)
-    for i in range(datum.size):
-        value = qdim(datum, i)
+    for i, value in enumerate(quantum_dimensions(datum)):
+        if value is None:
+            raise MissingEntryError(f"S[{i},0] is unknown")
         print(f"{i} {datum.labels[i].name} {format_exact(value)} {_float_text(value)}")
     return EXIT_OK
 

@@ -14,6 +14,11 @@ CRT component of e at p^v as a, the basis requires a // p^(v-1) != 0 for odd
 p and a < 2^(v-1) for p = 2, v >= 2.  Any exponent can be rewritten into the
 basis with the relations 1 + zeta_p + ... + zeta_p^(p-1) = 0 (shifted by a
 root) and zeta_{2^v}^{2^(v-1)} = -1.
+
+The module also holds the package's one exact linear solver, ``eliminate``:
+sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
+which source relations every reduced row came from.  Dense inversion, the
+branching completion and the eigenvector route all go through it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-Rational = Fraction
 
 
 @lru_cache(maxsize=None)
@@ -548,48 +551,101 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
 
 
 def _inverse_by_solve(a: Cyclotomic) -> Cyclotomic:
-    """Solve a*x = 1 as a rational linear system over the canonical basis."""
+    """Solve a*x = 1 as a rational linear system over the canonical basis.
+
+    Row f is the zeta^f coefficient of a * x; the right-hand side is the
+    canonical form of 1, which is not zeta^0 at every order (not at 9).
+    """
     n = a.order
-    basis = [e for e in range(n) if _allowed_exponents(n)[e]]
-    index = {e: i for i, e in enumerate(basis)}
-    dim = len(basis)
-    cols = []
+    allowed = _allowed_exponents(n)
+    basis = [e for e in range(n) if allowed[e]]
+    rows: dict[int, dict[int, Fraction]] = {e: {} for e in basis}
     for e in basis:
-        prod = _reduce_terms(n, {(e + f) % n: c for f, c in a.coeffs.items()})
-        col = [Fraction(0)] * dim
-        for f, c in prod.items():
-            col[index[f]] = c
-        cols.append(col)
+        for f, c in _reduce_terms(n, {e + g: c for g, c in a.coeffs.items()}).items():
+            rows[f][e] = c
     one = _reduce_terms(n, {0: Fraction(1)})
-    rhs = [Fraction(0)] * dim
-    for f, c in one.items():
-        rhs[index[f]] = c
-    mat = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    sol = _solve_rational(mat, rhs)
-    if sol is None:
-        raise ZeroDivisionError("element is not invertible")
-    return Cyclotomic(n, {basis[j]: sol[j] for j in range(dim) if sol[j]})
+    # Q(zeta_n) is a field and a != 0, so the system has exactly one solution.
+    x = eliminate([(coeffs, one.get(f, Fraction(0)), ()) for f, coeffs in rows.items()],
+                  basis)
+    return Cyclotomic(n, {e: c for e, c in x.items() if c})
 
 
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Q; returns the solution vector or None."""
-    dim = len(rhs)
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if mat[r][col]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv_p = 1 / mat[col][col]
-        mat[col] = [x * inv_p for x in mat[col]]
-        rhs[col] *= inv_p
-        for r in range(dim):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
+# -- exact linear elimination -------------------------------------------------
+
+class UnderdeterminedError(ValueError):
+    def __init__(self, free_unknowns):
+        super().__init__(f"system leaves unknowns free: {free_unknowns}")
+        self.free_unknowns = free_unknowns
+
+
+class InconsistentSystemError(ValueError):
+    """The relations contradict each other; carries a minimal certificate."""
+
+    def __init__(self, certificate, residual):
+        super().__init__(
+            "contradictory relations "
+            f"(residual {residual}): {sorted(certificate)}")
+        self.certificate = sorted(certificate)
+        self.residual = residual
+
+
+def eliminate(rows, unknowns: list) -> dict:
+    """Sparse Gauss-Jordan elimination over Q or a cyclotomic field.
+
+    Each row is ``(coeffs, rhs, labels)``: the relation
+    sum_u coeffs[u] * x_u = rhs together with the labels of the source
+    relations it came from.  Coefficients and right-hand sides may be
+    ``Fraction`` or ``Cyclotomic`` values; only ``1 / c``, ``*``, ``-`` and
+    truthiness are used.  Unknowns are pivoted in the given order, each on the
+    first remaining row that contains it, and every other row -- earlier pivot
+    rows included -- is reduced by the pivot, so no back-substitution is
+    needed.  A reduced row inherits the labels of every pivot applied to it.
+
+    Returns {unknown: value}.  Raises InconsistentSystemError with the merged
+    labels when a row reduces to 0 = r with r != 0, and UnderdeterminedError
+    naming the unknowns left without a pivot.
+    """
+    work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
+            for coeffs, rhs, labels in rows]
+    pivots: dict = {}
+    for u in unknowns:
+        index = next((i for i, row in enumerate(work) if row[0].get(u)), None)
+        if index is None:
+            continue
+        coeffs, rhs, labels = work.pop(index)
+        inv = 1 / coeffs.pop(u)
+        coeffs = {k: c * inv for k, c in coeffs.items()}
+        pivot = (coeffs, rhs * inv, labels)
+        reduced = []
+        for row in work:
+            row = _reduce_row(row, u, pivot)
+            if row[0]:
+                reduced.append(row)
+            elif row[1]:
+                raise InconsistentSystemError(row[2], row[1])
+        work = reduced
+        pivots = {v: _reduce_row(row, u, pivot) for v, row in pivots.items()}
+        pivots[u] = pivot
+    free = [u for u in unknowns if u not in pivots]
+    if free:
+        raise UnderdeterminedError(free)
+    return {u: pivots[u][1] for u in unknowns}
+
+
+def _reduce_row(row, u, pivot):
+    """Eliminate unknown u from a row with a normalized pivot row for u."""
+    coeffs, rhs, labels = row
+    factor = coeffs.get(u)
+    if not factor:
+        return row
+    coeffs = {k: c for k, c in coeffs.items() if k != u}
+    for k, c in pivot[0].items():
+        value = coeffs.get(k, 0) - factor * c
+        if value:
+            coeffs[k] = value
+        else:
+            coeffs.pop(k, None)
+    return coeffs, rhs - factor * pivot[1], labels | pivot[2]
 
 
 def embed(a: Cyclotomic, precision: int | None = None) -> complex:

@@ -20,7 +20,7 @@ from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 __all__ = [
     "MissingEntryError", "NotPermutationError",
     "ModuleLabel", "ModularDatum", "ValidationReport",
-    "validate", "charge_conjugation", "qdim", "glob",
+    "validate", "charge_conjugation", "qdim", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
 
@@ -98,10 +98,23 @@ def qdim(datum: ModularDatum, i: int) -> Cyclotomic:
         raise ZeroDivisionError("S[0,0] = 0")
     return datum.entry(i, 0) * inverse(denom)
 
+
+def quantum_dimensions(datum: ModularDatum) -> list[Cyclotomic | None]:
+    """Every quantum dimension, inverting S[0,0] once; None where S[i,0] is unknown."""
+    denom = datum.entry(0, 0)
+    if denom.is_zero():
+        raise ZeroDivisionError("S[0,0] = 0")
+    inv = inverse(denom)
+    return [None if row[0] is None else row[0] * inv for row in datum.s]
+
+
 def glob(datum: ModularDatum) -> Cyclotomic:
     """Global dimension: the sum of squared quantum dimensions."""
-    qdims = [qdim(datum, i) for i in range(datum.size)]
-    return cyclo.exact_sum(q * q for q in qdims)
+    dims = quantum_dimensions(datum)
+    for i, q in enumerate(dims):
+        if q is None:
+            raise MissingEntryError(f"S[{i},0] is unknown")
+    return cyclo.exact_sum(q * q for q in dims)
 
 
 def charge_conjugation(datum: ModularDatum, store: bool = True) -> list[int]:
@@ -213,9 +226,8 @@ def validate(datum: ModularDatum) -> ValidationReport:
         if datum.known(0, j) and datum.s[0][j].is_zero():
             report.vacuum_row_zeros.append(j)
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
-        for i in range(n):
-            if datum.known(i, 0):
-                q = qdim(datum, i)
+        for i, q in enumerate(quantum_dimensions(datum)):
+            if q is not None:
                 z = embed(q)
                 if not (z.real > 0 and abs(z.imag) < 1e-9):
                     report.bad_qdims.append(i)
@@ -287,11 +299,13 @@ def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None,
     scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
     inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
     df = DatumFile(name=datum.name, modules=datum.size, vacuum=0, scale_expr=scale_expr)
-    can_qdim = qdims and datum.known(0, 0) and not datum.s[0][0].is_zero()
+    dims = [None] * datum.size
+    if qdims and datum.known(0, 0) and not datum.s[0][0].is_zero():
+        dims = quantum_dimensions(datum)
     for lab in datum.labels:
         qdim_expr = None
-        if can_qdim and datum.known(lab.index, 0):
-            qdim_expr = parse_expr(cyclotomic_to_expr_text(qdim(datum, lab.index)))
+        if dims[lab.index] is not None:
+            qdim_expr = parse_expr(cyclotomic_to_expr_text(dims[lab.index]))
         df.labels.append(LabelRecord(index=lab.index, name=lab.name,
                                      qdim_expr=qdim_expr, dual=lab.dual,
                                      weight=lab.conformal_weight))

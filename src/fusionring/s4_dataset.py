@@ -21,7 +21,7 @@ from importlib import resources
 
 from .branching import ParentBranching
 from .mdf import FixtureRecord, eval_expr, parse_file
-from .modular_data import ModularDatum, datum_from_file, qdim
+from .modular_data import ModularDatum, MissingEntryError, datum_from_file, quantum_dimensions
 
 __all__ = ["QdimMismatchError", "Fixture", "load_dataset", "known_block_indices",
            "known_block_tensor", "data_path"]
@@ -50,11 +50,14 @@ def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[Fixture]]:
     branching_file = parse_file(_read("s4_branching.mdf"))
     fixture_file = parse_file(_read("s4_fixtures.mdf"))
     datum = datum_from_file(partial)
+    dims = quantum_dimensions(datum)
     for rec in partial.labels:
         if rec.qdim_expr is None:
             continue
+        if dims[rec.index] is None:
+            raise MissingEntryError(f"S[{rec.index},0] is unknown")
         recorded = eval_expr(rec.qdim_expr)
-        if qdim(datum, rec.index) != recorded:
+        if dims[rec.index] != recorded:
             raise QdimMismatchError(
                 f"module {rec.index}: S[{rec.index},0]/S[0,0] != recorded qdim {recorded}")
     parents = [ParentBranching.from_section(sec)

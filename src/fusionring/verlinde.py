@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
-from .modular_data import MissingEntryError, ModularDatum, qdim
+from .modular_data import MissingEntryError, ModularDatum, quantum_dimensions
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
@@ -153,12 +153,16 @@ class _Engine:
             for s in range(n):
                 if not datum.known(s, dual[i]):
                     raise MissingEntryError(f"S[{s},{dual[i]}] is unknown")
+        inverses: dict[Cyclotomic, Cyclotomic] = {}
         inv0 = []
         for s in range(n):
             denom = datum.entry(0, s)
             if denom.is_zero():
                 raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
-            inv0.append(inverse(denom))
+            if denom not in inverses:
+                # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
+                inverses[denom] = inverse(denom)
+            inv0.append(inverses[denom])
         memo = cyclo.ProductMemo()
         intern = memo.intern
         inv0_ids = [intern(v) for v in inv0]
@@ -353,16 +357,22 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     if not report.duality_symmetric:
         report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
 
-    left = np.einsum("ijm,mkl->ijkl", N, N)
-    right = np.einsum("jkm,iml->ijkl", N, N)
-    report.associative = bool((left == right).all())
-    if not report.associative:
-        bad = np.argwhere(left != right)[0]
-        report.failures.append(f"associativity fails at quadruple {tuple(int(x) for x in bad)}")
+    # (i j) k = i (j k): sum_m N[i,j,m] N[m,k,l] = sum_m N[j,k,m] N[i,m,l] for
+    # every quadruple.  Compare one i at a time so memory stays O(n^3).
+    report.associative = True
+    by_first, by_last = N.reshape(n, n * n), N.reshape(n * n, n)
+    for i in range(n):
+        left = (N[i] @ by_first).reshape(n, n, n)
+        right = (by_last @ N[i]).reshape(n, n, n)
+        if not (left == right).all():
+            report.associative = False
+            bad = (i, *np.argwhere(left != right)[0])
+            report.failures.append(
+                f"associativity fails at quadruple {tuple(int(x) for x in bad)}")
+            break
 
-    try:
-        qdims = [qdim(datum, i) for i in range(n)]
-    except MissingEntryError:
+    qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
+    if any(q is None for q in qdims):
         report.qdim_multiplicative = None
         report.simple_currents_are_permutations = None
         return report

@@ -11,6 +11,7 @@ from fusionring.branching import (InconsistentSystemError, ParentBranching,
                                   complete, derive_rows, eigen_complete, solve)
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec
+from fusionring.mdf import FixtureRecord
 from fusionring.modular_data import validate
 
 
@@ -167,6 +168,21 @@ def test_eigen_route_agrees(s4, s4_completed):
     assert len(eigen) == 49
     for (r, c), value in eigen.items():
         assert s4_completed.entry(r, c) == value
+
+
+def test_eigen_route_failure_names_its_relations(s4):
+    # Corrupt the hard fixture 0 x 1 = 1 into 0 x 1 = 2*1: the eigen route must
+    # name the relations built from that product, not a blanket label.
+    datum, _, fixtures = s4
+    tampered = [FixtureRecord(fx.left, fx.right, {1: 2}, fx.soft, fx.citation)
+                if (fx.left, fx.right, fx.terms) == (0, 1, {1: 1}) else fx
+                for fx in fixtures]
+    assert tampered != fixtures
+    with pytest.raises(InconsistentSystemError) as info:
+        eigen_complete(datum, tampered)
+    certificate = info.value.certificate
+    assert any(label.startswith("N[0,1] ") for label in certificate), certificate
+    assert all(label.startswith("N[") for label in certificate), certificate
 
 
 def test_lattice_parent_identity():

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionring.cyclo import (Cyclotomic, conj, embed, exact_sum, format_exact,
-                              inverse, is_real, matmul, root_of_unity, sqrt_int)
+from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
+                              UnderdeterminedError, conj, eliminate, embed,
+                              exact_sum, format_exact, inverse, is_real, matmul,
+                              root_of_unity, sqrt_int)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -76,6 +78,49 @@ def test_inverse_examples():
 def test_inverse_dense_fallback():
     t = root_of_unity(5, 1) + root_of_unity(7, 3) * 2 + Fraction(1, 2)
     assert inverse(t) * t == 1
+
+
+def test_inverse_dense_fallback_where_one_is_not_a_basis_root():
+    # At order 9 the canonical form of 1 is -zeta^3 - zeta^6.
+    t = root_of_unity(9, 1) + 2
+    assert (t * conj(t)).order != 1
+    assert inverse(t) * t == 1
+    assert inverse(t).order == 9
+
+
+def test_eliminate_rational_system():
+    rows = [({"x": 1, "y": 1, "z": 1}, Fraction(6), ("a",)),
+            ({"y": 2, "z": Fraction(1, 2), "x": 0}, Fraction(11, 2), ("b",)),
+            ({"x": 1, "z": -1}, Fraction(-2), ("c",)),
+            ({"x": 2, "y": 2, "z": 2}, Fraction(12), ("d",))]
+    assert eliminate(rows, ["x", "y", "z"]) == {"x": 1, "y": 2, "z": 3}
+    assert eliminate([], []) == {}
+
+
+def test_eliminate_cyclotomic_rhs_with_rational_coefficients():
+    w = root_of_unity(5, 2)
+    rows = [({0: Fraction(2), 1: Fraction(1)}, w * 3, ("a",)),
+            ({1: Fraction(1, 3)}, w, ("b",))]
+    assert eliminate(rows, [0, 1]) == {0: Cyclotomic.zero(), 1: w * 3}
+
+
+def test_eliminate_certificate_merges_labels():
+    rows = [({"x": 1, "y": 1}, Fraction(1), ("a",)),
+            ({"x": 1, "y": -1}, Fraction(0), ("b",)),
+            ({"z": 1}, Fraction(5), ("e",)),
+            ({"x": 2}, Fraction(3), ("c",))]
+    with pytest.raises(InconsistentSystemError) as info:
+        eliminate(rows, ["x", "y", "z"])
+    assert info.value.certificate == ["a", "b", "c"]
+    assert info.value.residual == 2
+
+
+def test_eliminate_underdetermined_names_free_unknowns():
+    rows = [({"x": 1, "y": 1}, Fraction(1), ("a",)),
+            ({"z": 0}, Fraction(0), ("b",))]
+    with pytest.raises(UnderdeterminedError) as info:
+        eliminate(rows, ["x", "y", "z"])
+    assert info.value.free_unknowns == ["y", "z"]
 
 
 def test_conj_examples():

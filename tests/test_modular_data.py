@@ -1,5 +1,7 @@
 """Datum model: validation, charge conjugation, quantum dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
 from fusionring.cyclo import Cyclotomic, inverse, root_of_unity, sqrt_int
@@ -7,7 +9,7 @@ from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      ModuleLabel, NotPermutationError,
                                      charge_conjugation, datum_to_file, glob,
-                                     qdim, validate)
+                                     qdim, quantum_dimensions, validate)
 
 
 def two_by_two():
@@ -88,6 +90,41 @@ def test_qdim_missing_entry():
     assert qdim(datum, 0) == 1
     with pytest.raises(MissingEntryError):
         qdim(datum, 1)
+
+
+def test_quantum_dimensions_on_partial_data():
+    labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b"), ModuleLabel(2, "c")]
+    half = Cyclotomic.from_rational(Fraction(1, 2))
+    datum = ModularDatum(labels, [[half, None, None], [None, None, None],
+                                  [Cyclotomic.one(), None, None]])
+    assert quantum_dimensions(datum) == [1, None, 2]
+    with pytest.raises(MissingEntryError):
+        glob(datum)
+    assert validate(datum).bad_qdims == []
+    assert [lab.qdim_expr is None for lab in datum_to_file(datum).labels] == [False, True, False]
+    datum.s[0][0] = None
+    with pytest.raises(MissingEntryError):
+        quantum_dimensions(datum)
+    datum.s[0][0] = Cyclotomic.zero()
+    with pytest.raises(ZeroDivisionError):
+        quantum_dimensions(datum)
+
+
+def test_s00_inverted_once_per_datum_loop(monkeypatch):
+    import fusionring.modular_data as md
+
+    calls = []
+
+    def counting_inverse(value):
+        calls.append(value)
+        return inverse(value)
+
+    monkeypatch.setattr(md, "inverse", counting_inverse)
+    datum = lattice_modular_data(LatticeSpec(4))
+    for run in (glob, validate, datum_to_file, quantum_dimensions):
+        calls.clear()
+        run(datum)
+        assert calls == [datum.s[0][0]], run.__name__
 
 
 def test_validation_report_json(s4):

@@ -1,6 +1,8 @@
 """The shipped dataset: labels, partial S-matrix, branchings, fixtures."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,24 @@ def test_shipped_files_byte_stable():
                          if not line.startswith("#")) + "\n"
         df = parse_file(text)
         assert serialize(df) == body.lstrip("\n")
+
+
+def test_generator_script_reproduces_shipped_files(capsys):
+    # Run the generator's audit and rebuild every data file in memory; nothing
+    # is written.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "generate_s4_data.py"
+    spec = importlib.util.spec_from_file_location("generate_s4_data", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    partial = gen.build_partial_datum_file()
+    branchings = gen.build_branching_file()
+    gen.audit(partial, branchings)
+    out = capsys.readouterr().out
+    assert "derived-row audit: 1120 entries match the tables" in out
+    assert "relation audit: 1498 known-entry relations hold" in out
+    built = {"s4_partial.mdf": partial, "s4_branching.mdf": branchings,
+             "s4_fixtures.mdf": gen.build_fixture_file()}
+    for name, df in built.items():
+        text = gen.HEADER + serialize(df)
+        assert text.encode() == data_path(name).read_bytes(), name
+    assert gen.DATA_NOTES.encode() == data_path("DATA_NOTES.txt").read_bytes()

@@ -6,9 +6,9 @@ from fusionring.cyclo import Cyclotomic
 from fusionring.lattice import LatticeSpec, expected_group_fusion, lattice_modular_data
 from fusionring.mdf import FixtureRecord
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
-from fusionring.verlinde import (NegativeResultError, NonIntegerResultError,
-                                 check_ring, compare_fixtures, fuse,
-                                 fusion_coeff, fusion_tensor,
+from fusionring.verlinde import (FusionTensor, NegativeResultError,
+                                 NonIntegerResultError, check_ring,
+                                 compare_fixtures, fuse, fusion_coeff, fusion_tensor,
                                  tensor_to_triples, triples_to_fixtures)
 
 
@@ -92,6 +92,49 @@ def test_check_ring_lattice():
     report = check_ring(tensor, datum)
     assert report.ok
     assert report.simple_currents == list(range(32))
+
+
+def test_associativity_failure_names_first_quadruple():
+    import numpy as np
+
+    datum = lattice_modular_data(LatticeSpec(2))
+    n = datum.size
+    # Z_4 fusion with one doubled channel, then seeded random 0/1 tensors.
+    broken = np.array(expected_group_fusion(LatticeSpec(2)).values)
+    broken[2, 3, 0] = broken[3, 2, 0] = 2
+    rng = np.random.default_rng(5)
+    tensors = [broken] + [rng.integers(0, 2, size=(n, n, n)) for _ in range(20)]
+    associative = []
+    for values in tensors:
+        left = np.einsum("ijm,mkl->ijkl", values, values)
+        right = np.einsum("jkm,iml->ijkl", values, values)
+        report = check_ring(FusionTensor(list(range(n)), values.tolist()), datum)
+        associative.append(report.associative)
+        assert report.associative == bool((left == right).all())
+        if not report.associative:
+            bad = tuple(int(x) for x in np.argwhere(left != right)[0])
+            assert f"associativity fails at quadruple {bad}" in report.failures
+    assert not associative[0] and associative.count(False) > 1
+
+
+def test_vacuum_row_inverted_once_per_distinct_value(monkeypatch):
+    from fusionring import cyclo, modular_data, verlinde
+
+    calls = []
+
+    def counting_inverse(value):
+        calls.append(value)
+        return cyclo.inverse(value)
+
+    monkeypatch.setattr(verlinde, "inverse", counting_inverse)
+    monkeypatch.setattr(modular_data, "inverse", counting_inverse)
+    # Every S[0,s] of the lattice datum is 1/sqrt(8).
+    datum = lattice_modular_data(LatticeSpec(4))
+    tensor = fusion_tensor(datum)
+    assert calls == [datum.s[0][0]]
+    calls.clear()
+    assert check_ring(tensor, datum).ok
+    assert calls == [datum.s[0][0]]
 
 
 def test_qdim_multiplicativity_pair(s4_tensor, s4_completed):
@@ -178,7 +221,7 @@ def test_jobs_clamped_to_cpus_and_pairs(monkeypatch):
 def test_dual_permutation_realizes_the_inverse():
     # The engine takes (S^-1)[s,k] = S[s,k']; genuine matrix inversion must
     # agree.  Solve S x = e_j column by column over the cyclotomic field.
-    from fusionring.branching import _solve_cyclotomic
+    from fusionring.cyclo import eliminate
 
     datum = lattice_modular_data(LatticeSpec(2))
     n = datum.size
@@ -188,7 +231,7 @@ def test_dual_permutation_realizes_the_inverse():
         for i in range(n):
             coeffs = {k: datum.s[i][k] for k in range(n)}
             rhs = Cyclotomic.from_rational(1 if i == j else 0)
-            rows.append((coeffs, rhs))
-        column = _solve_cyclotomic(rows, list(range(n)))
+            rows.append((coeffs, rhs, (f"row{i}",)))
+        column = eliminate(rows, list(range(n)))
         for s in range(n):
             assert column[s] == datum.s[s][dual[j]]
