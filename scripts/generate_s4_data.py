@@ -20,6 +20,7 @@ still reported.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -509,7 +510,7 @@ def build_partial_datum_file() -> DatumFile:
         weight = WEIGHTS.get(i)
         df.labels.append(LabelRecord(
             index=i, name=f"M{i}", qdim_expr=mdf.parse_expr(str(QDIMS[i])),
-            dual=i, weight=mdf.Fraction(weight) if weight else None))
+            dual=i, weight=Fraction(weight) if weight else None))
     table: dict[tuple[int, int], str] = {}
     for r in range(28):
         for c, text in zip(COLS_1, TABLE_1[r]):

@@ -31,9 +31,8 @@ from .modular_data import ModularDatum
 
 __all__ = [
     "UnderivableError", "UnderdeterminedError", "InconsistentSystemError",
-    "ParentBranching", "DerivedEntry", "derive_rows",
-    "LinearSystem", "assemble_system", "solve", "complete",
-    "eigen_complete",
+    "ParentBranching", "derive_rows", "check_derived_rows",
+    "assemble_system", "solve", "complete", "eigen_complete",
 ]
 
 
@@ -65,10 +64,6 @@ class ParentBranching:
     def from_section(section: BranchingSection) -> "ParentBranching":
         return ParentBranching(name=section.parent, spec=LatticeSpec(section.k),
                                rows={l: dict(t) for l, t in section.rows.items()})
-
-    def to_section(self) -> BranchingSection:
-        return BranchingSection(parent=self.name, k=self.spec.k,
-                                rows={l: dict(t) for l, t in sorted(self.rows.items())})
 
 
 @dataclass

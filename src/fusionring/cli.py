@@ -27,8 +27,8 @@ from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
                            datum_to_file, glob, quantum_dimensions,
                            validate)
 from .verlinde import (NegativeResultError, NonIntegerResultError,
-                       compare_fixtures, format_formal_sum, fusion_tensor,
-                       tensor_to_triples, triples_to_fixtures)
+                       compare_fixtures, computable_indices, format_formal_sum,
+                       fusion_tensor, tensor_to_triples, triples_to_fixtures)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -78,16 +78,6 @@ def _float_text(value) -> str:
     return f"{z.real:.10f}{z.imag:+.10f}i"
 
 
-def _computable_indices(datum: ModularDatum) -> list[int]:
-    dual = datum.dual_permutation()
-    out = []
-    for i in range(datum.size):
-        if all(datum.known(i, s) for s in range(datum.size)) and \
-                all(datum.known(s, dual[i]) for s in range(datum.size)):
-            out.append(i)
-    return out
-
-
 def cmd_validate(args) -> int:
     datum, _ = _load_datum(args.file)
     report = validate(datum)
@@ -134,7 +124,7 @@ def cmd_complete(args) -> int:
 
 def cmd_fuse(args) -> int:
     datum, _ = _load_datum(args.file)
-    indices = _computable_indices(datum)
+    indices = computable_indices(datum)
     if args.i not in indices or args.j not in indices:
         print(f"error: rows {args.i}, {args.j} are not fully known", file=sys.stderr)
         return EXIT_FAIL
@@ -145,7 +135,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_table(args) -> int:
     datum, _ = _load_datum(args.file)
-    indices = _computable_indices(datum)
+    indices = computable_indices(datum)
     tensor = fusion_tensor(datum, indices=indices, jobs=args.jobs)
     sys.stdout.write(tensor_to_triples(tensor))
     return EXIT_OK
@@ -181,7 +171,7 @@ def cmd_regress(args) -> int:
         fixtures = parse_file(fixtures_text).fixtures
     else:
         fixtures = triples_to_fixtures(fixtures_text)
-    indices = _computable_indices(datum)
+    indices = computable_indices(datum)
     tensor = fusion_tensor(datum, indices=indices, jobs=args.jobs)
     hard = [fx for fx in fixtures if not fx.soft]
     soft = [fx for fx in fixtures if fx.soft]

@@ -5,8 +5,12 @@ zeta_n = exp(2*pi*i/n), stored as a rational linear combination of roots of
 unity in the canonical (Zumbroich) basis of Q(zeta_n) over Q.  Canonical
 forms are unique, so equality is a structural comparison and zero-testing is
 exact.  Elements are always kept at the minimal order that can represent
-them (never an order congruent to 2 mod 4; plain rationals sit at order 1),
-which keeps arithmetic in long accumulation loops cheap.
+them, which keeps arithmetic in long accumulation loops cheap: plain
+rationals sit at order 1, and an order n = 2 mod 4 is never used (an
+exponent map there is read at 2n, e -> 2e).  One routine, ``_canonicalize``,
+serves every constructor: it rewrites a raw exponent map into the basis and
+then, in one pass over the primes of the order, drops each prime for as long
+as the element allows, by plain exponent arithmetic (see ``_deflate``).
 
 The Zumbroich basis of Q(zeta_n) consists of the roots zeta_n^e whose
 residue at each prime power p^v || n avoids a forbidden digit: writing the
@@ -110,104 +114,50 @@ def _reduce_terms(n: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e: c for e, c in out.items() if c}
 
 
-def _combine(n: int, components: dict[int, int]) -> int:
-    """Exponent e mod n whose CRT component (e * (n/q)^-1 mod q) is the given
-    value at each prime power q of n."""
-    e = 0
-    for p, q, _ in _crt_data(n):
-        a = components[q]
-        m = n // q
-        t = (a * m) % q
-        e = (e + t * m * pow(m, -1, q)) % n
-    return e
-
-
-def _try_deflate_prime(n: int, coeffs: dict[int, Fraction], p: int, q: int):
-    """Attempt to rewrite a canonical element at order n without the prime p.
-
-    Returns (new_order, new_coeffs) or None if the element genuinely needs p.
-    All bookkeeping is in CRT components: exponent e at order n corresponds
-    to the component (e * inv_q) mod q at each prime power q of n.
-    """
-    inv_for = {qq: cc for _, qq, cc in _crt_data(n)}
-
-    def comp(e: int, qq: int) -> int:
-        return (e * inv_for[qq]) % qq
-
-    rest_qs = [qq for pp, qq in _factorize(n) if pp != p]
-    if q > p or p == 2:
-        # Remove one factor of p (for p = 2 drop straight to the odd part
-        # when only a factor of 4 remains, since orders 2 mod 4 are not used).
-        if p == 2 and q == 4:
-            if any(comp(e, q) != 0 for e in coeffs):
-                return None
-            n2 = n // 4
-            if n2 == 1:
-                return 1, dict(coeffs)
-            out = {}
-            for e, c in coeffs.items():
-                out[_combine(n2, {qq: comp(e, qq) for qq in rest_qs})] = c
-            return n2, out
-        if any(comp(e, q) % p != 0 for e in coeffs):
-            return None
-        n2 = n // p
-        q2 = q // p
-        out = {}
-        for e, c in coeffs.items():
-            comps = {qq: comp(e, qq) for qq in rest_qs}
-            comps[q2] = comp(e, q) // p
-            out[_combine(n2, comps)] = c
-        return n2, out
-    # p odd, p || n: the element lies in Q(zeta_{n/p}) iff for every residual
-    # exponent the p-components 1..p-1 all carry the same coefficient; the
-    # relation sum_t zeta_p^t = -1 then collapses each group to one term.
-    groups: dict[tuple, dict[int, Fraction]] = {}
-    for e, c in coeffs.items():
-        key = tuple(comp(e, qq) for qq in rest_qs)
-        groups.setdefault(key, {})[comp(e, q)] = c
-    n2 = n // p
-    out = {}
-    for key, slots in groups.items():
-        if len(slots) != p - 1 or len(set(slots.values())) != 1:
-            return None
-        c = next(iter(slots.values()))
-        if n2 == 1:
-            out[0] = out.get(0, 0) - c
-            continue
-        comps = dict(zip(rest_qs, key))
-        e2 = _combine(n2, comps)
-        out[e2] = out.get(e2, 0) - c
-    return n2, {e: c for e, c in out.items() if c}
-
-
 def _deflate(n: int, coeffs: dict[int, Fraction]):
-    """Find the minimal order representing a canonical element."""
+    """The minimal order of a canonical element and its form there.
+
+    One pass over the primes p of n drops p for as long as the element
+    allows.  When p^2 | n the bases are nested: the element lies in
+    Q(zeta_{n/p}) iff every exponent is divisible by the step (p, or 4 when
+    4 || n, since orders 2 mod 4 are not used), and e maps to e // step.
+    When an odd p || n, with m = n/p, the element lies in Q(zeta_m) iff the
+    exponents in each class e mod m are p - 1 roots sharing one coefficient
+    c; since 1 + zeta_p + ... + zeta_p^(p-1) = 0 the class is -c zeta_m^w
+    with w = e p^-1 mod m.  An element that needs p at order n needs it at
+    every smaller order p divides, so no prime is revisited.
+    """
     if not coeffs:
         return 1, {}
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for p, q in _factorize(n):
-            res = _try_deflate_prime(n, coeffs, p, q)
-            if res is not None:
-                n, coeffs = res
-                changed = True
+    for p, _ in _factorize(n):
+        while n % p == 0:
+            if n % (p * p) == 0:
+                step = 4 if p == 2 and n % 8 else p
+                if any(e % step for e in coeffs):
+                    break
+                n //= step
+                coeffs = {e // step: c for e, c in coeffs.items()}
+                continue
+            m = n // p
+            classes: dict[int, list] = {}
+            for e, c in coeffs.items():
+                classes.setdefault(e % m, []).append(c)
+            if any(len(cs) != p - 1 or cs.count(cs[0]) != p - 1
+                   for cs in classes.values()):
                 break
+            inv = pow(p, -1, m)
+            n = m
+            coeffs = {r * inv % m: -cs[0] for r, cs in classes.items()}
     return n, coeffs
 
 
-def _normalize_order(n: int, terms: dict[int, Fraction]):
-    """Map exponents at an order 2 mod 4 onto the equivalent odd order."""
-    if n % 4 != 2:
-        return n, terms
-    m = n // 2
-    k = (m + 1) // 2
-    out: dict[int, Fraction] = {}
-    for e, c in terms.items():
-        e2 = (e * k) % m
-        c2 = -c if e % 2 else c
-        out[e2] = out.get(e2, 0) + c2
-    return m, out
+def _canonicalize(n: int, terms: dict[int, Fraction]):
+    """The canonical (order, coeffs) of a raw exponent->coefficient map at order n."""
+    if n % 4 == 2:
+        # zeta_n = zeta_{2n}^2, the rule _lcm_order uses: orders 2 mod 4 are not used.
+        n *= 2
+        terms = {2 * e: c for e, c in terms.items()}
+    return _deflate(n, _reduce_terms(n, terms))
 
 
 class Cyclotomic:
@@ -217,9 +167,7 @@ class Cyclotomic:
 
     def __init__(self, order: int, coeffs: dict[int, Fraction], _canonical: bool = False):
         if not _canonical:
-            order, coeffs = _normalize_order(order, coeffs)
-            coeffs = _reduce_terms(order, coeffs)
-            order, coeffs = _deflate(order, coeffs)
+            order, coeffs = _canonicalize(order, coeffs)
         self.order = order
         self.coeffs = coeffs
         self._hash = None
@@ -362,13 +310,9 @@ def _lcm_order(a: int, b: int) -> int:
 
 def _from_int_terms(order: int, terms: dict[int, int], denom: int) -> Cyclotomic:
     """Canonicalize an integer exponent map with a shared denominator."""
-    order, terms = _normalize_order(order, terms)
-    terms = _reduce_terms(order, terms)
-    order, terms = _deflate(order, terms)
-    coeffs = {e: Fraction(c, denom) for e, c in terms.items() if c}
-    if not coeffs:
-        return Cyclotomic(1, {}, _canonical=True)
-    return Cyclotomic(order, coeffs, _canonical=True)
+    order, terms = _canonicalize(order, terms)
+    return Cyclotomic(order, {e: Fraction(c, denom) for e, c in terms.items()},
+                      _canonical=True)
 
 
 # -- the exact accumulation kernel --------------------------------------------

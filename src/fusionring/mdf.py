@@ -36,7 +36,7 @@ from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
 __all__ = [
     "ParseError", "DuplicateEntryError", "IndexRangeError",
-    "parse_expr", "eval_expr", "expr_to_text", "cyclotomic_to_expr_text",
+    "parse_expr", "eval_expr", "expr_to_text",
     "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize",
 ]
@@ -265,13 +265,6 @@ def expr_to_text(node, _level: int = 0) -> str:
     else:
         raise ValueError(f"unknown node {op!r}")
     return f"({text})" if need else text
-
-
-def cyclotomic_to_expr_text(value: Cyclotomic) -> str:
-    """Grammar text for an exact value (sum of rational multiples of E(n)^k)."""
-    from .cyclo import format_exact
-
-    return format_exact(value)
 
 
 # -- datum files -----------------------------------------------------------

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cyclo
-from .cyclo import Cyclotomic, conj, embed, inverse
+from .cyclo import Cyclotomic, conj, embed, format_exact, inverse
 from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError",
-    "ModuleLabel", "ModularDatum", "ValidationReport",
+    "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "qdim", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
@@ -50,6 +50,8 @@ class ModularDatum:
             raise ValueError("the vacuum module is index 0 by convention")
         if len(s) != len(labels) or any(len(row) != len(labels) for row in s):
             raise ValueError("S-matrix shape must match the label count")
+        if not labels:
+            raise ValueError("a modular datum needs at least the vacuum module")
         self.labels = labels
         self.s = s
         self.name = name
@@ -294,8 +296,6 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
 def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None,
                   qdims: bool = True) -> DatumFile:
     """Serialize back to a DatumFile, dividing entries by the chosen scale."""
-    from .mdf import cyclotomic_to_expr_text
-
     scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
     inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
     df = DatumFile(name=datum.name, modules=datum.size, vacuum=0, scale_expr=scale_expr)
@@ -305,7 +305,7 @@ def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None,
     for lab in datum.labels:
         qdim_expr = None
         if dims[lab.index] is not None:
-            qdim_expr = parse_expr(cyclotomic_to_expr_text(dims[lab.index]))
+            qdim_expr = parse_expr(format_exact(dims[lab.index]))
         df.labels.append(LabelRecord(index=lab.index, name=lab.name,
                                      qdim_expr=qdim_expr, dual=lab.dual,
                                      weight=lab.conformal_weight))
@@ -317,5 +317,5 @@ def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None,
             else:
                 if inv_scale is not None:
                     value = value * inv_scale
-                df.s_entries[(i, j)] = parse_expr(cyclotomic_to_expr_text(value))
+                df.s_entries[(i, j)] = parse_expr(format_exact(value))
     return df

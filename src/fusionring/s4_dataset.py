@@ -22,13 +22,9 @@ from importlib import resources
 from .branching import ParentBranching
 from .mdf import FixtureRecord, eval_expr, parse_file
 from .modular_data import ModularDatum, MissingEntryError, datum_from_file, quantum_dimensions
+from .verlinde import computable_indices, fusion_tensor
 
-__all__ = ["QdimMismatchError", "Fixture", "load_dataset", "known_block_indices",
-           "known_block_tensor", "data_path"]
-
-Fixture = FixtureRecord
-
-KNOWN_BLOCK = [0] + list(range(8, 28))
+__all__ = ["QdimMismatchError", "load_dataset", "known_block_tensor", "data_path"]
 
 
 class QdimMismatchError(ValueError):
@@ -44,7 +40,7 @@ def _read(name: str) -> str:
     return data_path(name).read_text()
 
 
-def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[Fixture]]:
+def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[FixtureRecord]]:
     """Parse the shipped files; validates indices and the qdim column."""
     partial = parse_file(_read("s4_partial.mdf"))
     branching_file = parse_file(_read("s4_branching.mdf"))
@@ -65,19 +61,12 @@ def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[Fixture]]:
     return datum, parents, fixture_file.fixtures
 
 
-def known_block_indices() -> list[int]:
-    """Module indices whose S rows are fully known before completion."""
-    return list(KNOWN_BLOCK)
-
-
 def known_block_tensor(datum: ModularDatum, jobs: int = 1):
     """Verlinde coefficients over the fully known rows of the partial S.
 
-    Rows 0 and 8..27 are complete in the shipped tables (the 1..7 segments
-    come in by symmetry), so every triple inside this index set is
-    computable before any completion; a non-integer result here points at a
+    In the shipped tables these are rows 0 and 8..27 (the 1..7 segments come
+    in by symmetry), so every triple inside this index set is computable
+    before any completion; a non-integer result here points at a
     transcription typo.
     """
-    from .verlinde import fusion_tensor
-
-    return fusion_tensor(datum, indices=list(KNOWN_BLOCK), jobs=jobs)
+    return fusion_tensor(datum, indices=computable_indices(datum), jobs=jobs)

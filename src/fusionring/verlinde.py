@@ -28,8 +28,8 @@ from .modular_data import MissingEntryError, ModularDatum, quantum_dimensions
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
-    "FusionTensor", "fusion_coeff", "fusion_tensor", "fuse",
-    "PropertyReport", "check_ring", "Discrepancy", "compare_fixtures",
+    "FusionTensor", "computable_indices", "fusion_coeff", "fusion_tensor", "fuse",
+    "check_ring", "compare_fixtures",
     "tensor_to_triples", "triples_to_fixtures", "format_formal_sum",
 ]
 
@@ -96,6 +96,29 @@ def _require_row(datum: ModularDatum, i: int) -> None:
             raise MissingEntryError(f"S[{i},{s}] is unknown")
 
 
+def _first_unknown(datum: ModularDatum, i: int, dual: list[int]) -> tuple[int, int] | None:
+    """The first unknown entry of S row i or of column i', or None.
+
+    Every coefficient N[i,j]^k with i, j, k in an index set needs those rows
+    and dual columns for each member, besides the vacuum row.
+    """
+    n = datum.size
+    for pos in [(i, s) for s in range(n)] + [(s, dual[i]) for s in range(n)]:
+        if not datum.known(*pos):
+            return pos
+    return None
+
+
+def computable_indices(datum: ModularDatum) -> list[int]:
+    """The modules whose S row and dual column are fully known.
+
+    Given the vacuum row, every coefficient among them is computable; the CLI
+    and ``known_block_tensor`` compute over this index set.
+    """
+    dual = datum.dual_permutation()
+    return [i for i in range(datum.size) if _first_unknown(datum, i, dual) is None]
+
+
 def _integer_coeff(value: Cyclotomic, triple) -> int:
     if not value.is_rational():
         raise NonIntegerResultError(triple, value)
@@ -149,10 +172,9 @@ class _Engine:
         dual = datum.dual_permutation()
         _require_row(datum, 0)
         for i in indices:
-            _require_row(datum, i)
-            for s in range(n):
-                if not datum.known(s, dual[i]):
-                    raise MissingEntryError(f"S[{s},{dual[i]}] is unknown")
+            missing = _first_unknown(datum, i, dual)
+            if missing is not None:
+                raise MissingEntryError(f"S[{missing[0]},{missing[1]}] is unknown")
         inverses: dict[Cyclotomic, Cyclotomic] = {}
         inv0 = []
         for s in range(n):

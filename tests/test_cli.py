@@ -38,6 +38,17 @@ def test_validate_corrupted(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "qdim", "glob", "table"])
+def test_empty_datum_is_an_error(command, tmp_path, capsys):
+    empty = tmp_path / "empty.mdf"
+    empty.write_text("")
+    code, out, err = run(capsys, command, str(empty))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.mdf")
     assert code == 2

@@ -3,6 +3,7 @@
 import cmath
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -179,6 +180,77 @@ def test_canonicalization_idempotent():
     a = root_of_unity(12, 5) * Fraction(3, 7) + root_of_unity(9, 2)
     again = Cyclotomic(a.order, dict(a.coeffs))
     assert again == a and again.order == a.order and again.coeffs == a.coeffs
+
+
+# Canonical forms against an oracle that shares no code with the engine: the
+# float embedding of raw exponent maps, its Galois conjugates, and the basis
+# condition written out here.
+
+CANON_ORDERS = [1, 2, 3, 4, 6, 8, 9, 10, 12, 14, 18, 30, 56, 104, 120, 288]
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _float_value(order, terms, a=1):
+    """sum c_e exp(2 pi i a e / order), straight from an exponent map."""
+    return sum(float(c) * cmath.exp(2j * cmath.pi * a * e / order) for e, c in terms.items())
+
+
+def _random_terms(rng, order):
+    return {rng.randrange(order): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 6))}
+
+
+def _in_basis(m, e):
+    """zeta_m^e is in the Zumbroich basis of Q(zeta_m)."""
+    for p in _primes(m):
+        q = p
+        while m % (q * p) == 0:
+            q *= p
+        a = e * pow(m // q, -1, q) % q
+        if (p == 2 and a >= q // 2) or (p > 2 and a // (q // p) == 0):
+            return False
+    return True
+
+
+def _assert_minimal_canonical(value, order, terms):
+    m, coeffs = value.order, value.coeffs
+    assert m % 4 != 2
+    assert abs(_float_value(m, coeffs) - _float_value(order, terms)) < 1e-9
+    assert all(c and 0 <= e < m and _in_basis(m, e) for e, c in coeffs.items())
+    if m == 1:
+        assert set(coeffs) <= {0}
+    # For each p | m, Gal(Q(zeta_m)/Q(zeta_{m/p})) is {a = 1 mod m/p, gcd(a, m) = 1}
+    # (m/4 when 4 || m, since Q(zeta_{m/2}) is then Q(zeta_{m/4})); a value
+    # that needs p is moved by one of them.
+    here = _float_value(m, coeffs)
+    for p in _primes(m):
+        r = m // 4 if p == 2 and m % 8 else m // p
+        moves = [abs(_float_value(m, coeffs, a) - here) for a in range(1, m + 1, r)
+                 if math.gcd(a, m) == 1]
+        assert max(moves) > 1e-9, (m, coeffs, p)
+
+
+@pytest.mark.parametrize("n", CANON_ORDERS)
+def test_lifting_to_a_multiple_keeps_the_canonical_form(n):
+    rng = random.Random(n)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        for _ in range(4):
+            terms = _random_terms(rng, d)
+            here = Cyclotomic(d, terms)
+            lifted = Cyclotomic(n, {e * (n // d): c for e, c in terms.items()})
+            assert (lifted.order, lifted.coeffs) == (here.order, here.coeffs)
+            _assert_minimal_canonical(lifted, d, terms)
+
+
+@pytest.mark.parametrize("n", CANON_ORDERS)
+def test_canonical_order_is_minimal(n):
+    rng = random.Random(1000 + n)
+    for _ in range(40):
+        terms = _random_terms(rng, n)
+        _assert_minimal_canonical(Cyclotomic(n, terms), n, terms)
 
 
 def test_format_round_trips_through_parser():

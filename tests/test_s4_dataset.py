@@ -9,9 +9,8 @@ import pytest
 from fusionring.cyclo import inverse, sqrt_int
 from fusionring.mdf import parse_file, serialize
 from fusionring.modular_data import qdim
-from fusionring.s4_dataset import (QdimMismatchError, data_path,
-                                   known_block_indices, load_dataset)
-from fusionring.verlinde import compare_fixtures
+from fusionring.s4_dataset import QdimMismatchError, data_path, load_dataset
+from fusionring.verlinde import compare_fixtures, computable_indices
 
 QDIMS = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
          8, 8, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6, 6, 12, 12]
@@ -81,8 +80,10 @@ def test_branching_qdim_budget(s4):
             assert total == budget[p.name], (p.name, l)
 
 
-def test_known_block_indices():
-    assert known_block_indices() == [0] + list(range(8, 28))
+def test_known_block_indices(s4, s4_block_tensor):
+    datum, _, _ = s4
+    assert computable_indices(datum) == [0] + list(range(8, 28))
+    assert s4_block_tensor.indices == [0] + list(range(8, 28))
 
 
 def test_known_block_tensor_values(s4_block_tensor):
