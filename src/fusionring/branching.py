@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
                     eliminate, exact_sum, inverse)
@@ -30,14 +31,10 @@ from .mdf import BranchingSection
 from .modular_data import ModularDatum
 
 __all__ = [
-    "UnderivableError", "UnderdeterminedError", "InconsistentSystemError",
+    "UnderdeterminedError", "InconsistentSystemError",
     "ParentBranching", "derive_rows", "check_derived_rows",
     "assemble_system", "solve", "complete", "eigen_complete",
 ]
-
-
-class UnderivableError(LookupError):
-    """The requested row is not pinned by any single parent module."""
 
 
 @dataclass
@@ -47,13 +44,10 @@ class ParentBranching:
     name: str
     spec: LatticeSpec
     rows: dict[int, dict[int, int]]
-    _datum: ModularDatum | None = None
 
-    @property
+    @cached_property
     def datum(self) -> ModularDatum:
-        if self._datum is None:
-            self._datum = lattice_modular_data(self.spec)
-        return self._datum
+        return lattice_modular_data(self.spec)
 
     def appearances(self, module: int) -> list[tuple[int, int]]:
         """(parent index, multiplicity) pairs where an orbifold module occurs."""
@@ -85,8 +79,8 @@ def _uncovered_modules(parents: list[ParentBranching], size: int) -> list[int]:
     return [m for m in range(size) if m not in covered]
 
 
-def derive_rows(branching: ParentBranching, target: ModularDatum,
-                modules: list[int] | None = None) -> list[tuple[int, list[DerivedEntry]]]:
+def derive_rows(branching: ParentBranching,
+                target: ModularDatum) -> list[tuple[int, list[DerivedEntry]]]:
     """Exact S-rows for orbifold modules identified with single parent modules.
 
     For a module m with branching {m: 1} at parent index l, the row is
@@ -101,13 +95,8 @@ def derive_rows(branching: ParentBranching, target: ModularDatum,
             (m, mult), = terms.items()
             if mult == 1:
                 singles.setdefault(m, []).append(l)
-    if modules is None:
-        modules = sorted(singles)
     out = []
-    for m in modules:
-        if m not in singles:
-            raise UnderivableError(
-                f"module {m} is not a single parent module of {branching.name}")
+    for m in sorted(singles):
         entries = []
         for l in singles[m]:
             for k in range(target.size):

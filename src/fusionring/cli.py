@@ -22,13 +22,13 @@ from .branching import (InconsistentSystemError, ParentBranching,
 from .cyclo import embed, format_exact
 from .lattice import LatticeSpec, lattice_datum_file
 from .mdf import (DatumFile, DuplicateEntryError, IndexRangeError, ParseError,
-                  expr_to_text, parse_file, serialize)
+                  expr_to_text, format_formal_sum, parse_file, serialize)
 from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
                            datum_to_file, glob, quantum_dimensions,
                            validate)
 from .verlinde import (NegativeResultError, NonIntegerResultError,
-                       compare_fixtures, computable_indices, format_formal_sum,
-                       fusion_tensor, tensor_to_triples, triples_to_fixtures)
+                       compare_fixtures, fusion_tensor, tensor_to_triples,
+                       triples_to_fixtures)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,19 +124,17 @@ def cmd_complete(args) -> int:
 
 def cmd_fuse(args) -> int:
     datum, _ = _load_datum(args.file)
-    indices = computable_indices(datum)
-    if args.i not in indices or args.j not in indices:
+    tensor = fusion_tensor(datum, jobs=args.jobs)
+    if not (tensor.has_index(args.i) and tensor.has_index(args.j)):
         print(f"error: rows {args.i}, {args.j} are not fully known", file=sys.stderr)
         return EXIT_FAIL
-    tensor = fusion_tensor(datum, indices=indices, jobs=args.jobs)
     print(format_formal_sum(tensor.product(args.i, args.j)))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     datum, _ = _load_datum(args.file)
-    indices = computable_indices(datum)
-    tensor = fusion_tensor(datum, indices=indices, jobs=args.jobs)
+    tensor = fusion_tensor(datum, jobs=args.jobs)
     sys.stdout.write(tensor_to_triples(tensor))
     return EXIT_OK
 
@@ -171,8 +169,7 @@ def cmd_regress(args) -> int:
         fixtures = parse_file(fixtures_text).fixtures
     else:
         fixtures = triples_to_fixtures(fixtures_text)
-    indices = computable_indices(datum)
-    tensor = fusion_tensor(datum, indices=indices, jobs=args.jobs)
+    tensor = fusion_tensor(datum, jobs=args.jobs)
     hard = [fx for fx in fixtures if not fx.soft]
     soft = [fx for fx in fixtures if fx.soft]
     hard_disc = compare_fixtures(tensor, hard)

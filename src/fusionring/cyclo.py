@@ -153,6 +153,12 @@ def _deflate(n: int, coeffs: dict[int, Fraction]):
 
 def _canonicalize(n: int, terms: dict[int, Fraction]):
     """The canonical (order, coeffs) of a raw exponent->coefficient map at order n."""
+    g = gcd(n, *terms)
+    if g > 1:
+        # zeta_n^e = zeta_{n/g}^(e/g).  Dropping the common factor first keeps
+        # a rational at a large prime order from expanding into p - 1 roots.
+        n //= g
+        terms = {e // g: c for e, c in terms.items()}
     if n % 4 == 2:
         # zeta_n = zeta_{2n}^2, the rule _lcm_order uses: orders 2 mod 4 are not used.
         n *= 2
@@ -258,18 +264,7 @@ class Cyclotomic:
         # faster than Fraction arithmetic in dense products.
         da = _denominator_lcm((self,))
         db = _denominator_lcm((other,))
-        ia = _lift_into({}, self, n, da)
-        ib = _lift_into({}, other, n, db)
-        terms: dict[int, int] = {}
-        for e1, c1 in ia.items():
-            for e2, c2 in ib.items():
-                e = e1 + e2
-                if e >= n:
-                    e -= n
-                if e in terms:
-                    terms[e] += c1 * c2
-                else:
-                    terms[e] = c1 * c2
+        terms = _convolve([(_lift_into({}, self, n, da), _lift_into({}, other, n, db))], n)
         return _from_int_terms(n, terms, da * db)
 
     __rmul__ = __mul__
@@ -358,6 +353,23 @@ def _lift_into(dest: dict[int, int], value: Cyclotomic, order: int,
         e *= step
         dest[e] = get(e, 0) + c.numerator * (denom // c.denominator)
     return dest
+
+
+def _convolve(pairs, order: int) -> dict[int, int]:
+    """The sum of a * b over pairs of integer exponent maps, in Z[C_order].
+
+    Exponents must lie in 0..order-1; the result's do too.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if e >= order:
+                    e -= order
+                acc[e] = get(e, 0) + c1 * c2
+    return acc
 
 
 def exact_sum(values) -> Cyclotomic:
@@ -592,14 +604,12 @@ def _reduce_row(row, u, pivot):
     return coeffs, rhs - factor * pivot[1], labels | pivot[2]
 
 
-def embed(a: Cyclotomic, precision: int | None = None) -> complex:
+def embed(a: Cyclotomic) -> complex:
     """Floating-point image sum c_e * exp(2*pi*i*e/n), for reports and cross-checks."""
     n = a.order
     z = 0j
     for e, c in a.coeffs.items():
         z += float(c) * cmath.exp(2j * cmath.pi * e / n)
-    if precision is not None:
-        z = complex(round(z.real, precision), round(z.imag, precision))
     return z
 
 

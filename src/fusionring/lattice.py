@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .cyclo import inverse, root_of_unity, sqrt_int
 from .mdf import DatumFile
 from .modular_data import ModularDatum, ModuleLabel, datum_to_file
+from .verlinde import FusionTensor
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,6 @@ def expected_group_fusion(spec: LatticeSpec):
 
     This is the independent oracle the Verlinde output is compared against.
     """
-    from .verlinde import FusionTensor
-
     n = spec.modules
     values = [[[1 if k == (i + j) % n else 0 for k in range(n)]
                for j in range(n)] for i in range(n)]

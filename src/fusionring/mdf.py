@@ -38,7 +38,7 @@ __all__ = [
     "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr", "expr_to_text",
     "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
-    "parse_file", "serialize",
+    "parse_file", "serialize", "format_formal_sum",
 ]
 
 
@@ -328,12 +328,21 @@ def _parse_sum(text: str, line_no: int) -> dict[int, int]:
     return out
 
 
-def _format_sum(terms: dict[int, int]) -> str:
+def format_formal_sum(terms: dict[int, int], names: list[str] | None = None) -> str:
+    """Render ``k1 + 2*k3 + ...`` (module names in place of indices if given); "0" if empty."""
     parts = []
     for idx in sorted(terms):
         m = terms[idx]
-        parts.append(str(idx) if m == 1 else f"{m}*{idx}")
-    return " + ".join(parts)
+        label = names[idx] if names is not None else str(idx)
+        parts.append(label if m == 1 else f"{m}*{label}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _sum_text(terms: dict[int, int]) -> str:
+    """A formal sum in file syntax, which has no empty sum: "0" reads as module 0."""
+    if not terms:
+        raise ValueError("an empty formal sum cannot be written to a datum file")
+    return format_formal_sum(terms)
 
 
 def parse_file(text: str) -> DatumFile:
@@ -497,13 +506,13 @@ def serialize(datum: DatumFile) -> str:
         lines.append("")
         lines.append(f'[branching parent="{br.parent}" k={br.k}]')
         for idx in sorted(br.rows):
-            lines.append(f"{idx} = {_format_sum(br.rows[idx])}")
+            lines.append(f"{idx} = {_sum_text(br.rows[idx])}")
     if datum.fixtures:
         lines.append("")
         lines.append("[fusion]")
         for fx in datum.fixtures:
             prefix = "soft " if fx.soft else ""
-            line = f"{prefix}{fx.left} x {fx.right} = {_format_sum(fx.terms)}"
+            line = f"{prefix}{fx.left} x {fx.right} = {_sum_text(fx.terms)}"
             if fx.citation:
                 line += f" | {fx.citation}"
             lines.append(line)

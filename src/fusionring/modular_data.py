@@ -45,9 +45,7 @@ class ModularDatum:
     """Immutable-after-load container for labels and the (partial) S-matrix."""
 
     def __init__(self, labels: list[ModuleLabel], s: list[list[Cyclotomic | None]],
-                 name: str = "", vacuum: int = 0):
-        if vacuum != 0:
-            raise ValueError("the vacuum module is index 0 by convention")
+                 name: str = ""):
         if len(s) != len(labels) or any(len(row) != len(labels) for row in s):
             raise ValueError("S-matrix shape must match the label count")
         if not labels:
@@ -55,7 +53,6 @@ class ModularDatum:
         self.labels = labels
         self.s = s
         self.name = name
-        self.vacuum = 0
 
     @property
     def size(self) -> int:
@@ -119,12 +116,11 @@ def glob(datum: ModularDatum) -> Cyclotomic:
     return cyclo.exact_sum(q * q for q in dims)
 
 
-def charge_conjugation(datum: ModularDatum, store: bool = True) -> list[int]:
+def charge_conjugation(datum: ModularDatum) -> list[int]:
     """The permutation i -> i' with S^2 = (delta_{i,j'}).
 
     Requires a fully known S.  Raises NotPermutationError if S^2 has an entry
-    other than exact 0 or 1.  When ``store`` is set, the permutation is
-    written back into the labels' dual fields.
+    other than exact 0 or 1.  The labels' dual fields are left as they are.
     """
     if not datum.fully_known():
         raise MissingEntryError("charge conjugation needs a fully known S-matrix")
@@ -143,9 +139,6 @@ def charge_conjugation(datum: ModularDatum, store: bool = True) -> list[int]:
     for i, j in enumerate(perm):
         if perm[j] != i:
             raise NotPermutationError("S^2 permutation is not an involution")
-    if store:
-        for lab, j in zip(datum.labels, perm):
-            lab.dual = j
     return perm
 
 
@@ -235,7 +228,7 @@ def validate(datum: ModularDatum) -> ValidationReport:
                     report.bad_qdims.append(i)
     if datum.fully_known():
         try:
-            perm = charge_conjugation(datum, store=False)
+            perm = charge_conjugation(datum)
         except NotPermutationError as exc:
             report.square_is_permutation = False
             report.square_message = str(exc)
@@ -293,14 +286,13 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
     return ModularDatum(labels, s, name=df.name)
 
 
-def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None,
-                  qdims: bool = True) -> DatumFile:
+def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> DatumFile:
     """Serialize back to a DatumFile, dividing entries by the chosen scale."""
     scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
     inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
     df = DatumFile(name=datum.name, modules=datum.size, vacuum=0, scale_expr=scale_expr)
     dims = [None] * datum.size
-    if qdims and datum.known(0, 0) and not datum.s[0][0].is_zero():
+    if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)
     for lab in datum.labels:
         qdim_expr = None

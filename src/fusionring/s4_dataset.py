@@ -13,6 +13,11 @@ Files live under ``data/`` next to this module:
 
 ``load_dataset`` parses and cross-validates everything; in particular the
 quantum-dimension column must satisfy S[j,0] = qdim(j) * S[0,0] exactly.
+
+Before completion, ``verlinde.fusion_tensor`` of the partial datum is the
+block tensor over its fully known rows, 0 and 8..27 (the 1..7 segments of
+those rows come in by symmetry): every triple inside the block is computable,
+and a non-integer result there points at a transcription typo.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ from importlib import resources
 from .branching import ParentBranching
 from .mdf import FixtureRecord, eval_expr, parse_file
 from .modular_data import ModularDatum, MissingEntryError, datum_from_file, quantum_dimensions
-from .verlinde import computable_indices, fusion_tensor
 
-__all__ = ["QdimMismatchError", "load_dataset", "known_block_tensor", "data_path"]
+__all__ = ["QdimMismatchError", "load_dataset", "data_path"]
 
 
 class QdimMismatchError(ValueError):
@@ -59,14 +63,3 @@ def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[FixtureRec
     parents = [ParentBranching.from_section(sec)
                for sec in branching_file.branchings]
     return datum, parents, fixture_file.fixtures
-
-
-def known_block_tensor(datum: ModularDatum, jobs: int = 1):
-    """Verlinde coefficients over the fully known rows of the partial S.
-
-    In the shipped tables these are rows 0 and 8..27 (the 1..7 segments come
-    in by symmetry), so every triple inside this index set is computable
-    before any completion; a non-integer result here points at a
-    transcription typo.
-    """
-    return fusion_tensor(datum, indices=computable_indices(datum), jobs=jobs)

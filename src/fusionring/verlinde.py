@@ -8,6 +8,12 @@ arithmetic and must canonicalize to a nonnegative rational integer; anything
 else signals an inconsistent S-matrix and aborts the tensor computation with
 the offending triple.
 
+``fusion_tensor`` is the one entry point.  It chooses its own index set, the
+modules whose S row and dual column are fully known (``computable_indices``):
+every module of a full datum, and the fully known block of a partial one, so
+the same call certifies a completed datum and checks a partial one before
+completion.
+
 Every coefficient goes through the exact accumulation kernel of ``cyclo``:
 its terms are summed as integer exponent maps at one common order and
 canonicalized once, never once per addition.  Column quantities S[i,s]/S[0,s]
@@ -24,13 +30,14 @@ from dataclasses import dataclass, field
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
-from .modular_data import MissingEntryError, ModularDatum, quantum_dimensions
+from .mdf import FixtureRecord, ParseError, format_formal_sum
+from .modular_data import ModularDatum, quantum_dimensions
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
-    "FusionTensor", "computable_indices", "fusion_coeff", "fusion_tensor", "fuse",
+    "FusionTensor", "fusion_tensor", "fuse",
     "check_ring", "compare_fixtures",
-    "tensor_to_triples", "triples_to_fixtures", "format_formal_sum",
+    "tensor_to_triples", "triples_to_fixtures",
 ]
 
 
@@ -90,33 +97,16 @@ class FusionTensor:
         return self.indices == other.indices and self.values == other.values
 
 
-def _require_row(datum: ModularDatum, i: int) -> None:
-    for s in range(datum.size):
-        if not datum.known(i, s):
-            raise MissingEntryError(f"S[{i},{s}] is unknown")
-
-
-def _first_unknown(datum: ModularDatum, i: int, dual: list[int]) -> tuple[int, int] | None:
-    """The first unknown entry of S row i or of column i', or None.
-
-    Every coefficient N[i,j]^k with i, j, k in an index set needs those rows
-    and dual columns for each member, besides the vacuum row.
-    """
-    n = datum.size
-    for pos in [(i, s) for s in range(n)] + [(s, dual[i]) for s in range(n)]:
-        if not datum.known(*pos):
-            return pos
-    return None
-
-
 def computable_indices(datum: ModularDatum) -> list[int]:
     """The modules whose S row and dual column are fully known.
 
-    Given the vacuum row, every coefficient among them is computable; the CLI
-    and ``known_block_tensor`` compute over this index set.
+    Every coefficient N[i,j]^k with i, j, k among them needs only those rows
+    and columns besides the vacuum row; ``fusion_tensor`` computes over them.
     """
+    n = datum.size
     dual = datum.dual_permutation()
-    return [i for i in range(datum.size) if _first_unknown(datum, i, dual) is None]
+    return [i for i in range(n)
+            if all(datum.known(i, s) and datum.known(s, dual[i]) for s in range(n))]
 
 
 def _integer_coeff(value: Cyclotomic, triple) -> int:
@@ -131,25 +121,6 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
     return n
 
 
-def fusion_coeff(datum: ModularDatum, i: int, j: int, k: int) -> int:
-    """One exact Verlinde coefficient from the datum."""
-    dual = datum.dual_permutation()
-    kd = dual[k]
-    _require_row(datum, 0)
-    _require_row(datum, i)
-    _require_row(datum, j)
-    for s in range(datum.size):
-        if not datum.known(s, kd):
-            raise MissingEntryError(f"S[{s},{kd}] is unknown")
-    terms = []
-    for s in range(datum.size):
-        denom = datum.entry(0, s)
-        if denom.is_zero():
-            raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
-        terms.append(datum.entry(i, s) * datum.entry(j, s) * datum.entry(s, kd) * inverse(denom))
-    return _integer_coeff(cyclo.exact_sum(terms), (i, j, k))
-
-
 class _Engine:
     """Memoized per-datum quantities for bulk tensor computation.
 
@@ -157,8 +128,8 @@ class _Engine:
     canonical products taken from a ``cyclo.ProductMemo``, and every
     coefficient uses the kernel's integer path: terms are lifted once to the
     common order over a shared denominator, summed in Z[C_N] and canonicalized
-    once by ``_from_int_terms``.  The engine keeps its own raw convolution of
-    each pair product with each column product instead of going through
+    once by ``_from_int_terms``.  The engine convolves each pair product with
+    each column product through ``cyclo._convolve`` instead of going through
     ``cyclo.matmul``: those products rarely repeat, so memoizing them would
     canonicalize every term and save nothing (it made the su(2)_24 tensor
     about 1.6 times slower).  Rows are cached by the vector of pair-product
@@ -170,15 +141,10 @@ class _Engine:
         n = datum.size
         self.indices = indices
         dual = datum.dual_permutation()
-        _require_row(datum, 0)
-        for i in indices:
-            missing = _first_unknown(datum, i, dual)
-            if missing is not None:
-                raise MissingEntryError(f"S[{missing[0]},{missing[1]}] is unknown")
         inverses: dict[Cyclotomic, Cyclotomic] = {}
         inv0 = []
         for s in range(n):
-            denom = datum.entry(0, s)
+            denom = datum.entry(0, s)  # MissingEntryError if the vacuum row has a hole
             if denom.is_zero():
                 raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
             if denom not in inverses:
@@ -195,7 +161,6 @@ class _Engine:
                     for s in range(n)] for k in indices}
         ratio_values = [memo.values[r] for ids in ratio.values() for r in ids]
         col_values = [v for vals in colq.values() for v in vals]
-        self.n = n
         self.common = cyclo._common_order(ratio_values + col_values)
         self.memo = memo
         self.ratio = ratio
@@ -224,19 +189,11 @@ class _Engine:
         cached = self._row_cache.get(pair)
         if cached is not None:
             return cached
-        n, common = self.n, self.common
+        common = self.common
         pair_int = [self._lifted_pair(p) for p in pair]
         out = []
         for k in self.indices:
-            ck = self.col_int[k]
-            acc: dict[int, int] = {}
-            for s in range(n):
-                for e1, c1 in pair_int[s].items():
-                    for e2, c2 in ck[s].items():
-                        e = e1 + e2
-                        if e >= common:
-                            e -= common
-                        acc[e] = acc.get(e, 0) + c1 * c2
+            acc = cyclo._convolve(zip(pair_int, self.col_int[k]), common)
             value = cyclo._from_int_terms(common, acc, self.acc_denom)
             out.append(_integer_coeff(value, (i, j, k)))
         self._row_cache[pair] = out
@@ -259,17 +216,19 @@ def _worker_rows(pairs: list[tuple[int, int]]):
     return _pair_rows(_worker_engine, pairs)
 
 
-def fusion_tensor(datum: ModularDatum, indices: list[int] | None = None,
-                  jobs: int = 1) -> FusionTensor:
-    """All coefficients over the index set (default: every module).
+def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
+    """Every coefficient N[i,j]^k over the computable modules.
 
-    Fails atomically on the first non-integer or negative coefficient.  With
+    The index set is ``computable_indices(datum)``: every module of a fully
+    known datum, and the fully known block of a partial one, whose modules
+    ``tensor.indices`` lists (``check_ring`` rejects such a tensor).  Raises
+    MissingEntryError if the vacuum row is not fully known, and fails
+    atomically on the first non-integer or negative coefficient.  With
     jobs > 1 the (i,j) pairs are partitioned over worker processes and the
     results merged in deterministic order; the worker count is capped by the
     CPU count and the number of pairs.
     """
-    if indices is None:
-        indices = list(range(datum.size))
+    indices = computable_indices(datum)
     pos = {idx: p for p, idx in enumerate(indices)}
     m = len(indices)
     pairs = [(indices[a], indices[b]) for a in range(m) for b in range(a, m)]
@@ -304,15 +263,6 @@ def fuse(tensor: FusionTensor, a: dict[int, int], b: dict[int, int]) -> dict[int
             for k, mult in tensor.product(i, j).items():
                 out[k] = out.get(k, 0) + ma * mb * mult
     return {k: v for k, v in sorted(out.items()) if v}
-
-
-def format_formal_sum(terms: dict[int, int], names: list[str] | None = None) -> str:
-    parts = []
-    for idx in sorted(terms):
-        m = terms[idx]
-        label = names[idx] if names is not None else str(idx)
-        parts.append(label if m == 1 else f"{m}*{label}")
-    return " + ".join(parts) if parts else "0"
 
 
 # -- ring-property verification ---------------------------------------------
@@ -475,8 +425,6 @@ def tensor_to_triples(tensor: FusionTensor) -> str:
 
 def triples_to_fixtures(text: str):
     """Read a triples file back as fixture records (for regression runs)."""
-    from .mdf import FixtureRecord, ParseError
-
     sums: dict[tuple[int, int], dict[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,7 +1,7 @@
 import pytest
 
 from fusionring.branching import complete
-from fusionring.s4_dataset import known_block_tensor, load_dataset
+from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import fusion_tensor
 
 
@@ -25,4 +25,4 @@ def s4_tensor(s4_completed):
 @pytest.fixture(scope="session")
 def s4_block_tensor(s4):
     datum, _, _ = s4
-    return known_block_tensor(datum)
+    return fusion_tensor(datum)

@@ -17,7 +17,7 @@ from fusionring.cyclo import (Cyclotomic, embed, inverse, root_of_unity,
 from fusionring.lattice import (LatticeSpec, expected_group_fusion,
                                 lattice_modular_data)
 from fusionring.modular_data import glob, qdim
-from fusionring.s4_dataset import known_block_tensor, load_dataset
+from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import compare_fixtures, fusion_tensor
 
 QDIM_TABLE = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
@@ -80,7 +80,7 @@ def test_criterion_2_lattice_oracle():
 def test_criterion_3_partial_data_regression():
     started = time.monotonic()
     datum, _, fixtures = load_dataset()
-    block = known_block_tensor(datum)
+    block = fusion_tensor(datum)
     # fusion_tensor raises on any non-integer or negative value, so reaching
     # here certifies nonnegative integrality of all block coefficients.
     assert min(block.coeff(i, j, k) for i in block.indices
@@ -110,7 +110,7 @@ def test_criterion_4_completion():
             assert completed.s[i][j] == completed.s[j][i], (i, j)
     from fusionring.modular_data import charge_conjugation
 
-    assert charge_conjugation(completed, store=False) == list(range(28))
+    assert charge_conjugation(completed) == list(range(28))
     inv32 = inverse(sqrt_int(32))
     vector = [Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(3, 2),
               Fraction(3, 2), Fraction(1), Fraction(1), Fraction(2)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fusionring.branching import (InconsistentSystemError, ParentBranching,
-                                  UnderdeterminedError, UnderivableError,
+                                  UnderdeterminedError,
                                   assemble_system, check_derived_rows,
                                   complete, derive_rows, eigen_complete, solve)
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
@@ -65,13 +65,6 @@ def test_mirror_cosets_give_identical_rows(s4):
     assert len(per_chain) == 2
     first, second = per_chain.values()
     assert first == second
-
-
-def test_underivable_module(s4):
-    datum, parents, _ = s4
-    gamma = by_name(parents, "norm18")
-    with pytest.raises(UnderivableError):
-        derive_rows(gamma, datum, modules=[3])
 
 
 def test_derived_rows_match_shipped_tables(s4):

@@ -93,8 +93,10 @@ def test_fuse(completed_file, capsys):
 
 
 def test_fuse_unknown_rows(capsys):
-    code, _, err = run(capsys, "fuse", "@s4", "1", "2")
+    code, out, err = run(capsys, "fuse", "@s4", "1", "2")
     assert code == 1
+    assert out == ""
+    assert err == "error: rows 1, 2 are not fully known\n"
 
 
 def test_glob(completed_file, capsys):

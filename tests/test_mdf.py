@@ -159,6 +159,14 @@ def test_unknown_s_entries_survive_round_trip():
     assert again == df
 
 
+def test_empty_formal_sum_is_not_serialized():
+    # The file syntax has no empty sum, and "0" would read back as module 0.
+    df = DatumFile(name="p", modules=2, vacuum=0)
+    df.fixtures = [FixtureRecord(left=1, right=1, terms={})]
+    with pytest.raises(ValueError, match="empty formal sum"):
+        serialize(df)
+
+
 def test_shipped_dataset_parses_cleanly():
     from fusionring.s4_dataset import data_path
 

@@ -54,6 +54,13 @@ def test_charge_conjugation_trivial():
     assert charge_conjugation(datum) == [0]
 
 
+def test_charge_conjugation_leaves_the_labels_alone():
+    lattice = lattice_modular_data(LatticeSpec(2))
+    datum = ModularDatum([ModuleLabel(j, f"c{j}") for j in range(4)], lattice.s)
+    assert charge_conjugation(datum) == [0, 3, 2, 1]
+    assert [lab.dual for lab in datum.labels] == [None] * 4
+
+
 def test_charge_conjugation_requires_full_matrix(s4):
     datum, _, _ = s4
     with pytest.raises(MissingEntryError):

@@ -10,7 +10,7 @@ from fusionring.cyclo import inverse, sqrt_int
 from fusionring.mdf import parse_file, serialize
 from fusionring.modular_data import qdim
 from fusionring.s4_dataset import QdimMismatchError, data_path, load_dataset
-from fusionring.verlinde import compare_fixtures, computable_indices
+from fusionring.verlinde import check_ring, compare_fixtures, computable_indices
 
 QDIMS = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
          8, 8, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6, 6, 12, 12]
@@ -83,7 +83,10 @@ def test_branching_qdim_budget(s4):
 def test_known_block_indices(s4, s4_block_tensor):
     datum, _, _ = s4
     assert computable_indices(datum) == [0] + list(range(8, 28))
+    # conftest builds the block as fusion_tensor(datum) of the partial datum.
     assert s4_block_tensor.indices == [0] + list(range(8, 28))
+    with pytest.raises(ValueError, match="full tensor"):
+        check_ring(s4_block_tensor, datum)
 
 
 def test_known_block_tensor_values(s4_block_tensor):

@@ -8,14 +8,14 @@ from fusionring.mdf import FixtureRecord
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
                                  NonIntegerResultError, check_ring,
-                                 compare_fixtures, fuse, fusion_coeff, fusion_tensor,
+                                 compare_fixtures, fuse, fusion_tensor,
                                  tensor_to_triples, triples_to_fixtures)
 
 
 def test_single_coefficient_lattice():
-    datum = lattice_modular_data(LatticeSpec(1))
-    assert fusion_coeff(datum, 1, 1, 0) == 1
-    assert fusion_coeff(datum, 1, 1, 1) == 0
+    tensor = fusion_tensor(lattice_modular_data(LatticeSpec(1)))
+    assert tensor.coeff(1, 1, 0) == 1
+    assert tensor.coeff(1, 1, 1) == 0
 
 
 def test_trivial_datum():
@@ -38,9 +38,12 @@ def test_recorded_product_8_18(s4_tensor):
 
 
 def test_missing_entries_detected(s4):
+    # Every coefficient divides by the vacuum row, so an unknown entry there
+    # leaves no block to compute.
     datum, _, _ = s4
-    with pytest.raises(MissingEntryError):
-        fusion_coeff(datum, 1, 2, 3)
+    holed = datum.with_entries({(0, 9): None})
+    with pytest.raises(MissingEntryError, match=r"S\[0,9\] is unknown"):
+        fusion_tensor(holed)
 
 
 def test_inconsistent_matrix_flagged():
@@ -210,8 +213,9 @@ def test_jobs_clamped_to_cpus_and_pairs(monkeypatch):
     datum = lattice_modular_data(LatticeSpec(2))
     expected = expected_group_fusion(LatticeSpec(2))
     assert fusion_tensor(datum, jobs=10**6) == expected
-    assert fusion_tensor(datum, indices=[0, 1], jobs=10**6) == fusion_tensor(datum, [0, 1])
-    # 4 CPUs cap the full tensor's 10 pairs; the 2-index block has 3 pairs.
+    small = lattice_modular_data(LatticeSpec(1))
+    assert fusion_tensor(small, jobs=10**6) == expected_group_fusion(LatticeSpec(1))
+    # 4 CPUs cap the 4-module tensor's 10 pairs; the 2-module one has 3 pairs.
     assert _SerialPool.max_workers == [4, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert fusion_tensor(datum, jobs=10**6) == expected
