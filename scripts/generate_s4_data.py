@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fusionring import mdf
-from fusionring.branching import ParentBranching, assemble_system, check_derived_rows
+from fusionring.branching import assemble_system, check_derived_rows
 from fusionring.mdf import BranchingSection, DatumFile, FixtureRecord, LabelRecord
 from fusionring.modular_data import datum_from_file, qdim
 
@@ -504,7 +504,7 @@ def build_fixtures() -> list[FixtureRecord]:
 # -- assembly -----------------------------------------------------------------
 
 def build_partial_datum_file() -> DatumFile:
-    df = DatumFile(name="VL2-S4-orbifold", modules=28, vacuum=0,
+    df = DatumFile(name="VL2-S4-orbifold", modules=28,
                    scale_expr=mdf.parse_expr("1/sqrt(32)"))
     for i in range(28):
         weight = WEIGHTS.get(i)
@@ -538,7 +538,7 @@ def build_partial_datum_file() -> DatumFile:
 
 
 def build_branching_file() -> DatumFile:
-    df = DatumFile(name="VL2-S4-orbifold-branching", modules=28, vacuum=0)
+    df = DatumFile(name="VL2-S4-orbifold-branching", modules=28)
     df.branchings.append(BranchingSection(parent="norm32", k=16, rows=NORM32_ROWS))
     df.branchings.append(BranchingSection(parent="norm18", k=9, rows=NORM18_ROWS))
     df.branchings.append(BranchingSection(parent="norm8", k=4, rows=NORM8_ROWS))
@@ -546,14 +546,14 @@ def build_branching_file() -> DatumFile:
 
 
 def build_fixture_file() -> DatumFile:
-    df = DatumFile(name="VL2-S4-orbifold-fixtures", modules=28, vacuum=0)
+    df = DatumFile(name="VL2-S4-orbifold-fixtures", modules=28)
     df.fixtures = build_fixtures()
     return df
 
 
 def audit(partial: DatumFile, branchings: DatumFile) -> None:
     datum = datum_from_file(partial)
-    parents = [ParentBranching.from_section(sec) for sec in branchings.branchings]
+    parents = branchings.branchings
     s00 = datum.entry(0, 0)
     for i in range(28):
         assert qdim(datum, i) == QDIMS[i], i

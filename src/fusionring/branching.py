@@ -13,6 +13,9 @@ only known entries are consistency checks on the shipped data; the rest
 form an overdetermined linear system in the unknown entries, solved by
 exact Gaussian elimination with symmetry-folded unknowns.
 
+A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
+lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
+
 Rows belonging to orbifold modules that exhaust a single parent module
 (branching {m: 1}) come straight out of single relations; ``derive_rows``
 recomputes them independently for cross-checking against shipped values.
@@ -22,42 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
                     eliminate, exact_sum, inverse)
 from .lattice import LatticeSpec, lattice_modular_data
-from .mdf import BranchingSection
+from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
 
 __all__ = [
     "UnderdeterminedError", "InconsistentSystemError",
-    "ParentBranching", "derive_rows", "check_derived_rows",
+    "derive_rows", "check_derived_rows",
     "assemble_system", "solve", "complete", "eigen_complete",
 ]
-
-
-@dataclass
-class ParentBranching:
-    """A parent lattice datum plus the decomposition of each of its modules."""
-
-    name: str
-    spec: LatticeSpec
-    rows: dict[int, dict[int, int]]
-
-    @cached_property
-    def datum(self) -> ModularDatum:
-        return lattice_modular_data(self.spec)
-
-    def appearances(self, module: int) -> list[tuple[int, int]]:
-        """(parent index, multiplicity) pairs where an orbifold module occurs."""
-        return [(l, terms[module]) for l, terms in sorted(self.rows.items())
-                if module in terms]
-
-    @staticmethod
-    def from_section(section: BranchingSection) -> "ParentBranching":
-        return ParentBranching(name=section.parent, spec=LatticeSpec(section.k),
-                               rows={l: dict(t) for l, t in section.rows.items()})
 
 
 @dataclass
@@ -67,30 +46,32 @@ class DerivedEntry:
     value: Cyclotomic
     chain: str
 
-    def conflicts_with(self, known: Cyclotomic | None) -> bool:
-        return known is not None and known != self.value
+
+def _occurrences(section: BranchingSection, size: int) -> list[list[tuple[int, int]]]:
+    """For each orbifold module, the (parent index, multiplicity) pairs where it occurs."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for l, terms in sorted(section.rows.items()):
+        for m, mult in terms.items():
+            if not 0 <= m < size:
+                raise IndexRangeError(f"{section.parent}: branching target {m} "
+                                      f"out of range for {size} modules")
+            out[m].append((l, mult))
+    return out
 
 
-def _uncovered_modules(parents: list[ParentBranching], size: int) -> list[int]:
-    covered: set[int] = set()
-    for branching in parents:
-        for terms in branching.rows.values():
-            covered.update(terms)
-    return [m for m in range(size) if m not in covered]
-
-
-def derive_rows(branching: ParentBranching,
+def derive_rows(section: BranchingSection,
                 target: ModularDatum) -> list[tuple[int, list[DerivedEntry]]]:
     """Exact S-rows for orbifold modules identified with single parent modules.
 
     For a module m with branching {m: 1} at parent index l, the row is
-    S[m, k] = sum over appearances (l_i, s_i) of k of s_i * P[l, l_i].  When
+    S[m, k] = sum over occurrences (l_i, s_i) of k of s_i * P[l, l_i].  When
     several parent indices pin the same module, all derivations are emitted
     (they must agree; disagreement shows up as a conflict downstream).
     """
-    parent = branching.datum
+    parent = lattice_modular_data(LatticeSpec(section.k))
+    occurrences = _occurrences(section, target.size)
     singles: dict[int, list[int]] = {}
-    for l, terms in sorted(branching.rows.items()):
+    for l, terms in sorted(section.rows.items()):
         if len(terms) == 1:
             (m, mult), = terms.items()
             if mult == 1:
@@ -100,11 +81,10 @@ def derive_rows(branching: ParentBranching,
         entries = []
         for l in singles[m]:
             for k in range(target.size):
-                value = exact_sum(parent.s[l][l2] * mult
-                                  for l2, mult in branching.appearances(k))
+                value = exact_sum(parent.s[l][l2] * mult for l2, mult in occurrences[k])
                 entries.append(DerivedEntry(
                     row=m, col=k, value=value,
-                    chain=f"{branching.name}:module{l}"))
+                    chain=f"{section.parent}:module{l}"))
         out.append((m, entries))
     return out
 
@@ -112,16 +92,11 @@ def derive_rows(branching: ParentBranching,
 # -- the linear system --------------------------------------------------------
 
 @dataclass
-class Equation:
-    label: str
-    coeffs: dict[tuple[int, int], Fraction]
-    rhs: Cyclotomic
-
-
-@dataclass
 class LinearSystem:
+    """Relations as ``cyclo.eliminate`` rows: (coeffs, rhs, (label,))."""
+
     unknowns: list[tuple[int, int]]
-    equations: list[Equation] = field(default_factory=list)
+    equations: list[tuple] = field(default_factory=list)
     checks_passed: int = 0
     check_failures: list[str] = field(default_factory=list)
 
@@ -130,7 +105,7 @@ def _fold(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
-def assemble_system(parents: list[ParentBranching],
+def assemble_system(parents: list[BranchingSection],
                     target: ModularDatum) -> LinearSystem:
     """Relations for the unknown entries; known-only relations become checks.
 
@@ -141,16 +116,16 @@ def assemble_system(parents: list[ParentBranching],
     unknown = sorted({_fold(i, j) for (i, j) in target.unknown_positions()})
     unknown_set = set(unknown)
     system = LinearSystem(unknowns=unknown)
-    if parents:
-        missing = _uncovered_modules(parents, n)
-        if missing:
-            system.check_failures.append(
-                f"modules {missing} never appear in any parent decomposition")
-    for branching in parents:
-        parent = branching.datum
-        for l, terms in sorted(branching.rows.items()):
+    tables = [(section, _occurrences(section, n)) for section in parents]
+    missing = [m for m in range(n) if not any(occ[m] for _, occ in tables)]
+    if parents and missing:
+        system.check_failures.append(
+            f"modules {missing} never appear in any parent decomposition")
+    for section, occurrences in tables:
+        parent = lattice_modular_data(LatticeSpec(section.k))
+        for l, terms in sorted(section.rows.items()):
             for m in range(n):
-                residual = [parent.s[l][j] * bjm for j, bjm in branching.appearances(m)]
+                residual = [parent.s[l][j] * bjm for j, bjm in occurrences[m]]
                 coeffs: dict[tuple[int, int], Fraction] = {}
                 for k, blk in sorted(terms.items()):
                     key = _fold(k, m)
@@ -159,9 +134,9 @@ def assemble_system(parents: list[ParentBranching],
                     else:
                         residual.append(target.entry(k, m) * -blk)
                 rhs = exact_sum(residual)
-                label = f"{branching.name}:module{l}:col{m}"
+                label = f"{section.parent}:module{l}:col{m}"
                 if coeffs:
-                    system.equations.append(Equation(label, coeffs, rhs))
+                    system.equations.append((coeffs, rhs, (label,)))
                 elif rhs.is_zero():
                     system.checks_passed += 1
                 else:
@@ -188,8 +163,7 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
     """
     if system.check_failures:
         raise InconsistentSystemError(system.check_failures, "known-entry checks failed")
-    solution = eliminate([(eq.coeffs, eq.rhs, (eq.label,)) for eq in system.equations],
-                         system.unknowns)
+    solution = eliminate(system.equations, system.unknowns)
     new_entries: dict[tuple[int, int], Cyclotomic] = {}
     for (i, j), value in solution.items():
         new_entries[(i, j)] = value
@@ -206,7 +180,7 @@ class DeriveReport:
     conflicts: list[str] = field(default_factory=list)
 
 
-def check_derived_rows(parents: list[ParentBranching],
+def check_derived_rows(parents: list[BranchingSection],
                        target: ModularDatum) -> DeriveReport:
     """Re-derive every single-module row and compare with shipped entries.
 
@@ -214,19 +188,19 @@ def check_derived_rows(parents: list[ParentBranching],
     is the dataset's anti-typo audit.
     """
     report = DeriveReport()
-    for branching in parents:
-        for m, entries in derive_rows(branching, target):
+    for section in parents:
+        for m, entries in derive_rows(section, target):
             for entry in entries:
                 known = target.s[entry.row][entry.col]
                 report.entries_checked += 1
-                if entry.conflicts_with(known):
+                if known is not None and known != entry.value:
                     report.conflicts.append(
                         f"S[{entry.row},{entry.col}] from {entry.chain}: "
                         f"derived {entry.value}, shipped {known}")
     return report
 
 
-def complete(target: ModularDatum, parents: list[ParentBranching]) -> CompletionResult:
+def complete(target: ModularDatum, parents: list[BranchingSection]) -> CompletionResult:
     """Full pipeline: audit derivable rows, assemble relations, solve."""
     report = check_derived_rows(parents, target)
     if report.conflicts:
@@ -249,6 +223,7 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     contradiction names the relations "N[a,b] colS" that produce it.
     """
     n = target.size
+    check_fixture_range(fixtures, n)
     products: dict[tuple[int, int], dict[int, int]] = {}
     for fx in fixtures:
         if fx.soft:

@@ -17,18 +17,18 @@ import os
 import sys
 
 from . import s4_dataset
-from .branching import (InconsistentSystemError, ParentBranching,
-                        UnderdeterminedError, complete, eigen_complete)
+from .branching import (InconsistentSystemError, UnderdeterminedError,
+                        complete, eigen_complete)
 from .cyclo import embed, format_exact
 from .lattice import LatticeSpec, lattice_datum_file
-from .mdf import (DatumFile, DuplicateEntryError, IndexRangeError, ParseError,
-                  expr_to_text, format_formal_sum, parse_file, serialize)
+from .mdf import (BranchingSection, DatumFile, DuplicateEntryError,
+                  IndexRangeError, ParseError, check_fixture_range, expr_to_text,
+                  format_formal_sum, parse_file, serialize)
 from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
-                           datum_to_file, glob, quantum_dimensions,
-                           validate)
+                           datum_to_file, glob, quantum_dimensions, validate)
 from .verlinde import (NegativeResultError, NonIntegerResultError,
-                       compare_fixtures, fusion_tensor, tensor_to_triples,
-                       triples_to_fixtures)
+                       applicable_fixtures, compare_fixtures, fusion_tensor,
+                       tensor_to_triples, triples_to_fixtures)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,12 +63,9 @@ def _load_datum(spec: str) -> tuple[ModularDatum, DatumFile]:
     return datum_from_file(df), df
 
 
-def _load_parents(specs: str) -> list[ParentBranching]:
-    parents = []
-    for part in specs.split(","):
-        df = parse_file(_read_text(part.strip()))
-        parents.extend(ParentBranching.from_section(sec) for sec in df.branchings)
-    return parents
+def _load_parents(specs: str) -> list[BranchingSection]:
+    return [section for part in specs.split(",")
+            for section in parse_file(_read_text(part.strip())).branchings]
 
 
 def _float_text(value) -> str:
@@ -169,9 +166,11 @@ def cmd_regress(args) -> int:
         fixtures = parse_file(fixtures_text).fixtures
     else:
         fixtures = triples_to_fixtures(fixtures_text)
+    check_fixture_range(fixtures, datum.size)
     tensor = fusion_tensor(datum, jobs=args.jobs)
-    hard = [fx for fx in fixtures if not fx.soft]
-    soft = [fx for fx in fixtures if fx.soft]
+    # Only fixtures inside the tensor's index set are compared and counted.
+    hard = applicable_fixtures(tensor, [fx for fx in fixtures if not fx.soft])
+    soft = applicable_fixtures(tensor, [fx for fx in fixtures if fx.soft])
     hard_disc = compare_fixtures(tensor, hard)
     soft_disc = compare_fixtures(tensor, soft)
     names = [lab.name for lab in datum.labels]
@@ -281,7 +280,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPLETION
     except (MissingEntryError, NonIntegerResultError, NegativeResultError,
-            s4_dataset.QdimMismatchError, ZeroDivisionError, ValueError) as exc:
+            ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -454,9 +454,10 @@ def sqrt_int(m: int) -> Cyclotomic:
     """The positive square root of a positive integer, as a cyclotomic.
 
     Built multiplicatively from primes: sqrt(2) = zeta_8 + zeta_8^-1, and for
-    an odd prime p the quadratic Gauss sum sum_a zeta_p^(a^2) equals sqrt(p)
-    for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4 (corrected by zeta_4^-1).
-    The sign is pinned to the positive real embedding.
+    an odd prime p the quadratic Gauss sum sum_a zeta_p^(a^2) equals +sqrt(p)
+    for p = 1 mod 4 and +i*sqrt(p) for p = 3 mod 4 (corrected by zeta_4^-1).
+    Gauss's sign theorem fixes both signs, so every factor is the positive
+    root and no float embedding is consulted.
     """
     if m < 1:
         raise ValueError("argument must be a positive integer")
@@ -470,10 +471,7 @@ def sqrt_int(m: int) -> Cyclotomic:
         rational_part *= p ** (v // 2)
         if v % 2:
             result = result * _sqrt_prime(p)
-    result = result * Fraction(rational_part)
-    if embed(result).real < 0:
-        result = -result
-    return result
+    return result * Fraction(rational_part)
 
 
 def _sqrt_prime(p: int) -> Cyclotomic:
@@ -486,8 +484,6 @@ def _sqrt_prime(p: int) -> Cyclotomic:
     g = Cyclotomic(p, terms)
     if p % 4 == 3:
         g = g * root_of_unity(4, 3)
-    if embed(g).real < 0:
-        g = -g
     return g
 
 

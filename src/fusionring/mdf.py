@@ -1,7 +1,7 @@
 """The modular-data file format: scalar expressions and datum files.
 
 Datasets are plain UTF-8 text, line oriented, with ``#`` line comments and
-four section kinds::
+five section kinds::
 
     [header]                     name/modules/vacuum/scale key-value lines
     [labels]                     index name qdim=<expr> dual=<int> weight=<rat>
@@ -21,6 +21,9 @@ Scalar values use a small expression grammar (whitespace-insensitive)::
 ``4/2^2`` binds the slash at the atom level, per the grammar.  An S entry is
 stored as tabulated; the optional header ``scale`` expression multiplies
 every entry on load so that file text can mirror a printed table verbatim.
+The optional ``vacuum`` line must read 0.  Each branching table is one
+``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
+are checked by ``modular_data.datum_from_file``.  Parse errors name the line.
 
 Serialization is deterministic: ``parse_file(serialize(d))`` reproduces the
 datum structurally and re-serializing yields identical bytes.
@@ -38,18 +41,22 @@ __all__ = [
     "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr", "expr_to_text",
     "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
-    "parse_file", "serialize", "format_formal_sum",
+    "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
 ]
 
 
 class ParseError(ValueError):
-    """Malformed expression or file; carries the byte offset of the error."""
+    """Malformed expression or file; carries the byte offset and, in a file, the line."""
 
     def __init__(self, message: str, offset: int, line: int | None = None):
-        where = f"line {line}, " if line is not None else ""
-        super().__init__(f"{where}offset {offset}: {message}")
+        super().__init__(message)
+        self.message = message
         self.offset = offset
         self.line = line
+
+    def __str__(self) -> str:
+        where = f"line {self.line}, " if self.line is not None else ""
+        return f"{where}offset {self.offset}: {self.message}"
 
 
 class DuplicateEntryError(ValueError):
@@ -212,6 +219,8 @@ def eval_expr(node) -> Cyclotomic:
     if op == "neg":
         return -eval_expr(node[1])
     if op == "pow":
+        if node[1][0] == "E":
+            return root_of_unity(node[1][1], node[2])
         return eval_expr(node[1]) ** node[2]
     if op in ("add", "sub"):
         return exact_sum(_summands(node, False))
@@ -298,7 +307,6 @@ class BranchingSection:
 class DatumFile:
     name: str = ""
     modules: int = 0
-    vacuum: int = 0
     scale_expr: tuple | None = None
     labels: list[LabelRecord] = field(default_factory=list)
     s_entries: dict[tuple[int, int], tuple | None] = field(default_factory=dict)
@@ -381,7 +389,8 @@ def parse_file(text: str) -> DatumFile:
                 elif key == "modules":
                     datum.modules = int(value)
                 elif key == "vacuum":
-                    datum.vacuum = int(value)
+                    if int(value) != 0:
+                        raise ParseError("vacuum must be 0: module 0 is the vacuum", 0, line_no)
                 elif key == "scale":
                     datum.scale_expr = parse_expr(value)
                 else:
@@ -440,7 +449,10 @@ def parse_file(text: str) -> DatumFile:
                 branching.rows[idx] = _parse_sum(sum_s, line_no)
             else:
                 raise ParseError("content before any section header", 0, line_no)
-        except (ParseError, DuplicateEntryError):
+        except ParseError as exc:
+            exc.line = line_no  # expression errors know only their offset
+            raise
+        except DuplicateEntryError:
             raise
         except ValueError as exc:
             raise ParseError(str(exc), 0, line_no) from exc
@@ -464,10 +476,7 @@ def _check_ranges(datum: DatumFile) -> None:
     for (r, c) in datum.s_entries:
         if not (0 <= r < n and 0 <= c < n):
             raise IndexRangeError(f"S entry ({r}, {c}) out of range")
-    for fx in datum.fixtures:
-        for idx in (fx.left, fx.right, *fx.terms):
-            if not 0 <= idx < n:
-                raise IndexRangeError(f"fusion record index {idx} out of range")
+    check_fixture_range(datum.fixtures, n)
     for br in datum.branchings:
         for parent_idx, terms in br.rows.items():
             if not 0 <= parent_idx < 2 * br.k:
@@ -477,10 +486,19 @@ def _check_ranges(datum: DatumFile) -> None:
                     raise IndexRangeError(f"branching target {idx} out of range")
 
 
+def check_fixture_range(fixtures, size: int) -> None:
+    """Raise IndexRangeError if a fusion record names a module outside 0..size-1."""
+    for fx in fixtures:
+        for idx in (fx.left, fx.right, *fx.terms):
+            if not 0 <= idx < size:
+                raise IndexRangeError(f"fusion record index {idx} out of range "
+                                      f"for {size} modules")
+
+
 def serialize(datum: DatumFile) -> str:
     """Deterministic text form; byte-stable under parse/serialize round trips."""
     lines = ["[header]", f"name = {datum.name}", f"modules = {datum.modules}",
-             f"vacuum = {datum.vacuum}"]
+             "vacuum = 0"]
     if datum.scale_expr is not None:
         lines.append(f"scale = {expr_to_text(datum.scale_expr)}")
     if datum.labels:

@@ -4,7 +4,7 @@ A datum is a list of module labels and a square matrix of exact cyclotomic
 entries, possibly partial (``None`` marks an unknown entry).  The vacuum
 module is index 0 by file-format convention.  Validation reports problems
 instead of raising, because shipped datasets may be deliberately partial and
-discrepancies are data, not crashes.
+discrepancies are data, not crashes; only recorded qdims are enforced on load.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .cyclo import Cyclotomic, conj, embed, format_exact, inverse
 from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 
 __all__ = [
-    "MissingEntryError", "NotPermutationError",
+    "MissingEntryError", "NotPermutationError", "QdimMismatchError",
     "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "qdim", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
@@ -31,6 +31,10 @@ class MissingEntryError(LookupError):
 
 class NotPermutationError(ValueError):
     """S^2 is not a 0/1 permutation matrix."""
+
+
+class QdimMismatchError(ValueError):
+    """The S-matrix vacuum column contradicts the recorded quantum dimensions."""
 
 
 @dataclass
@@ -222,10 +226,10 @@ def validate(datum: ModularDatum) -> ValidationReport:
             report.vacuum_row_zeros.append(j)
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         for i, q in enumerate(quantum_dimensions(datum)):
-            if q is not None:
-                z = embed(q)
-                if not (z.real > 0 and abs(z.imag) < 1e-9):
-                    report.bad_qdims.append(i)
+            # Realness is decided exactly; only the sign of a nonzero real
+            # value is read off the float embedding.
+            if q is not None and not (cyclo.is_real(q) and embed(q).real > 0):
+                report.bad_qdims.append(i)
     if datum.fully_known():
         try:
             perm = charge_conjugation(datum)
@@ -266,7 +270,8 @@ def _check_unitary(datum: ModularDatum, conjugates: dict[Cyclotomic, Cyclotomic]
 # -- file conversion ---------------------------------------------------------
 
 def datum_from_file(df: DatumFile) -> ModularDatum:
-    """Build the in-memory datum; entries are scaled by the header scale factor."""
+    """Build the in-memory datum, scaled by the header scale factor; every
+    recorded ``qdim=`` must equal S[i,0]/S[0,0] exactly."""
     n = df.modules
     labels = []
     by_index = {rec.index: rec for rec in df.labels}
@@ -283,14 +288,25 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
         if scale is not None:
             value = value * scale
         s[r][c] = value
-    return ModularDatum(labels, s, name=df.name)
+    datum = ModularDatum(labels, s, name=df.name)
+    recorded = [rec for rec in df.labels if rec.qdim_expr is not None]
+    if recorded:
+        dims = quantum_dimensions(datum)
+        for rec in recorded:
+            if dims[rec.index] is None:
+                raise MissingEntryError(f"S[{rec.index},0] is unknown")
+            value = eval_expr(rec.qdim_expr)
+            if dims[rec.index] != value:
+                raise QdimMismatchError(f"module {rec.index}: S[{rec.index},0]/S[0,0] "
+                                        f"!= recorded qdim {value}")
+    return datum
 
 
 def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> DatumFile:
     """Serialize back to a DatumFile, dividing entries by the chosen scale."""
     scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
     inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
-    df = DatumFile(name=datum.name, modules=datum.size, vacuum=0, scale_expr=scale_expr)
+    df = DatumFile(name=datum.name, modules=datum.size, scale_expr=scale_expr)
     dims = [None] * datum.size
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)

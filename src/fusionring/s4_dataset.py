@@ -11,8 +11,9 @@ Files live under ``data/`` next to this module:
                        with ``soft`` marking lines the exact computation
                        refutes (see DATA_NOTES.txt).
 
-``load_dataset`` parses and cross-validates everything; in particular the
-quantum-dimension column must satisfy S[j,0] = qdim(j) * S[0,0] exactly.
+``load_dataset`` parses the three files.  Loading the partial datum checks
+its quantum-dimension column, S[j,0] = qdim(j) * S[0,0], exactly, as it does
+for every datum file (``modular_data.datum_from_file``).
 
 Before completion, ``verlinde.fusion_tensor`` of the partial datum is the
 block tensor over its fully known rows, 0 and 8..27 (the 1..7 segments of
@@ -24,15 +25,10 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .branching import ParentBranching
-from .mdf import FixtureRecord, eval_expr, parse_file
-from .modular_data import ModularDatum, MissingEntryError, datum_from_file, quantum_dimensions
+from .mdf import BranchingSection, FixtureRecord, parse_file
+from .modular_data import ModularDatum, datum_from_file
 
-__all__ = ["QdimMismatchError", "load_dataset", "data_path"]
-
-
-class QdimMismatchError(ValueError):
-    """The S-matrix vacuum column contradicts the recorded quantum dimensions."""
+__all__ = ["load_dataset", "data_path"]
 
 
 def data_path(name: str):
@@ -40,26 +36,9 @@ def data_path(name: str):
     return resources.files("fusionring.data") / name
 
 
-def _read(name: str) -> str:
-    return data_path(name).read_text()
-
-
-def load_dataset() -> tuple[ModularDatum, list[ParentBranching], list[FixtureRecord]]:
-    """Parse the shipped files; validates indices and the qdim column."""
-    partial = parse_file(_read("s4_partial.mdf"))
-    branching_file = parse_file(_read("s4_branching.mdf"))
-    fixture_file = parse_file(_read("s4_fixtures.mdf"))
-    datum = datum_from_file(partial)
-    dims = quantum_dimensions(datum)
-    for rec in partial.labels:
-        if rec.qdim_expr is None:
-            continue
-        if dims[rec.index] is None:
-            raise MissingEntryError(f"S[{rec.index},0] is unknown")
-        recorded = eval_expr(rec.qdim_expr)
-        if dims[rec.index] != recorded:
-            raise QdimMismatchError(
-                f"module {rec.index}: S[{rec.index},0]/S[0,0] != recorded qdim {recorded}")
-    parents = [ParentBranching.from_section(sec)
-               for sec in branching_file.branchings]
-    return datum, parents, fixture_file.fixtures
+def load_dataset() -> tuple[ModularDatum, list[BranchingSection], list[FixtureRecord]]:
+    """The partial datum, the three parent branchings and the fixtures."""
+    partial, branching, fixtures = (
+        parse_file(data_path(name).read_text())
+        for name in ("s4_partial.mdf", "s4_branching.mdf", "s4_fixtures.mdf"))
+    return datum_from_file(partial), branching.branchings, fixtures.fixtures

@@ -36,7 +36,7 @@ from .modular_data import ModularDatum, quantum_dimensions
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
     "FusionTensor", "fusion_tensor", "fuse",
-    "check_ring", "compare_fixtures",
+    "check_ring", "applicable_fixtures", "compare_fixtures",
     "tensor_to_triples", "triples_to_fixtures",
 ]
 
@@ -393,18 +393,17 @@ class Discrepancy:
                 f"{format_formal_sum(self.computed, names)}")
 
 
-def compare_fixtures(tensor: FusionTensor, fixtures) -> list[Discrepancy]:
-    """Empty list iff every applicable fixture matches the tensor exactly.
+def applicable_fixtures(tensor: FusionTensor, fixtures) -> list:
+    """The fixtures whose modules all lie in the tensor's index set: the comparable ones."""
+    return [fx for fx in fixtures
+            if all(tensor.has_index(i) for i in (fx.left, fx.right, *fx.terms))]
 
-    Fixtures whose indices fall outside the tensor's index set are skipped
-    (relevant for partial block tensors).
-    """
+
+def compare_fixtures(tensor: FusionTensor, fixtures) -> list[Discrepancy]:
+    """Empty list iff every applicable fixture matches the tensor exactly."""
     out = []
-    for fx in fixtures:
-        involved = {fx.left, fx.right, *fx.terms}
-        if not all(tensor.has_index(i) for i in involved):
-            continue
-        computed = {k: v for k, v in tensor.product(fx.left, fx.right).items()}
+    for fx in applicable_fixtures(tensor, fixtures):
+        computed = tensor.product(fx.left, fx.right)
         # A partial tensor only sees channels inside its index set.
         expected = dict(sorted(fx.terms.items()))
         if computed != expected:

@@ -5,18 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from fusionring.branching import (InconsistentSystemError, ParentBranching,
-                                  UnderdeterminedError,
+from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
                                   assemble_system, check_derived_rows,
                                   complete, derive_rows, eigen_complete, solve)
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec
-from fusionring.mdf import FixtureRecord
+from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
 from fusionring.modular_data import validate
 
 
 def by_name(parents, name):
-    return next(p for p in parents if p.name == name)
+    return next(p for p in parents if p.parent == name)
 
 
 def test_norm18_rows_reproduce_order18_symbols(s4):
@@ -147,9 +146,9 @@ def test_corrupted_branching_yields_certificate(s4):
     tampered = []
     for p in parents:
         rows = {l: dict(t) for l, t in p.rows.items()}
-        if p.name == "norm8":
+        if p.parent == "norm8":
             rows[0] = {0: 1, 2: 1, 3: 1, 4: 1}   # drop a multiplicity
-        tampered.append(ParentBranching(name=p.name, spec=p.spec, rows=rows))
+        tampered.append(BranchingSection(parent=p.parent, k=p.k, rows=rows))
     with pytest.raises(InconsistentSystemError) as info:
         complete(datum, tampered)
     assert any("norm8" in line for line in info.value.certificate)
@@ -178,6 +177,12 @@ def test_eigen_route_failure_names_its_relations(s4):
     assert all(label.startswith("N[") for label in certificate), certificate
 
 
+def test_eigen_route_rejects_fixtures_outside_the_datum(s4):
+    datum, _, fixtures = s4
+    with pytest.raises(IndexRangeError, match="index 30 out of range for 28"):
+        eigen_complete(datum, [*fixtures, FixtureRecord(0, 30, {30: 1})])
+
+
 def test_lattice_parent_identity():
     # A parent branched onto itself (identity decomposition) has no unknowns
     # to solve but all relations must check out.
@@ -185,8 +190,8 @@ def test_lattice_parent_identity():
     from fusionring.lattice import lattice_modular_data
 
     datum = lattice_modular_data(spec)
-    identity = ParentBranching(name="self", spec=spec,
-                               rows={j: {j: 1} for j in range(6)})
+    identity = BranchingSection(parent="self", k=spec.k,
+                                rows={j: {j: 1} for j in range(6)})
     system = assemble_system([identity], datum)
     assert system.equations == [] and system.check_failures == []
     assert system.checks_passed == 36

@@ -5,10 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fusionring.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment of a CLI subprocess: this checkout's src comes first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -49,6 +59,31 @@ def test_empty_datum_is_an_error(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_validate_checks_recorded_qdims(tmp_path, capsys):
+    from fusionring.s4_dataset import data_path
+
+    bad = tmp_path / "bad_qdim.mdf"
+    bad.write_text(data_path("s4_partial.mdf").read_text().replace(
+        "7 M7 qdim=4 dual=7", "7 M7 qdim=5 dual=7", 1))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == "error: module 7: S[7,0]/S[0,0] != recorded qdim 5\n"
+
+
+def test_nonzero_vacuum_is_a_parse_error(tmp_path, capsys):
+    from fusionring.s4_dataset import data_path
+
+    text = data_path("s4_partial.mdf").read_text()
+    line_no = text.splitlines().index("vacuum = 0") + 1
+    bad = tmp_path / "bad_vacuum.mdf"
+    bad.write_text(text.replace("vacuum = 0", "vacuum = 3", 1))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line_no}, ") and "vacuum must be 0" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.mdf")
     assert code == 2
@@ -76,6 +111,48 @@ def test_complete_eigen_cross_check(capsys):
                        "--cross-check", "eigen", "-o", "/dev/null")
     assert code == 0
     assert "49 entries agree" in err
+
+
+def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
+    # A 6-module lattice datum with S[1,2] = S[2,1] hidden, completed from
+    # itself; the default fixtures belong to the 28-module dataset.
+    code, out, _ = run(capsys, "lattice", "--k", "3")
+    assert code == 0
+    lines = [line if not line.startswith(("1 2 ", "2 1 ")) else line[:4] + "?"
+             for line in out.splitlines()]
+    datum = tmp_path / "lattice3.mdf"
+    datum.write_text("\n".join(lines) + "\n")
+    parents = tmp_path / "self.mdf"
+    parents.write_text("[header]\nname = self\nmodules = 6\n"
+                       '[branching parent="self" k=3]\n'
+                       + "".join(f"{j} = {j}\n" for j in range(6)))
+    code, out, err = run(capsys, "complete", str(datum), "--parents", str(parents))
+    assert code == 0 and "solved 1 unknown entries" in err
+    code, out, err = run(capsys, "complete", str(datum), "--parents", str(parents),
+                         "--cross-check", "eigen")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: fusion record index 6 out of range for 6 modules\n")
+
+
+def test_branching_outside_the_datum(tmp_path, capsys):
+    code, out, _ = run(capsys, "lattice", "--k", "3")
+    datum = tmp_path / "lattice3.mdf"
+    datum.write_text(out)
+    code, out, err = run(capsys, "complete", str(datum), "--parents", "@s4_branching")
+    assert code == 2
+    assert err.startswith("error: norm32: branching target ")
+
+
+def test_regress_partial_counts_only_the_block(capsys):
+    # The block tensor of the partial datum covers modules 0 and 8..27.
+    code, out, _ = run(capsys, "regress", "@s4", "@s4_fixtures")
+    assert code == 0
+    assert "hard fixtures checked: 155, discrepancies: 0" in out
+    assert "soft fixtures checked: 6, discrepancies: 6" in out
+    code, out, _ = run(capsys, "regress", "@s4", "@s4_fixtures", "--json")
+    payload = json.loads(out)
+    assert (payload["hard_checked"], payload["soft_checked"]) == (155, 6)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +222,15 @@ def test_regress_detects_corruption(completed_file, tmp_path, capsys):
     assert "discrepancies: 1" in out
 
 
+def test_regress_fixture_outside_the_datum(completed_file, tmp_path, capsys):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("0 0 0 1\n0 30 30 1\n")
+    code, out, err = run(capsys, "regress", completed_file, str(triples))
+    assert code == 2
+    assert out == ""
+    assert err == "error: fusion record index 30 out of range for 28 modules\n"
+
+
 def test_table_self_regression(completed_file, tmp_path, capsys):
     code, out, _ = run(capsys, "table", completed_file)
     assert code == 0
@@ -174,14 +260,14 @@ def test_lattice_pipe_table(capsys):
 
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "fusionring.cli", "bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 4
 
 
 def test_deterministic_output():
     cmd = [sys.executable, "-m", "fusionring.cli", "validate", "@s4", "--json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
 
@@ -214,7 +300,8 @@ def test_broken_pipe_subprocess():
     os.close(read_fd)
     try:
         proc = subprocess.run([sys.executable, "-m", "fusionring.cli", "lattice", "--k", "2"],
-                              stdout=write_fd, stderr=subprocess.PIPE, text=True)
+                              stdout=write_fd, stderr=subprocess.PIPE, text=True,
+                              env=child_env())
     finally:
         os.close(write_fd)
     assert proc.returncode == 141

@@ -147,7 +147,9 @@ def test_sqrt_int_examples():
 
 
 def test_sqrt_int_all_to_100():
-    for m in range(1, 101):
+    # Plus the primes 101..199: their Gauss sums fix the sign with no flip.
+    primes = [p for p in range(101, 200) if all(p % d for d in range(2, 15))]
+    for m in [*range(1, 101), *primes]:
         r = sqrt_int(m)
         assert r * r == m
         assert embed(r).real > 0

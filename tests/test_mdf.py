@@ -60,6 +60,23 @@ def test_syntax_error_carries_offset():
     assert info.value.offset == 4
 
 
+def test_root_power_is_one_canonicalization(monkeypatch):
+    from fusionring import cyclo
+
+    calls = []
+    real = cyclo._canonicalize
+
+    def counting(n, terms):
+        calls.append(n)
+        return real(n, terms)
+
+    monkeypatch.setattr(cyclo, "_canonicalize", counting)
+    value = eval_expr(parse_expr("E(104)^77"))
+    assert len(calls) == 1
+    assert value == cyclo.root_of_unity(104, 77)
+    assert eval_expr(parse_expr("E(104)^-77")) == cyclo.root_of_unity(104, -77)
+
+
 @pytest.mark.parametrize("text", [
     "1/", "E(4", "sqrt()", "(1+2", "1 2", "^2", "E(0)", "sqrt(0)", ""])
 def test_malformed_expressions_rejected(text):
@@ -107,12 +124,27 @@ def test_printer_parser_round_trip(node):
 
 def test_minimal_file_round_trip():
     df = parse_file(MINIMAL)
-    assert df.modules == 1 and df.vacuum == 0
+    assert df.modules == 1
     assert df.labels[0].name == "vac"
     text = serialize(df)
     again = parse_file(text)
     assert again == df
     assert serialize(again) == text
+
+
+def test_vacuum_must_be_zero():
+    bad = MINIMAL.replace("vacuum = 0", "vacuum = 1")
+    with pytest.raises(ParseError, match="vacuum must be 0") as info:
+        parse_file(bad)
+    assert info.value.line == 5 and str(info.value).startswith("line 5, ")
+
+
+def test_expression_error_names_its_line():
+    bad = MINIMAL.replace("0 0 1", "0 0 1+E(3")
+    with pytest.raises(ParseError) as info:
+        parse_file(bad)
+    assert info.value.line == 11
+    assert str(info.value) == "line 11, offset 5: expected ')'"
 
 
 def test_duplicate_s_entry_rejected():
@@ -150,7 +182,7 @@ soft 0 x 0 = 2*0 | src:demo2
 
 
 def test_unknown_s_entries_survive_round_trip():
-    df = DatumFile(name="p", modules=2, vacuum=0)
+    df = DatumFile(name="p", modules=2)
     df.labels = [LabelRecord(0, "a"), LabelRecord(1, "b")]
     df.s_entries = {(0, 0): parse_expr("1"), (0, 1): parse_expr("1"),
                     (1, 0): parse_expr("1"), (1, 1): None}
@@ -161,7 +193,7 @@ def test_unknown_s_entries_survive_round_trip():
 
 def test_empty_formal_sum_is_not_serialized():
     # The file syntax has no empty sum, and "0" would read back as module 0.
-    df = DatumFile(name="p", modules=2, vacuum=0)
+    df = DatumFile(name="p", modules=2)
     df.fixtures = [FixtureRecord(left=1, right=1, terms={})]
     with pytest.raises(ValueError, match="empty formal sum"):
         serialize(df)
@@ -196,7 +228,7 @@ SMALL_EXPR = st.one_of(
 @st.composite
 def datum_files(draw):
     n = draw(st.integers(1, 4))
-    df = DatumFile(name=draw(NAME_ST), modules=n, vacuum=0)
+    df = DatumFile(name=draw(NAME_ST), modules=n)
     if draw(st.booleans()):
         df.scale_expr = draw(SMALL_EXPR)
     for i in range(n):

@@ -36,6 +36,16 @@ def test_identity_matrix_is_invalid():
     assert report.vacuum_row_zeros == [1]
 
 
+def test_nearly_real_qdim_is_not_real():
+    # qdim(1) = 1 + 10^-12 i embeds within 1e-9 of the real axis, but it is
+    # not real, and realness is decided exactly.
+    one = Cyclotomic.one()
+    near = one + root_of_unity(4, 1) * Fraction(1, 10 ** 12)
+    labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
+    report = validate(ModularDatum(labels, [[one, None], [near, None]]))
+    assert report.bad_qdims == [1]
+
+
 def test_completed_dataset_is_valid_and_self_dual(s4_completed):
     report = validate(s4_completed)
     assert report.ok

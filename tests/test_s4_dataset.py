@@ -8,8 +8,8 @@ import pytest
 
 from fusionring.cyclo import inverse, sqrt_int
 from fusionring.mdf import parse_file, serialize
-from fusionring.modular_data import qdim
-from fusionring.s4_dataset import QdimMismatchError, data_path, load_dataset
+from fusionring.modular_data import QdimMismatchError, qdim
+from fusionring.s4_dataset import data_path, load_dataset
 from fusionring.verlinde import check_ring, compare_fixtures, computable_indices
 
 QDIMS = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
@@ -56,14 +56,14 @@ def test_fixture_count_and_coverage(s4):
 
 def test_branching_parents(s4):
     _, parents, _ = s4
-    by_name = {p.name: p for p in parents}
+    by_name = {p.parent: p for p in parents}
     assert set(by_name) == {"norm32", "norm18", "norm8"}
-    assert by_name["norm32"].spec.k == 16
-    assert by_name["norm18"].spec.k == 9
-    assert by_name["norm8"].spec.k == 4
+    assert by_name["norm32"].k == 16
+    assert by_name["norm18"].k == 9
+    assert by_name["norm8"].k == 4
     covered = set()
     for p in parents:
-        assert set(p.rows) == set(range(p.spec.modules))
+        assert set(p.rows) == set(range(2 * p.k))
         for terms in p.rows.values():
             covered.update(terms)
     assert covered == set(range(28))
@@ -77,7 +77,7 @@ def test_branching_qdim_budget(s4):
     for p in parents:
         for l, terms in p.rows.items():
             total = sum(QDIMS[m] * mult for m, mult in terms.items())
-            assert total == budget[p.name], (p.name, l)
+            assert total == budget[p.parent], (p.parent, l)
 
 
 def test_known_block_indices(s4, s4_block_tensor):
