@@ -29,7 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from fusionring import mdf
 from fusionring.branching import assemble_system, check_derived_rows
 from fusionring.mdf import BranchingSection, DatumFile, FixtureRecord, LabelRecord
-from fusionring.modular_data import datum_from_file, qdim
+from fusionring.modular_data import datum_from_file, quantum_dimensions
 
 DATA_DIR = ROOT / "src" / "fusionring" / "data"
 HEADER = ("# Generated by scripts/generate_s4_data.py; do not edit by hand.\n"
@@ -555,8 +555,9 @@ def audit(partial: DatumFile, branchings: DatumFile) -> None:
     datum = datum_from_file(partial)
     parents = branchings.branchings
     s00 = datum.entry(0, 0)
+    qdims = quantum_dimensions(datum)
     for i in range(28):
-        assert qdim(datum, i) == QDIMS[i], i
+        assert qdims[i] == QDIMS[i], i
         assert datum.entry(i, 0) == s00 * QDIMS[i], i
     report = check_derived_rows(parents, datum)
     assert not report.conflicts, report.conflicts[:5]

@@ -149,7 +149,6 @@ def assemble_system(parents: list[BranchingSection],
 class CompletionResult:
     datum: ModularDatum
     solved: dict[tuple[int, int], Cyclotomic]
-    equations_used: int
     checks_passed: int
 
 
@@ -170,7 +169,6 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
         new_entries[(j, i)] = value
     completed = target.with_entries(new_entries)
     return CompletionResult(datum=completed, solved=solution,
-                            equations_used=len(system.equations),
                             checks_passed=system.checks_passed)
 
 

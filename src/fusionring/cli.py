@@ -121,6 +121,9 @@ def cmd_complete(args) -> int:
 
 def cmd_fuse(args) -> int:
     datum, _ = _load_datum(args.file)
+    for idx in (args.i, args.j):
+        if not 0 <= idx < datum.size:
+            raise IndexRangeError(f"module index {idx} out of range for {datum.size} modules")
     tensor = fusion_tensor(datum, jobs=args.jobs)
     if not (tensor.has_index(args.i) and tensor.has_index(args.j)):
         print(f"error: rows {args.i}, {args.j} are not fully known", file=sys.stderr)

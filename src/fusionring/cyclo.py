@@ -206,9 +206,6 @@ class Cyclotomic:
             raise ValueError(f"not a rational number: {self}")
         return self.coeffs.get(0, Fraction(0))
 
-    def is_integer(self) -> bool:
-        return self.order == 1 and self.coeffs.get(0, Fraction(0)).denominator == 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -5,6 +5,8 @@ entries, possibly partial (``None`` marks an unknown entry).  The vacuum
 module is index 0 by file-format convention.  Validation reports problems
 instead of raising, because shipped datasets may be deliberately partial and
 discrepancies are data, not crashes; only recorded qdims are enforced on load.
+``validate`` computes one matrix product, S^2: once S^2 = C is certified,
+S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is decided from it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
     "ModuleLabel", "ModularDatum",
-    "validate", "charge_conjugation", "qdim", "quantum_dimensions", "glob",
+    "validate", "charge_conjugation", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
 
@@ -94,14 +96,6 @@ class ModularDatum:
 
 # -- derived quantities ------------------------------------------------------
 
-def qdim(datum: ModularDatum, i: int) -> Cyclotomic:
-    """Quantum dimension of module i: S[i,0] / S[0,0]."""
-    denom = datum.entry(0, 0)
-    if denom.is_zero():
-        raise ZeroDivisionError("S[0,0] = 0")
-    return datum.entry(i, 0) * inverse(denom)
-
-
 def quantum_dimensions(datum: ModularDatum) -> list[Cyclotomic | None]:
     """Every quantum dimension, inverting S[0,0] once; None where S[i,0] is unknown."""
     denom = datum.entry(0, 0)
@@ -155,7 +149,7 @@ class ValidationReport:
     unknown_count: int = 0
     symmetry_violations: list[tuple[int, int]] = field(default_factory=list)
     vacuum_row_zeros: list[int] = field(default_factory=list)
-    bad_qdims: list[int] = field(default_factory=list)
+    bad_qdims: list[int] | None = None
     square_is_permutation: bool | None = None
     square_message: str = ""
     dual_permutation: list[int] | None = None
@@ -176,8 +170,11 @@ class ValidationReport:
                                      f"violated at {self.symmetry_violations}"))
         lines.append("vacuum row: " + ("no zero entries" if not self.vacuum_row_zeros else
                                        f"zero at columns {self.vacuum_row_zeros}"))
-        lines.append("qdim embeddings: " + ("all positive real" if not self.bad_qdims else
-                                            f"non-positive at {self.bad_qdims}"))
+        if self.bad_qdims is None:
+            lines.append("qdim embeddings: not checked (S[0,0] is zero or unknown)")
+        else:
+            lines.append("qdim embeddings: " + ("all positive real" if not self.bad_qdims else
+                                                f"non-positive at {self.bad_qdims}"))
         if self.square_is_permutation is None:
             lines.append("S^2=C: not checked (matrix partial)")
         elif self.square_is_permutation:
@@ -225,6 +222,7 @@ def validate(datum: ModularDatum) -> ValidationReport:
         if datum.known(0, j) and datum.s[0][j].is_zero():
             report.vacuum_row_zeros.append(j)
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
+        report.bad_qdims = []
         for i, q in enumerate(quantum_dimensions(datum)):
             # Realness is decided exactly; only the sign of a nonzero real
             # value is read off the float embedding.
@@ -244,27 +242,16 @@ def validate(datum: ModularDatum) -> ValidationReport:
             for lab, j in zip(datum.labels, perm):
                 if lab.dual is not None and lab.dual != j:
                     report.dual_mismatches.append(lab.index)
-        # With real entries, S^2 = C subsumes unitarity; check it separately
-        # only when complex entries are present.
-        conjugates: dict[Cyclotomic, Cyclotomic] = {}
-        for row in datum.s:
-            for v in row:
-                if v not in conjugates:
-                    conjugates[v] = conj(v)
-        if any(c != v for v, c in conjugates.items()):
-            report.unitary = _check_unitary(datum, conjugates)
+            # S^2 = C gives S^-1[i,j] = S[i,perm[j]], so S is unitary iff that
+            # equals conj(S[j,i]) everywhere; symmetry is not assumed.
+            conjugates: dict[Cyclotomic, Cyclotomic] = {}
+            for row in datum.s:
+                for v in row:
+                    if v not in conjugates:
+                        conjugates[v] = conj(v)
+            report.unitary = all(datum.s[i][perm[j]] == conjugates[datum.s[j][i]]
+                                 for i in range(n) for j in range(n))
     return report
-
-
-def _check_unitary(datum: ModularDatum, conjugates: dict[Cyclotomic, Cyclotomic]) -> bool:
-    """S conj(S)^T = I, stopping at the first row that differs."""
-    n = datum.size
-    adjoint = [[conjugates[datum.s[j][i]] for j in range(n)] for i in range(n)]
-    zero, one = Cyclotomic.zero(), Cyclotomic.one()
-    for i, row in enumerate(cyclo.matmul(datum.s, adjoint)):
-        if row != [one if j == i else zero for j in range(n)]:
-            return False
-    return True
 
 
 # -- file conversion ---------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The central sum is N[i,j]^k = sum_s S[i,s] S[j,s] S[s,k'] / S[0,s], with the
 inverse S-matrix realized through the dual permutation k -> k' rather than a
-matrix inversion; the two agree for valid data and the permutation form is
-exact and O(1) per entry.  Every coefficient is computed in exact cyclotomic
-arithmetic and must canonicalize to a nonnegative rational integer; anything
-else signals an inconsistent S-matrix and aborts the tensor computation with
-the offending triple.
+matrix inversion; the two agree for valid data (``modular_data.validate``
+certifies S^2 = C, hence S^-1[s,k] = S[s,k'], and checks that this equals
+conj(S[k,s])) and the permutation form is exact and O(1) per entry.  Every
+coefficient is computed in exact cyclotomic arithmetic and must canonicalize
+to a nonnegative rational integer; anything else signals an inconsistent
+S-matrix and aborts the tensor computation with the offending triple.
 
 ``fusion_tensor`` is the one entry point.  It chooses its own index set, the
 modules whose S row and dual column are fully known (``computable_indices``):
@@ -429,10 +430,10 @@ def triples_to_fixtures(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError("triple lines are: i j k N", 0, line_no)
-        i, j, k, m = (int(x) for x in fields)
+        try:
+            i, j, k, m = (int(x) for x in line.split())
+        except ValueError:
+            raise ParseError("triple lines are: i j k N", 0, line_no) from None
         sums.setdefault((i, j), {})[k] = m
     return [FixtureRecord(left=i, right=j, terms=terms)
             for (i, j), terms in sorted(sums.items())]

@@ -71,6 +71,16 @@ def test_validate_checks_recorded_qdims(tmp_path, capsys):
     assert err == "error: module 7: S[7,0]/S[0,0] != recorded qdim 5\n"
 
 
+def test_validate_reports_unchecked_qdims(tmp_path, capsys):
+    zero = tmp_path / "zero_vacuum.mdf"
+    zero.write_text("[header]\nname = z\nmodules = 2\nvacuum = 0\n[S]\n0 0 0\n")
+    code, out, _ = run(capsys, "validate", str(zero))
+    assert code == 1
+    assert "qdim embeddings: not checked (S[0,0] is zero or unknown)\n" in out
+    code, out, _ = run(capsys, "validate", str(zero), "--json")
+    assert json.loads(out)["bad_qdims"] is None
+
+
 def test_nonzero_vacuum_is_a_parse_error(tmp_path, capsys):
     from fusionring.s4_dataset import data_path
 
@@ -176,6 +186,14 @@ def test_fuse_unknown_rows(capsys):
     assert err == "error: rows 1, 2 are not fully known\n"
 
 
+@pytest.mark.parametrize("i", ["99", "-1"])
+def test_fuse_module_out_of_range(completed_file, i, capsys):
+    code, out, err = run(capsys, "fuse", completed_file, i, "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: module index {i} out of range for 28 modules\n"
+
+
 def test_glob(completed_file, capsys):
     code, out, _ = run(capsys, "glob", completed_file)
     assert code == 0
@@ -229,6 +247,15 @@ def test_regress_fixture_outside_the_datum(completed_file, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: fusion record index 30 out of range for 28 modules\n"
+
+
+def test_regress_malformed_triple_names_its_line(completed_file, tmp_path, capsys):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("0 0 0 1\n0 1 x 1\n")
+    code, out, err = run(capsys, "regress", completed_file, str(triples))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2, offset 0: triple lines are: i j k N\n"
 
 
 def test_table_self_regression(completed_file, tmp_path, capsys):

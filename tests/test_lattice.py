@@ -6,7 +6,7 @@ from fusionring.cyclo import inverse, root_of_unity, sqrt_int
 from fusionring.lattice import (LatticeSpec, expected_group_fusion,
                                 lattice_datum_file, lattice_modular_data)
 from fusionring.mdf import parse_file, serialize
-from fusionring.modular_data import datum_from_file, qdim, validate
+from fusionring.modular_data import datum_from_file, quantum_dimensions, validate
 from fusionring.verlinde import fusion_tensor
 
 
@@ -31,7 +31,7 @@ def test_k16_matrix():
     assert datum.s[1][1] == root_of_unity(32, -1) * inv
     for l in range(32):
         assert datum.s[0][l] == inv
-        assert qdim(datum, l) == 1
+    assert quantum_dimensions(datum) == [1] * 32
 
 
 def test_entry_depends_only_on_product_mod_2k():

@@ -9,7 +9,7 @@ from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      ModuleLabel, NotPermutationError,
                                      charge_conjugation, datum_to_file, glob,
-                                     qdim, quantum_dimensions, validate)
+                                     quantum_dimensions, validate)
 
 
 def two_by_two():
@@ -87,9 +87,8 @@ def test_charge_conjugation_rejects_non_permutation():
 
 def test_qdim_examples(s4):
     datum, _, _ = s4
-    assert qdim(datum, 0) == 1
-    assert qdim(datum, 7) == 4
-    assert qdim(datum, 26) == 12
+    qdims = quantum_dimensions(datum)
+    assert (qdims[0], qdims[7], qdims[26]) == (1, 4, 12)
 
 
 def test_glob_examples(s4):
@@ -99,14 +98,6 @@ def test_glob_examples(s4):
         assert glob(lattice_modular_data(LatticeSpec(k))) == 2 * k
     trivial = ModularDatum([ModuleLabel(0, "vac", dual=0)], [[Cyclotomic.one()]])
     assert glob(trivial) == 1
-
-
-def test_qdim_missing_entry():
-    labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
-    datum = ModularDatum(labels, [[Cyclotomic.one(), None], [None, None]])
-    assert qdim(datum, 0) == 1
-    with pytest.raises(MissingEntryError):
-        qdim(datum, 1)
 
 
 def test_quantum_dimensions_on_partial_data():
@@ -165,24 +156,66 @@ def test_datum_to_file_round_trip(s4_completed):
             assert again.s[i][j] == s4_completed.s[i][j]
 
 
+def sqrt_minus_3_block():
+    """[[2, sqrt(-3)], [sqrt(-3), -2]]: symmetric with S^2 = I, but not unitary."""
+    r = root_of_unity(4, 1) * sqrt_int(3)
+    two = Cyclotomic.from_rational(2)
+    return [[two, r], [r, -two]]
+
+
 def test_unitarity_checked_on_complex_data():
     # Z_4 lattice data has complex entries and is unitary.
     assert validate(lattice_modular_data(LatticeSpec(2))).unitary is True
-    # S = [[1, i], [i, 1]] has S^2 = [[0, 2i], [2i, 0]] and S conj(S)^T = 2I,
-    # so it is neither a permutation square nor unitary.
+    # S = [[1, i], [i, 1]] has S^2 = [[0, 2i], [2i, 0]], not a permutation, so
+    # unitarity, which is read off S^2 = C, is not checked.
     i = root_of_unity(4, 1)
     one = Cyclotomic.one()
     labels = [ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)]
     report = validate(ModularDatum(labels, [[one, i], [i, one]]))
+    assert report.unitary is None
+    assert not report.ok
+    report = validate(ModularDatum(labels, sqrt_minus_3_block()))
+    assert report.square_is_permutation is True
     assert report.unitary is False
     assert not report.ok
 
 
 def test_unitarity_failure_in_a_late_row():
-    # Doubling the last row of S leaves every row of S conj(S)^T but the last
-    # equal to the identity's.
-    datum = lattice_modular_data(LatticeSpec(2))
-    s = [row[:] for row in datum.s]
-    s[-1] = [v * 2 for v in s[-1]]
-    labels = [ModuleLabel(l.index, l.name) for l in datum.labels]
-    assert validate(ModularDatum(labels, s)).unitary is False
+    # The lattice k = 2 block beside the sqrt(-3) block: S^2 = C holds, and
+    # S^-1[i,j] = conj(S[j,i]) fails only in rows 4 and 5.
+    lattice = lattice_modular_data(LatticeSpec(2)).s
+    block = sqrt_minus_3_block()
+    zero = Cyclotomic.zero()
+    s = [row + [zero, zero] for row in lattice] + [[zero] * 4 + row for row in block]
+    labels = [ModuleLabel(j, f"m{j}") for j in range(6)]
+    report = validate(ModularDatum(labels, s))
+    assert report.dual_permutation == [0, 3, 2, 1, 4, 5]
+    assert report.unitary is False
+
+
+def test_unitarity_checked_on_real_data():
+    # S^2 = C settles unitarity whether or not the entries are real.
+    report = validate(lattice_modular_data(LatticeSpec(1)))
+    assert report.unitary is True
+    assert "unitarity S conj(S)^T = I: ok" in report.to_text()
+
+
+def test_validate_computes_one_matrix_product(monkeypatch):
+    import fusionring.cyclo as cyclo
+
+    calls = []
+    original = cyclo.matmul
+
+    def counting_matmul(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(cyclo, "matmul", counting_matmul)
+    assert validate(lattice_modular_data(LatticeSpec(3))).unitary is True
+    assert calls == [6]
+
+
+def test_qdims_not_checked_without_a_vacuum_entry():
+    labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
+    for s00 in (None, Cyclotomic.zero()):
+        assert validate(ModularDatum(labels, [[s00, None], [None, None]])).bad_qdims is None

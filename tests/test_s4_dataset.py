@@ -8,7 +8,7 @@ import pytest
 
 from fusionring.cyclo import inverse, sqrt_int
 from fusionring.mdf import parse_file, serialize
-from fusionring.modular_data import QdimMismatchError, qdim
+from fusionring.modular_data import QdimMismatchError, quantum_dimensions
 from fusionring.s4_dataset import data_path, load_dataset
 from fusionring.verlinde import check_ring, compare_fixtures, computable_indices
 
@@ -23,7 +23,7 @@ def test_vacuum_entry(s4):
 
 def test_qdim_column(s4):
     datum, _, _ = s4
-    assert [qdim(datum, i).as_rational() for i in range(28)] == QDIMS
+    assert [q.as_rational() for q in quantum_dimensions(datum)] == QDIMS
     s00 = datum.entry(0, 0)
     for j in range(28):
         assert datum.entry(j, 0) == s00 * QDIMS[j]

@@ -141,10 +141,10 @@ def test_vacuum_row_inverted_once_per_distinct_value(monkeypatch):
 
 
 def test_qdim_multiplicativity_pair(s4_tensor, s4_completed):
-    from fusionring.modular_data import qdim
+    from fusionring.modular_data import quantum_dimensions
 
-    total = sum(s4_tensor.coeff(8, 18, k) * qdim(s4_completed, k).as_rational()
-                for k in range(28))
+    qdims = quantum_dimensions(s4_completed)
+    total = sum(s4_tensor.coeff(8, 18, k) * qdims[k].as_rational() for k in range(28))
     assert total == 36  # 6 * 6 = 6 + 6 + 12 + 12
 
 
