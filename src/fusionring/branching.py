@@ -16,9 +16,11 @@ exact Gaussian elimination with symmetry-folded unknowns.
 A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
-Rows belonging to orbifold modules that exhaust a single parent module
-(branching {m: 1}) come straight out of single relations; ``derive_rows``
-recomputes them independently for cross-checking against shipped values.
+One generator, ``_relations``, evaluates the right-hand sides.  The system
+consumes every relation; the anti-typo audit ``check_derived_rows`` reads
+only the relations of single-module rows (branching {m: 1}), which give S
+entries outright, and words their failures as derived-versus-shipped
+conflicts.
 """
 
 from __future__ import annotations
@@ -33,18 +35,9 @@ from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
 
 __all__ = [
-    "UnderdeterminedError", "InconsistentSystemError",
-    "derive_rows", "check_derived_rows",
+    "UnderdeterminedError", "InconsistentSystemError", "check_derived_rows",
     "assemble_system", "solve", "complete", "eigen_complete",
 ]
-
-
-@dataclass
-class DerivedEntry:
-    row: int
-    col: int
-    value: Cyclotomic
-    chain: str
 
 
 def _occurrences(section: BranchingSection, size: int) -> list[list[tuple[int, int]]]:
@@ -59,34 +52,33 @@ def _occurrences(section: BranchingSection, size: int) -> list[list[tuple[int, i
     return out
 
 
-def derive_rows(section: BranchingSection,
-                target: ModularDatum) -> list[tuple[int, list[DerivedEntry]]]:
-    """Exact S-rows for orbifold modules identified with single parent modules.
+def _relations(parents: list[BranchingSection], size: int, singles_only: bool = False):
+    """Every relation sum_k b[l,k] S[k,m] = sum_j P[l,j] b[j,m], one per parent row l
+    and orbifold column m, as (label, b[l,.], m, [P[l,j] * b[j,m] for each j]).
 
-    For a module m with branching {m: 1} at parent index l, the row is
-    S[m, k] = sum over occurrences (l_i, s_i) of k of s_i * P[l, l_i].  When
-    several parent indices pin the same module, all derivations are emitted
-    (they must agree; disagreement shows up as a conflict downstream).
+    With ``singles_only`` only the rows b[l,.] = {r: 1} are generated: their
+    relations read S[r,m] straight off the parent side.
     """
-    parent = lattice_modular_data(LatticeSpec(section.k))
-    occurrences = _occurrences(section, target.size)
-    singles: dict[int, list[int]] = {}
-    for l, terms in sorted(section.rows.items()):
-        if len(terms) == 1:
-            (m, mult), = terms.items()
-            if mult == 1:
-                singles.setdefault(m, []).append(l)
-    out = []
-    for m in sorted(singles):
-        entries = []
-        for l in singles[m]:
-            for k in range(target.size):
-                value = exact_sum(parent.s[l][l2] * mult for l2, mult in occurrences[k])
-                entries.append(DerivedEntry(
-                    row=m, col=k, value=value,
-                    chain=f"{section.parent}:module{l}"))
-        out.append((m, entries))
-    return out
+    for section in parents:
+        occurrences = _occurrences(section, size)
+        parent = lattice_modular_data(LatticeSpec(section.k))
+        for l, terms in sorted(section.rows.items()):
+            if singles_only and list(terms.values()) != [1]:
+                continue
+            row = parent.s[l]
+            for m in range(size):
+                yield (f"{section.parent}:module{l}:col{m}", terms, m,
+                       [row[j] * bjm for j, bjm in occurrences[m]])
+
+
+def _fold(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
+
+
+def _entry(target: ModularDatum, i: int, j: int) -> Cyclotomic | None:
+    """S[i,j], read off its mirror S[j,i] when only the mirror is known."""
+    value = target.s[i][j]
+    return target.s[j][i] if value is None else value
 
 
 # -- the linear system --------------------------------------------------------
@@ -101,47 +93,39 @@ class LinearSystem:
     check_failures: list[str] = field(default_factory=list)
 
 
-def _fold(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
 def assemble_system(parents: list[BranchingSection],
                     target: ModularDatum) -> LinearSystem:
     """Relations for the unknown entries; known-only relations become checks.
 
-    Unknown positions are folded through the symmetry S[i,j] = S[j,i], so
-    the system's unknowns are exactly the distinct "?" cells of the target.
+    Entries are folded through the symmetry S[i,j] = S[j,i]: a pair is one
+    unknown when both of its cells are "?", and a relation reads whichever
+    cell of a pair is known, so no known entry is ever solved for.
     """
     n = target.size
-    unknown = sorted({_fold(i, j) for (i, j) in target.unknown_positions()})
-    unknown_set = set(unknown)
-    system = LinearSystem(unknowns=unknown)
-    tables = [(section, _occurrences(section, n)) for section in parents]
-    missing = [m for m in range(n) if not any(occ[m] for _, occ in tables)]
+    system = LinearSystem(unknowns=sorted({_fold(i, j) for i, j in target.unknown_positions()
+                                           if _entry(target, i, j) is None}))
+    appearing = {m for section in parents for terms in section.rows.values() for m in terms}
+    missing = [m for m in range(n) if m not in appearing]
     if parents and missing:
         system.check_failures.append(
             f"modules {missing} never appear in any parent decomposition")
-    for section, occurrences in tables:
-        parent = lattice_modular_data(LatticeSpec(section.k))
-        for l, terms in sorted(section.rows.items()):
-            for m in range(n):
-                residual = [parent.s[l][j] * bjm for j, bjm in occurrences[m]]
-                coeffs: dict[tuple[int, int], Fraction] = {}
-                for k, blk in sorted(terms.items()):
-                    key = _fold(k, m)
-                    if key in unknown_set:
-                        coeffs[key] = coeffs.get(key, Fraction(0)) + blk
-                    else:
-                        residual.append(target.entry(k, m) * -blk)
-                rhs = exact_sum(residual)
-                label = f"{section.parent}:module{l}:col{m}"
-                if coeffs:
-                    system.equations.append((coeffs, rhs, (label,)))
-                elif rhs.is_zero():
-                    system.checks_passed += 1
-                else:
-                    system.check_failures.append(
-                        f"{label}: residual {rhs} (known entries violate the relation)")
+    for label, terms, m, residual in _relations(parents, n):
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        for k, blk in sorted(terms.items()):
+            value = _entry(target, k, m)
+            if value is None:
+                key = _fold(k, m)
+                coeffs[key] = coeffs.get(key, Fraction(0)) + blk
+            else:
+                residual.append(value * -blk)
+        rhs = exact_sum(residual)
+        if coeffs:
+            system.equations.append((coeffs, rhs, (label,)))
+        elif rhs.is_zero():
+            system.checks_passed += 1
+        else:
+            system.check_failures.append(
+                f"{label}: residual {rhs} (known entries violate the relation)")
     return system
 
 
@@ -158,15 +142,16 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
     Raises InconsistentSystemError with the set of source relations whose
     combination is contradictory, or UnderdeterminedError naming free
     unknowns.  On success the returned datum is fully known and every input
-    relation is reproduced.
+    relation is reproduced; a "?" cell whose mirror is known takes the
+    mirror's value.
     """
     if system.check_failures:
         raise InconsistentSystemError(system.check_failures, "known-entry checks failed")
     solution = eliminate(system.equations, system.unknowns)
-    new_entries: dict[tuple[int, int], Cyclotomic] = {}
-    for (i, j), value in solution.items():
-        new_entries[(i, j)] = value
-        new_entries[(j, i)] = value
+    new_entries = {}
+    for i, j in target.unknown_positions():
+        mirror = target.s[j][i]
+        new_entries[(i, j)] = solution[_fold(i, j)] if mirror is None else mirror
     completed = target.with_entries(new_entries)
     return CompletionResult(datum=completed, solved=solution,
                             checks_passed=system.checks_passed)
@@ -180,21 +165,21 @@ class DeriveReport:
 
 def check_derived_rows(parents: list[BranchingSection],
                        target: ModularDatum) -> DeriveReport:
-    """Re-derive every single-module row and compare with shipped entries.
+    """Compare every entry of a single-module row with the shipped one.
 
-    Any mismatch against a known entry is reported (never overwritten); this
-    is the dataset's anti-typo audit.
+    Each such entry is one relation of the system, S[r,m] = sum_j P[l,j] b[j,m];
+    a mismatch against a known entry, or its known mirror, is reported (never
+    overwritten).  This is the dataset's anti-typo audit.
     """
     report = DeriveReport()
-    for section in parents:
-        for m, entries in derive_rows(section, target):
-            for entry in entries:
-                known = target.s[entry.row][entry.col]
-                report.entries_checked += 1
-                if known is not None and known != entry.value:
-                    report.conflicts.append(
-                        f"S[{entry.row},{entry.col}] from {entry.chain}: "
-                        f"derived {entry.value}, shipped {known}")
+    for label, terms, m, products in _relations(parents, target.size, singles_only=True):
+        (r,) = terms
+        derived = exact_sum(products)
+        shipped = _entry(target, r, m)
+        report.entries_checked += 1
+        if shipped is not None and shipped != derived:
+            report.conflicts.append(f"S[{r},{m}] from {label.rsplit(':', 1)[0]}: "
+                                    f"derived {derived}, shipped {shipped}")
     return report
 
 

@@ -27,8 +27,8 @@ from .mdf import (BranchingSection, DatumFile, DuplicateEntryError,
 from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
                            datum_to_file, glob, quantum_dimensions, validate)
 from .verlinde import (NegativeResultError, NonIntegerResultError,
-                       applicable_fixtures, compare_fixtures, fusion_tensor,
-                       tensor_to_triples, triples_to_fixtures)
+                       applicable_fixtures, compare_fixtures, fusion_product,
+                       fusion_tensor, tensor_to_triples, triples_to_fixtures)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -121,14 +121,7 @@ def cmd_complete(args) -> int:
 
 def cmd_fuse(args) -> int:
     datum, _ = _load_datum(args.file)
-    for idx in (args.i, args.j):
-        if not 0 <= idx < datum.size:
-            raise IndexRangeError(f"module index {idx} out of range for {datum.size} modules")
-    tensor = fusion_tensor(datum, jobs=args.jobs)
-    if not (tensor.has_index(args.i) and tensor.has_index(args.j)):
-        print(f"error: rows {args.i}, {args.j} are not fully known", file=sys.stderr)
-        return EXIT_FAIL
-    print(format_formal_sum(tensor.product(args.i, args.j)))
+    print(format_formal_sum(fusion_product(datum, args.i, args.j)))
     return EXIT_OK
 
 
@@ -228,7 +221,6 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("table", cmd_table, 'full tensor as sorted "i j k N" triples')
     p.add_argument("file")

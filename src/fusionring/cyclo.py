@@ -19,10 +19,14 @@ p and a < 2^(v-1) for p = 2, v >= 2.  Any exponent can be rewritten into the
 basis with the relations 1 + zeta_p + ... + zeta_p^(p-1) = 0 (shifted by a
 root) and zeta_{2^v}^{2^(v-1)} = -1.
 
+Inversion needs no linear algebra: ``inverse`` multiplies an element by its
+Galois conjugates (``galois``) until the product is rational, so the inverse
+is the product of those conjugates over that rational.
+
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
-which source relations every reduced row came from.  Dense inversion, the
-branching completion and the eigenvector route all go through it.
+which source relations every reduced row came from.  The branching
+completion and the eigenvector route go through it.
 """
 
 from __future__ import annotations
@@ -436,10 +440,17 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic(n, {k % n: Fraction(1)})
 
 
+def galois(a: Cyclotomic, k: int) -> Cyclotomic:
+    """The automorphism zeta -> zeta^k of Q(zeta_n), n = a.order, k prime to n."""
+    n = a.order
+    if gcd(k, n) != 1:
+        raise ValueError(f"{k} is not a unit mod {n}")
+    return Cyclotomic(n, {(e * k) % n: c for e, c in a.coeffs.items()})
+
+
 def conj(a: Cyclotomic) -> Cyclotomic:
     """Complex conjugation, zeta^e -> zeta^(-e) extended linearly."""
-    n = a.order
-    return Cyclotomic(n, {(-e) % n: c for e, c in a.coeffs.items()})
+    return galois(a, -1)
 
 
 def is_real(a: Cyclotomic) -> bool:
@@ -485,38 +496,28 @@ def _sqrt_prime(p: int) -> Cyclotomic:
 
 
 def inverse(a: Cyclotomic) -> Cyclotomic:
-    """The exact multiplicative inverse; raises ZeroDivisionError at 0."""
+    """The exact multiplicative inverse; raises ZeroDivisionError at 0.
+
+    The product of a with its conjugates over every unit k is the field norm,
+    a nonzero rational, so multiplying a by conjugates until the product is
+    rational always ends; the inverse is then the product of the conjugates
+    over that rational.  Complex conjugation comes first, so a root of unity,
+    or any a with a * conj(a) rational, costs one product; the units are
+    enumerated lazily, so a huge order costs nothing up front.
+    """
     if a.is_zero():
         raise ZeroDivisionError("division by zero cyclotomic")
     if a.order == 1:
         return Cyclotomic.from_rational(1 / a.coeffs[0])
-    # Fast path: if a * conj(a) is rational (true for all real elements and
-    # for single roots of unity), the inverse is conj(a) / that rational.
-    ac = conj(a)
-    norm = a * ac
-    if norm.order == 1:
-        return ac * (1 / norm.coeffs[0])
-    return _inverse_by_solve(a)
-
-
-def _inverse_by_solve(a: Cyclotomic) -> Cyclotomic:
-    """Solve a*x = 1 as a rational linear system over the canonical basis.
-
-    Row f is the zeta^f coefficient of a * x; the right-hand side is the
-    canonical form of 1, which is not zeta^0 at every order (not at 9).
-    """
     n = a.order
-    allowed = _allowed_exponents(n)
-    basis = [e for e in range(n) if allowed[e]]
-    rows: dict[int, dict[int, Fraction]] = {e: {} for e in basis}
-    for e in basis:
-        for f, c in _reduce_terms(n, {e + g: c for g, c in a.coeffs.items()}).items():
-            rows[f][e] = c
-    one = _reduce_terms(n, {0: Fraction(1)})
-    # Q(zeta_n) is a field and a != 0, so the system has exactly one solution.
-    x = eliminate([(coeffs, one.get(f, Fraction(0)), ()) for f, coeffs in rows.items()],
-                  basis)
-    return Cyclotomic(n, {e: c for e, c in x.items() if c})
+    others = conj(a)
+    norm = a * others
+    units = (k for k in range(2, n - 1) if gcd(k, n) == 1)
+    while not norm.is_rational():
+        image = galois(a, next(units))
+        others = others * image
+        norm = norm * image
+    return others * (1 / norm.as_rational())
 
 
 # -- exact linear elimination -------------------------------------------------

@@ -9,11 +9,12 @@ coefficient is computed in exact cyclotomic arithmetic and must canonicalize
 to a nonnegative rational integer; anything else signals an inconsistent
 S-matrix and aborts the tensor computation with the offending triple.
 
-``fusion_tensor`` is the one entry point.  It chooses its own index set, the
-modules whose S row and dual column are fully known (``computable_indices``):
-every module of a full datum, and the fully known block of a partial one, so
-the same call certifies a completed datum and checks a partial one before
-completion.
+``fusion_tensor`` is the one tensor entry point.  It chooses its own index
+set, the modules whose S row and dual column are fully known
+(``computable_indices``): every module of a full datum, and the fully known
+block of a partial one, so the same call certifies a completed datum and
+checks a partial one before completion.  ``fusion_product`` evaluates one
+row of that tensor with the same engine.
 
 Every coefficient goes through the exact accumulation kernel of ``cyclo``:
 its terms are summed as integer exponent maps at one common order and
@@ -31,12 +32,13 @@ from dataclasses import dataclass, field
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
-from .mdf import FixtureRecord, ParseError, format_formal_sum
-from .modular_data import ModularDatum, quantum_dimensions
+from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
+                  format_formal_sum)
+from .modular_data import MissingEntryError, ModularDatum, quantum_dimensions
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
-    "FusionTensor", "fusion_tensor", "fuse",
+    "FusionTensor", "fusion_tensor", "fusion_product",
     "check_ring", "applicable_fixtures", "compare_fixtures",
     "tensor_to_triples", "triples_to_fixtures",
 ]
@@ -253,17 +255,23 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     return FusionTensor(indices, values)
 
 
-def fuse(tensor: FusionTensor, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Bilinear extension of the tensor to formal sums of modules."""
-    for idx in list(a) + list(b):
-        if not tensor.has_index(idx):
-            raise IndexError(f"module index {idx} not covered by this tensor")
-    out: dict[int, int] = {}
-    for i, ma in a.items():
-        for j, mb in b.items():
-            for k, mult in tensor.product(i, j).items():
-                out[k] = out.get(k, 0) + ma * mb * mult
-    return {k: v for k, v in sorted(out.items()) if v}
+def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
+    """The fusion product of modules i and j as a formal sum, from one Verlinde row.
+
+    Channels range over ``computable_indices(datum)``.  Raises IndexRangeError
+    for an index outside the datum and MissingEntryError when row i or j is
+    not fully known.
+    """
+    for idx in (i, j):
+        if not 0 <= idx < datum.size:
+            raise IndexRangeError(f"module index {idx} out of range for {datum.size} modules")
+    indices = computable_indices(datum)
+    # The engine comes first, as in fusion_tensor: a hole in the vacuum row
+    # is reported as such before any row is blamed.
+    engine = _Engine(datum, indices)
+    if i not in indices or j not in indices:
+        raise MissingEntryError(f"rows {i}, {j} are not fully known")
+    return {k: m for k, m in zip(indices, engine.row_for_pair(i, j)) if m}
 
 
 # -- ring-property verification ---------------------------------------------
@@ -424,7 +432,10 @@ def tensor_to_triples(tensor: FusionTensor) -> str:
 
 
 def triples_to_fixtures(text: str):
-    """Read a triples file back as fixture records (for regression runs)."""
+    """Read a triples file back as fixture records (for regression runs).
+
+    A triple declared twice is a DuplicateEntryError, as in datum files.
+    """
     sums: dict[tuple[int, int], dict[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -434,6 +445,9 @@ def triples_to_fixtures(text: str):
             i, j, k, m = (int(x) for x in line.split())
         except ValueError:
             raise ParseError("triple lines are: i j k N", 0, line_no) from None
-        sums.setdefault((i, j), {})[k] = m
+        channels = sums.setdefault((i, j), {})
+        if k in channels:
+            raise DuplicateEntryError(f"line {line_no}: triple {(i, j, k)} declared twice")
+        channels[k] = m
     return [FixtureRecord(left=i, right=j, terms=terms)
             for (i, j), terms in sorted(sums.items())]

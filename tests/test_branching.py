@@ -1,13 +1,14 @@
-"""Row derivation, the relation system, exact solving, and the eigen route."""
+"""The derived-row audit, the relation system, exact solving, and the eigen route."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
                                   assemble_system, check_derived_rows,
-                                  complete, derive_rows, eigen_complete, solve)
+                                  complete, eigen_complete, solve)
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec
 from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
@@ -18,25 +19,40 @@ def by_name(parents, name):
     return next(p for p in parents if p.parent == name)
 
 
+def corrupted_audit(section, datum, row, col):
+    """(chain, derived value) of each audit conflict on a copy with S[row,col] = 0.
+
+    The mirror S[col,row] keeps its value, so only the cell itself conflicts.
+    """
+    report = check_derived_rows([section], datum.with_entries({(row, col): Cyclotomic.zero()}))
+    out = []
+    for line in report.conflicts:
+        match = re.fullmatch(rf"S\[{row},{col}\] from (\S+): derived (.+), shipped 0", line)
+        assert match, line
+        out.append(match.groups())
+    return out
+
+
 def test_norm18_rows_reproduce_order18_symbols(s4):
     datum, parents, _ = s4
     gamma = by_name(parents, "norm18")
-    rows = dict(derive_rows(gamma, datum))
     cell = (root_of_unity(18, 2) + root_of_unity(18, 16)) * Fraction(4, 3)
     inv32 = inverse(sqrt_int(32))
-    entries = {(e.row, e.col): e.value for e in rows[12]}
-    assert entries[(12, 13)] == cell * inv32
-    assert all(e.value == datum.s[e.row][e.col] for e in rows[12])
+    assert check_derived_rows([gamma], datum).conflicts == []
+    assert datum.s[12][13] == cell * inv32
+    derived = corrupted_audit(gamma, datum, 12, 13)
+    assert derived and all(value == str(cell * inv32) for _, value in derived)
 
 
 def test_norm32_rows_reproduce_order32_symbols(s4):
     datum, parents, _ = s4
     zeta = by_name(parents, "norm32")
-    rows = dict(derive_rows(zeta, datum))
     cell = root_of_unity(32, 3) + root_of_unity(32, 29)
     inv32 = inverse(sqrt_int(32))
-    entries = {(e.row, e.col): e.value for e in rows[18]}
-    assert entries[(18, 19)] == cell * inv32
+    assert check_derived_rows([zeta], datum).conflicts == []
+    assert datum.s[18][19] == cell * inv32
+    derived = corrupted_audit(zeta, datum, 18, 19)
+    assert derived and all(value == str(cell * inv32) for _, value in derived)
 
 
 def test_twisted_block_closed_form(s4):
@@ -54,15 +70,14 @@ def test_twisted_block_closed_form(s4):
 
 
 def test_mirror_cosets_give_identical_rows(s4):
-    # Modules pinned by two parent cosets (l and 2k-l) derive identically.
+    # Modules pinned by two parent cosets (l and 2k-l) derive identically:
+    # a corrupted S[18,19] conflicts once per coset, with one derived value.
     datum, parents, _ = s4
     zeta = by_name(parents, "norm32")
-    rows = dict(derive_rows(zeta, datum))
-    per_chain = {}
-    for e in rows[18]:
-        per_chain.setdefault(e.chain, {})[(e.row, e.col)] = e.value
-    assert len(per_chain) == 2
-    first, second = per_chain.values()
+    derived = corrupted_audit(zeta, datum, 18, 19)
+    assert len(derived) == 2
+    (first_chain, first), (second_chain, second) = derived
+    assert first_chain != second_chain
     assert first == second
 
 
@@ -131,6 +146,19 @@ def test_completion_preserves_known_entries(s4, s4_completed):
         for j in range(28):
             if datum.known(i, j):
                 assert s4_completed.s[i][j] == datum.s[i][j]
+
+
+def test_known_entry_with_unknown_mirror_is_never_overwritten(s4, s4_completed):
+    # S[1,2] given, S[2,1] "?": the pair is no unknown, and the relations
+    # read the given value, so a wrong one is a contradiction, not replaced.
+    datum, parents, _ = s4
+    assert not datum.known(1, 2) and not datum.known(2, 1)
+    wrong = datum.with_entries({(1, 2): Cyclotomic.from_rational(5) * inverse(sqrt_int(32))})
+    with pytest.raises(InconsistentSystemError):
+        complete(wrong, parents)
+    right = datum.with_entries({(1, 2): s4_completed.s[1][2]})
+    assert len(assemble_system(parents, right).unknowns) == 27
+    assert complete(right, parents).datum.s == s4_completed.s
 
 
 def test_no_parents_is_underdetermined(s4):

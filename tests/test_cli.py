@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionring import verlinde
 from fusionring.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,6 +112,25 @@ def test_complete_and_validate(tmp_path, capsys):
     assert "S^2=C: identity" in out
 
 
+def test_complete_never_overwrites_a_known_entry(completed_file, tmp_path, capsys):
+    # S[1,2] is given and its mirror S[2,1] is "?": a wrong value contradicts
+    # the relations, and the true one completes to the usual datum.
+    partial = Path(SRC, "fusionring", "data", "s4_partial.mdf").read_text()
+    assert partial.count("\n1 2 ?\n") == 1 and "\n2 1 ?\n" in partial
+    wrong = tmp_path / "wrong.mdf"
+    wrong.write_text(partial.replace("\n1 2 ?\n", "\n1 2 5\n"))
+    code, out, err = run(capsys, "complete", str(wrong), "--parents", "@s4_branching")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: contradictory relations")
+    right = tmp_path / "right.mdf"
+    right.write_text(partial.replace("\n1 2 ?\n", "\n1 2 1/3\n"))
+    code, out, err = run(capsys, "complete", str(right), "--parents", "@s4_branching")
+    assert code == 0
+    assert "solved 27 unknown entries" in err
+    assert out == Path(completed_file).read_text()
+
+
 def test_complete_without_parents(capsys):
     code, _, err = run(capsys, "complete", "@s4")
     assert code == 3
@@ -173,10 +193,16 @@ def completed_file(tmp_path_factory):
     return str(path)
 
 
-def test_fuse(completed_file, capsys):
+def test_fuse(completed_file, capsys, monkeypatch):
+    # One product needs one Verlinde row, not the whole tensor.
+    calls = []
+    row_for_pair = verlinde._Engine.row_for_pair
+    monkeypatch.setattr(verlinde._Engine, "row_for_pair",
+                        lambda engine, i, j: calls.append((i, j)) or row_for_pair(engine, i, j))
     code, out, _ = run(capsys, "fuse", completed_file, "8", "18")
     assert code == 0
     assert out.strip() == "18 + 19 + 26 + 27"
+    assert calls == [(8, 18)]
 
 
 def test_fuse_unknown_rows(capsys):
@@ -258,6 +284,15 @@ def test_regress_malformed_triple_names_its_line(completed_file, tmp_path, capsy
     assert err == "error: line 2, offset 0: triple lines are: i j k N\n"
 
 
+def test_regress_duplicate_triple_is_a_parse_error(completed_file, tmp_path, capsys):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("0 0 0 1\n0 0 0 2\n")
+    code, out, err = run(capsys, "regress", completed_file, str(triples))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: triple (0, 0, 0) declared twice\n"
+
+
 def test_table_self_regression(completed_file, tmp_path, capsys):
     code, out, _ = run(capsys, "table", completed_file)
     assert code == 0
@@ -300,10 +335,12 @@ def test_deterministic_output():
 
 
 def test_jobs_flag(completed_file, capsys):
-    code, out, _ = run(capsys, "fuse", completed_file, "26", "26", "--jobs", "2")
+    code, serial, _ = run(capsys, "table", completed_file)
     assert code == 0
-    assert out.strip() == ("0 + 2 + 3 + 2*4 + 5 + 6 + 2*7 + 8 + 9 + 10 + 11 + "
-                           "2*12 + 2*13 + 2*14 + 2*15 + 2*16 + 2*17")
+    code, out, _ = run(capsys, "table", completed_file, "--jobs", "2")
+    assert code == 0
+    assert out == serial
+    assert "26 26 4 2\n" in out
 
 
 class _ClosedPipe(io.StringIO):

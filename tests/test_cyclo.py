@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
                               UnderdeterminedError, conj, eliminate, embed,
-                              exact_sum, format_exact, inverse, is_real, matmul,
-                              root_of_unity, sqrt_int)
+                              exact_sum, format_exact, galois, inverse, is_real,
+                              matmul, root_of_unity, sqrt_int)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -87,6 +87,52 @@ def test_inverse_dense_fallback_where_one_is_not_a_basis_root():
     assert (t * conj(t)).order != 1
     assert inverse(t) * t == 1
     assert inverse(t).order == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), elements(), st.integers(2, 200))
+def test_galois_is_a_ring_homomorphism(a, b, start):
+    n = math.lcm(a.order, b.order)
+    k = next(k for k in range(start, start + n + 1) if math.gcd(k, n) == 1)
+    assert galois(a + b, k) == galois(a, k) + galois(b, k)
+    assert galois(a * b, k) == galois(a, k) * galois(b, k)
+    assert galois(a, 1) == a
+    assert galois(a, -1) == conj(a)
+
+
+def test_galois_needs_a_unit():
+    with pytest.raises(ValueError):
+        galois(root_of_unity(12, 1), 3)
+
+
+@pytest.mark.parametrize("k", range(18, 33))
+def test_inverse_su2_vacuum_entry(k):
+    # S[0,0] = sqrt(2/(k+2)) sin(pi/(k+2)) is real but a * conj(a) = a^2 is not
+    # rational, so the inverse takes the full Galois norm.
+    h = k + 2
+    sine = (root_of_unity(2 * h, 1) - root_of_unity(2 * h, -1)) * root_of_unity(4, 3)
+    a = sqrt_int(2) * inverse(sqrt_int(h)) * sine * Fraction(1, 2)
+    assert inverse(a) * a == 1
+
+
+@pytest.mark.parametrize("order", [60, 104, 288])
+def test_inverse_random_dense_elements(order):
+    rng = random.Random(order)
+    a = Cyclotomic(order, {rng.randrange(order): Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                           for _ in range(8)})
+    assert a.order == order
+    assert inverse(a) * a == 1
+
+
+def test_inverse_of_a_root_costs_two_products(monkeypatch):
+    # The units of a huge order are enumerated lazily: zeta * conj(zeta) = 1
+    # ends the search after one product, and scaling by 1/1 is the second.
+    root = root_of_unity(1000003)
+    calls = []
+    mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    assert inverse(root) == root_of_unity(1000003, -1)
+    assert len(calls) <= 2
 
 
 def test_eliminate_rational_system():

@@ -4,11 +4,11 @@ import pytest
 
 from fusionring.cyclo import Cyclotomic
 from fusionring.lattice import LatticeSpec, expected_group_fusion, lattice_modular_data
-from fusionring.mdf import FixtureRecord
+from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
                                  NonIntegerResultError, check_ring,
-                                 compare_fixtures, fuse, fusion_tensor,
+                                 compare_fixtures, fusion_product, fusion_tensor,
                                  tensor_to_triples, triples_to_fixtures)
 
 
@@ -55,14 +55,17 @@ def test_inconsistent_matrix_flagged():
         fusion_tensor(bad)
 
 
-def test_fuse_examples(s4_tensor):
-    assert fuse(s4_tensor, {2: 1}, {2: 1}) == {0: 1, 1: 1, 2: 1}
-    assert fuse(s4_tensor, {0: 1}, {17: 1}) == {17: 1}
-    assert fuse(s4_tensor, {3: 1}, {7: 1}) == {5: 1, 6: 1, 7: 2}
-    bilinear = fuse(s4_tensor, {2: 2}, {2: 1, 7: 1})
-    assert bilinear == {0: 2, 1: 2, 2: 2, 5: 2, 6: 2, 7: 2}
-    with pytest.raises(IndexError):
-        fuse(s4_tensor, {99: 1}, {0: 1})
+def test_fuse_examples(s4, s4_completed):
+    assert fusion_product(s4_completed, 2, 2) == {0: 1, 1: 1, 2: 1}
+    assert fusion_product(s4_completed, 0, 17) == {17: 1}
+    assert fusion_product(s4_completed, 3, 7) == {5: 1, 6: 1, 7: 2}
+    with pytest.raises(IndexRangeError):
+        fusion_product(s4_completed, 99, 0)
+    # On the partial datum, products inside the fully known block still work.
+    datum, _, _ = s4
+    assert fusion_product(datum, 8, 18) == {18: 1, 19: 1, 26: 1, 27: 1}
+    with pytest.raises(MissingEntryError, match=r"rows 1, 2 are not fully known"):
+        fusion_product(datum, 1, 2)
 
 
 def test_tensor_symmetries_exact(s4_tensor, s4_completed):
