@@ -502,7 +502,9 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     a nonzero rational, so multiplying a by conjugates until the product is
     rational always ends; the inverse is then the product of the conjugates
     over that rational.  Complex conjugation comes first, so a root of unity,
-    or any a with a * conj(a) rational, costs one product; the units are
+    or any a with a * conj(a) rational, costs one product.  A real a equals
+    its conjugate under k and -k alike, so only the units up to n/2 are
+    used, which gives the norm of the real subfield.  The units are
     enumerated lazily, so a huge order costs nothing up front.
     """
     if a.is_zero():
@@ -510,14 +512,20 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     if a.order == 1:
         return Cyclotomic.from_rational(1 / a.coeffs[0])
     n = a.order
-    others = conj(a)
-    norm = a * others
-    units = (k for k in range(2, n - 1) if gcd(k, n) == 1)
+    others = [conj(a)]
+    if others[0] == a:
+        others, norm, top = [], a, n // 2
+    else:
+        norm, top = a * others[0], n - 2
+    units = (k for k in range(2, top + 1) if gcd(k, n) == 1)
     while not norm.is_rational():
         image = galois(a, next(units))
-        others = others * image
+        others.append(image)
         norm = norm * image
-    return others * (1 / norm.as_rational())
+    result = others[0]
+    for image in others[1:]:
+        result = result * image
+    return result * (1 / norm.as_rational())
 
 
 # -- exact linear elimination -------------------------------------------------

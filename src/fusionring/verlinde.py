@@ -5,9 +5,9 @@ inverse S-matrix realized through the dual permutation k -> k' rather than a
 matrix inversion; the two agree for valid data (``modular_data.validate``
 certifies S^2 = C, hence S^-1[s,k] = S[s,k'], and checks that this equals
 conj(S[k,s])) and the permutation form is exact and O(1) per entry.  Every
-coefficient is computed in exact cyclotomic arithmetic and must canonicalize
-to a nonnegative rational integer; anything else signals an inconsistent
-S-matrix and aborts the tensor computation with the offending triple.
+coefficient must be a nonnegative rational integer; anything else signals
+an inconsistent S-matrix and aborts the tensor computation with the
+offending triple.
 
 ``fusion_tensor`` is the one tensor entry point.  It chooses its own index
 set, the modules whose S row and dual column are fully known
@@ -16,19 +16,27 @@ block of a partial one, so the same call certifies a completed datum and
 checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
-Every coefficient goes through the exact accumulation kernel of ``cyclo``:
-its terms are summed as integer exponent maps at one common order and
-canonicalized once, never once per addition.  Column quantities S[i,s]/S[0,s]
-and S[0,s] S[s,k'] are memoized, so the full tensor costs one raw integer
-multiply-add per (i,j,k,s) with i <= j, and the (i,j) pair work can be
-partitioned across processes.
+Coefficients are certified by their images modulo primes p = 1 mod N, N
+the common order of the sum's terms: each image is a plain integer
+contraction mod p, and an l1 bound on the deferred sum in Z[C_N] turns
+agreement of every image into an exact equality (see ``_Engine``).  No
+coefficient is canonicalized and no float is consulted.  A coefficient that
+fails is recomputed with ``cyclo.exact_sum``, so the error carries its
+exact value.  Column quantities S[i,s]/S[0,s] and S[0,s] S[s,k'] are
+memoized, rows are cached by their exact pair products, and the (i,j) pair
+work can be partitioned across processes.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
+from math import gcd, isqrt
+from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
@@ -124,24 +132,120 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
     return n
 
 
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact below 3 * 10^12 (primes here stay below 2^32)."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if m < 2:
+        return False
+    for b in bases:
+        if m % b == 0:
+            return m == b
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_primes(order: int, limit: int, denom: int):
+    """Primes p = 1 mod order below limit that do not divide denom, largest
+    first, each with an element w of exact order ``order`` in F_p."""
+    factors = [q for q, _ in cyclo._factorize(order)]
+    for t in range((limit - 2) // order, 0, -1):
+        p = t * order + 1
+        if denom % p == 0 or not _is_prime(p):
+            continue
+        for g in count(2):
+            w = pow(g, (p - 1) // order, p)
+            if all(pow(w, order // q, p) != 1 for q in factors):
+                yield p, w
+                break
+
+
+# Primes of the modular certificate stay below this bound, and below
+# sqrt(2^64 / n) so that no 64-bit slot of a packed row carries.
+_PRIME_BOUND = 1 << 32
+
+
+class _Image:
+    """The ring map Z[zeta_N][1/D] -> F_p, zeta_N -> w^a, on the engine's values.
+
+    Every distinct ratio and column value is imaged once.  The column images
+    are packed, for each s, into one integer with a 64-bit slot per k, so one
+    row costs n small modular products and one sum of n packed products.
+    """
+
+    def __init__(self, engine: "_Engine", p: int, wa: int):
+        powers = {e: pow(wa, e, p) for e in engine.exponents}
+
+        def images(lifts, denom):
+            scale = pow(denom, -1, p)
+            return {v: sum(c * powers[e] for e, c in lift) * scale % p
+                    for v, lift in lifts.items()}
+
+        # No reference back to the engine: a cycle would keep every engine
+        # alive until the next garbage collection.
+        self.p = p
+        self.ratio = engine.ratio
+        self.values = images(engine.ratio_lifts, engine.d_r)
+        self.slots = len(engine.indices)
+        col = images(engine.col_lifts, engine.d_t)
+        colq = [engine.colq[k] for k in engine.indices]
+        self.packed = [int.from_bytes(array("Q", [col[ids[s]] for ids in colq]).tobytes(),
+                                      sys.byteorder)
+                       for s in range(engine.n)]
+
+    def row(self, i: int, j: int) -> list[int]:
+        """sum_s R[i,s] R[j,s] T[s,k] mod p for every k, in index order."""
+        p, values = self.p, self.values
+        pair = [values[x] * values[y] % p for x, y in zip(self.ratio[i], self.ratio[j])]
+        acc = sum(map(mul, pair, self.packed))
+        slots = array("Q")
+        slots.frombytes(acc.to_bytes(8 * self.slots, sys.byteorder))
+        return [x % p for x in slots]
+
+
 class _Engine:
     """Memoized per-datum quantities for bulk tensor computation.
 
-    Column ratios S[i,s]/S[0,s] and column products S[0,s]*S[s,k'] are
-    canonical products taken from a ``cyclo.ProductMemo``, and every
-    coefficient uses the kernel's integer path: terms are lifted once to the
-    common order over a shared denominator, summed in Z[C_N] and canonicalized
-    once by ``_from_int_terms``.  The engine convolves each pair product with
-    each column product through ``cyclo._convolve`` instead of going through
-    ``cyclo.matmul``: those products rarely repeat, so memoizing them would
-    canonicalize every term and save nothing (it made the su(2)_24 tensor
-    about 1.6 times slower).  Rows are cached by the vector of pair-product
-    ids, which collapses e.g. a cyclic group datum from quadratically to
-    linearly many distinct inner loops.
+    Column ratios r_i(s) = S[i,s]/S[0,s] and column products
+    t_k(s) = S[0,s]*S[s,k'] are canonical products taken from a
+    ``cyclo.ProductMemo``.  Rows are cached by the vector of pair-product ids
+    r_i(s) r_j(s), which collapses e.g. a cyclic group datum from
+    quadratically to linearly many distinct rows.
+
+    A row is certified from its images in prime fields, never by
+    canonicalizing a coefficient.  Lift every r_i(s) and t_k(s) to an integer
+    exponent map at the common order N over the denominators D_r and D_t;
+    then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to D N[i,j]^k with
+    D = D_r^2 D_t, and its l1 norm is at most
+    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  Every zeta_N^e has
+    Zumbroich coefficients in {-1, 0, 1}, so B bounds every basis coefficient
+    of the reduction too.  For a prime p = 1 mod N, the maps zeta_N -> w^a
+    (w of order N, a a unit) are the phi(N) primes above p, so if every image
+    of N[i,j]^k is c mod p, then D N[i,j]^k - D c lies in p Z[zeta_N].  With
+    primes whose product P exceeds 4B and c lifted symmetrically mod P,
+    0 <= c <= B/D certifies N[i,j]^k = c; |c| > B/D certifies that it is not
+    an integer.  When every value is real, the units a <= N/2 suffice, since
+    complex conjugation pairs the primes a and -a.
+
+    A row that fails -- images that disagree, or a lift out of range -- is
+    recomputed with ``cyclo.exact_sum``, which names the first bad triple and
+    its exact value.  So does every row when no usable prime exists.
     """
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
-        n = datum.size
+        n = self.n = datum.size
         self.indices = indices
         dual = datum.dual_permutation()
         inverses: dict[Cyclotomic, Cyclotomic] = {}
@@ -154,36 +258,82 @@ class _Engine:
                 # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
                 inverses[denom] = inverse(denom)
             inv0.append(inverses[denom])
-        memo = cyclo.ProductMemo()
-        intern = memo.intern
+        memo = self.memo = cyclo.ProductMemo()
+        intern, product, values = memo.intern, memo.product, memo.values
         inv0_ids = [intern(v) for v in inv0]
-        ratio = {i: [memo.product(intern(datum.entry(i, s)), inv0_ids[s])
-                     for s in range(n)] for i in indices}
-        colq = {k: [memo.values[memo.product(intern(datum.entry(0, s)),
-                                             intern(datum.entry(s, dual[k])))]
-                    for s in range(n)] for k in indices}
-        ratio_values = [memo.values[r] for ids in ratio.values() for r in ids]
-        col_values = [v for vals in colq.values() for v in vals]
-        self.common = cyclo._common_order(ratio_values + col_values)
-        self.memo = memo
-        self.ratio = ratio
-        denom_r = cyclo._denominator_lcm(ratio_values)
-        denom_t = cyclo._denominator_lcm(col_values)
-        # A product of two ratios has denominators dividing denom_r^2, because
-        # the canonical basis is integral.
-        self.pair_denom = denom_r * denom_r
-        self.acc_denom = self.pair_denom * denom_t
-        self.col_int = {k: [cyclo._lift_into({}, v, self.common, denom_t) for v in vals]
-                        for k, vals in colq.items()}
-        self._pair_int: dict[int, dict[int, int]] = {}
+        self.ratio = {i: [product(intern(datum.entry(i, s)), inv0_ids[s]) for s in range(n)]
+                      for i in indices}
+        self.colq = {k: [product(intern(datum.entry(0, s)), intern(datum.entry(s, dual[k])))
+                         for s in range(n)] for k in indices}
         self._row_cache: dict = {}
 
-    def _lifted_pair(self, pid: int) -> dict[int, int]:
-        lifted = self._pair_int.get(pid)
-        if lifted is None:
-            lifted = self._pair_int[pid] = cyclo._lift_into(
-                {}, self.memo.values[pid], self.common, self.pair_denom)
-        return lifted
+        ratio_ids = {v for ids in self.ratio.values() for v in ids}
+        col_ids = {v for ids in self.colq.values() for v in ids}
+        order = cyclo._common_order(values[v] for v in ratio_ids | col_ids)
+        self.d_r = cyclo._denominator_lcm(values[v] for v in ratio_ids)
+        self.d_t = cyclo._denominator_lcm(values[v] for v in col_ids)
+        self.ratio_lifts = {v: list(cyclo._lift_into({}, values[v], order, self.d_r).items())
+                            for v in ratio_ids}
+        self.col_lifts = {v: list(cyclo._lift_into({}, values[v], order, self.d_t).items())
+                          for v in col_ids}
+        self.exponents = {e for lifts in (self.ratio_lifts, self.col_lifts)
+                          for lift in lifts.values() for e, _ in lift}
+
+        r_norm = {v: sum(abs(c) for _, c in lift) for v, lift in self.ratio_lifts.items()}
+        t_norm = {v: sum(abs(c) for _, c in lift) for v, lift in self.col_lifts.items()}
+        bound = sum(max((r_norm[self.ratio[i][s]] for i in indices), default=0) ** 2
+                    * max((t_norm[self.colq[k][s]] for k in indices), default=0)
+                    for s in range(n))
+        self.max_coeff = bound // (self.d_r * self.d_r * self.d_t)
+        real = all(cyclo.is_real(values[v]) for v in ratio_ids | col_ids)
+        top = max(order // 2, 1) if real else order
+        self.primes: list[tuple[int, int]] = []
+        modulus = 1
+        found = _split_primes(order, min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(n, 1))),
+                              self.d_r * self.d_t)
+        while modulus <= 4 * bound or not self.primes:
+            prime = next(found, None)
+            if prime is None:
+                self.primes = []  # no certificate: every row takes the exact path
+                break
+            self.primes.append(prime)
+            modulus *= prime[0]
+        self.modulus = modulus
+        self.crt = [modulus // p * pow(modulus // p, -1, p) for p, _ in self.primes]
+        self._images: list[list[_Image]] = [[] for _ in self.primes]
+        self._units = [(a for a in range(1, top + 1) if gcd(a, order) == 1) for _ in self.primes]
+
+    def _images_mod(self, q: int):
+        """The images modulo the q-th prime, built one unit at a time as needed."""
+        cache = self._images[q]
+        p, w = self.primes[q]
+        for u in count():
+            if u == len(cache):
+                a = next(self._units[q], None)
+                if a is None:
+                    return
+                cache.append(_Image(self, p, pow(w, a, p)))
+            yield cache[u]
+
+    def _certified_row(self, i: int, j: int) -> list[int] | None:
+        """The row if its images certify it, else None."""
+        residues = []
+        for q in range(len(self.primes)):
+            first = None
+            for image in self._images_mod(q):
+                row = image.row(i, j)
+                if first is None:
+                    first = row
+                elif row != first:
+                    return None
+            residues.append(first)
+        out = []
+        for rs in zip(*residues):
+            c = sum(map(mul, rs, self.crt)) % self.modulus
+            if c > self.max_coeff:
+                return None  # negative, or not an integer
+            out.append(c)
+        return out
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
         """All N[i,j]^k for k in the index set, in index order."""
@@ -192,13 +342,13 @@ class _Engine:
         cached = self._row_cache.get(pair)
         if cached is not None:
             return cached
-        common = self.common
-        pair_int = [self._lifted_pair(p) for p in pair]
-        out = []
-        for k in self.indices:
-            acc = cyclo._convolve(zip(pair_int, self.col_int[k]), common)
-            value = cyclo._from_int_terms(common, acc, self.acc_denom)
-            out.append(_integer_coeff(value, (i, j, k)))
+        out = self._certified_row(i, j) if self.primes else None
+        if out is None:
+            values = self.memo.values
+            out = [_integer_coeff(cyclo.exact_sum([values[a] * values[b]
+                                                   for a, b in zip(pair, self.colq[k])]),
+                                  (i, j, k))
+                   for k in self.indices]
         self._row_cache[pair] = out
         return out
 
@@ -358,9 +508,11 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
         report.simple_currents_are_permutations = None
         return report
 
+    # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
+    # failing pair in row-major order has i <= j; only those pairs are checked.
     ok = True
     for i in range(n):
-        for j in range(n):
+        for j in range(i if report.commutative else 0, n):
             lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(tensor.values[i][j]) if m)
             if lhs != qdims[i] * qdims[j]:
                 ok = False

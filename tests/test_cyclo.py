@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionring import cyclo
 from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
                               UnderdeterminedError, conj, eliminate, embed,
                               exact_sum, format_exact, galois, inverse, is_real,
@@ -105,14 +106,44 @@ def test_galois_needs_a_unit():
         galois(root_of_unity(12, 1), 3)
 
 
-@pytest.mark.parametrize("k", range(18, 33))
-def test_inverse_su2_vacuum_entry(k):
-    # S[0,0] = sqrt(2/(k+2)) sin(pi/(k+2)) is real but a * conj(a) = a^2 is not
-    # rational, so the inverse takes the full Galois norm.
+def su2_vacuum_entry(k):
+    """S[0,0] = sqrt(2/(k+2)) sin(pi/(k+2)) of su(2)_k."""
     h = k + 2
     sine = (root_of_unity(2 * h, 1) - root_of_unity(2 * h, -1)) * root_of_unity(4, 3)
-    a = sqrt_int(2) * inverse(sqrt_int(h)) * sine * Fraction(1, 2)
+    return sqrt_int(2) * inverse(sqrt_int(h)) * sine * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", range(18, 33))
+def test_inverse_su2_vacuum_entry(k):
+    # S[0,0] is real but a * conj(a) = a^2 is not rational, so the inverse
+    # takes the norm of the real subfield.
+    a = su2_vacuum_entry(k)
     assert inverse(a) * a == 1
+
+
+@pytest.mark.parametrize("k, products", [(24, 10), (32, 14)])
+def test_inverse_of_a_real_element_uses_half_the_units(monkeypatch, k, products):
+    # S[0,0] lies at order 13 (k = 24) or 17 (k = 32): the units 2..6 or 2..8
+    # give the real norm, one product each, plus one product per conjugate
+    # collected and one to scale by the norm.
+    a = su2_vacuum_entry(k)
+    calls = []
+    mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    inv = inverse(a)
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert inv * a == 1
+
+
+def test_every_root_has_unit_basis_coefficients():
+    # The Verlinde certificate bounds every basis coefficient of a sum in
+    # Z[C_N] by its l1 norm, which needs this for each zeta_N^e.
+    for n in range(1, 300):
+        if n % 4 == 2:
+            continue
+        for e in range(n):
+            assert set(cyclo._reduce_terms(n, {e: 1}).values()) <= {-1, 1}, (n, e)
 
 
 @pytest.mark.parametrize("order", [60, 104, 288])

@@ -1,8 +1,15 @@
 """Fusion coefficients, tensors, ring checks and fixture regression."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from fusionring.cyclo import Cyclotomic
+from fusionring import verlinde
+from fusionring.cyclo import Cyclotomic, exact_sum, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec, expected_group_fusion, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
@@ -47,12 +54,13 @@ def test_missing_entries_detected(s4):
 
 
 def test_inconsistent_matrix_flagged():
-    # Corrupt one off-vacuum entry of the order-2 lattice datum; the sums
-    # stop being integers.
+    # Corrupt one off-vacuum entry of the order-2 lattice datum:
+    # N[0,0]^1 = S[0,0] S[0,1] + S[0,1] S[1,1] = 1/2 - 3/2.
     datum = lattice_modular_data(LatticeSpec(1))
     bad = datum.with_entries({(1, 1): datum.s[1][1] * 3})
-    with pytest.raises((NonIntegerResultError, NegativeResultError)):
+    with pytest.raises(NegativeResultError) as err:
         fusion_tensor(bad)
+    assert (err.value.triple, err.value.value) == ((0, 0, 1), -1)
 
 
 def test_fuse_examples(s4, s4_completed):
@@ -242,3 +250,142 @@ def test_dual_permutation_realizes_the_inverse():
         column = eliminate(rows, list(range(n)))
         for s in range(n):
             assert column[s] == datum.s[s][dual[j]]
+
+
+# -- the modular certificate against oracles that share no code with it -------
+
+def su2_datum(k):
+    """Kac-Peterson S_ab = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)), a, b = 0..k."""
+    h = k + 2
+    scale = sqrt_int(2) * inverse(sqrt_int(h)) * root_of_unity(4, 3) * Fraction(1, 2)
+    s = [[(root_of_unity(2 * h, (a + 1) * (b + 1)) - root_of_unity(2 * h, -(a + 1) * (b + 1)))
+          * scale for b in range(k + 1)] for a in range(k + 1)]
+    return ModularDatum([ModuleLabel(a, f"j{a}", dual=a) for a in range(k + 1)], s)
+
+
+def verlinde_by_exact_sums(datum):
+    """N[i,j]^k = sum_s S[i,s] S[j,s] S[s,k'] / S[0,s], one exact sum per entry."""
+    n, s, dual = datum.size, datum.s, datum.dual_permutation()
+    inv0 = [1 / s[0][t] for t in range(n)]
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            pair = [s[i][t] * s[j][t] * inv0[t] for t in range(n)]
+            for k in range(n):
+                value = exact_sum(pair[t] * s[t][dual[k]] for t in range(n))
+                assert value.is_rational() and value.as_rational().denominator == 1
+                out[i][j][k] = value.as_rational().numerator
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lattice_tensor_equals_exact_sums(k):
+    datum = lattice_modular_data(LatticeSpec(k))
+    assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_su2_tensor_equals_exact_sums(k):
+    datum = su2_datum(k)
+    assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
+
+
+@pytest.mark.parametrize("s4_bound, su2_bound", [(1 << 13, 1 << 8), (1 << 16, 1 << 10)])
+def test_several_primes_give_the_same_tensor(monkeypatch, s4_completed, s4_tensor,
+                                             s4_bound, su2_bound):
+    monkeypatch.setattr(verlinde, "_PRIME_BOUND", s4_bound)
+    assert len(verlinde._Engine(s4_completed, list(range(28))).primes) >= 2
+    assert fusion_tensor(s4_completed) == s4_tensor
+    monkeypatch.setattr(verlinde, "_PRIME_BOUND", su2_bound)
+    datum = su2_datum(8)
+    assert len(verlinde._Engine(datum, list(range(9))).primes) >= 2
+    assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
+
+
+def test_without_a_usable_prime_every_row_is_summed_exactly(monkeypatch, s4_completed,
+                                                           s4_tensor):
+    # No prime p = 1 mod 288 (or mod 20) lies below 32.
+    monkeypatch.setattr(verlinde, "_PRIME_BOUND", 32)
+    assert verlinde._Engine(s4_completed, list(range(28))).primes == []
+    assert fusion_tensor(s4_completed) == s4_tensor
+    datum = su2_datum(8)
+    assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
+
+
+def test_corrupted_entry_reports_the_exact_residual():
+    datum = su2_datum(6)
+    bad = datum.with_entries({(2, 5): datum.s[2][5] + 1})
+    with pytest.raises(NonIntegerResultError) as err:
+        fusion_tensor(bad)
+    assert err.value.triple == (0, 0, 5)
+    assert str(err.value.residual) == "1/4*E(16)-1/4*E(16)^7"
+
+
+def test_bad_row_stops_at_the_second_image():
+    datum = su2_datum(6)
+    bad = datum.with_entries({(2, 5): datum.s[2][5] + 1})
+    engine = verlinde._Engine(bad, list(range(7)))
+    with pytest.raises(NonIntegerResultError):
+        engine.row_for_pair(0, 0)
+    assert [len(images) for images in engine._images] == [2]
+
+
+def test_negative_coefficient_reports_its_value():
+    # Negating the vacuum row and column off S[0,0] turns N[i,j]^k into
+    # -N[i,j]^k when i, j and k are all nonzero; in su(2)_6, 1 x 1 = 0 + 2.
+    datum = su2_datum(6)
+    flips = {}
+    for t in range(1, datum.size):
+        flips[(0, t)] = -datum.s[0][t]
+        flips[(t, 0)] = -datum.s[t][0]
+    with pytest.raises(NegativeResultError) as err:
+        fusion_tensor(datum.with_entries(flips))
+    assert (err.value.triple, err.value.value) == ((1, 1, 2), -1)
+
+
+def test_huge_order_fails_at_the_second_image(monkeypatch):
+    # phi(1000003) images exist; a bad row must not wait for all of them.
+    built = []
+
+    class CountedImage(verlinde._Image):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verlinde, "_Image", CountedImage)
+    one, zeta = Cyclotomic.one(), root_of_unity(1000003)
+    datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
+                         [[one, zeta], [zeta, -one]])
+    with pytest.raises(NonIntegerResultError) as err:
+        fusion_tensor(datum)
+    assert len(built) == 2
+    # N[0,0]^0 = 1 + zeta^2; 1 is minus the sum of every nontrivial root.
+    residual = err.value.residual
+    assert err.value.triple == (0, 0, 0) and residual.order == 1000003
+    assert residual.coeffs == {e: -1 for e in range(1, 1000003) if e != 2}
+
+
+def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
+    calls = []
+    row = verlinde._Image.row
+    monkeypatch.setattr(verlinde._Image, "row",
+                        lambda image, i, j: calls.append((i, j)) or row(image, i, j))
+    engine = verlinde._Engine(s4_completed, list(range(28)))
+    assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
+    # The datum is real, so one prime's 96 units take 48 images.
+    assert calls == [(8, 18)] * 48 and len(engine.primes) == 1
+
+
+def test_tensor_does_not_import_numpy():
+    # numpy would add about 17 MB to a process that only certifies tensors.
+    code = ("import sys\n"
+            "from fusionring.lattice import LatticeSpec, lattice_modular_data\n"
+            "from fusionring.verlinde import fusion_tensor\n"
+            "fusion_tensor(lattice_modular_data(LatticeSpec(13)))\n"
+            "assert 'numpy' not in sys.modules, 'fusion_tensor imported numpy'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
