@@ -17,10 +17,11 @@ A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
 One generator, ``_relations``, evaluates the right-hand sides.  The system
-consumes every relation; the anti-typo audit ``check_derived_rows`` reads
-only the relations of single-module rows (branching {m: 1}), which give S
-entries outright, and words their failures as derived-versus-shipped
-conflicts.
+consumes every relation.  The relations of single-module rows (branching
+{m: 1}) give S entries outright; where such an entry is known, a failed
+check is also an anti-typo audit finding, worded as a derived-versus-shipped
+conflict.  ``complete`` takes the audit from that one pass, and
+``check_derived_rows`` runs the audit alone.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class LinearSystem:
     equations: list[tuple] = field(default_factory=list)
     checks_passed: int = 0
     check_failures: list[str] = field(default_factory=list)
+    # The failed checks of single-module rows, worded as ``check_derived_rows``.
+    derived_conflicts: list[str] = field(default_factory=list)
 
 
 def assemble_system(parents: list[BranchingSection],
@@ -126,7 +129,16 @@ def assemble_system(parents: list[BranchingSection],
         else:
             system.check_failures.append(
                 f"{label}: residual {rhs} (known entries violate the relation)")
+            if list(terms.values()) == [1]:
+                (r,) = terms
+                system.derived_conflicts.append(_conflict(label, r, m, _entry(target, r, m), rhs))
     return system
+
+
+def _conflict(label: str, r: int, m: int, shipped: Cyclotomic, residual: Cyclotomic) -> str:
+    """The audit finding for S[r,m], derived as shipped + residual."""
+    return (f"S[{r},{m}] from {label.rsplit(':', 1)[0]}: "
+            f"derived {residual + shipped}, shipped {shipped}")
 
 
 @dataclass
@@ -174,21 +186,22 @@ def check_derived_rows(parents: list[BranchingSection],
     report = DeriveReport()
     for label, terms, m, products in _relations(parents, target.size, singles_only=True):
         (r,) = terms
-        derived = exact_sum(products)
         shipped = _entry(target, r, m)
         report.entries_checked += 1
-        if shipped is not None and shipped != derived:
-            report.conflicts.append(f"S[{r},{m}] from {label.rsplit(':', 1)[0]}: "
-                                    f"derived {derived}, shipped {shipped}")
+        if shipped is not None:
+            residual = exact_sum(products + [-shipped])
+            if residual:
+                report.conflicts.append(_conflict(label, r, m, shipped, residual))
     return report
 
 
 def complete(target: ModularDatum, parents: list[BranchingSection]) -> CompletionResult:
-    """Full pipeline: audit derivable rows, assemble relations, solve."""
-    report = check_derived_rows(parents, target)
-    if report.conflicts:
-        raise InconsistentSystemError(report.conflicts, "derived rows contradict shipped entries")
+    """Full pipeline: one relation pass assembles the system and audits the
+    derivable rows; a conflict there is reported first, then the system is solved."""
     system = assemble_system(parents, target)
+    if system.derived_conflicts:
+        raise InconsistentSystemError(system.derived_conflicts,
+                                      "derived rows contradict shipped entries")
     return solve(system, target)
 
 

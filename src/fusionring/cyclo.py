@@ -23,6 +23,10 @@ Inversion needs no linear algebra: ``inverse`` multiplies an element by its
 Galois conjugates (``galois``) until the product is rational, so the inverse
 is the product of those conjugates over that rational.
 
+Integer-valued results -- Verlinde coefficients, the entries of S^2, qdim
+multiplicativity -- are certified by one image kernel, ``Images``: values
+lifted to a common order and imaged modulo primes p = 1 mod N at every unit.
+
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
 which source relations every reduced row came from.  The branching
@@ -32,9 +36,13 @@ completion and the eigenvector route go through it.
 from __future__ import annotations
 
 import cmath
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import count
+from math import gcd, isqrt, prod
+from operator import mul
 
 
 @lru_cache(maxsize=None)
@@ -415,22 +423,184 @@ class ProductMemo:
         return pid
 
 
-def matmul(a: list[list[Cyclotomic]], b: list[list[Cyclotomic]]):
-    """The exact product A B, yielded one row (a list) at a time.
+# -- images in split prime fields ---------------------------------------------
+#
+# A value known to be a rational integer, or an identity whose sides must
+# agree, is certified from its images modulo primes instead of being
+# canonicalized (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).
+# Lift every value to an integer exponent map at one common order N over a
+# shared denominator D; the quantity to certify then becomes a sum A in
+# Z[C_N] whose l1 norm is cheap to bound, and since every zeta_N^e has
+# Zumbroich coefficients in {-1, 0, 1}, that bound also bounds every basis
+# coefficient of the reduction of A.  A prime p = 1 mod N splits completely in
+# Z[zeta_N]: for w of exact order N in F_p the maps zeta_N -> w^a, a a unit
+# mod N, are the phi(N) primes above p.  So when A - c has image 0 at every
+# unit of primes whose product P exceeds twice the bound on A - c, then A - c
+# lies in P Z[zeta_N] with every coefficient below P/2, and A reduces to c.
+# When every value is real, the units a <= N/2 suffice, since complex
+# conjugation pairs the primes above a and -a.
 
-    Entry products are memoized by operand ids and each output entry is one
-    ``exact_sum``.  Nothing cubic is held in memory, and a caller that only
-    needs to find a bad row can stop early.
+# Primes stay below this bound.
+_PRIME_BOUND = 1 << 32
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact below 3 * 10^12 (primes here stay below 2^32)."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if m < 2:
+        return False
+    for b in bases:
+        if m % b == 0:
+            return m == b
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_primes(order: int, limit: int, denom: int):
+    """Primes p = 1 mod order below limit that do not divide denom, largest
+    first, each with an element w of exact order ``order`` in F_p."""
+    factors = [q for q, _ in _factorize(order)]
+    for t in range((limit - 2) // order, 0, -1):
+        p = t * order + 1
+        if denom % p == 0 or not _is_prime(p):
+            continue
+        for g in count(2):
+            w = pow(g, (p - 1) // order, p)
+            if all(pow(w, order // q, p) != 1 for q in factors):
+                yield p, w
+                break
+
+
+class Images:
+    """Values lifted to one order N and imaged in F_p for split primes p.
+
+    ``groups`` are lists of values.  The values of a group share one
+    denominator D (``denoms``); each is lifted to the integer exponent map of
+    D v at the common order N of every group (``lifts``), whose l1 norm is in
+    ``norms``.  After ``choose_primes``, ``images(q)`` yields, for the q-th
+    prime p and each unit a in turn, ``make(p, images)`` with, per group, the
+    image of every value under zeta_N -> w^a (the lift's image times D^-1).
+    Images are built one unit at a time, on demand, and cached, so a check
+    that fails at its second image has built two.
     """
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("matrix shapes do not match")
-    memo = ProductMemo()
-    left = [[memo.intern(v) for v in row] for row in a]
-    cols = [[memo.intern(v) for v in col] for col in zip(*b)]
-    values, product = memo.values, memo.product
-    for row in left:
-        yield [exact_sum([values[product(x, y)] for x, y in zip(row, col)])
-               for col in cols]
+
+    def __init__(self, groups, make):
+        values = [v for group in groups for v in group]
+        order = self.order = _common_order(values)
+        self.denoms = [_denominator_lcm(group) for group in groups]
+        self.lifts = [[list(_lift_into({}, v, order, d).items()) for v in group]
+                      for group, d in zip(groups, self.denoms)]
+        self.norms = [[sum(abs(c) for _, c in lift) for lift in lifts] for lifts in self.lifts]
+        self.real = all(is_real(v) for v in values)
+        self._exponents = sorted({e for lifts in self.lifts for lift in lifts for e, _ in lift})
+        self.primes: list[tuple[int, int]] = []
+        self.cache: list[list] = []
+        self._make = make
+
+    def choose_primes(self, bound: int, summands: int = 1) -> bool:
+        """Take primes p = 1 mod N, largest first, until their product exceeds
+        ``bound``; False, with no primes, when there are too few.
+
+        Each p divides no denominator and stays below ``_PRIME_BOUND`` and
+        sqrt(2^64 / summands), so that a sum of ``summands`` products of two
+        residues fits one 64-bit slot of ``packed_product``.
+        """
+        limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
+        found = _split_primes(self.order, limit, prod(self.denoms))
+        primes, modulus = [], 1
+        while modulus <= bound or not primes:
+            prime = next(found, None)
+            if prime is None:
+                primes, modulus = [], 1
+                break
+            primes.append(prime)
+            modulus *= prime[0]
+        self.primes, self.modulus = primes, modulus
+        self.crt = [modulus // p * pow(modulus // p, -1, p) for p, _ in primes]
+        self.cache = [[] for _ in primes]
+        order = self.order
+        top = max(order // 2, 1) if self.real else order
+        # The generators must not refer to self: a cycle would keep every
+        # kernel and its images alive until the next garbage collection.
+        self._units = [(a for a in range(1, top + 1) if gcd(a, order) == 1) for _ in primes]
+        return bool(primes)
+
+    def images(self, q: int):
+        """The images modulo the q-th prime, one per unit."""
+        cache = self.cache[q]
+        p, w = self.primes[q]
+        for u in count():
+            if u == len(cache):
+                a = next(self._units[q], None)
+                if a is None:
+                    return
+                powers = _powers(pow(w, a, p), self._exponents, p)
+                cache.append(self._make(p, [
+                    [sum(c * powers[e] for e, c in lift) * scale % p for lift in lifts]
+                    for lifts, scale in zip(self.lifts, (pow(d, -1, p) for d in self.denoms))]))
+            yield cache[u]
+
+    def common(self, image_of) -> list[int] | None:
+        """``image_of(image)``, a list of residues, combined by CRT over the
+        primes, if every unit of each prime gives the same list; else None."""
+        residues = []
+        for q in range(len(self.primes)):
+            first = None
+            for image in self.images(q):
+                got = image_of(image)
+                if first is None:
+                    first = got
+                elif got != first:
+                    return None
+            residues.append(first)
+        return [sum(map(mul, rs, self.crt)) % self.modulus for rs in zip(*residues)]
+
+
+def _powers(w: int, exponents: list[int], p: int) -> dict[int, int]:
+    """w^e mod p for sorted exponents e: one product per exponent, and one
+    ``pow`` per distinct gap between neighbours, of which dense supports
+    have few."""
+    out, steps = {}, {}
+    x, last = 1, 0
+    for e in exponents:
+        gap = e - last
+        step = steps.get(gap)
+        if step is None:
+            step = steps[gap] = pow(w, gap, p)
+        x = out[e] = x * step % p
+        last = e
+    return out
+
+
+def pack(residues) -> int:
+    """Integers below 2^64 as one integer with a 64-bit slot each."""
+    return int.from_bytes(array("Q", residues).tobytes(), sys.byteorder)
+
+
+def packed_product(vector: list[int], packed: list[int], width: int, p: int) -> list[int]:
+    """The row vector times the matrix of ``width`` columns whose rows are
+    ``packed``, mod p.
+
+    One sum of len(vector) products of packed integers; no slot carries as
+    long as len(vector) * p^2 < 2^64 (see ``Images.choose_primes``).
+    """
+    acc = sum(map(mul, vector, packed))
+    slots = array("Q")
+    slots.frombytes(acc.to_bytes(8 * width, sys.byteorder))
+    return [x % p for x in slots]
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

@@ -17,7 +17,10 @@ Scalar values use a small expression grammar (whitespace-insensitive)::
     atom     := rational | 'E' '(' uint ')' | 'sqrt' '(' uint ')' | '(' expr ')'
     rational := int ('/' uint)?
 
-``E(n)`` is the root of unity exp(2*pi*i/n).  A rational literal like
+``E(n)`` is the root of unity exp(2*pi*i/n).  Its order n, and every prime
+factor of m in ``sqrt(m)``, may not exceed ``MAX_ORDER``: every later step
+works at the conductor of its values, so an uncapped one would cost time and
+memory without bound.  A rational literal like
 ``4/2^2`` binds the slash at the atom level, per the grammar.  An S entry is
 stored as tabulated; the optional header ``scale`` expression multiplies
 every entry on load so that file text can mirror a printed table verbatim.
@@ -38,7 +41,7 @@ from fractions import Fraction
 from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
 __all__ = [
-    "ParseError", "DuplicateEntryError", "IndexRangeError",
+    "MAX_ORDER", "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr", "expr_to_text",
     "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
@@ -68,6 +71,23 @@ class IndexRangeError(IndexError):
 
 
 # -- scalar expressions ----------------------------------------------------
+
+# The largest order of E(n) and the largest prime factor of m in sqrt(m).
+MAX_ORDER = 1 << 16
+
+
+def _largest_prime_factor(m: int) -> int:
+    """The largest prime factor of m >= 1 (1 for m = 1), or some number above
+    MAX_ORDER when one exceeds it; trial division stops at MAX_ORDER."""
+    largest, p = 1, 2
+    while p <= MAX_ORDER and p * p <= m:
+        if m % p == 0:
+            largest = p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return max(largest, m)
+
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt|E)|([()+\-*/^]))")
 
@@ -191,9 +211,13 @@ class _ExprParser:
             if val == "E":
                 if arg < 1:
                     raise ParseError("E() needs a positive order", off)
+                if arg > MAX_ORDER:
+                    raise ParseError(f"E() order exceeds {MAX_ORDER}", off)
                 return ("E", arg)
             if arg < 1:
                 raise ParseError("sqrt() needs a positive integer", off)
+            if _largest_prime_factor(arg) > MAX_ORDER:
+                raise ParseError(f"sqrt() argument has a prime factor above {MAX_ORDER}", off)
             return ("sqrt", arg)
         if kind == "sym" and val == "(":
             node = self.expr()

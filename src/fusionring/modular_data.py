@@ -5,8 +5,10 @@ entries, possibly partial (``None`` marks an unknown entry).  The vacuum
 module is index 0 by file-format convention.  Validation reports problems
 instead of raising, because shipped datasets may be deliberately partial and
 discrepancies are data, not crashes; only recorded qdims are enforced on load.
-``validate`` computes one matrix product, S^2: once S^2 = C is certified,
-S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is decided from it.
+``validate`` certifies S^2 = C from the images of S modulo split primes
+(``cyclo.Images``), one row at a time, and sums a row exactly only when its
+images do not certify it.  Once S^2 = C holds, S^-1[i,j] = S[i,j'] is known
+entry by entry, and unitarity is decided from it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import cyclo
 from .cyclo import Cyclotomic, conj, embed, format_exact, inverse
@@ -124,7 +127,7 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
         raise MissingEntryError("charge conjugation needs a fully known S-matrix")
     n = datum.size
     perm = [-1] * n
-    for i, row in enumerate(cyclo.matmul(datum.s, datum.s)):
+    for i, row in enumerate(_s_squared_rows(datum)):
         for j, v in enumerate(row):
             if v == 1:
                 if perm[i] != -1:
@@ -138,6 +141,48 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
         if perm[j] != i:
             raise NotPermutationError("S^2 permutation is not an involution")
     return perm
+
+
+class _SquareImage:
+    """S at one unit of one prime p, its rows packed for the product S S."""
+
+    def __init__(self, ids: list[list[int]], p: int, images):
+        (x,) = images
+        self.p = p
+        self.rows = [[x[v] for v in row] for row in ids]
+        self.packed = [cyclo.pack(row) for row in self.rows]
+
+    def row(self, i: int) -> list[int]:
+        return cyclo.packed_product(self.rows[i], self.packed, len(self.rows), self.p)
+
+
+def _s_squared_rows(datum: ModularDatum):
+    """The rows of S^2 in order, each certified 0/1 from images or summed exactly.
+
+    With x = D S lifted to Z[C_N] (``cyclo.Images``), row i of D^2 S^2 is
+    A_ij = sum_s x[i,s] x[s,j], and A_ij - c D^2 with c in {0, 1} has l1 norm
+    at most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2.  For primes
+    whose product P exceeds 4B, a row whose images agree at every unit and
+    lift to 0 or 1 is therefore exact.  Any other row, and every row when no
+    usable prime exists, is summed exactly, so it reports its exact value.
+    """
+    n = datum.size
+    memo = cyclo.ProductMemo()
+    ids = [[memo.intern(v) for v in row] for row in datum.s]
+    images = cyclo.Images([list(memo.values)], partial(_SquareImage, ids))
+    (norms,), (denom,) = images.norms, images.denoms
+    bound = denom * denom + sum(max(norms[row[s]] for row in ids) * max(norms[v] for v in ids[s])
+                                for s in range(n))
+    certified = images.choose_primes(4 * bound, summands=n)
+    values, product = memo.values, memo.product
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    for i in range(n):
+        row = images.common(lambda image: image.row(i)) if certified else None
+        if row is not None and all(c <= 1 for c in row):
+            yield [one if c else zero for c in row]
+        else:
+            yield [cyclo.exact_sum([values[product(a, ids[s][j])] for s, a in enumerate(ids[i])])
+                   for j in range(n)]
 
 
 # -- validation --------------------------------------------------------------

@@ -17,25 +17,23 @@ checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
 Coefficients are certified by their images modulo primes p = 1 mod N, N
-the common order of the sum's terms: each image is a plain integer
-contraction mod p, and an l1 bound on the deferred sum in Z[C_N] turns
-agreement of every image into an exact equality (see ``_Engine``).  No
-coefficient is canonicalized and no float is consulted.  A coefficient that
-fails is recomputed with ``cyclo.exact_sum``, so the error carries its
-exact value.  Column quantities S[i,s]/S[0,s] and S[0,s] S[s,k'] are
-memoized, rows are cached by their exact pair products, and the (i,j) pair
-work can be partitioned across processes.
+the common order of the sum's terms (``cyclo.Images``): each image is a
+plain integer contraction mod p, and an l1 bound on the deferred sum in
+Z[C_N] turns agreement of every image into an exact equality (see
+``_Engine``).  No coefficient is canonicalized and no float is consulted.  A
+coefficient that fails is recomputed with ``cyclo.exact_sum``, so the error
+carries its exact value.  Column quantities S[i,s]/S[0,s] and S[0,s] S[s,k']
+are memoized, rows are cached by their exact pair products, and the (i,j)
+pair work can be partitioned across processes.  ``check_ring`` certifies
+qdim multiplicativity through the same images.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import count
-from math import gcd, isqrt
+from functools import partial
 from operator import mul
 
 from . import cyclo
@@ -132,87 +130,33 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
     return n
 
 
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact below 3 * 10^12 (primes here stay below 2^32)."""
-    bases = (2, 3, 5, 7, 11, 13)
-    if m < 2:
-        return False
-    for b in bases:
-        if m % b == 0:
-            return m == b
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in bases:
-        x = pow(b, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _split_primes(order: int, limit: int, denom: int):
-    """Primes p = 1 mod order below limit that do not divide denom, largest
-    first, each with an element w of exact order ``order`` in F_p."""
-    factors = [q for q, _ in cyclo._factorize(order)]
-    for t in range((limit - 2) // order, 0, -1):
-        p = t * order + 1
-        if denom % p == 0 or not _is_prime(p):
-            continue
-        for g in count(2):
-            w = pow(g, (p - 1) // order, p)
-            if all(pow(w, order // q, p) != 1 for q in factors):
-                yield p, w
-                break
-
-
-# Primes of the modular certificate stay below this bound, and below
-# sqrt(2^64 / n) so that no 64-bit slot of a packed row carries.
-_PRIME_BOUND = 1 << 32
+def _positions(ids) -> dict[int, int]:
+    """Each distinct id mapped to the order of its first occurrence."""
+    return {v: p for p, v in enumerate(dict.fromkeys(ids))}
 
 
 class _Image:
-    """The ring map Z[zeta_N][1/D] -> F_p, zeta_N -> w^a, on the engine's values.
+    """The engine's ratios and column values at one unit of one prime p.
 
-    Every distinct ratio and column value is imaged once.  The column images
-    are packed, for each s, into one integer with a 64-bit slot per k, so one
-    row costs n small modular products and one sum of n packed products.
+    The column images are packed, for each s, into one integer with a 64-bit
+    slot per k, so one row costs n small modular products and one sum of n
+    packed products.
     """
 
-    def __init__(self, engine: "_Engine", p: int, wa: int):
-        powers = {e: pow(wa, e, p) for e in engine.exponents}
-
-        def images(lifts, denom):
-            scale = pow(denom, -1, p)
-            return {v: sum(c * powers[e] for e, c in lift) * scale % p
-                    for v, lift in lifts.items()}
-
+    def __init__(self, ratio: dict[int, list[int]], colq: list[list[int]], p: int, images):
         # No reference back to the engine: a cycle would keep every engine
         # alive until the next garbage collection.
+        self.values, col = images
         self.p = p
-        self.ratio = engine.ratio
-        self.values = images(engine.ratio_lifts, engine.d_r)
-        self.slots = len(engine.indices)
-        col = images(engine.col_lifts, engine.d_t)
-        colq = [engine.colq[k] for k in engine.indices]
-        self.packed = [int.from_bytes(array("Q", [col[ids[s]] for ids in colq]).tobytes(),
-                                      sys.byteorder)
-                       for s in range(engine.n)]
+        self.ratio = ratio
+        self.slots = len(colq)
+        self.packed = [cyclo.pack([col[c] for c in column]) for column in zip(*colq)]
 
     def row(self, i: int, j: int) -> list[int]:
         """sum_s R[i,s] R[j,s] T[s,k] mod p for every k, in index order."""
         p, values = self.p, self.values
         pair = [values[x] * values[y] % p for x, y in zip(self.ratio[i], self.ratio[j])]
-        acc = sum(map(mul, pair, self.packed))
-        slots = array("Q")
-        slots.frombytes(acc.to_bytes(8 * self.slots, sys.byteorder))
-        return [x % p for x in slots]
+        return cyclo.packed_product(pair, self.packed, self.slots, p)
 
 
 class _Engine:
@@ -224,20 +168,15 @@ class _Engine:
     r_i(s) r_j(s), which collapses e.g. a cyclic group datum from
     quadratically to linearly many distinct rows.
 
-    A row is certified from its images in prime fields, never by
-    canonicalizing a coefficient.  Lift every r_i(s) and t_k(s) to an integer
-    exponent map at the common order N over the denominators D_r and D_t;
-    then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to D N[i,j]^k with
-    D = D_r^2 D_t, and its l1 norm is at most
-    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  Every zeta_N^e has
-    Zumbroich coefficients in {-1, 0, 1}, so B bounds every basis coefficient
-    of the reduction too.  For a prime p = 1 mod N, the maps zeta_N -> w^a
-    (w of order N, a a unit) are the phi(N) primes above p, so if every image
-    of N[i,j]^k is c mod p, then D N[i,j]^k - D c lies in p Z[zeta_N].  With
-    primes whose product P exceeds 4B and c lifted symmetrically mod P,
-    0 <= c <= B/D certifies N[i,j]^k = c; |c| > B/D certifies that it is not
-    an integer.  When every value is real, the units a <= N/2 suffice, since
-    complex conjugation pairs the primes a and -a.
+    A row is certified from its images in prime fields (``cyclo.Images``),
+    never by canonicalizing a coefficient.  Lift every r_i(s) and t_k(s) to
+    an integer exponent map at the common order N over the denominators D_r
+    and D_t; then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to
+    D N[i,j]^k with D = D_r^2 D_t, and its l1 norm is at most
+    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If every image of
+    N[i,j]^k is c mod p, for primes p = 1 mod N whose product P exceeds 4B
+    and c lifted to 0..P-1, then 0 <= c <= B/D certifies N[i,j]^k = c, and
+    any other c certifies that it is not a nonnegative integer.
 
     A row that fails -- images that disagree, or a lift out of range -- is
     recomputed with ``cyclo.exact_sum``, which names the first bad triple and
@@ -267,72 +206,27 @@ class _Engine:
                          for s in range(n)] for k in indices}
         self._row_cache: dict = {}
 
-        ratio_ids = {v for ids in self.ratio.values() for v in ids}
-        col_ids = {v for ids in self.colq.values() for v in ids}
-        order = cyclo._common_order(values[v] for v in ratio_ids | col_ids)
-        self.d_r = cyclo._denominator_lcm(values[v] for v in ratio_ids)
-        self.d_t = cyclo._denominator_lcm(values[v] for v in col_ids)
-        self.ratio_lifts = {v: list(cyclo._lift_into({}, values[v], order, self.d_r).items())
-                            for v in ratio_ids}
-        self.col_lifts = {v: list(cyclo._lift_into({}, values[v], order, self.d_t).items())
-                          for v in col_ids}
-        self.exponents = {e for lifts in (self.ratio_lifts, self.col_lifts)
-                          for lift in lifts.values() for e, _ in lift}
-
-        r_norm = {v: sum(abs(c) for _, c in lift) for v, lift in self.ratio_lifts.items()}
-        t_norm = {v: sum(abs(c) for _, c in lift) for v, lift in self.col_lifts.items()}
-        bound = sum(max((r_norm[self.ratio[i][s]] for i in indices), default=0) ** 2
-                    * max((t_norm[self.colq[k][s]] for k in indices), default=0)
+        # Each distinct ratio and column value is imaged once, at its position.
+        ratio_pos = _positions(v for ids in self.ratio.values() for v in ids)
+        col_pos = _positions(v for ids in self.colq.values() for v in ids)
+        ratio = {i: [ratio_pos[v] for v in ids] for i, ids in self.ratio.items()}
+        colq = [[col_pos[v] for v in self.colq[k]] for k in indices]
+        images = self.images = cyclo.Images(
+            [[values[v] for v in ratio_pos], [values[v] for v in col_pos]],
+            partial(_Image, ratio, colq))
+        (d_r, d_t), (r_norm, t_norm) = images.denoms, images.norms
+        bound = sum(max((r_norm[ratio[i][s]] for i in indices), default=0) ** 2
+                    * max((t_norm[col[s]] for col in colq), default=0)
                     for s in range(n))
-        self.max_coeff = bound // (self.d_r * self.d_r * self.d_t)
-        real = all(cyclo.is_real(values[v]) for v in ratio_ids | col_ids)
-        top = max(order // 2, 1) if real else order
-        self.primes: list[tuple[int, int]] = []
-        modulus = 1
-        found = _split_primes(order, min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(n, 1))),
-                              self.d_r * self.d_t)
-        while modulus <= 4 * bound or not self.primes:
-            prime = next(found, None)
-            if prime is None:
-                self.primes = []  # no certificate: every row takes the exact path
-                break
-            self.primes.append(prime)
-            modulus *= prime[0]
-        self.modulus = modulus
-        self.crt = [modulus // p * pow(modulus // p, -1, p) for p, _ in self.primes]
-        self._images: list[list[_Image]] = [[] for _ in self.primes]
-        self._units = [(a for a in range(1, top + 1) if gcd(a, order) == 1) for _ in self.primes]
-
-    def _images_mod(self, q: int):
-        """The images modulo the q-th prime, built one unit at a time as needed."""
-        cache = self._images[q]
-        p, w = self.primes[q]
-        for u in count():
-            if u == len(cache):
-                a = next(self._units[q], None)
-                if a is None:
-                    return
-                cache.append(_Image(self, p, pow(w, a, p)))
-            yield cache[u]
+        self.max_coeff = bound // (d_r * d_r * d_t)
+        images.choose_primes(4 * bound, summands=n)
+        self.primes = images.primes
 
     def _certified_row(self, i: int, j: int) -> list[int] | None:
         """The row if its images certify it, else None."""
-        residues = []
-        for q in range(len(self.primes)):
-            first = None
-            for image in self._images_mod(q):
-                row = image.row(i, j)
-                if first is None:
-                    first = row
-                elif row != first:
-                    return None
-            residues.append(first)
-        out = []
-        for rs in zip(*residues):
-            c = sum(map(mul, rs, self.crt)) % self.modulus
-            if c > self.max_coeff:
-                return None  # negative, or not an integer
-            out.append(c)
+        out = self.images.common(lambda image: image.row(i, j))
+        if out is None or any(c > self.max_coeff for c in out):
+            return None  # negative, or not an integer
         return out
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
@@ -510,17 +404,10 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
-    ok = True
-    for i in range(n):
-        for j in range(i if report.commutative else 0, n):
-            lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(tensor.values[i][j]) if m)
-            if lhs != qdims[i] * qdims[j]:
-                ok = False
-                report.failures.append(f"qdim multiplicativity fails at pair ({i}, {j})")
-                break
-        if not ok:
-            break
-    report.qdim_multiplicative = ok
+    bad = _first_qdim_failure(tensor.values, qdims, report.commutative)
+    if bad is not None:
+        report.failures.append(f"qdim multiplicativity fails at pair {bad}")
+    report.qdim_multiplicative = bad is None
 
     one = Cyclotomic.one()
     report.simple_currents = [i for i in range(n) if qdims[i] == one]
@@ -533,6 +420,41 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
             report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
     report.simple_currents_are_permutations = perm_ok
     return report
+
+
+def _first_qdim_failure(values, qdims, commutative: bool) -> tuple[int, int] | None:
+    """The first pair (i, j), in row-major order, with sum_k N[i,j]^k d_k != d_i d_j.
+
+    With x = D d lifted to Z[C_N] (``cyclo.Images``), the difference times D^2
+    is A = D sum_k N[i,j]^k x_k - x_i x_j, whose l1 norm is at most
+    D |x|_max sum_k N[i,j]^k + |x|_max^2.  A nonzero image of a pair certifies
+    that it fails; zero images at every unit of primes whose product exceeds
+    twice that bound certify that it holds.  Without such primes every pair
+    is compared exactly.
+    """
+    n = len(qdims)
+    images = cyclo.Images([qdims], lambda p, images: (p, images[0]))
+    (norms,), (denom,) = images.norms, images.denoms
+    top = max(norms)
+    bound = denom * top * max(sum(row) for plane in values for row in plane) + top * top
+    certified = images.choose_primes(2 * bound)
+    for i in range(n):
+        pairs = range(i if commutative else 0, n)
+        if certified:
+            nonzero = set()
+            for q in range(len(images.primes)):
+                for p, x in images.images(q):
+                    xi = x[i]
+                    nonzero.update(j for j in pairs
+                                   if (sum(map(mul, values[i][j], x)) - xi * x[j]) % p)
+            if nonzero:
+                return i, min(nonzero)
+        else:
+            for j in pairs:
+                lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(values[i][j]) if m)
+                if lhs != qdims[i] * qdims[j]:
+                    return i, j
+    return None
 
 
 # -- fixture regression -------------------------------------------------------

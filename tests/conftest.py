@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from fusionring.branching import complete
+from fusionring.cyclo import inverse, root_of_unity, sqrt_int
+from fusionring.modular_data import ModularDatum, ModuleLabel
 from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import fusion_tensor
 
@@ -26,3 +30,12 @@ def s4_tensor(s4_completed):
 def s4_block_tensor(s4):
     datum, _, _ = s4
     return fusion_tensor(datum)
+
+
+def su2_datum(k):
+    """Kac-Peterson S_ab = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)), a, b = 0..k."""
+    h = k + 2
+    scale = sqrt_int(2) * inverse(sqrt_int(h)) * root_of_unity(4, 3) * Fraction(1, 2)
+    s = [[(root_of_unity(2 * h, (a + 1) * (b + 1)) - root_of_unity(2 * h, -(a + 1) * (b + 1)))
+          * scale for b in range(k + 1)] for a in range(k + 1)]
+    return ModularDatum([ModuleLabel(a, f"j{a}", dual=a) for a in range(k + 1)], s)

@@ -88,6 +88,28 @@ def test_derived_rows_match_shipped_tables(s4):
     assert report.entries_checked == 1120
 
 
+def test_complete_audits_from_its_one_relation_pass(s4, monkeypatch):
+    # Two corrupted derivable cells: complete reports the audit's conflicts,
+    # with the same text and order, and builds each parent datum once.
+    import fusionring.branching as branching
+
+    datum, parents, _ = s4
+    bad = datum.with_entries({(12, 13): Cyclotomic.zero(), (18, 19): Cyclotomic.one()})
+    expected = check_derived_rows(parents, bad).conflicts
+    assert len(expected) == 4
+    system = assemble_system(parents, bad)
+    assert system.derived_conflicts == expected
+    built = []
+    build = branching.lattice_modular_data
+    monkeypatch.setattr(branching, "lattice_modular_data",
+                        lambda spec: built.append(spec.k) or build(spec))
+    with pytest.raises(InconsistentSystemError) as err:
+        complete(bad, parents)
+    assert err.value.certificate == sorted(expected)
+    assert err.value.residual == "derived rows contradict shipped entries"
+    assert sorted(built) == sorted(section.k for section in parents)
+
+
 def test_system_shape(s4):
     datum, parents, _ = s4
     system = assemble_system(parents, datum)

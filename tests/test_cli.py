@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,17 @@ def test_nonzero_vacuum_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line {line_no}, ") and "vacuum must be 0" in err
+
+
+@pytest.mark.parametrize("entry", ["sqrt(1000000007)", "E(10000019)"])
+def test_capped_conductor_exits_2_at_once(tmp_path, capsys, entry):
+    bad = tmp_path / "big.mdf"
+    bad.write_text(f"[header]\nname = big\nmodules = 1\n\n[S]\n0 0 {entry}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(bad))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 6, offset 0: ") and err.endswith("65536\n")
 
 
 def test_missing_file(capsys):

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring import cyclo
+from fusionring.mdf import MAX_ORDER
 from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
                               UnderdeterminedError, conj, eliminate, embed,
                               exact_sum, format_exact, galois, inverse, is_real,
-                              matmul, root_of_unity, sqrt_int)
+                              root_of_unity, sqrt_int)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -144,6 +145,17 @@ def test_every_root_has_unit_basis_coefficients():
             continue
         for e in range(n):
             assert set(cyclo._reduce_terms(n, {e: 1}).values()) <= {-1, 1}, (n, e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([45045, 60060, 65520, 65521, 65536]),
+                 st.integers(1, MAX_ORDER).filter(lambda n: n % 4 != 2)),
+       st.data())
+def test_every_root_has_unit_basis_coefficients_up_to_the_parser_cap(n, data):
+    # The image certificates rely on the same lemma at every order a datum
+    # file can name.
+    e = data.draw(st.integers(0, n - 1))
+    assert set(cyclo._reduce_terms(n, {e: 1}).values()) <= {-1, 1}
 
 
 @pytest.mark.parametrize("order", [60, 104, 288])
@@ -418,34 +430,77 @@ def test_exact_sum_edge_cases():
     assert exact_sum([root_of_unity(5, e) for e in range(5)]).order == 1
 
 
-def _entries():
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.one_of(elements(), rationals.map(Cyclotomic.from_rational),
-                     st.just(Cyclotomic.zero()))
+# -- images in split prime fields ---------------------------------------------
+
+@pytest.mark.parametrize("order", [1, 4, 13, 52, 288])
+def test_split_primes_carry_an_element_of_exact_order(order):
+    found = cyclo._split_primes(order, 1 << 20, 7)
+    for _ in range(3):
+        p, w = next(found)
+        assert cyclo._is_prime(p) and (p - 1) % order == 0 and p % 7
+        assert pow(w, order, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, order) if order % d == 0)
+
+
+def test_is_prime_against_trial_division():
+    def trial(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    assert [m for m in range(2000) if cyclo._is_prime(m)] == [m for m in range(2000) if trial(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), elements())
+def test_images_are_ring_homomorphisms(a, b):
+    # Each unit's map zeta_N -> w^a, on lifts over a denominator, respects
+    # sums and products; both sides are imaged by one kernel.
+    group = [a, b, a + b, a * b]
+    images = cyclo.Images([group], lambda p, values: (p, values[0]))
+    assert images.choose_primes(1 << 40)
+    assert len(images.primes) >= 2
+    seen = 0
+    for q in range(len(images.primes)):
+        for p, (x, y, total, product) in images.images(q):
+            assert (x + y - total) % p == 0 and (x * y - product) % p == 0
+            seen += 1
+    units = sum(math.gcd(u, images.order) == 1 for u in range(1, images.order + 1))
+    assert seen == len(images.primes) * (units if not images.real or units == 1
+                                         else units // 2)
+
+
+def test_images_of_a_real_group_use_half_the_units():
+    group = [sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)]
+    images = cyclo.Images([group], lambda p, values: values)
+    assert images.real and images.order == 120
+    images.choose_primes(1)
+    assert len(list(images.images(0))) == 16  # phi(120) / 2
+    assert not cyclo.Images([[root_of_unity(3)]], lambda p, values: values).real
+
+
+def test_images_share_the_order_and_keep_group_denominators():
+    images = cyclo.Images([[Fraction(1, 6) * root_of_unity(4)], [Fraction(3, 10) * sqrt_int(3)]],
+                          lambda p, values: values)
+    assert images.order == 12 and images.denoms == [6, 10]
+    # 10 * 3/10 sqrt(3) has two basis terms, each with coefficient 3 or -3.
+    assert images.norms == [[1], [6]]
+
+
+def test_without_a_split_prime_no_primes_are_chosen(monkeypatch):
+    monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
+    images = cyclo.Images([[root_of_unity(288)]], lambda p, values: values)
+    assert not images.choose_primes(10) and images.primes == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_matmul_matches_triple_loop(data):
-    n, m, p = data.draw(st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3)))
-    # Draw entries from a small pool so that memoized products repeat.
-    pool = data.draw(st.lists(_entries(), min_size=1, max_size=4))
-    entry = st.sampled_from(pool) | _entries()
-    a = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
-    b = data.draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=m, max_size=m))
-    naive = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = Cyclotomic.zero()
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        naive.append(row)
-    assert list(matmul(a, b)) == naive
-
-
-def test_matmul_shape_mismatch():
-    one = Cyclotomic.one()
-    with pytest.raises(ValueError):
-        list(matmul([[one, one]], [[one]]))
+def test_packed_product_is_a_vector_matrix_product(data):
+    p = data.draw(st.sampled_from([2, 97, 4294967291]))
+    rows = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 6))
+    residue = st.integers(0, p - 1)
+    matrix = data.draw(st.lists(st.lists(residue, min_size=width, max_size=width),
+                                min_size=rows, max_size=rows))
+    vector = data.draw(st.lists(residue, min_size=rows, max_size=rows))
+    expected = [sum(v * row[k] for v, row in zip(vector, matrix)) % p for k in range(width)]
+    packed = [cyclo.pack(row) for row in matrix]
+    assert cyclo.packed_product(vector, packed, width, p) == expected

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring.cyclo import embed
-from fusionring.mdf import (DatumFile, DuplicateEntryError, FixtureRecord,
+from fusionring.mdf import (MAX_ORDER, DatumFile, DuplicateEntryError, FixtureRecord,
                             IndexRangeError, LabelRecord, ParseError,
                             eval_expr, expr_to_text, parse_expr, parse_file,
                             serialize)
@@ -58,6 +58,30 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ParseError) as info:
         parse_expr("1 + $")
     assert info.value.offset == 4
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    ("E(65537)", 0, "E() order exceeds 65536"),
+    ("1 + E(10000019)^2", 4, "E() order exceeds 65536"),
+    ("sqrt(1000000007)", 0, "sqrt() argument has a prime factor above 65536"),
+    ("2*sqrt(262148)", 2, "sqrt() argument has a prime factor above 65536"),  # 4 * 65537
+    ("sqrt(4295098369)", 0, "sqrt() argument has a prime factor above 65536"),  # 65537^2
+])
+def test_conductor_caps(text, offset, message):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert (info.value.offset, info.value.message) == (offset, message)
+
+
+def test_caps_admit_the_shipped_and_generated_orders():
+    assert MAX_ORDER == 1 << 16
+    # s4 works at order 288, su(2)_k at 4(k+2), lattice data at the order of
+    # E(2k) / sqrt(2k); the largest allowed order and prime still parse.
+    for text in ("E(288)^5", "E(200)", "1/sqrt(32)", "1/sqrt(131042)", "E(65536)",
+                 "sqrt(2404631929946112)"):
+        parse_expr(text)
+    # 2^40 3^7: trial division ends once the cofactor is exhausted.
+    assert eval_expr(parse_expr("sqrt(2404631929946112)")) == eval_expr(parse_expr("2^20*27*sqrt(3)"))
 
 
 def test_root_power_is_one_canonicalization(monkeypatch):

@@ -200,19 +200,24 @@ def test_unitarity_checked_on_real_data():
     assert "unitarity S conj(S)^T = I: ok" in report.to_text()
 
 
-def test_validate_computes_one_matrix_product(monkeypatch):
+def test_validate_images_s_once(monkeypatch):
     import fusionring.cyclo as cyclo
 
-    calls = []
-    original = cyclo.matmul
+    kernels = []
 
-    def counting_matmul(a, b):
-        calls.append(len(a))
-        return original(a, b)
+    class CountedImages(cyclo.Images):
+        def __init__(self, groups, make):
+            kernels.append(self)
+            super().__init__(groups, make)
 
-    monkeypatch.setattr(cyclo, "matmul", counting_matmul)
+    monkeypatch.setattr(cyclo, "Images", CountedImages)
     assert validate(lattice_modular_data(LatticeSpec(3))).unitary is True
-    assert calls == [6]
+    # One kernel images the six distinct entries zeta_6^e / sqrt(6) of S, at
+    # each of the phi(24) = 8 units of one prime, once.
+    (kernel,) = kernels
+    assert [len(lifts) for lifts in kernel.lifts] == [6]
+    assert kernel.order == 24 and not kernel.real
+    assert len(kernel.primes) == 1 and [len(images) for images in kernel.cache] == [8]
 
 
 def test_qdims_not_checked_without_a_vacuum_entry():

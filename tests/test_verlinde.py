@@ -3,13 +3,13 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import su2_datum
 
-from fusionring import verlinde
-from fusionring.cyclo import Cyclotomic, exact_sum, inverse, root_of_unity, sqrt_int
+from fusionring import cyclo, verlinde
+from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, expected_group_fusion, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
@@ -216,7 +216,7 @@ class _SerialPool:
 def test_jobs_clamped_to_cpus_and_pairs(monkeypatch):
     import os
 
-    from fusionring import verlinde
+    from fusionring import cyclo, verlinde
 
     monkeypatch.setattr(verlinde, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -254,15 +254,6 @@ def test_dual_permutation_realizes_the_inverse():
 
 # -- the modular certificate against oracles that share no code with it -------
 
-def su2_datum(k):
-    """Kac-Peterson S_ab = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)), a, b = 0..k."""
-    h = k + 2
-    scale = sqrt_int(2) * inverse(sqrt_int(h)) * root_of_unity(4, 3) * Fraction(1, 2)
-    s = [[(root_of_unity(2 * h, (a + 1) * (b + 1)) - root_of_unity(2 * h, -(a + 1) * (b + 1)))
-          * scale for b in range(k + 1)] for a in range(k + 1)]
-    return ModularDatum([ModuleLabel(a, f"j{a}", dual=a) for a in range(k + 1)], s)
-
-
 def verlinde_by_exact_sums(datum):
     """N[i,j]^k = sum_s S[i,s] S[j,s] S[s,k'] / S[0,s], one exact sum per entry."""
     n, s, dual = datum.size, datum.s, datum.dual_permutation()
@@ -293,10 +284,10 @@ def test_su2_tensor_equals_exact_sums(k):
 @pytest.mark.parametrize("s4_bound, su2_bound", [(1 << 13, 1 << 8), (1 << 16, 1 << 10)])
 def test_several_primes_give_the_same_tensor(monkeypatch, s4_completed, s4_tensor,
                                              s4_bound, su2_bound):
-    monkeypatch.setattr(verlinde, "_PRIME_BOUND", s4_bound)
+    monkeypatch.setattr(cyclo, "_PRIME_BOUND", s4_bound)
     assert len(verlinde._Engine(s4_completed, list(range(28))).primes) >= 2
     assert fusion_tensor(s4_completed) == s4_tensor
-    monkeypatch.setattr(verlinde, "_PRIME_BOUND", su2_bound)
+    monkeypatch.setattr(cyclo, "_PRIME_BOUND", su2_bound)
     datum = su2_datum(8)
     assert len(verlinde._Engine(datum, list(range(9))).primes) >= 2
     assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
@@ -305,7 +296,7 @@ def test_several_primes_give_the_same_tensor(monkeypatch, s4_completed, s4_tenso
 def test_without_a_usable_prime_every_row_is_summed_exactly(monkeypatch, s4_completed,
                                                            s4_tensor):
     # No prime p = 1 mod 288 (or mod 20) lies below 32.
-    monkeypatch.setattr(verlinde, "_PRIME_BOUND", 32)
+    monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
     assert verlinde._Engine(s4_completed, list(range(28))).primes == []
     assert fusion_tensor(s4_completed) == s4_tensor
     datum = su2_datum(8)
@@ -327,7 +318,7 @@ def test_bad_row_stops_at_the_second_image():
     engine = verlinde._Engine(bad, list(range(7)))
     with pytest.raises(NonIntegerResultError):
         engine.row_for_pair(0, 0)
-    assert [len(images) for images in engine._images] == [2]
+    assert [len(images) for images in engine.images.cache] == [2]
 
 
 def test_negative_coefficient_reports_its_value():
