@@ -25,7 +25,8 @@ is the product of those conjugates over that rational.
 
 Integer-valued results -- Verlinde coefficients, the entries of S^2, qdim
 multiplicativity -- are certified by one image kernel, ``Images``: values
-lifted to a common order and imaged modulo primes p = 1 mod N at every unit.
+lifted to a common order N and imaged once modulo each prime p = 1 mod N,
+which suffices once the Galois symmetry of S makes each sum rational.
 
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
@@ -394,35 +395,6 @@ def exact_sum(values) -> Cyclotomic:
     return _from_int_terms(order, acc, denom)
 
 
-class ProductMemo:
-    """Canonical products memoized by small integer ids of their operands.
-
-    Values are interned once (one hash lookup each); later products are
-    looked up by a pair of ints, so a repeated product costs neither a
-    convolution nor a structural comparison of Fraction coefficients.
-    """
-
-    def __init__(self):
-        self.values: list[Cyclotomic] = []
-        self._ids: dict[Cyclotomic, int] = {}
-        self._products: dict[tuple[int, int], int] = {}
-
-    def intern(self, value: Cyclotomic) -> int:
-        vid = self._ids.get(value)
-        if vid is None:
-            vid = self._ids[value] = len(self.values)
-            self.values.append(value)
-        return vid
-
-    def product(self, a: int, b: int) -> int:
-        """The id of values[a] * values[b]."""
-        key = (a, b) if a <= b else (b, a)
-        pid = self._products.get(key)
-        if pid is None:
-            pid = self._products[key] = self.intern(self.values[a] * self.values[b])
-        return pid
-
-
 # -- images in split prime fields ---------------------------------------------
 #
 # A value known to be a rational integer, or an identity whose sides must
@@ -432,13 +404,11 @@ class ProductMemo:
 # shared denominator D; the quantity to certify then becomes a sum A in
 # Z[C_N] whose l1 norm is cheap to bound, and since every zeta_N^e has
 # Zumbroich coefficients in {-1, 0, 1}, that bound also bounds every basis
-# coefficient of the reduction of A.  A prime p = 1 mod N splits completely in
-# Z[zeta_N]: for w of exact order N in F_p the maps zeta_N -> w^a, a a unit
-# mod N, are the phi(N) primes above p.  So when A - c has image 0 at every
-# unit of primes whose product P exceeds twice the bound on A - c, then A - c
-# lies in P Z[zeta_N] with every coefficient below P/2, and A reduces to c.
-# When every value is real, the units a <= N/2 suffice, since complex
-# conjugation pairs the primes above a and -a.
+# coefficient of the reduction a of A.  For a prime p = 1 mod N and w of exact
+# order N in F_p, zeta_N -> w is a ring map onto F_p.  The callers first show
+# a rational, by the Galois symmetry of S; then a is an integer with image
+# a mod p, so one image per prime suffices: when a - c has image 0 at primes
+# whose product exceeds twice the bound on A - c, then a = c.
 
 # Primes stay below this bound.
 _PRIME_BOUND = 1 << 32
@@ -469,6 +439,21 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def unit_generators(n: int) -> tuple[int, ...]:
+    """Generators of the units mod n: per prime power q || n, -1 and 5 for
+    q = 2^v (-1 alone for q = 4) or a primitive root for odd q, each lifted
+    by the CRT to 1 mod n/q."""
+    gens = []
+    for p, q, inv in _crt_data(n):
+        phi = q // p * (p - 1)
+        local = [q - 1, 5][:(q >= 4) + (q >= 8)] if p == 2 else [next(
+            g for g in count(2) if g % p and all(pow(g, phi // r, q) != 1
+                                                 for r, _ in _factorize(phi)))]
+        gens += [(1 + n // q * ((g - 1) * inv % q)) % n for g in local]
+    return tuple(gens)
+
+
 def _split_primes(order: int, limit: int, denom: int):
     """Primes p = 1 mod order below limit that do not divide denom, largest
     first, each with an element w of exact order ``order`` in F_p."""
@@ -485,39 +470,33 @@ def _split_primes(order: int, limit: int, denom: int):
 
 
 class Images:
-    """Values lifted to one order N and imaged in F_p for split primes p.
+    """Values lifted to one order N and imaged in F_p, once per split prime p.
 
-    ``groups`` are lists of values.  The values of a group share one
-    denominator D (``denoms``); each is lifted to the integer exponent map of
-    D v at the common order N of every group (``lifts``), whose l1 norm is in
-    ``norms``.  After ``choose_primes``, ``images(q)`` yields, for the q-th
-    prime p and each unit a in turn, ``make(p, images)`` with, per group, the
-    image of every value under zeta_N -> w^a (the lift's image times D^-1).
-    Images are built one unit at a time, on demand, and cached, so a check
-    that fails at its second image has built two.
+    ``groups`` are lists of values; ``positions`` maps each distinct value of
+    a group to its place.  A group's values share one denominator D
+    (``denoms``) and are lifted to the integer exponent maps of D v at the
+    common order N (``lifts``), with l1 norms ``norms``.  ``choose_primes``
+    images every value at each prime: ``residues[q]`` holds, per group, the
+    image under zeta_N -> w for the q-th prime (p, w).  ``combine`` joins
+    lists of residues, one list per prime, by the CRT.
     """
 
-    def __init__(self, groups, make):
-        values = [v for group in groups for v in group]
-        order = self.order = _common_order(values)
+    def __init__(self, groups):
+        groups = [list(dict.fromkeys(group)) for group in groups]
+        self.positions = [{v: i for i, v in enumerate(group)} for group in groups]
+        order = self.order = _common_order(v for group in groups for v in group)
         self.denoms = [_denominator_lcm(group) for group in groups]
         self.lifts = [[list(_lift_into({}, v, order, d).items()) for v in group]
                       for group, d in zip(groups, self.denoms)]
         self.norms = [[sum(abs(c) for _, c in lift) for lift in lifts] for lifts in self.lifts]
-        self.real = all(is_real(v) for v in values)
-        self._exponents = sorted({e for lifts in self.lifts for lift in lifts for e, _ in lift})
-        self.primes: list[tuple[int, int]] = []
-        self.cache: list[list] = []
-        self._make = make
 
     def choose_primes(self, bound: int, summands: int = 1) -> bool:
         """Take primes p = 1 mod N, largest first, until their product exceeds
-        ``bound``; False, with no primes, when there are too few.
-
-        Each p divides no denominator and stays below ``_PRIME_BOUND`` and
-        sqrt(2^64 / summands), so that a sum of ``summands`` products of two
-        residues fits one 64-bit slot of ``packed_product``.
-        """
+        ``bound``, and image every value at each; False, with no primes, when
+        there are too few.  Each p divides no denominator and stays below
+        ``_PRIME_BOUND`` and sqrt(2^64 / summands), so that a sum of
+        ``summands`` products of two residues fits one 64-bit slot of
+        ``packed_product``."""
         limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
         found = _split_primes(self.order, limit, prod(self.denoms))
         primes, modulus = [], 1
@@ -530,42 +509,18 @@ class Images:
             modulus *= prime[0]
         self.primes, self.modulus = primes, modulus
         self.crt = [modulus // p * pow(modulus // p, -1, p) for p, _ in primes]
-        self.cache = [[] for _ in primes]
-        order = self.order
-        top = max(order // 2, 1) if self.real else order
-        # The generators must not refer to self: a cycle would keep every
-        # kernel and its images alive until the next garbage collection.
-        self._units = [(a for a in range(1, top + 1) if gcd(a, order) == 1) for _ in primes]
+        exponents = sorted({e for lifts in self.lifts for lift in lifts for e, _ in lift})
+        self.residues = []
+        for p, w in primes:
+            powers = _powers(w, exponents, p)
+            self.residues.append([
+                [sum(c * powers[e] for e, c in lift) * scale % p for lift in lifts]
+                for lifts, scale in zip(self.lifts, [pow(d, -1, p) for d in self.denoms])])
         return bool(primes)
 
-    def images(self, q: int):
-        """The images modulo the q-th prime, one per unit."""
-        cache = self.cache[q]
-        p, w = self.primes[q]
-        for u in count():
-            if u == len(cache):
-                a = next(self._units[q], None)
-                if a is None:
-                    return
-                powers = _powers(pow(w, a, p), self._exponents, p)
-                cache.append(self._make(p, [
-                    [sum(c * powers[e] for e, c in lift) * scale % p for lift in lifts]
-                    for lifts, scale in zip(self.lifts, (pow(d, -1, p) for d in self.denoms))]))
-            yield cache[u]
-
-    def common(self, image_of) -> list[int] | None:
-        """``image_of(image)``, a list of residues, combined by CRT over the
-        primes, if every unit of each prime gives the same list; else None."""
-        residues = []
-        for q in range(len(self.primes)):
-            first = None
-            for image in self.images(q):
-                got = image_of(image)
-                if first is None:
-                    first = got
-                elif got != first:
-                    return None
-            residues.append(first)
+    def combine(self, residues) -> list[int]:
+        """Lists of residues, one per prime in order, joined by the CRT into
+        residues modulo the primes' product."""
         return [sum(map(mul, rs, self.crt)) % self.modulus for rs in zip(*residues)]
 
 

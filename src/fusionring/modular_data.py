@@ -5,10 +5,10 @@ entries, possibly partial (``None`` marks an unknown entry).  The vacuum
 module is index 0 by file-format convention.  Validation reports problems
 instead of raising, because shipped datasets may be deliberately partial and
 discrepancies are data, not crashes; only recorded qdims are enforced on load.
-``validate`` certifies S^2 = C from the images of S modulo split primes
-(``cyclo.Images``), one row at a time, and sums a row exactly only when its
-images do not certify it.  Once S^2 = C holds, S^-1[i,j] = S[i,j'] is known
-entry by entry, and unitarity is decided from it.
+``validate`` certifies S^2 = C from one image of S per split prime
+(``cyclo.Images``) once ``galois_permutations`` shows S^2 rational, and sums a row
+exactly only when its images do not certify it.  Once S^2 = C holds,
+S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is decided from it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, conj, embed, format_exact, inverse
@@ -24,8 +26,8 @@ from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
-    "ModuleLabel", "ModularDatum",
-    "validate", "charge_conjugation", "quantum_dimensions", "glob",
+    "ModuleLabel", "ModularDatum", "SImages",
+    "validate", "charge_conjugation", "galois_permutations", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
 
@@ -60,7 +62,10 @@ class ModularDatum:
         if not labels:
             raise ValueError("a modular datum needs at least the vacuum module")
         self.labels = labels
-        self.s = s
+        # Equal entries become one object, so lookups keyed by entries hit by
+        # identity instead of comparing Fraction coefficients.
+        shared: dict[Cyclotomic, Cyclotomic] = {}
+        self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
 
     @property
@@ -143,46 +148,97 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
     return perm
 
 
-class _SquareImage:
-    """S at one unit of one prime p, its rows packed for the product S S."""
+def galois_permutations(datum: ModularDatum, rows, cols) -> list[list[int]] | None:
+    """Per generator g of the units mod the entries' common order
+    (``cyclo.unit_generators``), a permutation pi_g of the columns s of S
+    with sigma_g(column s) = +-column pi_g(s), where column s is (S[r,s] for
+    r in ``rows``) followed by (S[s,c] for c in ``cols``); None if there is
+    none.  Modular data have them (de Boer-Goeree 1991, Coste-Gannon 1994),
+    and then a sum over s in which the sign of column s cancels, as in
+    S[i,s] S[s,j], is rational.  Columns are matched exactly, as tuples of
+    entry ids taken at the smaller of their two signs."""
+    ids: dict[Cyclotomic, int] = {}
+    columns = [[ids.setdefault(datum.s[r][s], len(ids)) for r in rows]
+               + [ids.setdefault(datum.s[s][c], len(ids)) for c in cols]
+               for s in range(datum.size)]
+    values = list(ids)
+    for v in values:
+        ids.setdefault(-v, len(ids))
+    neg = [ids[-v] for v in list(ids)]
 
-    def __init__(self, ids: list[list[int]], p: int, images):
-        (x,) = images
-        self.p = p
-        self.rows = [[x[v] for v in row] for row in ids]
-        self.packed = [cyclo.pack(row) for row in self.rows]
+    def keys(image):
+        tuples = (tuple(image[x] for x in column) for column in columns)
+        return [min(t, tuple(neg[x] for x in t)) for t in tuples]
 
-    def row(self, i: int) -> list[int]:
-        return cyclo.packed_product(self.rows[i], self.packed, len(self.rows), self.p)
+    homes: dict[tuple, list[int]] = {}
+    for s, key in enumerate(keys(range(len(values)))):
+        homes.setdefault(key, []).append(s)
+    perms = []
+    for g in cyclo.unit_generators(lcm(*(v.order for v in values))):
+        image = [ids.get(cyclo.galois(v, g)) for v in values]
+        if None in image:
+            return None
+        free = {key: home[:] for key, home in homes.items()}
+        perm = [free[key].pop() if free.get(key) else None for key in keys(image)]
+        if None in perm:
+            return None
+        perms.append(perm)
+    return perms
+
+
+class SImages:
+    """A fully known S imaged once per split prime (``cyclo.Images``):
+    ``norms`` holds the l1 norms of the lifts of D S, D = ``denom``, and
+    after ``choose_primes`` ``rows[q]`` is S mod the q-th prime."""
+
+    def __init__(self, datum: ModularDatum):
+        kernel = self.kernel = cyclo.Images([[v for row in datum.s for v in row]])
+        (pos,), (norms,), (self.denom,) = kernel.positions, kernel.norms, kernel.denoms
+        self.ids = [[pos[v] for v in row] for row in datum.s]
+        self.norms = [[norms[v] for v in row] for row in self.ids]
+
+    def choose_primes(self, bound: int) -> bool:
+        """As ``cyclo.Images.choose_primes``, with one summand per module."""
+        kernel = self.kernel
+        if not kernel.choose_primes(bound, summands=len(self.ids)):
+            return False
+        self.primes = [p for p, _ in kernel.primes]
+        self.rows = [[[x[v] for v in row] for row in self.ids] for (x,) in kernel.residues]
+        return True
 
 
 def _s_squared_rows(datum: ModularDatum):
     """The rows of S^2 in order, each certified 0/1 from images or summed exactly.
 
-    With x = D S lifted to Z[C_N] (``cyclo.Images``), row i of D^2 S^2 is
-    A_ij = sum_s x[i,s] x[s,j], and A_ij - c D^2 with c in {0, 1} has l1 norm
-    at most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2.  For primes
-    whose product P exceeds 4B, a row whose images agree at every unit and
-    lift to 0 or 1 is therefore exact.  Any other row, and every row when no
-    usable prime exists, is summed exactly, so it reports its exact value.
+    ``galois_permutations`` of all of S make S^2 rational.  With x = D S lifted
+    to Z[C_N] (``SImages``), D^2 S^2[i,j] - c D^2, c in {0, 1}, has l1 norm at
+    most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2, so for primes whose
+    product exceeds 4B a row whose images lift to 0 or 1 is exact.  Any other
+    row, and every row without the permutations or a usable prime, is summed
+    exactly, so it reports its exact value.
     """
     n = datum.size
-    memo = cyclo.ProductMemo()
-    ids = [[memo.intern(v) for v in row] for row in datum.s]
-    images = cyclo.Images([list(memo.values)], partial(_SquareImage, ids))
-    (norms,), (denom,) = images.norms, images.denoms
-    bound = denom * denom + sum(max(norms[row[s]] for row in ids) * max(norms[v] for v in ids[s])
-                                for s in range(n))
-    certified = images.choose_primes(4 * bound, summands=n)
-    values, product = memo.values, memo.product
+    everything = range(n)
+    certified = False
+    if galois_permutations(datum, everything, everything) is not None:
+        images = SImages(datum)
+        norms = images.norms
+        bound = images.denom ** 2 + sum(max(row[s] for row in norms) * max(norms[s])
+                                        for s in everything)
+        certified = images.choose_primes(4 * bound)
+        packed = [[cyclo.pack(row) for row in rows] for rows in images.rows] if certified else []
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
-    for i in range(n):
-        row = images.common(lambda image: image.row(i)) if certified else None
-        if row is not None and all(c <= 1 for c in row):
-            yield [one if c else zero for c in row]
-        else:
-            yield [cyclo.exact_sum([values[product(a, ids[s][j])] for s, a in enumerate(ids[i])])
-                   for j in range(n)]
+    times = lru_cache(maxsize=None)(mul)
+    for i in everything:
+        if certified:
+            row = images.kernel.combine(
+                cyclo.packed_product(rows[i], packed_rows, n, p)
+                for p, rows, packed_rows in zip(images.primes, images.rows, packed))
+            if all(c <= 1 for c in row):
+                yield [one if c else zero for c in row]
+                continue
+        yield [cyclo.exact_sum([times(datum.s[i][s], datum.s[s][j]) for s in everything])
+               for j in everything]
 
 
 # -- validation --------------------------------------------------------------

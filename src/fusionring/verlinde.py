@@ -16,16 +16,16 @@ block of a partial one, so the same call certifies a completed datum and
 checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
-Coefficients are certified by their images modulo primes p = 1 mod N, N
-the common order of the sum's terms (``cyclo.Images``): each image is a
-plain integer contraction mod p, and an l1 bound on the deferred sum in
-Z[C_N] turns agreement of every image into an exact equality (see
-``_Engine``).  No coefficient is canonicalized and no float is consulted.  A
-coefficient that fails is recomputed with ``cyclo.exact_sum``, so the error
-carries its exact value.  Column quantities S[i,s]/S[0,s] and S[0,s] S[s,k']
-are memoized, rows are cached by their exact pair products, and the (i,j)
-pair work can be partitioned across processes.  ``check_ring`` certifies
-qdim multiplicativity through the same images.
+Coefficients are certified by one image modulo each prime p = 1 mod N, N
+the common order of the sum's terms (``cyclo.Images``): the Galois symmetry
+of S (``modular_data.galois_permutations``) makes each coefficient rational, and
+an l1 bound on the deferred sum in Z[C_N] turns its images into an exact
+equality (see ``_Engine``).  No coefficient is canonicalized and no float is
+consulted.  A coefficient that fails is recomputed with ``cyclo.exact_sum``,
+so the error carries its exact value.  Column quantities are memoized, rows
+are cached by the residues of their pair products, and the (i,j) pair work
+can be partitioned across processes.  ``check_ring`` certifies qdim
+multiplicativity through the images of S.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, inverse
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
-from .modular_data import MissingEntryError, ModularDatum, quantum_dimensions
+from .modular_data import (MissingEntryError, ModularDatum, SImages, galois_permutations,
+                           quantum_dimensions)
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
@@ -51,10 +52,14 @@ __all__ = [
 
 
 class NonIntegerResultError(ArithmeticError):
-    """A Verlinde sum failed to canonicalize to a rational integer."""
+    """A Verlinde sum failed to canonicalize to a rational integer; the exact
+    ``residual`` is printed only up to 64 terms, else as its size."""
 
     def __init__(self, triple, residual):
-        super().__init__(f"N{triple} is not a rational integer: {residual}")
+        terms = len(residual.coeffs)
+        shown = (residual if terms <= 64
+                 else f"an element of Q(zeta_{residual.order}) with {terms} terms")
+        super().__init__(f"N{triple} is not a rational integer: {shown}")
         self.triple = triple
         self.residual = residual
 
@@ -130,65 +135,33 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
     return n
 
 
-def _positions(ids) -> dict[int, int]:
-    """Each distinct id mapped to the order of its first occurrence."""
-    return {v: p for p, v in enumerate(dict.fromkeys(ids))}
-
-
-class _Image:
-    """The engine's ratios and column values at one unit of one prime p.
-
-    The column images are packed, for each s, into one integer with a 64-bit
-    slot per k, so one row costs n small modular products and one sum of n
-    packed products.
-    """
-
-    def __init__(self, ratio: dict[int, list[int]], colq: list[list[int]], p: int, images):
-        # No reference back to the engine: a cycle would keep every engine
-        # alive until the next garbage collection.
-        self.values, col = images
-        self.p = p
-        self.ratio = ratio
-        self.slots = len(colq)
-        self.packed = [cyclo.pack([col[c] for c in column]) for column in zip(*colq)]
-
-    def row(self, i: int, j: int) -> list[int]:
-        """sum_s R[i,s] R[j,s] T[s,k] mod p for every k, in index order."""
-        p, values = self.p, self.values
-        pair = [values[x] * values[y] % p for x, y in zip(self.ratio[i], self.ratio[j])]
-        return cyclo.packed_product(pair, self.packed, self.slots, p)
-
-
 class _Engine:
     """Memoized per-datum quantities for bulk tensor computation.
 
-    Column ratios r_i(s) = S[i,s]/S[0,s] and column products
-    t_k(s) = S[0,s]*S[s,k'] are canonical products taken from a
-    ``cyclo.ProductMemo``.  Rows are cached by the vector of pair-product ids
-    r_i(s) r_j(s), which collapses e.g. a cyclic group datum from
-    quadratically to linearly many distinct rows.
-
     A row is certified from its images in prime fields (``cyclo.Images``),
-    never by canonicalizing a coefficient.  Lift every r_i(s) and t_k(s) to
-    an integer exponent map at the common order N over the denominators D_r
-    and D_t; then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to
-    D N[i,j]^k with D = D_r^2 D_t, and its l1 norm is at most
-    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If every image of
+    never by canonicalizing a coefficient.  ``galois_permutations`` on the rows
+    0 and ``indices`` and the dual columns of ``indices`` make every N[i,j]^k
+    rational, since a sign per column cancels in r_i(s) r_j(s) t_k(s), where
+    r_i(s) = S[i,s]/S[0,s] and t_k(s) = S[0,s]*S[s,k'] (one product per
+    distinct pair of entries).  Lift every r_i(s) and t_k(s) to an integer
+    exponent map at the common order N over the denominators D_r and D_t;
+    then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to D N[i,j]^k with
+    D = D_r^2 D_t, and its l1 norm is at most
+    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If the image of
     N[i,j]^k is c mod p, for primes p = 1 mod N whose product P exceeds 4B
     and c lifted to 0..P-1, then 0 <= c <= B/D certifies N[i,j]^k = c, and
-    any other c certifies that it is not a nonnegative integer.
+    any other c that it is not a nonnegative integer.  Certified rows are
+    cached by the residues of r_i(s) r_j(s), which determine them.
 
-    A row that fails -- images that disagree, or a lift out of range -- is
-    recomputed with ``cyclo.exact_sum``, which names the first bad triple and
-    its exact value.  So does every row when no usable prime exists.
-    """
+    A row that fails is recomputed with ``cyclo.exact_sum``, which names the
+    first bad triple and its exact value; so is every row when the check
+    fails or no usable prime exists."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
         n = self.n = datum.size
         self.indices = indices
         dual = datum.dual_permutation()
         inverses: dict[Cyclotomic, Cyclotomic] = {}
-        inv0 = []
         for s in range(n):
             denom = datum.entry(0, s)  # MissingEntryError if the vacuum row has a hole
             if denom.is_zero():
@@ -196,55 +169,57 @@ class _Engine:
             if denom not in inverses:
                 # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
                 inverses[denom] = inverse(denom)
-            inv0.append(inverses[denom])
-        memo = self.memo = cyclo.ProductMemo()
-        intern, product, values = memo.intern, memo.product, memo.values
-        inv0_ids = [intern(v) for v in inv0]
-        self.ratio = {i: [product(intern(datum.entry(i, s)), inv0_ids[s]) for s in range(n)]
+        times = self._times = lru_cache(maxsize=None)(mul)
+        s0 = datum.s[0]
+        self.ratio = {i: [times(datum.s[i][s], inverses[s0[s]]) for s in range(n)]
                       for i in indices}
-        self.colq = {k: [product(intern(datum.entry(0, s)), intern(datum.entry(s, dual[k])))
-                         for s in range(n)] for k in indices}
+        self.colq = {k: [times(s0[s], datum.s[s][dual[k]]) for s in range(n)] for k in indices}
         self._row_cache: dict = {}
+        self.primes: list[int] = []
+        rows = dict.fromkeys([0, *indices])
+        if galois_permutations(datum, rows, [dual[k] for k in indices]) is None:
+            return
 
-        # Each distinct ratio and column value is imaged once, at its position.
-        ratio_pos = _positions(v for ids in self.ratio.values() for v in ids)
-        col_pos = _positions(v for ids in self.colq.values() for v in ids)
-        ratio = {i: [ratio_pos[v] for v in ids] for i, ids in self.ratio.items()}
+        images = self.images = cyclo.Images([[v for values in group.values() for v in values]
+                                             for group in (self.ratio, self.colq)])
+        ratio_pos, col_pos = images.positions
+        ratio = self._ratio_ids = {i: [ratio_pos[v] for v in values]
+                                   for i, values in self.ratio.items()}
         colq = [[col_pos[v] for v in self.colq[k]] for k in indices]
-        images = self.images = cyclo.Images(
-            [[values[v] for v in ratio_pos], [values[v] for v in col_pos]],
-            partial(_Image, ratio, colq))
         (d_r, d_t), (r_norm, t_norm) = images.denoms, images.norms
         bound = sum(max((r_norm[ratio[i][s]] for i in indices), default=0) ** 2
                     * max((t_norm[col[s]] for col in colq), default=0)
                     for s in range(n))
         self.max_coeff = bound // (d_r * d_r * d_t)
-        images.choose_primes(4 * bound, summands=n)
-        self.primes = images.primes
-
-    def _certified_row(self, i: int, j: int) -> list[int] | None:
-        """The row if its images certify it, else None."""
-        out = self.images.common(lambda image: image.row(i, j))
-        if out is None or any(c > self.max_coeff for c in out):
-            return None  # negative, or not an integer
-        return out
+        if images.choose_primes(4 * bound, summands=n):
+            self.primes = [p for p, _ in images.primes]
+            # Per prime, the column images packed, for each s, into one
+            # integer with a 64-bit slot per k, so one row costs n small
+            # modular products and one sum of n packed products.
+            self._packed = [[cyclo.pack([col[c] for c in column]) for column in zip(*colq)]
+                            for _, col in images.residues]
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
         """All N[i,j]^k for k in the index set, in index order."""
-        product = self.memo.product
-        pair = tuple(product(a, b) for a, b in zip(self.ratio[i], self.ratio[j]))
-        cached = self._row_cache.get(pair)
-        if cached is not None:
-            return cached
-        out = self._certified_row(i, j) if self.primes else None
-        if out is None:
-            values = self.memo.values
-            out = [_integer_coeff(cyclo.exact_sum([values[a] * values[b]
-                                                   for a, b in zip(pair, self.colq[k])]),
-                                  (i, j, k))
-                   for k in self.indices]
-        self._row_cache[pair] = out
-        return out
+        if self.primes:
+            ratio = self._ratio_ids
+            pairs = [[r[x] * r[y] % p for x, y in zip(ratio[i], ratio[j])]
+                     for p, (r, _) in zip(self.primes, self.images.residues)]
+            key = tuple(map(tuple, pairs))
+            out = self._row_cache.get(key)
+            if out is None:
+                out = self.images.combine(
+                    cyclo.packed_product(pair, packed, len(self.indices), p)
+                    for pair, packed, p in zip(pairs, self._packed, self.primes))
+                # A lift above the bound is negative or not an integer: [].
+                out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+            if out:
+                return out
+        times = self._times
+        pair = [times(a, b) for a, b in zip(self.ratio[i], self.ratio[j])]
+        return [_integer_coeff(cyclo.exact_sum([times(a, b) for a, b in zip(pair, self.colq[k])]),
+                               (i, j, k))
+                for k in self.indices]
 
 
 def _pair_rows(engine: _Engine, pairs: list[tuple[int, int]]):
@@ -404,7 +379,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
-    bad = _first_qdim_failure(tensor.values, qdims, report.commutative)
+    bad = _first_qdim_failure(tensor.values, datum, qdims, report.commutative)
     if bad is not None:
         report.failures.append(f"qdim multiplicativity fails at pair {bad}")
     report.qdim_multiplicative = bad is None
@@ -422,38 +397,50 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     return report
 
 
-def _first_qdim_failure(values, qdims, commutative: bool) -> tuple[int, int] | None:
+def _first_qdim_failure(values, datum: ModularDatum, qdims,
+                        commutative: bool) -> tuple[int, int] | None:
     """The first pair (i, j), in row-major order, with sum_k N[i,j]^k d_k != d_i d_j.
 
-    With x = D d lifted to Z[C_N] (``cyclo.Images``), the difference times D^2
-    is A = D sum_k N[i,j]^k x_k - x_i x_j, whose l1 norm is at most
-    D |x|_max sum_k N[i,j]^k + |x|_max^2.  A nonzero image of a pair certifies
-    that it fails; zero images at every unit of primes whose product exceeds
-    twice that bound certify that it holds.  Without such primes every pair
-    is compared exactly.
+    Through one image of S per prime (``SImages``) of E_ij(s) = S[0,s] sum_k
+    N[i,j]^k S[k,s] - S[i,s] S[j,s], at s = 0 the qdim identity times
+    S[0,0]^2, whose nonzero image certifies a failure.  sigma_a maps E_ij(0)
+    to E_ij(pi_a(0)) (``galois_permutations``), so zero images on the orbit
+    of column 0 certify E_ij(0) = 0 when the primes' product exceeds twice
+    |x00| max_k |x_k0| sum_k N[i,j]^k + max_k |x_k0|^2, x = D S lifted to
+    Z[C_N].  Other pairs, and all without the permutations or a usable prime,
+    are compared exactly.
     """
     n = len(qdims)
-    images = cyclo.Images([qdims], lambda p, images: (p, images[0]))
-    (norms,), (denom,) = images.norms, images.denoms
-    top = max(norms)
-    bound = denom * top * max(sum(row) for plane in values for row in plane) + top * top
-    certified = images.choose_primes(2 * bound)
+    perms = galois_permutations(datum, range(n), range(n))
+    certified = False
+    if perms is not None:
+        images = SImages(datum)
+        column = [row[0] for row in images.norms]
+        top = max(column)
+        weight = max(sum(map(abs, row)) for plane in values for row in plane)
+        certified = images.choose_primes(2 * (column[0] * top * weight + top * top))
+    if certified:
+        orbit = [0]
+        for s in orbit:  # grows while it is walked
+            orbit += [t for t in {perm[s] for perm in perms} if t not in orbit]
+        # Per prime, the rows of S on the orbit, column s scaled by S[0,s], packed.
+        packed = [[cyclo.pack([row[s] * x[0][s] % p for s in orbit]) for row in x]
+                  for p, x in zip(images.primes, images.rows)]
     for i in range(n):
-        pairs = range(i if commutative else 0, n)
-        if certified:
-            nonzero = set()
-            for q in range(len(images.primes)):
-                for p, x in images.images(q):
-                    xi = x[i]
-                    nonzero.update(j for j in pairs
-                                   if (sum(map(mul, values[i][j], x)) - xi * x[j]) % p)
-            if nonzero:
-                return i, min(nonzero)
-        else:
-            for j in pairs:
-                lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(values[i][j]) if m)
-                if lhs != qdims[i] * qdims[j]:
-                    return i, j
+        for j in range(i if commutative else 0, n):
+            if certified:
+                holds = True
+                for p, x, rows in zip(images.primes, images.rows, packed):
+                    lhs = cyclo.packed_product([m % p for m in values[i][j]], rows, len(orbit), p)
+                    rhs = [x[i][s] * x[j][s] % p for s in orbit]
+                    if lhs[0] != rhs[0]:
+                        return i, j
+                    holds = holds and lhs == rhs
+                if holds:
+                    continue
+            lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(values[i][j]) if m)
+            if lhs != qdims[i] * qdims[j]:
+                return i, j
     return None
 
 

@@ -1,12 +1,15 @@
 """S^2 = C and qdim multiplicativity, certified by images, against exact oracles.
 
-The oracles sum S^2 by a triple loop of exact products and compare
-d_i d_j with sum_k N[i,j]^k d_k pair by pair in Q(zeta_n).  Neither touches
-``cyclo.Images``, so a fault in the certificates shows as a disagreement.
+The oracles sum S^2 by a triple loop of exact products, sum single Verlinde
+coefficients exactly, and compare d_i d_j with sum_k N[i,j]^k d_k pair by
+pair in Q(zeta_n).  None touches ``cyclo.Images`` or the Galois check, so a
+fault in the certificates shows as a disagreement.
 """
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import su2_datum
@@ -15,8 +18,10 @@ from fusionring import cyclo, modular_data
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import (ModularDatum, ModuleLabel, NotPermutationError,
-                                     charge_conjugation, quantum_dimensions, validate)
-from fusionring.verlinde import FusionTensor, check_ring, fusion_tensor
+                                     charge_conjugation, galois_permutations, quantum_dimensions,
+                                     validate)
+from fusionring.verlinde import (FusionTensor, NonIntegerResultError, check_ring,
+                                 computable_indices, fusion_tensor)
 
 
 def relabeled(datum, seed):
@@ -164,6 +169,19 @@ def test_bumped_s4_tensor_entry_reports_the_first_failing_pair(s4_completed, s4_
     assert not assert_ring_report_matches(tensor, s4_completed).ok
 
 
+def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity():
+    # In su(2)_6, 2 x 2 = 0 + 2 + 4 and d_2 = d_4.  Moving the channel breaks
+    # the tensor but not the qdim identity, so its images vanish on the whole
+    # Galois orbit of column 0 (rows 2 and 4 of S agree there), and the pair
+    # is certified to hold.
+    datum = su2_datum(6)
+    values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
+    values[2][2][2] -= 1
+    values[2][2][4] += 1
+    report = assert_ring_report_matches(FusionTensor(list(range(7)), values), datum)
+    assert report.qdim_multiplicative is True and not report.ok
+
+
 def test_without_a_usable_prime_every_report_is_the_same(monkeypatch, s4_completed, s4_tensor):
     # Few or no split primes lie below 32: the exact paths, or several tiny
     # primes, must give the same reports.
@@ -181,21 +199,108 @@ def test_without_a_usable_prime_every_report_is_the_same(monkeypatch, s4_complet
     assert not assert_ring_report_matches(tensor, datum).ok
 
 
-def test_validate_stops_imaging_at_the_second_unit(monkeypatch):
-    # phi(1000003) units exist; row 0 of S^2 is [1 + zeta^2, 0], whose images
-    # at the units 1 and 2 differ.
+def test_validate_fails_the_galois_check_before_imaging(monkeypatch):
+    # sigma_g maps the column (1, zeta) of S to (1, zeta^g), which is no
+    # column, so S is never imaged and row 0 of S^2, 1 + zeta^2, is summed
+    # exactly.
     built = []
 
-    class CountedImage(modular_data._SquareImage):
-        def __init__(self, *args):
+    class CountedImages(cyclo.Images):
+        def __init__(self, groups):
             built.append(1)
-            super().__init__(*args)
+            super().__init__(groups)
 
-    monkeypatch.setattr(modular_data, "_SquareImage", CountedImage)
+    monkeypatch.setattr(cyclo, "Images", CountedImages)
     one, zeta = Cyclotomic.one(), root_of_unity(1000003)
     datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
                          [[one, zeta], [zeta, -one]])
     report = validate(datum)
-    assert len(built) == 2
+    assert built == []
     assert report.square_is_permutation is False
     assert report.square_message.startswith("S^2[0,0] = ")
+
+
+# -- the Galois check, and the exact paths of data that fail it ----------------
+
+def whole(datum):
+    return range(datum.size), range(datum.size)
+
+
+def verlinde_by_exact_sum(datum, i, j, k):
+    dual = datum.dual_permutation()
+    s = datum.s
+    return exact_sum([s[i][t] * s[j][t] * s[t][dual[k]] / s[0][t] for t in range(datum.size)])
+
+
+def test_galois_check_passes_on_modular_data(s4, s4_completed):
+    assert galois_permutations(s4_completed, *whole(s4_completed)) is not None
+    # The block of the shipped partial s4 that the tensor engine uses.
+    datum = s4[0]
+    indices, dual = computable_indices(datum), datum.dual_permutation()
+    assert len(indices) == 21
+    assert galois_permutations(datum, [0, *indices], [dual[k] for k in indices]) is not None
+    for datum in (lattice_modular_data(LatticeSpec(11)), lattice_modular_data(LatticeSpec(13)),
+                  su2_datum(18), su2_datum(24)):
+        assert galois_permutations(datum, *whole(datum)) is not None
+
+
+@pytest.mark.parametrize("k", [6, 18])
+def test_galois_permutations_carry_each_column_to_its_conjugate(k):
+    datum = relabeled(su2_datum(k), seed=k)
+    n = datum.size
+    order = math.lcm(*(v.order for row in datum.s for v in row))
+    perms = galois_permutations(datum, *whole(datum))
+    assert len(perms) == len(cyclo.unit_generators(order))
+    for g, perm in zip(cyclo.unit_generators(order), perms):
+        assert sorted(perm) == list(range(n))
+        for s, t in enumerate(perm):
+            conjugated = [cyclo.galois(datum.s[r][s], g) for r in range(n)]
+            assert conjugated in ([datum.s[r][t] for r in range(n)],
+                                  [-datum.s[r][t] for r in range(n)])
+
+
+def test_galois_check_fails_on_corrupted_s4(s4_completed):
+    negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
+    rotated = s4_completed.with_entries({(3, 5): s4_completed.s[3][5] * root_of_unity(3)})
+    for datum in (negated, rotated):
+        assert galois_permutations(datum, *whole(datum)) is None
+
+
+def test_rotation_datum_without_galois_symmetry_reports_as_before():
+    # [[c, s], [s, -c]] with c = cos(2 pi/7), s = sin(2 pi/7) in Q(zeta_28):
+    # S^2 = I, but sigma_g sends c to cos(2 pi g/7), which is no entry.
+    z, minus_i = root_of_unity(7), root_of_unity(4, 3)
+    c = (z + root_of_unity(7, 6)) * Fraction(1, 2)
+    s = (z - root_of_unity(7, 6)) * minus_i * Fraction(1, 2)
+    datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
+                         [[c, s], [s, -c]])
+    assert galois_permutations(datum, *whole(datum)) is None
+    assert charge(datum) == square_by_triple_loop(datum) == [0, 1]
+    report = validate(datum)
+    assert report.to_text().splitlines()[-3:] == [
+        "S^2=C: identity", "unitarity S conj(S)^T = I: ok", "verdict: valid"]
+    assert json.loads(report.to_json()) == {
+        "bad_qdims": [], "dual_mismatches": [], "dual_permutation": [0, 1], "modules": 2,
+        "name": "", "ok": True, "square_is_permutation": True, "square_message": "",
+        "symmetry_violations": [], "unitary": True, "unknown_entries": 0,
+        "vacuum_row_zeros": []}
+    with pytest.raises(NonIntegerResultError) as err:
+        fusion_tensor(datum)
+    assert err.value.triple == (1, 1, 1)
+    assert err.value.residual == verlinde_by_exact_sum(datum, 1, 1, 1)
+    assert str(err.value) == ("N(1, 1, 1) is not a rational integer: -6/7*E(28)^3+6/7*E(28)^11"
+                              "-2/7*E(28)^15-10/7*E(28)^19+10/7*E(28)^23+2/7*E(28)^27")
+
+
+def test_negated_s4_pair_reports_as_before(s4_completed):
+    datum = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
+    expected = square_by_triple_loop(datum)
+    assert expected == "S^2[0,9] = -1/16*E(16)^3+1/16*E(16)^5 is neither 0 nor 1"
+    assert charge(datum) == expected
+    report = json.loads(validate(datum).to_json())
+    assert (report["square_is_permutation"], report["square_message"]) == (False, expected)
+    with pytest.raises(NonIntegerResultError) as err:
+        fusion_tensor(datum)
+    assert err.value.triple == (0, 0, 9)
+    assert err.value.residual == verlinde_by_exact_sum(datum, 0, 0, 9)
+    assert str(err.value) == "N(0, 0, 9) is not a rational integer: -1/16*E(16)^3+1/16*E(16)^5"

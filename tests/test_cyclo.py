@@ -452,34 +452,38 @@ def test_is_prime_against_trial_division():
 @settings(max_examples=60, deadline=None)
 @given(elements(), elements())
 def test_images_are_ring_homomorphisms(a, b):
-    # Each unit's map zeta_N -> w^a, on lifts over a denominator, respects
+    # Each prime's map zeta_N -> w, on lifts over a denominator, respects
     # sums and products; both sides are imaged by one kernel.
     group = [a, b, a + b, a * b]
-    images = cyclo.Images([group], lambda p, values: (p, values[0]))
+    images = cyclo.Images([group])
     assert images.choose_primes(1 << 40)
-    assert len(images.primes) >= 2
-    seen = 0
-    for q in range(len(images.primes)):
-        for p, (x, y, total, product) in images.images(q):
-            assert (x + y - total) % p == 0 and (x * y - product) % p == 0
-            seen += 1
-    units = sum(math.gcd(u, images.order) == 1 for u in range(1, images.order + 1))
-    assert seen == len(images.primes) * (units if not images.real or units == 1
-                                         else units // 2)
+    assert len(images.primes) >= 2 and len(images.residues) == len(images.primes)
+    (pos,) = images.positions
+    for (p, _), (values,) in zip(images.primes, images.residues):
+        x, y, total, product = (values[pos[v]] for v in group)
+        assert (x + y - total) % p == 0 and (x * y - product) % p == 0
 
 
-def test_images_of_a_real_group_use_half_the_units():
-    group = [sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)]
-    images = cyclo.Images([group], lambda p, values: values)
-    assert images.real and images.order == 120
-    images.choose_primes(1)
-    assert len(list(images.images(0))) == 16  # phi(120) / 2
-    assert not cyclo.Images([[root_of_unity(3)]], lambda p, values: values).real
+def test_images_are_one_residue_list_per_prime():
+    # Real and complex groups alike are imaged once per prime, at w itself;
+    # a repeated value is imaged once.
+    for group in ([sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)],
+                  [root_of_unity(3), Fraction(1, 2) * root_of_unity(8)]):
+        images = cyclo.Images([group + group[:1], group[:1]])
+        assert images.positions == [{v: i for i, v in enumerate(group)}, {group[0]: 0}]
+        assert images.choose_primes(1 << 70)
+        assert len(images.primes) >= 3
+        for (p, w), residues in zip(images.primes, images.residues):
+            powers = {e: pow(w, e, p) for e in range(images.order)}
+            expected = [sum(c.numerator * pow(c.denominator, -1, p)
+                            * powers[e * images.order // v.order] for e, c in v.coeffs.items())
+                        for v in group]
+            assert residues == [[x % p for x in expected], [expected[0] % p]]
+    assert images.combine([[p - 1] for p, _ in images.primes]) == [images.modulus - 1]
 
 
 def test_images_share_the_order_and_keep_group_denominators():
-    images = cyclo.Images([[Fraction(1, 6) * root_of_unity(4)], [Fraction(3, 10) * sqrt_int(3)]],
-                          lambda p, values: values)
+    images = cyclo.Images([[Fraction(1, 6) * root_of_unity(4)], [Fraction(3, 10) * sqrt_int(3)]])
     assert images.order == 12 and images.denoms == [6, 10]
     # 10 * 3/10 sqrt(3) has two basis terms, each with coefficient 3 or -3.
     assert images.norms == [[1], [6]]
@@ -487,15 +491,17 @@ def test_images_share_the_order_and_keep_group_denominators():
 
 def test_without_a_split_prime_no_primes_are_chosen(monkeypatch):
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
-    images = cyclo.Images([[root_of_unity(288)]], lambda p, values: values)
-    assert not images.choose_primes(10) and images.primes == []
+    images = cyclo.Images([[root_of_unity(288)]])
+    assert not images.choose_primes(10) and images.primes == [] and images.residues == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_packed_product_is_a_vector_matrix_product(data):
+    # Inputs stay inside the documented contract, rows * (p - 1)^2 < 2^64,
+    # so that no 64-bit slot carries into the next.
     p = data.draw(st.sampled_from([2, 97, 4294967291]))
-    rows = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(1, min(6, ((1 << 64) - 1) // (p - 1) ** 2)))
     width = data.draw(st.integers(1, 6))
     residue = st.integers(0, p - 1)
     matrix = data.draw(st.lists(st.lists(residue, min_size=width, max_size=width),
@@ -504,3 +510,31 @@ def test_packed_product_is_a_vector_matrix_product(data):
     expected = [sum(v * row[k] for v, row in zip(vector, matrix)) % p for k in range(width)]
     packed = [cyclo.pack(row) for row in matrix]
     assert cyclo.packed_product(vector, packed, width, p) == expected
+
+
+@pytest.mark.parametrize("rows", [1, 5, 28])
+def test_packed_product_at_the_largest_allowed_prime(rows):
+    # The largest prime choose_primes takes for ``rows`` summands, with every
+    # residue at its maximum p - 1: each slot holds rows * (p - 1)^2.
+    images = cyclo.Images([[Cyclotomic.one()]])
+    assert images.choose_primes(1, summands=rows)
+    ((p, _),) = images.primes
+    assert rows * (p - 1) ** 2 < 1 << 64 < rows * (p + 1) ** 2 * 2
+    width = 3
+    packed = [cyclo.pack([p - 1] * width) for _ in range(rows)]
+    assert cyclo.packed_product([p - 1] * rows, packed, width, p) == [rows % p] * width
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, MAX_ORDER).filter(lambda n: n % 4 != 2))
+def test_unit_generators_generate_the_units(n):
+    closure, frontier = {1 % n}, [1 % n]
+    gens = cyclo.unit_generators(n)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % n
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    assert closure == {a % n for a in range(1, n + 1) if math.gcd(a, n) == 1}

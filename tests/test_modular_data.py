@@ -19,6 +19,15 @@ def two_by_two():
     return ModularDatum(labels, s, name="ising-like")
 
 
+def test_equal_entries_share_one_object():
+    a, b = sqrt_int(2) * Fraction(1, 2), sqrt_int(2) * Fraction(1, 2)
+    assert a == b and a is not b
+    labels = [ModuleLabel(0, "vac"), ModuleLabel(1, "m")]
+    datum = ModularDatum(labels, [[a, b], [b, None]])
+    assert datum.s[0][0] is datum.s[0][1] is datum.s[1][0] and datum.s[1][1] is None
+    assert datum.with_entries({(1, 1): -b}).s[0][1] is a
+
+
 def test_two_by_two_valid():
     report = validate(two_by_two())
     assert report.ok
@@ -206,18 +215,18 @@ def test_validate_images_s_once(monkeypatch):
     kernels = []
 
     class CountedImages(cyclo.Images):
-        def __init__(self, groups, make):
+        def __init__(self, groups):
             kernels.append(self)
-            super().__init__(groups, make)
+            super().__init__(groups)
 
     monkeypatch.setattr(cyclo, "Images", CountedImages)
     assert validate(lattice_modular_data(LatticeSpec(3))).unitary is True
-    # One kernel images the six distinct entries zeta_6^e / sqrt(6) of S, at
-    # each of the phi(24) = 8 units of one prime, once.
+    # One kernel images the six distinct entries zeta_6^e / sqrt(6) of S
+    # once, at one prime.
     (kernel,) = kernels
     assert [len(lifts) for lifts in kernel.lifts] == [6]
-    assert kernel.order == 24 and not kernel.real
-    assert len(kernel.primes) == 1 and [len(images) for images in kernel.cache] == [8]
+    assert kernel.order == 24 and len(kernel.primes) == 1
+    assert [[len(values) for values in residues] for residues in kernel.residues] == [[6]]
 
 
 def test_qdims_not_checked_without_a_vacuum_entry():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -310,15 +311,31 @@ def test_corrupted_entry_reports_the_exact_residual():
         fusion_tensor(bad)
     assert err.value.triple == (0, 0, 5)
     assert str(err.value.residual) == "1/4*E(16)-1/4*E(16)^7"
+    assert str(err.value) == "N(0, 0, 5) is not a rational integer: 1/4*E(16)-1/4*E(16)^7"
 
 
-def test_bad_row_stops_at_the_second_image():
+def counted_kernels(monkeypatch):
+    """A list that gains one entry per ``cyclo.Images`` built."""
+    built = []
+
+    class CountedImages(cyclo.Images):
+        def __init__(self, groups):
+            built.append(1)
+            super().__init__(groups)
+
+    monkeypatch.setattr(cyclo, "Images", CountedImages)
+    return built
+
+
+def test_bad_entry_fails_the_galois_check_before_any_image(monkeypatch):
+    built = counted_kernels(monkeypatch)
     datum = su2_datum(6)
     bad = datum.with_entries({(2, 5): datum.s[2][5] + 1})
     engine = verlinde._Engine(bad, list(range(7)))
-    with pytest.raises(NonIntegerResultError):
+    assert built == [] and engine.primes == []
+    with pytest.raises(NonIntegerResultError) as err:
         engine.row_for_pair(0, 0)
-    assert [len(images) for images in engine.images.cache] == [2]
+    assert err.value.triple == (0, 0, 5)
 
 
 def test_negative_coefficient_reports_its_value():
@@ -334,37 +351,46 @@ def test_negative_coefficient_reports_its_value():
     assert (err.value.triple, err.value.value) == ((1, 1, 2), -1)
 
 
-def test_huge_order_fails_at_the_second_image(monkeypatch):
-    # phi(1000003) images exist; a bad row must not wait for all of them.
-    built = []
-
-    class CountedImage(verlinde._Image):
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(verlinde, "_Image", CountedImage)
+def test_huge_order_fails_the_galois_check_before_any_image(monkeypatch):
+    # sigma_g maps the column (1, zeta) to (1, zeta^g), which is no column.
+    built = counted_kernels(monkeypatch)
     one, zeta = Cyclotomic.one(), root_of_unity(1000003)
     datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
                          [[one, zeta], [zeta, -one]])
     with pytest.raises(NonIntegerResultError) as err:
         fusion_tensor(datum)
-    assert len(built) == 2
+    assert built == []
     # N[0,0]^0 = 1 + zeta^2; 1 is minus the sum of every nontrivial root.
     residual = err.value.residual
     assert err.value.triple == (0, 0, 0) and residual.order == 1000003
     assert residual.coeffs == {e: -1 for e in range(1, 1000003) if e != 2}
+    # The message names the residual's order and size instead of printing it.
+    assert str(err.value) == ("N(0, 0, 0) is not a rational integer: "
+                              "an element of Q(zeta_1000003) with 1000001 terms")
+
+
+@pytest.mark.parametrize("terms", [1, 64, 65, 200])
+def test_non_integer_message_prints_residuals_up_to_64_terms(terms):
+    residual = Cyclotomic(512, {e: Fraction(e + 1, 3) for e in range(terms)})
+    assert len(residual.coeffs) == terms
+    message = str(NonIntegerResultError((1, 2, 3), residual))
+    if terms <= 64:
+        assert message == f"N(1, 2, 3) is not a rational integer: {residual}"
+    else:
+        assert message == ("N(1, 2, 3) is not a rational integer: "
+                           f"an element of Q(zeta_512) with {terms} terms")
+        assert len(message) < 1024
 
 
 def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     calls = []
-    row = verlinde._Image.row
-    monkeypatch.setattr(verlinde._Image, "row",
-                        lambda image, i, j: calls.append((i, j)) or row(image, i, j))
+    packed_product = cyclo.packed_product
+    monkeypatch.setattr(cyclo, "packed_product",
+                        lambda *args: calls.append(1) or packed_product(*args))
     engine = verlinde._Engine(s4_completed, list(range(28)))
     assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
-    # The datum is real, so one prime's 96 units take 48 images.
-    assert calls == [(8, 18)] * 48 and len(engine.primes) == 1
+    # One image per prime, and one prime suffices.
+    assert len(calls) == len(engine.primes) == 1
 
 
 def test_tensor_does_not_import_numpy():
