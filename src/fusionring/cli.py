@@ -127,7 +127,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_table(args) -> int:
     datum, _ = _load_datum(args.file)
-    tensor = fusion_tensor(datum, jobs=args.jobs)
+    tensor = fusion_tensor(datum)
     sys.stdout.write(tensor_to_triples(tensor))
     return EXIT_OK
 
@@ -163,7 +163,7 @@ def cmd_regress(args) -> int:
     else:
         fixtures = triples_to_fixtures(fixtures_text)
     check_fixture_range(fixtures, datum.size)
-    tensor = fusion_tensor(datum, jobs=args.jobs)
+    tensor = fusion_tensor(datum)
     # Only fixtures inside the tensor's index set are compared and counted.
     hard = applicable_fixtures(tensor, [fx for fx in fixtures if not fx.soft])
     soft = applicable_fixtures(tensor, [fx for fx in fixtures if fx.soft])
@@ -200,6 +200,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fusionring", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs_help = "accepted and ignored; the tensor is computed in one process"
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -224,7 +225,7 @@ def _build_parser() -> _Parser:
 
     p = add("table", cmd_table, 'full tensor as sorted "i j k N" triples')
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p = add("qdim", cmd_qdim, "quantum dimensions, exact and floating")
     p.add_argument("file")
@@ -238,7 +239,7 @@ def _build_parser() -> _Parser:
     p = add("regress", cmd_regress, "compare the computed tensor against fixtures")
     p.add_argument("file")
     p.add_argument("fixtures")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("--soft-fixtures", action="store_true", dest="soft_fixtures",
                    help="let soft-fixture mismatches fail the run")

@@ -769,6 +769,15 @@ def format_exact(a: Cyclotomic) -> str:
     return out
 
 
+def format_brief(a: Cyclotomic) -> str:
+    """``format_exact`` up to 64 terms, else the order and the term count, so
+    that an error message stays short."""
+    terms = len(a.coeffs)
+    if terms <= 64:
+        return format_exact(a)
+    return f"an element of Q(zeta_{a.order}) with {terms} terms"
+
+
 def _format_fraction(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)

@@ -16,18 +16,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
 from . import cyclo
-from .cyclo import Cyclotomic, conj, embed, format_exact, inverse
+from .cyclo import Cyclotomic, conj, embed, format_brief, format_exact, inverse
 from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
     "ModuleLabel", "ModularDatum", "SImages",
-    "validate", "charge_conjugation", "galois_permutations", "quantum_dimensions", "glob",
+    "validate", "charge_conjugation", "computable_indices", "galois_permutations",
+    "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
 
@@ -92,6 +93,11 @@ class ModularDatum:
         """The dual indices recorded on the labels; identity where unset."""
         return [lab.dual if lab.dual is not None else lab.index for lab in self.labels]
 
+    @cached_property
+    def galois(self) -> list[list[int]] | None:
+        """``galois_permutations(self)``, computed at most once per datum."""
+        return galois_permutations(self)
+
     def with_entries(self, new_entries: dict[tuple[int, int], Cyclotomic]) -> "ModularDatum":
         """A copy with additional entries filled in."""
         s = [row[:] for row in self.s]
@@ -139,7 +145,7 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
                     raise NotPermutationError(f"row {i} of S^2 has two unit entries")
                 perm[i] = j
             elif not v.is_zero():
-                raise NotPermutationError(f"S^2[{i},{j}] = {v} is neither 0 nor 1")
+                raise NotPermutationError(f"S^2[{i},{j}] = {format_brief(v)} is neither 0 nor 1")
         if perm[i] == -1:
             raise NotPermutationError(f"row {i} of S^2 has no unit entry")
     for i, j in enumerate(perm):
@@ -148,17 +154,36 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
     return perm
 
 
-def galois_permutations(datum: ModularDatum, rows, cols) -> list[list[int]] | None:
+def computable_indices(datum: ModularDatum) -> list[int]:
+    """The modules whose S row and dual column are fully known.
+
+    Every Verlinde coefficient N[i,j]^k with i, j, k among them needs only
+    those rows and columns besides the vacuum row; ``verlinde.fusion_tensor``
+    computes over them.
+    """
+    n = datum.size
+    dual = datum.dual_permutation()
+    return [i for i in range(n)
+            if all(datum.known(i, s) and datum.known(s, dual[i]) for s in range(n))]
+
+
+def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
     """Per generator g of the units mod the entries' common order
     (``cyclo.unit_generators``), a permutation pi_g of the columns s of S
-    with sigma_g(column s) = +-column pi_g(s), where column s is (S[r,s] for
-    r in ``rows``) followed by (S[s,c] for c in ``cols``); None if there is
-    none.  Modular data have them (de Boer-Goeree 1991, Coste-Gannon 1994),
-    and then a sum over s in which the sign of column s cancels, as in
-    S[i,s] S[s,j], is rational.  Columns are matched exactly, as tuples of
-    entry ids taken at the smaller of their two signs."""
+    with sigma_g(column s) = +-column pi_g(s); None if there is none.  With
+    I = ``computable_indices(datum)``, column s is (S[r,s] for r = 0 and r in
+    I) followed by (S[s,k'] for k in I): all of S when S is fully known and
+    its dual labels are a permutation.  Modular data have them (de Boer-Goeree
+    1991, Coste-Gannon 1994), and then a sum over s in which the sign of
+    column s cancels, as in S[i,s] S[s,j], is rational.  Columns are matched
+    exactly, as tuples of entry ids taken at the smaller of their two signs.
+    Raises MissingEntryError if the vacuum row has a hole.  Callers use
+    ``ModularDatum.galois``, which runs this once per datum."""
+    indices = computable_indices(datum)
+    dual = datum.dual_permutation()
+    rows, cols = dict.fromkeys([0, *indices]), [dual[k] for k in indices]
     ids: dict[Cyclotomic, int] = {}
-    columns = [[ids.setdefault(datum.s[r][s], len(ids)) for r in rows]
+    columns = [[ids.setdefault(datum.entry(r, s), len(ids)) for r in rows]
                + [ids.setdefault(datum.s[s][c], len(ids)) for c in cols]
                for s in range(datum.size)]
     values = list(ids)
@@ -210,7 +235,7 @@ class SImages:
 def _s_squared_rows(datum: ModularDatum):
     """The rows of S^2 in order, each certified 0/1 from images or summed exactly.
 
-    ``galois_permutations`` of all of S make S^2 rational.  With x = D S lifted
+    The Galois permutations of all of S make S^2 rational.  With x = D S lifted
     to Z[C_N] (``SImages``), D^2 S^2[i,j] - c D^2, c in {0, 1}, has l1 norm at
     most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2, so for primes whose
     product exceeds 4B a row whose images lift to 0 or 1 is exact.  Any other
@@ -220,7 +245,8 @@ def _s_squared_rows(datum: ModularDatum):
     n = datum.size
     everything = range(n)
     certified = False
-    if galois_permutations(datum, everything, everything) is not None:
+    # The Galois check covers the dual columns, all of S once they are a permutation.
+    if sorted(datum.dual_permutation()) == list(everything) and datum.galois is not None:
         images = SImages(datum)
         norms = images.norms
         bound = images.denom ** 2 + sum(max(row[s] for row in norms) * max(norms[s])

@@ -18,29 +18,27 @@ row of that tensor with the same engine.
 
 Coefficients are certified by one image modulo each prime p = 1 mod N, N
 the common order of the sum's terms (``cyclo.Images``): the Galois symmetry
-of S (``modular_data.galois_permutations``) makes each coefficient rational, and
-an l1 bound on the deferred sum in Z[C_N] turns its images into an exact
-equality (see ``_Engine``).  No coefficient is canonicalized and no float is
-consulted.  A coefficient that fails is recomputed with ``cyclo.exact_sum``,
-so the error carries its exact value.  Column quantities are memoized, rows
-are cached by the residues of their pair products, and the (i,j) pair work
-can be partitioned across processes.  ``check_ring`` certifies qdim
-multiplicativity through the images of S.
+of S (``modular_data.galois_permutations``, checked once per datum) makes
+each coefficient rational, and an l1 bound on the deferred sum in Z[C_N]
+turns its images into an exact equality (see ``_Engine``).  No coefficient
+is canonicalized and no float is consulted.  A coefficient that fails is
+recomputed with ``cyclo.exact_sum``, so the error carries its exact value.
+Column quantities are memoized and rows are cached by the residues of their
+pair products; the tensor is filled in one process.  ``check_ring``
+certifies qdim multiplicativity through the images of S.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
 from . import cyclo
-from .cyclo import Cyclotomic, inverse
+from .cyclo import Cyclotomic, format_brief, inverse
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
-from .modular_data import (MissingEntryError, ModularDatum, SImages, galois_permutations,
+from .modular_data import (MissingEntryError, ModularDatum, SImages, computable_indices,
                            quantum_dimensions)
 
 __all__ = [
@@ -53,13 +51,10 @@ __all__ = [
 
 class NonIntegerResultError(ArithmeticError):
     """A Verlinde sum failed to canonicalize to a rational integer; the exact
-    ``residual`` is printed only up to 64 terms, else as its size."""
+    ``residual`` is printed as ``cyclo.format_brief`` shows it."""
 
     def __init__(self, triple, residual):
-        terms = len(residual.coeffs)
-        shown = (residual if terms <= 64
-                 else f"an element of Q(zeta_{residual.order}) with {terms} terms")
-        super().__init__(f"N{triple} is not a rational integer: {shown}")
+        super().__init__(f"N{triple} is not a rational integer: {format_brief(residual)}")
         self.triple = triple
         self.residual = residual
 
@@ -111,18 +106,6 @@ class FusionTensor:
         return self.indices == other.indices and self.values == other.values
 
 
-def computable_indices(datum: ModularDatum) -> list[int]:
-    """The modules whose S row and dual column are fully known.
-
-    Every coefficient N[i,j]^k with i, j, k among them needs only those rows
-    and columns besides the vacuum row; ``fusion_tensor`` computes over them.
-    """
-    n = datum.size
-    dual = datum.dual_permutation()
-    return [i for i in range(n)
-            if all(datum.known(i, s) and datum.known(s, dual[i]) for s in range(n))]
-
-
 def _integer_coeff(value: Cyclotomic, triple) -> int:
     if not value.is_rational():
         raise NonIntegerResultError(triple, value)
@@ -136,22 +119,24 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
 
 
 class _Engine:
-    """Memoized per-datum quantities for bulk tensor computation.
+    """Memoized per-datum quantities for the tensor of ``fusion_tensor``, whose
+    ``indices`` are ``computable_indices(datum)``.
 
     A row is certified from its images in prime fields (``cyclo.Images``),
-    never by canonicalizing a coefficient.  ``galois_permutations`` on the rows
-    0 and ``indices`` and the dual columns of ``indices`` make every N[i,j]^k
-    rational, since a sign per column cancels in r_i(s) r_j(s) t_k(s), where
-    r_i(s) = S[i,s]/S[0,s] and t_k(s) = S[0,s]*S[s,k'] (one product per
-    distinct pair of entries).  Lift every r_i(s) and t_k(s) to an integer
-    exponent map at the common order N over the denominators D_r and D_t;
-    then A = sum_s r_i r_j t_k, summed in Z[C_N], reduces to D N[i,j]^k with
-    D = D_r^2 D_t, and its l1 norm is at most
-    B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If the image of
-    N[i,j]^k is c mod p, for primes p = 1 mod N whose product P exceeds 4B
-    and c lifted to 0..P-1, then 0 <= c <= B/D certifies N[i,j]^k = c, and
-    any other c that it is not a nonnegative integer.  Certified rows are
-    cached by the residues of r_i(s) r_j(s), which determine them.
+    never by canonicalizing a coefficient.  The datum's Galois permutations
+    (``ModularDatum.galois``, on the rows 0 and ``indices`` and the dual
+    columns of ``indices``) make every N[i,j]^k rational, since a sign per
+    column cancels in r_i(s) r_j(s) t_k(s), where r_i(s) = S[i,s]/S[0,s] and
+    t_k(s) = S[0,s]*S[s,k'] (one product per distinct pair of entries).
+    Lift every r_i(s) and t_k(s) to an integer exponent map at the common
+    order N over the denominators D_r and D_t; then A = sum_s r_i r_j t_k,
+    summed in Z[C_N], reduces to D N[i,j]^k with D = D_r^2 D_t, and its l1
+    norm is at most B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If the
+    image of N[i,j]^k is c mod p, for primes p = 1 mod N whose product P
+    exceeds 4B and c lifted to 0..P-1, then 0 <= c <= B/D certifies
+    N[i,j]^k = c, and any other c that it is not a nonnegative integer.
+    Certified rows are cached by the residues of r_i(s) r_j(s), which
+    determine them.
 
     A row that fails is recomputed with ``cyclo.exact_sum``, which names the
     first bad triple and its exact value; so is every row when the check
@@ -176,8 +161,7 @@ class _Engine:
         self.colq = {k: [times(s0[s], datum.s[s][dual[k]]) for s in range(n)] for k in indices}
         self._row_cache: dict = {}
         self.primes: list[int] = []
-        rows = dict.fromkeys([0, *indices])
-        if galois_permutations(datum, rows, [dual[k] for k in indices]) is None:
+        if datum.galois is None:
             return
 
         images = self.images = cyclo.Images([[v for values in group.values() for v in values]
@@ -222,55 +206,24 @@ class _Engine:
                 for k in self.indices]
 
 
-def _pair_rows(engine: _Engine, pairs: list[tuple[int, int]]):
-    return [(i, j, engine.row_for_pair(i, j)) for i, j in pairs]
-
-
-_worker_engine: _Engine | None = None
-
-
-def _worker_init(datum: ModularDatum, indices: list[int]) -> None:
-    global _worker_engine
-    _worker_engine = _Engine(datum, indices)
-
-
-def _worker_rows(pairs: list[tuple[int, int]]):
-    return _pair_rows(_worker_engine, pairs)
-
-
 def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
-    """Every coefficient N[i,j]^k over the computable modules.
+    """Every coefficient N[i,j]^k over the computable modules, from one engine.
 
     The index set is ``computable_indices(datum)``: every module of a fully
     known datum, and the fully known block of a partial one, whose modules
     ``tensor.indices`` lists (``check_ring`` rejects such a tensor).  Raises
     MissingEntryError if the vacuum row is not fully known, and fails
-    atomically on the first non-integer or negative coefficient.  With
-    jobs > 1 the (i,j) pairs are partitioned over worker processes and the
-    results merged in deterministic order; the worker count is capped by the
-    CPU count and the number of pairs.
+    atomically on the first non-integer or negative coefficient.  ``jobs``
+    is accepted for compatibility and ignored: the tensor is filled pair by
+    pair in this process.
     """
     indices = computable_indices(datum)
-    pos = {idx: p for p, idx in enumerate(indices)}
+    engine = _Engine(datum, indices)
     m = len(indices)
-    pairs = [(indices[a], indices[b]) for a in range(m) for b in range(a, m)]
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        chunks = [pairs[c::workers] for c in range(workers)]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(datum, indices)) as pool:
-            for part in pool.map(_worker_rows, chunks):
-                results.extend(part)
-    else:
-        engine = _Engine(datum, indices)
-        results = _pair_rows(engine, pairs)
     values = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for i, j, row in sorted(results, key=lambda t: (t[0], t[1])):
-        a, b = pos[i], pos[j]
-        values[a][b] = row
-        if a != b:
-            values[b][a] = row
+    for a in range(m):
+        for b in range(a, m):
+            values[a][b] = values[b][a] = engine.row_for_pair(indices[a], indices[b])
     return FusionTensor(indices, values)
 
 
@@ -404,14 +357,15 @@ def _first_qdim_failure(values, datum: ModularDatum, qdims,
     Through one image of S per prime (``SImages``) of E_ij(s) = S[0,s] sum_k
     N[i,j]^k S[k,s] - S[i,s] S[j,s], at s = 0 the qdim identity times
     S[0,0]^2, whose nonzero image certifies a failure.  sigma_a maps E_ij(0)
-    to E_ij(pi_a(0)) (``galois_permutations``), so zero images on the orbit
+    to E_ij(pi_a(0)) (``ModularDatum.galois``), so zero images on the orbit
     of column 0 certify E_ij(0) = 0 when the primes' product exceeds twice
     |x00| max_k |x_k0| sum_k N[i,j]^k + max_k |x_k0|^2, x = D S lifted to
     Z[C_N].  Other pairs, and all without the permutations or a usable prime,
     are compared exactly.
     """
     n = len(qdims)
-    perms = galois_permutations(datum, range(n), range(n))
+    # The Galois check covers every row of S only when S is fully known.
+    perms = datum.galois if datum.fully_known() else None
     certified = False
     if perms is not None:
         images = SImages(datum)

@@ -17,9 +17,9 @@ from conftest import su2_datum
 from fusionring import cyclo, modular_data
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
-from fusionring.modular_data import (ModularDatum, ModuleLabel, NotPermutationError,
-                                     charge_conjugation, galois_permutations, quantum_dimensions,
-                                     validate)
+from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
+                                     NotPermutationError, charge_conjugation, galois_permutations,
+                                     quantum_dimensions, validate)
 from fusionring.verlinde import (FusionTensor, NonIntegerResultError, check_ring,
                                  computable_indices, fusion_tensor)
 
@@ -222,10 +222,6 @@ def test_validate_fails_the_galois_check_before_imaging(monkeypatch):
 
 # -- the Galois check, and the exact paths of data that fail it ----------------
 
-def whole(datum):
-    return range(datum.size), range(datum.size)
-
-
 def verlinde_by_exact_sum(datum, i, j, k):
     dual = datum.dual_permutation()
     s = datum.s
@@ -233,15 +229,13 @@ def verlinde_by_exact_sum(datum, i, j, k):
 
 
 def test_galois_check_passes_on_modular_data(s4, s4_completed):
-    assert galois_permutations(s4_completed, *whole(s4_completed)) is not None
+    assert galois_permutations(s4_completed) is not None
     # The block of the shipped partial s4 that the tensor engine uses.
-    datum = s4[0]
-    indices, dual = computable_indices(datum), datum.dual_permutation()
-    assert len(indices) == 21
-    assert galois_permutations(datum, [0, *indices], [dual[k] for k in indices]) is not None
+    assert len(computable_indices(s4[0])) == 21
+    assert galois_permutations(s4[0]) is not None
     for datum in (lattice_modular_data(LatticeSpec(11)), lattice_modular_data(LatticeSpec(13)),
                   su2_datum(18), su2_datum(24)):
-        assert galois_permutations(datum, *whole(datum)) is not None
+        assert galois_permutations(datum) is not None
 
 
 @pytest.mark.parametrize("k", [6, 18])
@@ -249,7 +243,7 @@ def test_galois_permutations_carry_each_column_to_its_conjugate(k):
     datum = relabeled(su2_datum(k), seed=k)
     n = datum.size
     order = math.lcm(*(v.order for row in datum.s for v in row))
-    perms = galois_permutations(datum, *whole(datum))
+    perms = galois_permutations(datum)
     assert len(perms) == len(cyclo.unit_generators(order))
     for g, perm in zip(cyclo.unit_generators(order), perms):
         assert sorted(perm) == list(range(n))
@@ -263,7 +257,55 @@ def test_galois_check_fails_on_corrupted_s4(s4_completed):
     negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
     rotated = s4_completed.with_entries({(3, 5): s4_completed.s[3][5] * root_of_unity(3)})
     for datum in (negated, rotated):
-        assert galois_permutations(datum, *whole(datum)) is None
+        assert galois_permutations(datum) is None
+
+
+def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
+    calls = []
+    check = modular_data.galois_permutations
+
+    def counted(datum):
+        calls.append(datum)
+        return check(datum)
+
+    monkeypatch.setattr(modular_data, "galois_permutations", counted)
+    datum = s4_completed.with_entries({})  # not yet checked, unlike the shared fixture
+    assert validate(datum).ok
+    assert check_ring(fusion_tensor(datum), datum).ok
+    assert calls == [datum]
+    copy = datum.with_entries({})
+    assert check_ring(fusion_tensor(copy), copy).ok
+    assert calls == [datum, copy]
+
+
+def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
+    # The shipped s4 knows column 0, hence every qdim, but its Galois check
+    # covers only the known block: the qdim pairs are compared exactly.
+    assert check_ring(s4_tensor, s4[0]) == check_ring(s4_tensor, s4_completed)
+
+
+def test_vacuum_hole_is_reported_before_the_galois_check(monkeypatch, s4_completed):
+    calls = []
+    monkeypatch.setattr(modular_data, "galois_permutations", calls.append)
+    holed = s4_completed.with_entries({(0, 9): None})
+    with pytest.raises(MissingEntryError, match=r"S\[0,9\] is unknown"):
+        fusion_tensor(holed)
+    assert calls == []
+
+
+def test_long_values_in_errors_print_as_their_size():
+    # S^2[0,0] = 1 + E(101)^2 has 99 terms in the basis of Q(zeta_101).
+    z = root_of_unity(101)
+    datum = ModularDatum([ModuleLabel(0, "a"), ModuleLabel(1, "b")], [[Cyclotomic.one(), z],
+                                                                      [z, -Cyclotomic.one()]])
+    expected = "S^2[0,0] = an element of Q(zeta_101) with 99 terms is neither 0 nor 1"
+    assert charge(datum) == expected
+    assert json.loads(validate(datum).to_json())["square_message"] == expected
+    assert f"S^2=C: FAILED ({expected})" in validate(datum).to_text()
+    short = exact_sum(root_of_unity(101, e) for e in range(1, 65))
+    assert cyclo.format_brief(short) == cyclo.format_exact(short)
+    assert str(NonIntegerResultError((0, 0, 0), short + root_of_unity(101, 65))) == (
+        "N(0, 0, 0) is not a rational integer: an element of Q(zeta_101) with 65 terms")
 
 
 def test_rotation_datum_without_galois_symmetry_reports_as_before():
@@ -274,7 +316,7 @@ def test_rotation_datum_without_galois_symmetry_reports_as_before():
     s = (z - root_of_unity(7, 6)) * minus_i * Fraction(1, 2)
     datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
                          [[c, s], [s, -c]])
-    assert galois_permutations(datum, *whole(datum)) is None
+    assert galois_permutations(datum) is None
     assert charge(datum) == square_by_triple_loop(datum) == [0, 1]
     report = validate(datum)
     assert report.to_text().splitlines()[-3:] == [

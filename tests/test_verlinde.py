@@ -187,51 +187,12 @@ def test_triples_export_round_trip(s4_tensor):
 
 
 def test_parallel_matches_serial():
+    # jobs is accepted and ignored.
     spec = LatticeSpec(5)
     datum = lattice_modular_data(spec)
     serial = fusion_tensor(datum)
     parallel = fusion_tensor(datum, jobs=2)
     assert serial == parallel == expected_group_fusion(spec)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in this process, so no worker is ever started."""
-
-    max_workers = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, chunks):
-        return [func(chunk) for chunk in chunks]
-
-
-def test_jobs_clamped_to_cpus_and_pairs(monkeypatch):
-    import os
-
-    from fusionring import cyclo, verlinde
-
-    monkeypatch.setattr(verlinde, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    _SerialPool.max_workers.clear()
-    datum = lattice_modular_data(LatticeSpec(2))
-    expected = expected_group_fusion(LatticeSpec(2))
-    assert fusion_tensor(datum, jobs=10**6) == expected
-    small = lattice_modular_data(LatticeSpec(1))
-    assert fusion_tensor(small, jobs=10**6) == expected_group_fusion(LatticeSpec(1))
-    # 4 CPUs cap the 4-module tensor's 10 pairs; the 2-module one has 3 pairs.
-    assert _SerialPool.max_workers == [4, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert fusion_tensor(datum, jobs=10**6) == expected
-    assert _SerialPool.max_workers == [4, 3]
 
 
 def test_dual_permutation_realizes_the_inverse():
@@ -394,12 +355,15 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
 
 
 def test_tensor_does_not_import_numpy():
-    # numpy would add about 17 MB to a process that only certifies tensors.
+    # numpy would add about 17 MB to a process that only certifies tensors,
+    # and the tensor is filled in this process, without a process pool.
     code = ("import sys\n"
             "from fusionring.lattice import LatticeSpec, lattice_modular_data\n"
             "from fusionring.verlinde import fusion_tensor\n"
             "fusion_tensor(lattice_modular_data(LatticeSpec(13)))\n"
-            "assert 'numpy' not in sys.modules, 'fusion_tensor imported numpy'\n")
+            "assert 'numpy' not in sys.modules, 'fusion_tensor imported numpy'\n"
+            "for name in ('concurrent.futures', 'multiprocessing'):\n"
+            "    assert name not in sys.modules, f'fusion_tensor imported {name}'\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
