@@ -170,28 +170,22 @@ def cmd_regress(args) -> int:
     hard_disc = compare_fixtures(tensor, hard)
     soft_disc = compare_fixtures(tensor, soft)
     names = [lab.name for lab in datum.labels]
+    kinds = (("hard", hard, hard_disc), ("soft", soft, soft_disc))
     if args.json:
         import json
 
-        payload = {
-            "hard_checked": len(hard), "soft_checked": len(soft),
-            "hard_discrepancies": [
+        payload = {}
+        for kind, checked, disc in kinds:
+            payload[f"{kind}_checked"] = len(checked)
+            payload[f"{kind}_discrepancies"] = [
                 {"left": d.left, "right": d.right, "citation": d.citation,
-                 "expected": d.expected, "computed": d.computed}
-                for d in hard_disc],
-            "soft_discrepancies": [
-                {"left": d.left, "right": d.right, "citation": d.citation,
-                 "expected": d.expected, "computed": d.computed}
-                for d in soft_disc],
-        }
+                 "expected": d.expected, "computed": d.computed} for d in disc]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"hard fixtures checked: {len(hard)}, discrepancies: {len(hard_disc)}")
-        for d in hard_disc:
-            print("  " + d.to_text(names))
-        print(f"soft fixtures checked: {len(soft)}, discrepancies: {len(soft_disc)}")
-        for d in soft_disc:
-            print("  " + d.to_text(names))
+        for kind, checked, disc in kinds:
+            print(f"{kind} fixtures checked: {len(checked)}, discrepancies: {len(disc)}")
+            for d in disc:
+                print("  " + d.to_text(names))
     failed = bool(hard_disc) or (args.soft_fixtures and bool(soft_disc))
     return EXIT_FAIL if failed else EXIT_OK
 

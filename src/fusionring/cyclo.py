@@ -23,10 +23,10 @@ Inversion needs no linear algebra: ``inverse`` multiplies an element by its
 Galois conjugates (``galois``) until the product is rational, so the inverse
 is the product of those conjugates over that rational.
 
-Integer-valued results -- Verlinde coefficients, the entries of S^2, qdim
-multiplicativity -- are certified by one image kernel, ``Images``: values
-lifted to a common order N and imaged once modulo each prime p = 1 mod N,
-which suffices once the Galois symmetry of S makes each sum rational.
+Verlinde coefficients, the entries of S^2 and the character identity of the
+ring check are certified by one image kernel, ``Images``: values lifted to
+a common order N and imaged once modulo each prime p = 1 mod N, which
+suffices once the Galois symmetry of S makes each sum rational.
 
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records

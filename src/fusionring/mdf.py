@@ -17,10 +17,10 @@ Scalar values use a small expression grammar (whitespace-insensitive)::
     atom     := rational | 'E' '(' uint ')' | 'sqrt' '(' uint ')' | '(' expr ')'
     rational := int ('/' uint)?
 
-``E(n)`` is the root of unity exp(2*pi*i/n).  Its order n, and every prime
-factor of m in ``sqrt(m)``, may not exceed ``MAX_ORDER``: every later step
-works at the conductor of its values, so an uncapped one would cost time and
-memory without bound.  A rational literal like
+``E(n)`` is the root of unity exp(2*pi*i/n).  Its order n, every prime factor
+of m in ``sqrt(m)`` and the size of a ``^`` exponent may not exceed
+``MAX_ORDER``; uncapped, each would cost time and memory without bound.  A
+rational literal like
 ``4/2^2`` binds the slash at the atom level, per the grammar.  An S entry is
 stored as tabulated; the optional header ``scale`` expression multiplies
 every entry on load so that file text can mirror a printed table verbatim.
@@ -133,9 +133,6 @@ class _ExprParser:
         if kind != "sym" or val != sym:
             raise ParseError(f"expected {sym!r}", off)
 
-    def fail(self, message: str):
-        raise ParseError(message, self.peek()[2])
-
     def parse(self):
         node = self.expr()
         kind, _, off = self.peek()
@@ -175,7 +172,11 @@ class _ExprParser:
         kind, val, _ = self.peek()
         if kind == "sym" and val == "^":
             self.next()
-            node = ("pow", node, self.int_literal(signed=True))
+            offset = self.peek()[2]
+            exponent = self.int_literal(signed=True)
+            if abs(exponent) > MAX_ORDER:
+                raise ParseError(f"exponent exceeds {MAX_ORDER}", offset)
+            node = ("pow", node, exponent)
         if negate:
             node = ("neg", node)
         return node

@@ -371,11 +371,7 @@ def validate(datum: ModularDatum) -> ValidationReport:
                     report.dual_mismatches.append(lab.index)
             # S^2 = C gives S^-1[i,j] = S[i,perm[j]], so S is unitary iff that
             # equals conj(S[j,i]) everywhere; symmetry is not assumed.
-            conjugates: dict[Cyclotomic, Cyclotomic] = {}
-            for row in datum.s:
-                for v in row:
-                    if v not in conjugates:
-                        conjugates[v] = conj(v)
+            conjugates = {v: conj(v) for v in set().union(*datum.s)}
             report.unitary = all(datum.s[i][perm[j]] == conjugates[datum.s[j][i]]
                                  for i in range(n) for j in range(n))
     return report

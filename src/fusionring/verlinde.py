@@ -1,13 +1,10 @@
 """Fusion coefficients and fusion-ring structure from a modular datum.
 
-The central sum is N[i,j]^k = sum_s S[i,s] S[j,s] S[s,k'] / S[0,s], with the
-inverse S-matrix realized through the dual permutation k -> k' rather than a
-matrix inversion; the two agree for valid data (``modular_data.validate``
-certifies S^2 = C, hence S^-1[s,k] = S[s,k'], and checks that this equals
-conj(S[k,s])) and the permutation form is exact and O(1) per entry.  Every
-coefficient must be a nonnegative rational integer; anything else signals
-an inconsistent S-matrix and aborts the tensor computation with the
-offending triple.
+The central sum is N[i,j]^k = sum_s S[i,s] S[j,s] S[s,k'] / S[0,s]: once
+``modular_data.validate`` certifies S^2 = C, S^-1[s,k] = S[s,k'], so no
+matrix is inverted.  Every coefficient must be a nonnegative rational
+integer; anything else signals an inconsistent S-matrix and aborts the
+tensor computation with the offending triple.
 
 ``fusion_tensor`` is the one tensor entry point.  It chooses its own index
 set, the modules whose S row and dual column are fully known
@@ -17,15 +14,13 @@ checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
 Coefficients are certified by one image modulo each prime p = 1 mod N, N
-the common order of the sum's terms (``cyclo.Images``): the Galois symmetry
-of S (``modular_data.galois_permutations``, checked once per datum) makes
-each coefficient rational, and an l1 bound on the deferred sum in Z[C_N]
-turns its images into an exact equality (see ``_Engine``).  No coefficient
-is canonicalized and no float is consulted.  A coefficient that fails is
-recomputed with ``cyclo.exact_sum``, so the error carries its exact value.
-Column quantities are memoized and rows are cached by the residues of their
-pair products; the tensor is filled in one process.  ``check_ring``
-certifies qdim multiplicativity through the images of S.
+the common order of the sum's terms (``cyclo.Images``), once the Galois
+symmetry of S (``ModularDatum.galois``) makes each one rational; no float is
+consulted, and a coefficient that fails is summed exactly, so its error
+carries its exact value (see ``_Engine``).  ``check_ring`` certifies qdim
+multiplicativity and associativity by one character identity through the
+same images of S, and searches for a non-associative quadruple directly
+only when that identity does not prove the ring associative.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from . import cyclo
 from .cyclo import Cyclotomic, format_brief, inverse
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
-from .modular_data import (MissingEntryError, ModularDatum, SImages, computable_indices,
-                           quantum_dimensions)
+from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError, SImages,
+                           charge_conjugation, computable_indices, quantum_dimensions)
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
@@ -107,12 +102,9 @@ class FusionTensor:
 
 
 def _integer_coeff(value: Cyclotomic, triple) -> int:
-    if not value.is_rational():
+    if not value.is_rational() or value.as_rational().denominator != 1:
         raise NonIntegerResultError(triple, value)
-    r = value.as_rational()
-    if r.denominator != 1:
-        raise NonIntegerResultError(triple, value)
-    n = r.numerator
+    n = value.as_rational().numerator
     if n < 0:
         raise NegativeResultError(triple, n)
     return n
@@ -285,116 +277,133 @@ class PropertyReport:
 
 
 def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
-    """Verify ring axioms, duality, qdim laws and simple currents exactly."""
-    import numpy as np
+    """Verify ring axioms, duality, qdim laws and simple currents exactly.
 
-    report = PropertyReport()
+    Vacuum identity, commutativity, duality and simple currents are integer
+    loops.  Qdim multiplicativity and associativity rest on one character
+    identity (``_character_identity``): its column 0 is the qdim identity,
+    and all its columns, for every pair, prove associativity.  A pair it
+    leaves open is compared exactly; unless it holds for every pair,
+    associativity is decided by the direct search ``_first_nonassociative``.
+    """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
-    n = datum.size
-    N = np.array(tensor.values, dtype=np.int64)
-
-    ident = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(ident, 1)
-    report.vacuum_identity = bool((N[0] == ident).all())
+    report = PropertyReport()
+    n, N, dual = datum.size, tensor.values, datum.dual_permutation()
+    every = range(n)
+    report.vacuum_identity = all(N[0][j][k] == (j == k) for j in every for k in every)
     if not report.vacuum_identity:
         report.failures.append("N[0,j]^k != delta_jk")
-
-    report.commutative = bool((N == N.transpose(1, 0, 2)).all())
+    report.commutative = all(N[i][j] == N[j][i] for i in every for j in range(i))
     if not report.commutative:
         report.failures.append("N[i,j]^k != N[j,i]^k somewhere")
-
-    dual = datum.dual_permutation()
-    dualized = N[:, dual, :][:, :, dual].transpose(0, 2, 1)
-    report.duality_symmetric = bool((N == dualized).all())
+    report.duality_symmetric = all(N[i][j][k] == N[i][dual[k]][dual[j]]
+                                   for i in every for j in every for k in every)
     if not report.duality_symmetric:
         report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
 
-    # (i j) k = i (j k): sum_m N[i,j,m] N[m,k,l] = sum_m N[j,k,m] N[i,m,l] for
-    # every quadruple.  Compare one i at a time so memory stays O(n^3).
-    report.associative = True
-    by_first, by_last = N.reshape(n, n * n), N.reshape(n * n, n)
-    for i in range(n):
-        left = (N[i] @ by_first).reshape(n, n, n)
-        right = (by_last @ N[i]).reshape(n, n, n)
-        if not (left == right).all():
-            report.associative = False
-            bad = (i, *np.argwhere(left != right)[0])
-            report.failures.append(
-                f"associativity fails at quadruple {tuple(int(x) for x in bad)}")
-            break
-
     qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
-    if any(q is None for q in qdims):
-        report.qdim_multiplicative = None
-        report.simple_currents_are_permutations = None
-        return report
-
+    holds = _character_identity(datum, N)
+    certified, bad_pair = holds is not None, None
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
-    bad = _first_qdim_failure(tensor.values, datum, qdims, report.commutative)
-    if bad is not None:
-        report.failures.append(f"qdim multiplicativity fails at pair {bad}")
-    report.qdim_multiplicative = bad is None
+    pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
+    for i, j in pairs if None not in qdims else []:
+        verdict = holds and holds(i, j)
+        certified = certified and verdict is True
+        if verdict is False or verdict is None and cyclo.exact_sum(
+                qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]:
+            bad_pair = i, j
+            break
+    bad = None if certified else _first_nonassociative(N)
+    report.associative = bad is None
+    if bad:
+        report.failures.append(f"associativity fails at quadruple {bad}")
+    if None in qdims:
+        report.qdim_multiplicative = report.simple_currents_are_permutations = None
+        return report
+    if bad_pair:
+        report.failures.append(f"qdim multiplicativity fails at pair {bad_pair}")
+    report.qdim_multiplicative = bad_pair is None
 
-    one = Cyclotomic.one()
-    report.simple_currents = [i for i in range(n) if qdims[i] == one]
-    perm_ok = True
+    report.simple_currents = [i for i in every if qdims[i] == 1]
+    report.simple_currents_are_permutations = True
     for i in report.simple_currents:
-        mat = N[i]
-        if not ((mat.sum(axis=0) == 1).all() and (mat.sum(axis=1) == 1).all()
-                and ((mat == 0) | (mat == 1)).all()):
-            perm_ok = False
+        if not all(sorted(line) == [0] * (n - 1) + [1] for line in (*N[i], *zip(*N[i]))):
+            report.simple_currents_are_permutations = False
             report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
-    report.simple_currents_are_permutations = perm_ok
     return report
 
 
-def _first_qdim_failure(values, datum: ModularDatum, qdims,
-                        commutative: bool) -> tuple[int, int] | None:
-    """The first pair (i, j), in row-major order, with sum_k N[i,j]^k d_k != d_i d_j.
-
-    Through one image of S per prime (``SImages``) of E_ij(s) = S[0,s] sum_k
-    N[i,j]^k S[k,s] - S[i,s] S[j,s], at s = 0 the qdim identity times
-    S[0,0]^2, whose nonzero image certifies a failure.  sigma_a maps E_ij(0)
-    to E_ij(pi_a(0)) (``ModularDatum.galois``), so zero images on the orbit
-    of column 0 certify E_ij(0) = 0 when the primes' product exceeds twice
-    |x00| max_k |x_k0| sum_k N[i,j]^k + max_k |x_k0|^2, x = D S lifted to
-    Z[C_N].  Other pairs, and all without the permutations or a usable prime,
-    are compared exactly.
+def _character_identity(datum: ModularDatum, values):
+    """A test of E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at
+    every column s, or None without S fully known, its Galois permutations
+    and S^2 = C.  With those, E_ij = 0 for all pairs (i <= j for a
+    commutative N) makes R[m,s] = S[m,s]/S[0,s] invertible, and i -> R[i,.]
+    embeds N in C^n with the pointwise product, so N is associative
+    (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).  sigma_a
+    maps E_ij(s) to E_ij(pi_a(s)), the column signs cancelling, so one image
+    of S per prime (``SImages``) images every E_ij(s) at every unit.  With
+    x = D S lifted to Z[C_N], |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2,
+    t_s = max_k |x[k,s]|_1 and W the largest row sum of |N|; primes whose
+    product exceeds twice that prove E_ij = 0 from zero images.  The test of
+    (i, j) gives True then, False on a nonzero image at s = 0 (a certified
+    qdim failure), and None otherwise.
     """
-    n = len(qdims)
-    # The Galois check covers every row of S only when S is fully known.
-    perms = datum.galois if datum.fully_known() else None
-    certified = False
-    if perms is not None:
-        images = SImages(datum)
-        column = [row[0] for row in images.norms]
-        top = max(column)
-        weight = max(sum(map(abs, row)) for plane in values for row in plane)
-        certified = images.choose_primes(2 * (column[0] * top * weight + top * top))
-    if certified:
-        orbit = [0]
-        for s in orbit:  # grows while it is walked
-            orbit += [t for t in {perm[s] for perm in perms} if t not in orbit]
-        # Per prime, the rows of S on the orbit, column s scaled by S[0,s], packed.
-        packed = [[cyclo.pack([row[s] * x[0][s] % p for s in orbit]) for row in x]
-                  for p, x in zip(images.primes, images.rows)]
+    if not datum.fully_known() or datum.galois is None:
+        return None
+    try:
+        charge_conjugation(datum)
+    except NotPermutationError:
+        return None
+    images, n = SImages(datum), datum.size
+    norms, weight = images.norms, max(sum(map(abs, row)) for plane in values for row in plane)
+    if not images.choose_primes(2 * max(x0 * weight * t + t * t for x0, t in
+                                        zip(norms[0], map(max, zip(*norms))))):
+        return None
+    # Per prime, the rows of S with column s scaled by S[0,s], packed.
+    packed = [[cyclo.pack([a * b % p for a, b in zip(row, x[0])]) for row in x]
+              for p, x in zip(images.primes, images.rows)]
+
+    def holds(i: int, j: int) -> bool | None:
+        verdict = True
+        for p, x, rows in zip(images.primes, images.rows, packed):
+            lhs = cyclo.packed_product([m % p for m in values[i][j]], rows, n, p)
+            if lhs[0] != x[i][0] * x[j][0] % p:
+                return False
+            if lhs != [a * b % p for a, b in zip(x[i], x[j])]:
+                verdict = None
+        return verdict
+
+    return holds
+
+
+def _first_nonassociative(values) -> tuple[int, int, int, int] | None:
+    """The first quadruple (i, j, k, l), in row-major order, with
+    sum_m N[i,j]^m N[m,k]^l != sum_m N[j,k]^m N[i,m]^l; None if there is none.
+
+    Per (i, j), each side is one integer with a b-bit slot per (k, l) at
+    place kn + l, X = 2^b: sum_m N[i,j]^m P_m, P_m the plane N[m] packed, and
+    sum_m A_im B_jm, A_im = sum_l N[i,m]^l X^l, B_jm = sum_k N[j,k]^m X^kn.
+    No slot exceeds n max|N|^2 < X/4, so the sides are equal iff all slots
+    are, and the lowest set bit of their difference is in the first slot
+    that differs.
+    """
+    n = len(values)
+    top = max(abs(m) for plane in values for row in plane for m in row)
+    width = (4 * n * top * top).bit_length() + 1
+
+    def packed(entries, stride=1):
+        return sum(m << stride * width * t for t, m in enumerate(entries))
+
+    planes = [packed([m for row in plane for m in row]) for plane in values]
+    rows = [[packed(row) for row in plane] for plane in values]
+    columns = [[packed(column, n) for column in zip(*plane)] for plane in values]
     for i in range(n):
-        for j in range(i if commutative else 0, n):
-            if certified:
-                holds = True
-                for p, x, rows in zip(images.primes, images.rows, packed):
-                    lhs = cyclo.packed_product([m % p for m in values[i][j]], rows, len(orbit), p)
-                    rhs = [x[i][s] * x[j][s] % p for s in orbit]
-                    if lhs[0] != rhs[0]:
-                        return i, j
-                    holds = holds and lhs == rhs
-                if holds:
-                    continue
-            lhs = cyclo.exact_sum(qdims[k] * m for k, m in enumerate(values[i][j]) if m)
-            if lhs != qdims[i] * qdims[j]:
-                return i, j
+        for j in range(n):
+            diff = sum(map(mul, values[i][j], planes)) - sum(map(mul, rows[i], columns[j]))
+            if diff:
+                return (i, j, *divmod(((diff & -diff).bit_length() - 1) // width, n))
     return None
 
 

@@ -1,9 +1,10 @@
-"""S^2 = C and qdim multiplicativity, certified by images, against exact oracles.
+"""S^2 = C and the ring check, certified by images, against exact oracles.
 
 The oracles sum S^2 by a triple loop of exact products, sum single Verlinde
-coefficients exactly, and compare d_i d_j with sum_k N[i,j]^k d_k pair by
-pair in Q(zeta_n).  None touches ``cyclo.Images`` or the Galois check, so a
-fault in the certificates shows as a disagreement.
+coefficients exactly, compare d_i d_j with sum_k N[i,j]^k d_k pair by pair
+in Q(zeta_n), and read the other ring axioms, associativity included, off
+numpy arrays and einsum.  None touches ``cyclo.Images`` or the Galois check,
+so a fault in the certificates shows as a disagreement.
 """
 
 import json
@@ -14,14 +15,14 @@ from fractions import Fraction
 import pytest
 from conftest import su2_datum
 
-from fusionring import cyclo, modular_data
+from fusionring import cyclo, modular_data, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
                                      NotPermutationError, charge_conjugation, galois_permutations,
                                      quantum_dimensions, validate)
-from fusionring.verlinde import (FusionTensor, NonIntegerResultError, check_ring,
-                                 computable_indices, fusion_tensor)
+from fusionring.verlinde import (FusionTensor, NonIntegerResultError, PropertyReport,
+                                 check_ring, computable_indices, fusion_tensor)
 
 
 def relabeled(datum, seed):
@@ -90,11 +91,50 @@ def qdim_failures_by_exact_loop(values, datum):
     return []
 
 
+def ring_report_by_einsum(tensor, datum):
+    """The whole ``check_ring`` report: the axioms from numpy arrays, the
+    first non-associative quadruple from einsum, and qdims from the exact loop."""
+    import numpy as np
+
+    n = datum.size
+    N = np.array(tensor.values, dtype=np.int64)
+    report = PropertyReport()
+    report.vacuum_identity = bool((N[0] == np.eye(n, dtype=np.int64)).all())
+    if not report.vacuum_identity:
+        report.failures.append("N[0,j]^k != delta_jk")
+    report.commutative = bool((N == N.transpose(1, 0, 2)).all())
+    if not report.commutative:
+        report.failures.append("N[i,j]^k != N[j,i]^k somewhere")
+    dual = datum.dual_permutation()
+    report.duality_symmetric = bool((N == N[:, dual][:, :, dual].transpose(0, 2, 1)).all())
+    if not report.duality_symmetric:
+        report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
+    bad = np.argwhere(np.einsum("ijm,mkl->ijkl", N, N) != np.einsum("jkm,iml->ijkl", N, N))
+    report.associative = not len(bad)
+    if len(bad):
+        quadruple = tuple(int(x) for x in bad[0])
+        report.failures.append(f"associativity fails at quadruple {quadruple}")
+    qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
+    if None in qdims:
+        return report
+    qdim_failures = qdim_failures_by_exact_loop(tensor.values, datum)
+    report.failures += qdim_failures
+    report.qdim_multiplicative = not qdim_failures
+    report.simple_currents = [i for i in range(n) if qdims[i] == 1]
+    report.simple_currents_are_permutations = True
+    for i in report.simple_currents:
+        if not ((N[i].sum(axis=0) == 1).all() and (N[i].sum(axis=1) == 1).all()
+                and np.isin(N[i], (0, 1)).all()):
+            report.simple_currents_are_permutations = False
+            report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
+    return report
+
+
 def assert_ring_report_matches(tensor, datum):
     report = check_ring(tensor, datum)
-    expected = qdim_failures_by_exact_loop(tensor.values, datum)
-    assert [f for f in report.failures if f.startswith("qdim")] == expected
-    assert report.qdim_multiplicative is (not expected)
+    expected = ring_report_by_einsum(tensor, datum)
+    assert report == expected
+    assert report.to_text() == expected.to_text()
     return report
 
 
@@ -169,17 +209,57 @@ def test_bumped_s4_tensor_entry_reports_the_first_failing_pair(s4_completed, s4_
     assert not assert_ring_report_matches(tensor, s4_completed).ok
 
 
-def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity():
+def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity(monkeypatch):
     # In su(2)_6, 2 x 2 = 0 + 2 + 4 and d_2 = d_4.  Moving the channel breaks
-    # the tensor but not the qdim identity, so its images vanish on the whole
-    # Galois orbit of column 0 (rows 2 and 4 of S agree there), and the pair
-    # is certified to hold.
+    # the tensor but not the qdim identity: the character identity of (2, 2)
+    # holds at column 0 and fails at another column, so the pair's qdims are
+    # compared exactly and associativity comes from the direct search.
     datum = su2_datum(6)
     values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
     values[2][2][2] -= 1
     values[2][2][4] += 1
+    assert verlinde._character_identity(datum, values)(2, 2) is None
+    searched = []
+    search = verlinde._first_nonassociative
+    monkeypatch.setattr(verlinde, "_first_nonassociative",
+                        lambda values: searched.append(1) or search(values))
     report = assert_ring_report_matches(FusionTensor(list(range(7)), values), datum)
     assert report.qdim_multiplicative is True and not report.ok
+    assert searched == [1] and not report.associative
+
+
+def test_clean_tensors_are_certified_without_the_direct_search(monkeypatch, s4_completed,
+                                                               s4_tensor):
+    monkeypatch.setattr(verlinde, "_first_nonassociative",
+                        lambda values: pytest.fail("the direct search ran"))
+    for datum, tensor in ((s4_completed, s4_tensor), (su2_datum(18), None),
+                          (relabeled(lattice_modular_data(LatticeSpec(7)), seed=7), None)):
+        assert check_ring(tensor or fusion_tensor(datum), datum).ok
+
+
+@pytest.mark.parametrize("bound", [None, 32])
+@pytest.mark.parametrize("name", ["s4", "su(2)_18", "lattice k=7"])
+def test_bumped_tensors_report_as_the_einsum_oracle(monkeypatch, s4_completed, s4_tensor,
+                                                   name, bound):
+    # Every report equals the oracle's, failure texts and the first
+    # non-associative quadruple included, also when few or no split primes
+    # lie below the prime bound and every check is exact.
+    if name == "s4":
+        datum, tensor = s4_completed, s4_tensor
+    else:
+        datum = su2_datum(18) if name == "su(2)_18" else relabeled(
+            lattice_modular_data(LatticeSpec(7)), seed=7)
+        tensor = fusion_tensor(datum)
+    if bound:
+        monkeypatch.setattr(cyclo, "_PRIME_BOUND", bound)
+    n = datum.size
+    rng = random.Random(n)
+    changes = [[]]
+    for _ in range(3):
+        i, j, k = (rng.randrange(1, n) for _ in range(3))
+        changes += [[(i, j, k)], [(i, j, k), (j, i, k)]]
+    for change in changes:
+        assert assert_ring_report_matches(bumped(tensor, change), datum).ok is not change
 
 
 def test_without_a_usable_prime_every_report_is_the_same(monkeypatch, s4_completed, s4_tensor):
@@ -279,9 +359,50 @@ def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
 
 
 def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
-    # The shipped s4 knows column 0, hence every qdim, but its Galois check
-    # covers only the known block: the qdim pairs are compared exactly.
+    # The shipped s4 knows column 0, hence every qdim, but not all of S: the
+    # qdim pairs are compared exactly and associativity is searched directly.
+    assert verlinde._character_identity(s4[0], s4_tensor.values) is None
     assert check_ring(s4_tensor, s4[0]) == check_ring(s4_tensor, s4_completed)
+    assert assert_ring_report_matches(s4_tensor, s4[0]).ok
+    assert assert_ring_report_matches(bumped(s4_tensor, [(20, 9, 14)]), s4[0]).failures == [
+        "N[i,j]^k != N[j,i]^k somewhere", "N[i,j]^k != N[i,k']^{j'} somewhere",
+        "associativity fails at quadruple (1, 20, 9, 14)",
+        "qdim multiplicativity fails at pair (20, 9)"]
+
+
+def test_identity_never_certifies_associativity_without_s_squared_c():
+    # S = all ones passes the Galois check (its entries are rational), but
+    # S^2 = 3 S is no permutation, so R[m,s] = S[m,s]/S[0,s] is not
+    # invertible.  Every row of N below sums to 1, so the character identity
+    # holds at every column, yet 1 (1 2) = 1 1 = 0 and (1 1) 2 = 2.
+    one = Cyclotomic.one()
+    datum = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(3)],
+                         [[one] * 3 for _ in range(3)])
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    values = [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]
+    assert datum.galois is not None
+    assert charge(datum) == "S^2[0,0] = 3 is neither 0 nor 1"
+    assert verlinde._character_identity(datum, values) is None
+    report = assert_ring_report_matches(FusionTensor([0, 1, 2], values), datum)
+    assert report.commutative and report.qdim_multiplicative
+    assert "associativity fails at quadruple (1, 1, 2, 0)" in report.failures
+
+
+def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed, s4_tensor):
+    # Each datum is checked against the tensor of the datum it corrupts, and
+    # the 2-module ones against Z_2; all are decided exactly.
+    tensors = {28: s4_tensor, 7: fusion_tensor(relabeled(su2_datum(6), seed=7)),
+               10: fusion_tensor(relabeled(lattice_modular_data(LatticeSpec(5)), seed=5)),
+               2: fusion_tensor(lattice_modular_data(LatticeSpec(1)))}
+    negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
+    for datum in (negated, *corrupted_data().values()):
+        tensor = tensors[datum.size]
+        assert verlinde._character_identity(datum, tensor.values) is None
+        if datum.s[0][0].is_zero():
+            with pytest.raises(ZeroDivisionError):
+                check_ring(tensor, datum)
+        else:
+            assert_ring_report_matches(tensor, datum)
 
 
 def test_vacuum_hole_is_reported_before_the_galois_check(monkeypatch, s4_completed):

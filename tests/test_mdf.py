@@ -1,12 +1,14 @@
 """Scalar expression grammar and the datum file format."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionring.cli import main
 from fusionring.cyclo import embed
 from fusionring.mdf import (MAX_ORDER, DatumFile, DuplicateEntryError, FixtureRecord,
                             IndexRangeError, LabelRecord, ParseError,
@@ -66,6 +68,9 @@ def test_syntax_error_carries_offset():
     ("sqrt(1000000007)", 0, "sqrt() argument has a prime factor above 65536"),
     ("2*sqrt(262148)", 2, "sqrt() argument has a prime factor above 65536"),  # 4 * 65537
     ("sqrt(4295098369)", 0, "sqrt() argument has a prime factor above 65536"),  # 65537^2
+    ("2^1000000000", 2, "exponent exceeds 65536"),
+    ("(1+sqrt(2))^100000000", 12, "exponent exceeds 65536"),
+    ("E(7)^-65537", 5, "exponent exceeds 65536"),
 ])
 def test_conductor_caps(text, offset, message):
     with pytest.raises(ParseError) as info:
@@ -73,12 +78,25 @@ def test_conductor_caps(text, offset, message):
     assert (info.value.offset, info.value.message) == (offset, message)
 
 
+@pytest.mark.parametrize("entry", ["2^1000000000", "(1+sqrt(2))^100000000"])
+def test_huge_exponent_exits_2_at_once(tmp_path, capsys, entry):
+    bad = tmp_path / "big.mdf"
+    bad.write_text(f"[header]\nname = big\nmodules = 1\n\n[S]\n0 0 {entry}\n")
+    start = time.perf_counter()
+    code = main(["validate", str(bad)])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: line 6, offset ")
+    assert captured.err.endswith("exponent exceeds 65536\n")
+
+
 def test_caps_admit_the_shipped_and_generated_orders():
     assert MAX_ORDER == 1 << 16
     # s4 works at order 288, su(2)_k at 4(k+2), lattice data at the order of
     # E(2k) / sqrt(2k); the largest allowed order and prime still parse.
     for text in ("E(288)^5", "E(200)", "1/sqrt(32)", "1/sqrt(131042)", "E(65536)",
-                 "sqrt(2404631929946112)"):
+                 "sqrt(2404631929946112)", "2^65536", "(2/3)^-65536", "E(65536)^65535"):
         parse_expr(text)
     # 2^40 3^7: trial division ends once the cofactor is exhausted.
     assert eval_expr(parse_expr("sqrt(2404631929946112)")) == eval_expr(parse_expr("2^20*27*sqrt(3)"))

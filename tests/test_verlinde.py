@@ -354,19 +354,35 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     assert len(calls) == len(engine.primes) == 1
 
 
-def test_tensor_does_not_import_numpy():
-    # numpy would add about 17 MB to a process that only certifies tensors,
-    # and the tensor is filled in this process, without a process pool.
+def test_package_runs_with_numpy_blocked(tmp_path):
+    # numpy is a test dependency only: with every import of it failing, the
+    # tensor and the ring check run on the completed s4 and su(2)_6, and every
+    # command runs on the shipped data.  The tensor is filled in this process,
+    # without a process pool.
+    out = str(tmp_path / "completed.mdf")
     code = ("import sys\n"
-            "from fusionring.lattice import LatticeSpec, lattice_modular_data\n"
-            "from fusionring.verlinde import fusion_tensor\n"
-            "fusion_tensor(lattice_modular_data(LatticeSpec(13)))\n"
-            "assert 'numpy' not in sys.modules, 'fusion_tensor imported numpy'\n"
+            "sys.modules['numpy'] = None\n"
+            "from conftest import su2_datum\n"
+            "from fusionring.branching import complete\n"
+            "from fusionring.cli import main\n"
+            "from fusionring.s4_dataset import load_dataset\n"
+            "from fusionring.verlinde import check_ring, fusion_tensor\n"
+            "datum, parents, _ = load_dataset()\n"
+            "for d in (complete(datum, parents).datum, su2_datum(6)):\n"
+            "    assert check_ring(fusion_tensor(d), d).ok\n"
+            f"out = {out!r}\n"
+            "codes = [main(argv) for argv in (\n"
+            "    ['validate', '@s4'],\n"
+            "    ['complete', '@s4', '--parents', '@s4_branching', '-o', out],\n"
+            "    ['fuse', out, '8', '18'], ['table', out], ['qdim', out], ['glob', out],\n"
+            "    ['lattice', '--k', '3'], ['regress', out, '@s4_fixtures'])]\n"
+            "assert codes == [0] * 8, codes\n"
             "for name in ('concurrent.futures', 'multiprocessing'):\n"
-            "    assert name not in sys.modules, f'fusion_tensor imported {name}'\n")
-    src = Path(__file__).resolve().parent.parent / "src"
+            "    assert name not in sys.modules, f'imported {name}'\n")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
