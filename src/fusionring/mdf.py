@@ -27,6 +27,7 @@ every entry on load so that file text can mirror a printed table verbatim.
 The optional ``vacuum`` line must read 0.  Each branching table is one
 ``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
 are checked by ``modular_data.datum_from_file``.  Parse errors name the line.
+S texts are parsed once per distinct text, and equal texts share one tree.
 
 Serialization is deterministic: ``parse_file(serialize(d))`` reproduces the
 datum structurally and re-serializing yields identical bytes.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
@@ -384,6 +386,7 @@ def parse_file(text: str) -> DatumFile:
     section = None
     branching: BranchingSection | None = None
     seen_labels: set[int] = set()
+    parse_entry = lru_cache(maxsize=None)(parse_expr)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -449,7 +452,7 @@ def parse_file(text: str) -> DatumFile:
                 key = (row, col)
                 if key in datum.s_entries:
                     raise DuplicateEntryError(f"line {line_no}: S entry {key} declared twice")
-                datum.s_entries[key] = None if fields[2].strip() == "?" else parse_expr(fields[2])
+                datum.s_entries[key] = None if fields[2].strip() == "?" else parse_entry(fields[2])
             elif section == "fusion":
                 body, _, citation = line.partition("|")
                 body = body.strip()
@@ -541,9 +544,10 @@ def serialize(datum: DatumFile) -> str:
     if datum.s_entries:
         lines.append("")
         lines.append("[S]")
+        text = lru_cache(maxsize=None)(expr_to_text)
         for (r, c) in sorted(datum.s_entries):
             expr = datum.s_entries[(r, c)]
-            value = "?" if expr is None else expr_to_text(expr)
+            value = "?" if expr is None else text(expr)
             lines.append(f"{r} {c} {value}")
     for br in datum.branchings:
         lines.append("")

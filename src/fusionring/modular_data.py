@@ -68,6 +68,7 @@ class ModularDatum:
         shared: dict[Cyclotomic, Cyclotomic] = {}
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
+        self._conjugation: list[int] | None = None  # set by charge_conjugation
 
     @property
     def size(self) -> int:
@@ -133,7 +134,11 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
 
     Requires a fully known S.  Raises NotPermutationError if S^2 has an entry
     other than exact 0 or 1.  The labels' dual fields are left as they are.
+    A certified permutation is kept on the datum and returned by later calls;
+    a failure is raised afresh on each call.
     """
+    if datum._conjugation is not None:
+        return datum._conjugation[:]
     if not datum.fully_known():
         raise MissingEntryError("charge conjugation needs a fully known S-matrix")
     n = datum.size
@@ -151,7 +156,8 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
     for i, j in enumerate(perm):
         if perm[j] != i:
             raise NotPermutationError("S^2 permutation is not an involution")
-    return perm
+    datum._conjugation = perm
+    return perm[:]
 
 
 def computable_indices(datum: ModularDatum) -> list[int]:
@@ -380,8 +386,9 @@ def validate(datum: ModularDatum) -> ValidationReport:
 # -- file conversion ---------------------------------------------------------
 
 def datum_from_file(df: DatumFile) -> ModularDatum:
-    """Build the in-memory datum, scaled by the header scale factor; every
-    recorded ``qdim=`` must equal S[i,0]/S[0,0] exactly."""
+    """Build the in-memory datum, scaled by the header scale factor, evaluating
+    each distinct entry tree once; every recorded ``qdim=`` must equal
+    S[i,0]/S[0,0] exactly."""
     n = df.modules
     labels = []
     by_index = {rec.index: rec for rec in df.labels}
@@ -390,14 +397,12 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
         labels.append(ModuleLabel(index=i, name=rec.name, dual=rec.dual,
                                   conformal_weight=rec.weight))
     scale = eval_expr(df.scale_expr) if df.scale_expr is not None else None
+    entry = lru_cache(maxsize=None)(
+        lambda expr: eval_expr(expr) if scale is None else eval_expr(expr) * scale)
     s: list[list[Cyclotomic | None]] = [[None] * n for _ in range(n)]
     for (r, c), expr in df.s_entries.items():
-        if expr is None:
-            continue
-        value = eval_expr(expr)
-        if scale is not None:
-            value = value * scale
-        s[r][c] = value
+        if expr is not None:
+            s[r][c] = entry(expr)
     datum = ModularDatum(labels, s, name=df.name)
     recorded = [rec for rec in df.labels if rec.qdim_expr is not None]
     if recorded:
@@ -413,27 +418,22 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
 
 
 def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> DatumFile:
-    """Serialize back to a DatumFile, dividing entries by the chosen scale."""
+    """Serialize back to a DatumFile, dividing entries by the chosen scale;
+    each distinct entry and qdim is scaled, formatted and parsed once."""
     scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
     inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
     df = DatumFile(name=datum.name, modules=datum.size, scale_expr=scale_expr)
     dims = [None] * datum.size
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)
+    tree = lru_cache(maxsize=None)(lambda value: parse_expr(format_exact(value)))
+    entry = tree if inv_scale is None else lru_cache(maxsize=None)(
+        lambda value: tree(value * inv_scale))
     for lab in datum.labels:
-        qdim_expr = None
-        if dims[lab.index] is not None:
-            qdim_expr = parse_expr(format_exact(dims[lab.index]))
+        dim = dims[lab.index]
         df.labels.append(LabelRecord(index=lab.index, name=lab.name,
-                                     qdim_expr=qdim_expr, dual=lab.dual,
-                                     weight=lab.conformal_weight))
-    for i in range(datum.size):
-        for j in range(datum.size):
-            value = datum.s[i][j]
-            if value is None:
-                df.s_entries[(i, j)] = None
-            else:
-                if inv_scale is not None:
-                    value = value * inv_scale
-                df.s_entries[(i, j)] = parse_expr(format_exact(value))
+                                     qdim_expr=None if dim is None else tree(dim),
+                                     dual=lab.dual, weight=lab.conformal_weight))
+    df.s_entries = {(i, j): None if value is None else entry(value)
+                    for i, row in enumerate(datum.s) for j, value in enumerate(row)}
     return df

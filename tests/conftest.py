@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,3 +40,15 @@ def su2_datum(k):
     s = [[(root_of_unity(2 * h, (a + 1) * (b + 1)) - root_of_unity(2 * h, -(a + 1) * (b + 1)))
           * scale for b in range(k + 1)] for a in range(k + 1)]
     return ModularDatum([ModuleLabel(a, f"j{a}", dual=a) for a in range(k + 1)], s)
+
+
+def relabeled(datum, seed):
+    """The datum with its non-vacuum modules shuffled; duals follow."""
+    n = datum.size
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    old = [0] + rest  # new module x is old module old[x]
+    new = {a: x for x, a in enumerate(old)}
+    labels = [ModuleLabel(x, datum.labels[a].name, dual=new[datum.labels[a].dual])
+              for x, a in enumerate(old)]
+    return ModularDatum(labels, [[datum.s[a][b] for b in old] for a in old], name=datum.name)

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import su2_datum
+from conftest import relabeled, su2_datum
 
 from fusionring import cyclo, modular_data, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
@@ -23,18 +23,6 @@ from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabe
                                      quantum_dimensions, validate)
 from fusionring.verlinde import (FusionTensor, NonIntegerResultError, PropertyReport,
                                  check_ring, computable_indices, fusion_tensor)
-
-
-def relabeled(datum, seed):
-    """The datum with its non-vacuum modules shuffled; duals follow."""
-    n = datum.size
-    rest = list(range(1, n))
-    random.Random(seed).shuffle(rest)
-    old = [0] + rest  # new module x is old module old[x]
-    new = {a: x for x, a in enumerate(old)}
-    labels = [ModuleLabel(x, datum.labels[a].name, dual=new[datum.labels[a].dual])
-              for x, a in enumerate(old)]
-    return ModularDatum(labels, [[datum.s[a][b] for b in old] for a in old], name=datum.name)
 
 
 def with_symmetric(datum, changes):

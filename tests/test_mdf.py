@@ -189,6 +189,32 @@ def test_expression_error_names_its_line():
     assert str(info.value) == "line 11, offset 5: expected ')'"
 
 
+S_HEADER = "[header]\nname = m\nmodules = 2\n\n[S]\n"  # [S] is line 5
+
+
+@pytest.mark.parametrize("entries, where", [
+    # A valid text repeated, then an invalid one: the invalid line is named.
+    (["1/2", "1/2", "1/2", "1/(2"], "line 9, offset 4: expected ')'"),
+    # The same invalid text twice: the first of the two lines is named.
+    (["1/2", "E(0)", "1/2", "E(0)"], "line 7, offset 0: E() needs a positive order"),
+])
+def test_repeated_s_texts_keep_error_locations(entries, where):
+    # S texts are parsed once per distinct text; a failure is not remembered.
+    cells = ["0 0", "0 1", "1 0", "1 1"]
+    text = S_HEADER + "".join(f"{cell} {entry}\n" for cell, entry in zip(cells, entries))
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse_file(text)
+        assert str(info.value) == where
+
+
+def test_repeated_and_spaced_s_texts_parse_as_before():
+    entries = {(0, 0): "1+2", (0, 1): "1 + 2", (1, 0): "?", (1, 1): "1+2"}
+    df = parse_file(S_HEADER + "".join(f"{r} {c} {t}\n" for (r, c), t in entries.items()))
+    assert df.s_entries == {key: None if t == "?" else parse_expr(t) for key, t in entries.items()}
+    assert [eval_expr(df.s_entries[key]) for key in [(0, 0), (0, 1), (1, 1)]] == [3, 3, 3]
+
+
 def test_duplicate_s_entry_rejected():
     with pytest.raises(DuplicateEntryError):
         parse_file(MINIMAL + "\n[S]\n0 0 2\n")

@@ -1,15 +1,22 @@
 """Datum model: validation, charge conjugation, quantum dimensions."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import relabeled
 
-from fusionring.cyclo import Cyclotomic, inverse, root_of_unity, sqrt_int
+from fusionring import mdf
+from fusionring import modular_data as md
+from fusionring.cyclo import Cyclotomic, format_exact, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec, lattice_modular_data
+from fusionring.mdf import eval_expr, expr_to_text, parse_expr, parse_file, serialize
 from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      ModuleLabel, NotPermutationError,
-                                     charge_conjugation, datum_to_file, glob,
-                                     quantum_dimensions, validate)
+                                     charge_conjugation, datum_from_file, datum_to_file,
+                                     glob, quantum_dimensions, validate)
+from fusionring.s4_dataset import data_path
+from fusionring.verlinde import check_ring, fusion_tensor
 
 
 def two_by_two():
@@ -94,6 +101,30 @@ def test_charge_conjugation_rejects_non_permutation():
         charge_conjugation(datum)
 
 
+def test_charge_conjugation_is_certified_once_per_datum(monkeypatch):
+    squared = []
+    s_squared_rows = md._s_squared_rows
+    monkeypatch.setattr(md, "_s_squared_rows",
+                        lambda datum: squared.append(datum) or s_squared_rows(datum))
+    datum = lattice_modular_data(LatticeSpec(3))
+    charge_conjugation(datum).append(6)  # callers get their own copy
+    assert validate(datum).dual_permutation == [0, 5, 4, 3, 2, 1]
+    assert check_ring(fusion_tensor(datum), datum).ok
+    assert charge_conjugation(datum) == [0, 5, 4, 3, 2, 1]
+    assert squared == [datum]
+    # Failures are not kept: each call certifies again and raises the same error.
+    one = Cyclotomic.one()
+    bad = ModularDatum([ModuleLabel(0, "a"), ModuleLabel(1, "b")], [[one, one], [one, one]])
+    for _ in range(2):
+        with pytest.raises(NotPermutationError, match=r"^S\^2\[0,0\] = 2 is neither 0 nor 1$"):
+            charge_conjugation(bad)
+    assert squared == [datum, bad, bad]
+    partial = ModularDatum(bad.labels, [[one, one], [one, None]])
+    for _ in range(2):
+        with pytest.raises(MissingEntryError, match="needs a fully known S-matrix"):
+            charge_conjugation(partial)
+
+
 def test_qdim_examples(s4):
     datum, _, _ = s4
     qdims = quantum_dimensions(datum)
@@ -128,8 +159,6 @@ def test_quantum_dimensions_on_partial_data():
 
 
 def test_s00_inverted_once_per_datum_loop(monkeypatch):
-    import fusionring.modular_data as md
-
     calls = []
 
     def counting_inverse(value):
@@ -154,9 +183,6 @@ def test_validation_report_json(s4):
 
 
 def test_datum_to_file_round_trip(s4_completed):
-    from fusionring.mdf import parse_file, serialize
-    from fusionring.modular_data import datum_from_file
-
     df = datum_to_file(s4_completed, scale_expr_text="1/sqrt(32)")
     again = datum_from_file(parse_file(serialize(df)))
     assert again.size == 28
@@ -233,3 +259,60 @@ def test_qdims_not_checked_without_a_vacuum_entry():
     labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
     for s00 in (None, Cyclotomic.zero()):
         assert validate(ModularDatum(labels, [[s00, None], [None, None]])).bad_qdims is None
+
+
+def test_file_layer_works_once_per_distinct_value(monkeypatch):
+    # Lattice k = 13: 676 entries take 26 distinct values, and every qdim is 1.
+    datum = lattice_modular_data(LatticeSpec(13))
+    entries = {v for row in datum.s for v in row}
+    dims = set(quantum_dimensions(datum))
+    assert (len(entries), len(dims)) == (26, 1)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(arg):
+            calls[name] += 1
+            return original(arg)
+        monkeypatch.setattr(module, name, counted)
+
+    count(md, "format_exact")
+    count(md, "eval_expr")
+    count(mdf, "parse_expr")
+    df = datum_to_file(datum, scale_expr_text="1/sqrt(26)")
+    assert calls["format_exact"] <= len(entries) + len(dims)
+    text = serialize(df)
+    s_texts = {line.split(None, 2)[2] for line in text.split("[S]\n")[1].splitlines()}
+    assert len(s_texts) == 26
+    calls.clear()
+    again = parse_file(text)
+    # One parse per distinct S text, one for the scale and one per qdim= label.
+    assert calls["parse_expr"] == len(s_texts) + 1 + datum.size
+    calls.clear()
+    back = datum_from_file(again)
+    # One evaluation per distinct tree, one for the scale and one per qdim= label.
+    trees = set(again.s_entries.values())
+    assert len(trees) == 26
+    assert calls["eval_expr"] == len(trees) + 1 + datum.size
+    assert back.s == datum.s
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), None])
+def test_file_round_trip_is_byte_identical(k):
+    # Relabeled lattice data for k = 1..20, and the shipped partial s4 datum (None).
+    if k is None:
+        datum = datum_from_file(parse_file(data_path("s4_partial.mdf").read_text()))
+        scale = "1/sqrt(32)"
+    else:
+        datum = relabeled(lattice_modular_data(LatticeSpec(k)), seed=k)
+        scale = f"1/sqrt({2 * k})"
+    text = serialize(datum_to_file(datum, scale_expr_text=scale))
+    df = parse_file(text)
+    back = datum_from_file(df)
+    assert back.s == datum.s and back.dual_permutation() == datum.dual_permutation()
+    assert serialize(datum_to_file(back, scale_expr_text=expr_to_text(df.scale_expr))) == text
+    # The trees match those written entry by entry, with nothing shared.
+    inv_scale = inverse(eval_expr(parse_expr(scale)))
+    assert df.s_entries == {(i, j): None if v is None else parse_expr(format_exact(v * inv_scale))
+                            for i, row in enumerate(datum.s) for j, v in enumerate(row)}
