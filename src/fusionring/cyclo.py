@@ -24,9 +24,9 @@ Galois conjugates (``galois``) until the product is rational, so the inverse
 is the product of those conjugates over that rational.
 
 Verlinde coefficients, the entries of S^2 and the character identity of the
-ring check are certified by one image kernel, ``Images``: values lifted to
-a common order N and imaged once modulo each prime p = 1 mod N, which
-suffices once the Galois symmetry of S makes each sum rational.
+ring check are certified by one image kernel, ``Images``: the entries of S
+lifted to their common order N and imaged once modulo each prime p = 1 mod
+N, which suffices once the Galois symmetry of S makes each sum rational.
 
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
@@ -472,56 +472,58 @@ def _split_primes(order: int, limit: int, denom: int):
 class Images:
     """Values lifted to one order N and imaged in F_p, once per split prime p.
 
-    ``groups`` are lists of values; ``positions`` maps each distinct value of
-    a group to its place.  A group's values share one denominator D
-    (``denoms``) and are lifted to the integer exponent maps of D v at the
-    common order N (``lifts``), with l1 norms ``norms``.  ``choose_primes``
-    images every value at each prime: ``residues[q]`` holds, per group, the
-    image under zeta_N -> w for the q-th prime (p, w).  ``combine`` joins
-    lists of residues, one list per prime, by the CRT.
+    ``index`` maps each distinct value to its place; the values are lifted,
+    over one denominator D (``denom``), to the integer exponent maps of D v
+    at the common order N (``lifts``), with l1 norms ``norms``.  ``primes``
+    holds the primes p = 1 mod N imaged so far, largest first, each with w of
+    exact order N in F_p, and ``residues[q]`` every value's image under
+    zeta_N -> w at the q-th.  No p divides D, and every p stays below
+    ``_PRIME_BOUND`` and sqrt(2^64 / summands), so that a sum of ``summands``
+    products of two residues fits one 64-bit slot of ``packed_product``.
     """
 
-    def __init__(self, groups):
-        groups = [list(dict.fromkeys(group)) for group in groups]
-        self.positions = [{v: i for i, v in enumerate(group)} for group in groups]
-        order = self.order = _common_order(v for group in groups for v in group)
-        self.denoms = [_denominator_lcm(group) for group in groups]
-        self.lifts = [[list(_lift_into({}, v, order, d).items()) for v in group]
-                      for group, d in zip(groups, self.denoms)]
-        self.norms = [[sum(abs(c) for _, c in lift) for lift in lifts] for lifts in self.lifts]
-
-    def choose_primes(self, bound: int, summands: int = 1) -> bool:
-        """Take primes p = 1 mod N, largest first, until their product exceeds
-        ``bound``, and image every value at each; False, with no primes, when
-        there are too few.  Each p divides no denominator and stays below
-        ``_PRIME_BOUND`` and sqrt(2^64 / summands), so that a sum of
-        ``summands`` products of two residues fits one 64-bit slot of
-        ``packed_product``."""
+    def __init__(self, values, summands: int = 1):
+        self.index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        order = self.order = _common_order(self.index)
+        denom = self.denom = _denominator_lcm(self.index)
+        self.lifts = [list(_lift_into({}, v, order, denom).items()) for v in self.index]
+        self.norms = [sum(abs(c) for _, c in lift) for lift in self.lifts]
+        self._exponents = sorted({e for lift in self.lifts for e, _ in lift})
         limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
-        found = _split_primes(self.order, limit, prod(self.denoms))
-        primes, modulus = [], 1
-        while modulus <= bound or not primes:
-            prime = next(found, None)
-            if prime is None:
-                primes, modulus = [], 1
-                break
-            primes.append(prime)
-            modulus *= prime[0]
-        self.primes, self.modulus = primes, modulus
-        self.crt = [modulus // p * pow(modulus // p, -1, p) for p, _ in primes]
-        exponents = sorted({e for lifts in self.lifts for lift in lifts for e, _ in lift})
-        self.residues = []
-        for p, w in primes:
-            powers = _powers(w, exponents, p)
-            self.residues.append([
-                [sum(c * powers[e] for e, c in lift) * scale % p for lift in lifts]
-                for lifts, scale in zip(self.lifts, [pow(d, -1, p) for d in self.denoms])])
-        return bool(primes)
+        self._found = _split_primes(order, limit, denom)
+        self.primes: list[tuple[int, int]] = []
+        self.residues: list[list[int]] = []
 
-    def combine(self, residues) -> list[int]:
-        """Lists of residues, one per prime in order, joined by the CRT into
-        residues modulo the primes' product."""
-        return [sum(map(mul, rs, self.crt)) % self.modulus for rs in zip(*residues)]
+    def choose_primes(self, bound: int, avoid: int = 1) -> list[tuple[int, list[int]]]:
+        """The first of ``primes`` not dividing ``avoid`` whose product exceeds
+        ``bound``, as (p, ``residues`` at p), imaging a new prime only when
+        those imaged so far fall short; [] when there are too few."""
+        chosen, modulus = [], 1
+        for q in count():
+            if modulus > bound and chosen:
+                return chosen
+            if q == len(self.primes):
+                prime = next(self._found, None)
+                if prime is None:
+                    return []
+                p, w = prime
+                powers = _powers(w, self._exponents, p)
+                scale = pow(self.denom, -1, p)
+                self.primes.append(prime)
+                self.residues.append([sum(c * powers[e] for e, c in lift) * scale % p
+                                      for lift in self.lifts])
+            p = self.primes[q][0]
+            if avoid % p:
+                chosen.append((p, self.residues[q]))
+                modulus *= p
+
+
+def combine(primes: list[int], residues) -> list[int]:
+    """Lists of residues, one per prime in order, joined by the CRT into
+    residues modulo the primes' product."""
+    modulus = prod(primes)
+    crt = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    return [sum(map(mul, rs, crt)) % modulus for rs in zip(*residues)]
 
 
 def _powers(w: int, exponents: list[int], p: int) -> dict[int, int]:

@@ -5,8 +5,9 @@ entries, possibly partial (``None`` marks an unknown entry).  The vacuum
 module is index 0 by file-format convention.  Validation reports problems
 instead of raising, because shipped datasets may be deliberately partial and
 discrepancies are data, not crashes; only recorded qdims are enforced on load.
-``validate`` certifies S^2 = C from one image of S per split prime
-(``cyclo.Images``) once ``galois_permutations`` shows S^2 rational, and sums a row
+``validate`` certifies S^2 = C from the datum's one image of S per split
+prime (``ModularDatum.images``), which the Verlinde tensor and the ring check
+read too, once ``galois_permutations`` shows S^2 rational, and sums a row
 exactly only when its images do not certify it.  Once S^2 = C holds,
 S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is decided from it.
 """
@@ -26,7 +27,7 @@ from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
-    "ModuleLabel", "ModularDatum", "SImages",
+    "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "computable_indices", "galois_permutations",
     "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
@@ -98,6 +99,20 @@ class ModularDatum:
     def galois(self) -> list[list[int]] | None:
         """``galois_permutations(self)``, computed at most once per datum."""
         return galois_permutations(self)
+
+    @cached_property
+    def images(self) -> cyclo.Images:
+        """The known entries of S in one ``cyclo.Images``, one summand per
+        module, built at most once per datum and read by every certificate
+        once ``galois`` passes, so each prime images each entry once."""
+        return cyclo.Images([v for row in self.s for v in row if v is not None],
+                            summands=self.size)
+
+    def as_matrix(self, values: list) -> list[list]:
+        """``values``, one per distinct entry in ``images.index`` order, laid
+        out as S, with None at the unknown entries."""
+        index = self.images.index
+        return [[None if v is None else values[index[v]] for v in row] for row in self.s]
 
     def with_entries(self, new_entries: dict[tuple[int, int], Cyclotomic]) -> "ModularDatum":
         """A copy with additional entries filled in."""
@@ -217,55 +232,35 @@ def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
     return perms
 
 
-class SImages:
-    """A fully known S imaged once per split prime (``cyclo.Images``):
-    ``norms`` holds the l1 norms of the lifts of D S, D = ``denom``, and
-    after ``choose_primes`` ``rows[q]`` is S mod the q-th prime."""
-
-    def __init__(self, datum: ModularDatum):
-        kernel = self.kernel = cyclo.Images([[v for row in datum.s for v in row]])
-        (pos,), (norms,), (self.denom,) = kernel.positions, kernel.norms, kernel.denoms
-        self.ids = [[pos[v] for v in row] for row in datum.s]
-        self.norms = [[norms[v] for v in row] for row in self.ids]
-
-    def choose_primes(self, bound: int) -> bool:
-        """As ``cyclo.Images.choose_primes``, with one summand per module."""
-        kernel = self.kernel
-        if not kernel.choose_primes(bound, summands=len(self.ids)):
-            return False
-        self.primes = [p for p, _ in kernel.primes]
-        self.rows = [[[x[v] for v in row] for row in self.ids] for (x,) in kernel.residues]
-        return True
-
-
 def _s_squared_rows(datum: ModularDatum):
     """The rows of S^2 in order, each certified 0/1 from images or summed exactly.
 
     The Galois permutations of all of S make S^2 rational.  With x = D S lifted
-    to Z[C_N] (``SImages``), D^2 S^2[i,j] - c D^2, c in {0, 1}, has l1 norm at
-    most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2, so for primes whose
-    product exceeds 4B a row whose images lift to 0 or 1 is exact.  Any other
-    row, and every row without the permutations or a usable prime, is summed
-    exactly, so it reports its exact value.
+    to Z[C_N] (``ModularDatum.images``), D^2 S^2[i,j] - c D^2, c in {0, 1}, has
+    l1 norm at most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2, so for
+    primes whose product exceeds 4B a row whose images lift to 0 or 1 is
+    exact.  Any other row, and every row without the permutations or a usable
+    prime, is summed exactly, so it reports its exact value.
     """
     n = datum.size
     everything = range(n)
-    certified = False
+    chosen = []
     # The Galois check covers the dual columns, all of S once they are a permutation.
     if sorted(datum.dual_permutation()) == list(everything) and datum.galois is not None:
-        images = SImages(datum)
-        norms = images.norms
+        images = datum.images
+        norms = datum.as_matrix(images.norms)
         bound = images.denom ** 2 + sum(max(row[s] for row in norms) * max(norms[s])
                                         for s in everything)
-        certified = images.choose_primes(4 * bound)
-        packed = [[cyclo.pack(row) for row in rows] for rows in images.rows] if certified else []
+        for p, x in images.choose_primes(4 * bound):
+            rows = datum.as_matrix(x)
+            chosen.append((p, rows, [cyclo.pack(row) for row in rows]))
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
     times = lru_cache(maxsize=None)(mul)
     for i in everything:
-        if certified:
-            row = images.kernel.combine(
-                cyclo.packed_product(rows[i], packed_rows, n, p)
-                for p, rows, packed_rows in zip(images.primes, images.rows, packed))
+        if chosen:
+            row = cyclo.combine([p for p, _, _ in chosen],
+                                (cyclo.packed_product(rows[i], packed, n, p)
+                                 for p, rows, packed in chosen))
             if all(c <= 1 for c in row):
                 yield [one if c else zero for c in row]
                 continue

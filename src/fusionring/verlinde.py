@@ -13,27 +13,28 @@ block of a partial one, so the same call certifies a completed datum and
 checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
-Coefficients are certified by one image modulo each prime p = 1 mod N, N
-the common order of the sum's terms (``cyclo.Images``), once the Galois
-symmetry of S (``ModularDatum.galois``) makes each one rational; no float is
-consulted, and a coefficient that fails is summed exactly, so its error
-carries its exact value (see ``_Engine``).  ``check_ring`` certifies qdim
+Coefficients are certified from the datum's one image of S modulo each
+prime p = 1 mod N (``ModularDatum.images``), once the Galois symmetry of S
+(``ModularDatum.galois``) makes each one rational; no float is consulted,
+and a coefficient that fails is summed exactly, so its error carries its
+exact value (see ``_Engine``).  ``check_ring`` certifies qdim
 multiplicativity and associativity by one character identity through the
-same images of S, and searches for a non-associative quadruple directly
-only when that identity does not prove the ring associative.
+same image, and searches for a non-associative quadruple directly only when
+that identity does not prove the ring associative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, format_brief, inverse
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
-from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError, SImages,
+from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError,
                            charge_conjugation, computable_indices, quantum_dimensions)
 
 __all__ = [
@@ -114,88 +115,84 @@ class _Engine:
     """Memoized per-datum quantities for the tensor of ``fusion_tensor``, whose
     ``indices`` are ``computable_indices(datum)``.
 
-    A row is certified from its images in prime fields (``cyclo.Images``),
+    A row is certified from the datum's one image of S (``ModularDatum.images``),
     never by canonicalizing a coefficient.  The datum's Galois permutations
     (``ModularDatum.galois``, on the rows 0 and ``indices`` and the dual
-    columns of ``indices``) make every N[i,j]^k rational, since a sign per
-    column cancels in r_i(s) r_j(s) t_k(s), where r_i(s) = S[i,s]/S[0,s] and
-    t_k(s) = S[0,s]*S[s,k'] (one product per distinct pair of entries).
-    Lift every r_i(s) and t_k(s) to an integer exponent map at the common
-    order N over the denominators D_r and D_t; then A = sum_s r_i r_j t_k,
-    summed in Z[C_N], reduces to D N[i,j]^k with D = D_r^2 D_t, and its l1
-    norm is at most B = sum_s (max_i |r_i(s)|_1)^2 max_k |t_k(s)|_1.  If the
-    image of N[i,j]^k is c mod p, for primes p = 1 mod N whose product P
-    exceeds 4B and c lifted to 0..P-1, then 0 <= c <= B/D certifies
+    columns of ``indices``) make every N[i,j]^k rational, the sign of column
+    s cancelling in S[i,s] S[j,s] S[s,k'] / S[0,s].  Over the denominators D
+    of S and D_inv of the vacuum inverses, the sum over s of the lifts of
+    (D S[i,s]) (D S[j,s]) (D_inv / S[0,s]) (D S[s,k']) to Z[C_N] reduces to
+    D^3 D_inv N[i,j]^k, with l1 norm at most B = sum_s max_i |D S[i,s]|_1^2
+    |D_inv / S[0,s]|_1 max_k |D S[s,k']|_1.  At primes p = 1 mod N dividing
+    neither D nor D_inv, whose product P exceeds 4B, N[i,j]^k images to
+    c = sum_s x(i,s) x(j,s) y(s) x(s,k'), x the image of S and
+    y(s) = x(0,s)^-1; lifted to 0..P-1, 0 <= c <= B / (D^3 D_inv) certifies
     N[i,j]^k = c, and any other c that it is not a nonnegative integer.
-    Certified rows are cached by the residues of r_i(s) r_j(s), which
-    determine them.
+    Certified rows are cached by the images of S[i,s] S[j,s].
 
     A row that fails is recomputed with ``cyclo.exact_sum``, which names the
     first bad triple and its exact value; so is every row when the check
     fails or no usable prime exists."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
-        n = self.n = datum.size
-        self.indices = indices
+        self.datum, self.indices = datum, indices
         dual = datum.dual_permutation()
+        cols = self.cols = [dual[k] for k in indices]
         inverses: dict[Cyclotomic, Cyclotomic] = {}
-        for s in range(n):
+        for s in range(datum.size):
             denom = datum.entry(0, s)  # MissingEntryError if the vacuum row has a hole
             if denom.is_zero():
                 raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
             if denom not in inverses:
                 # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
                 inverses[denom] = inverse(denom)
-        times = self._times = lru_cache(maxsize=None)(mul)
-        s0 = datum.s[0]
-        self.ratio = {i: [times(datum.s[i][s], inverses[s0[s]]) for s in range(n)]
-                      for i in indices}
-        self.colq = {k: [times(s0[s], datum.s[s][dual[k]]) for s in range(n)] for k in indices}
+        self.inverses = [inverses[v] for v in datum.s[0]]
+        self._times = lru_cache(maxsize=None)(mul)
         self._row_cache: dict = {}
         self.primes: list[int] = []
         if datum.galois is None:
             return
 
-        images = self.images = cyclo.Images([[v for values in group.values() for v in values]
-                                             for group in (self.ratio, self.colq)])
-        ratio_pos, col_pos = images.positions
-        ratio = self._ratio_ids = {i: [ratio_pos[v] for v in values]
-                                   for i, values in self.ratio.items()}
-        colq = [[col_pos[v] for v in self.colq[k]] for k in indices]
-        (d_r, d_t), (r_norm, t_norm) = images.denoms, images.norms
-        bound = sum(max((r_norm[ratio[i][s]] for i in indices), default=0) ** 2
-                    * max((t_norm[col[s]] for col in colq), default=0)
-                    for s in range(n))
-        self.max_coeff = bound // (d_r * d_r * d_t)
-        if images.choose_primes(4 * bound, summands=n):
-            self.primes = [p for p, _ in images.primes]
-            # Per prime, the column images packed, for each s, into one
-            # integer with a 64-bit slot per k, so one row costs n small
-            # modular products and one sum of n packed products.
-            self._packed = [[cyclo.pack([col[c] for c in column]) for column in zip(*colq)]
-                            for _, col in images.residues]
+        images = datum.images
+        norms = datum.as_matrix(images.norms)
+        d_inv = lcm(*(c.denominator for v in inverses.values() for c in v.coeffs.values()))
+        bound = sum(max((norms[i][s] for i in indices), default=0) ** 2
+                    * int(sum(map(abs, inv.coeffs.values())) * d_inv)
+                    * max((norms[s][c] for c in cols), default=0)
+                    for s, inv in enumerate(self.inverses))
+        self.max_coeff = bound // (images.denom ** 3 * d_inv)
+        chosen = images.choose_primes(4 * bound, avoid=d_inv)
+        self.primes = [p for p, _ in chosen]
+        # Per prime, the rows of S, and for each s the images y(s) x(s,k')
+        # packed into one integer with a 64-bit slot per k, so one row costs
+        # n small modular products and one sum of n packed products.
+        self._rows, self._packed = [], []
+        for p, x in chosen:
+            rows = datum.as_matrix(x)
+            self._rows.append(rows)
+            self._packed.append([cyclo.pack([y * row[c] % p for c in cols])
+                                 for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)])
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
         """All N[i,j]^k for k in the index set, in index order."""
         if self.primes:
-            ratio = self._ratio_ids
-            pairs = [[r[x] * r[y] % p for x, y in zip(ratio[i], ratio[j])]
-                     for p, (r, _) in zip(self.primes, self.images.residues)]
+            pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
+                     for p, rows in zip(self.primes, self._rows)]
             key = tuple(map(tuple, pairs))
             out = self._row_cache.get(key)
             if out is None:
-                out = self.images.combine(
+                out = cyclo.combine(self.primes, (
                     cyclo.packed_product(pair, packed, len(self.indices), p)
-                    for pair, packed, p in zip(pairs, self._packed, self.primes))
+                    for pair, packed, p in zip(pairs, self._packed, self.primes)))
                 # A lift above the bound is negative or not an integer: [].
                 out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
             if out:
                 return out
-        times = self._times
-        pair = [times(a, b) for a, b in zip(self.ratio[i], self.ratio[j])]
-        return [_integer_coeff(cyclo.exact_sum([times(a, b) for a, b in zip(pair, self.colq[k])]),
+        times, s = self._times, self.datum.s
+        pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], self.inverses)]
+        return [_integer_coeff(cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)]),
                                (i, j, k))
-                for k in self.indices]
+                for k, c in zip(self.indices, self.cols)]
 
 
 def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
@@ -342,9 +339,10 @@ def _character_identity(datum: ModularDatum, values):
     commutative N) makes R[m,s] = S[m,s]/S[0,s] invertible, and i -> R[i,.]
     embeds N in C^n with the pointwise product, so N is associative
     (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).  sigma_a
-    maps E_ij(s) to E_ij(pi_a(s)), the column signs cancelling, so one image
-    of S per prime (``SImages``) images every E_ij(s) at every unit.  With
-    x = D S lifted to Z[C_N], |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2,
+    maps E_ij(s) to E_ij(pi_a(s)), the column signs cancelling, so the
+    datum's one image of S per prime (``ModularDatum.images``) images every
+    E_ij(s) at every unit.  With x = D S lifted to Z[C_N],
+    |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2,
     t_s = max_k |x[k,s]|_1 and W the largest row sum of |N|; primes whose
     product exceeds twice that prove E_ij = 0 from zero images.  The test of
     (i, j) gives True then, False on a nonzero image at s = 0 (a certified
@@ -356,18 +354,22 @@ def _character_identity(datum: ModularDatum, values):
         charge_conjugation(datum)
     except NotPermutationError:
         return None
-    images, n = SImages(datum), datum.size
-    norms, weight = images.norms, max(sum(map(abs, row)) for plane in values for row in plane)
-    if not images.choose_primes(2 * max(x0 * weight * t + t * t for x0, t in
-                                        zip(norms[0], map(max, zip(*norms))))):
+    images, n = datum.images, datum.size
+    norms = datum.as_matrix(images.norms)
+    weight = max(sum(map(abs, row)) for plane in values for row in plane)
+    chosen = images.choose_primes(2 * max(x0 * weight * t + t * t for x0, t in
+                                          zip(norms[0], map(max, zip(*norms)))))
+    if not chosen:
         return None
-    # Per prime, the rows of S with column s scaled by S[0,s], packed.
-    packed = [[cyclo.pack([a * b % p for a, b in zip(row, x[0])]) for row in x]
-              for p, x in zip(images.primes, images.rows)]
+    # Per prime, S and its rows with column s scaled by S[0,s], packed.
+    primes = []
+    for p, x in chosen:
+        x = datum.as_matrix(x)
+        primes.append((p, x, [cyclo.pack([a * b % p for a, b in zip(row, x[0])]) for row in x]))
 
     def holds(i: int, j: int) -> bool | None:
         verdict = True
-        for p, x, rows in zip(images.primes, images.rows, packed):
+        for p, x, rows in primes:
             lhs = cyclo.packed_product([m % p for m in values[i][j]], rows, n, p)
             if lhs[0] != x[i][0] * x[j][0] % p:
                 return False

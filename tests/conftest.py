@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fusionring import cyclo
 from fusionring.branching import complete
 from fusionring.cyclo import inverse, root_of_unity, sqrt_int
 from fusionring.modular_data import ModularDatum, ModuleLabel
@@ -52,3 +53,16 @@ def relabeled(datum, seed):
     labels = [ModuleLabel(x, datum.labels[a].name, dual=new[datum.labels[a].dual])
               for x, a in enumerate(old)]
     return ModularDatum(labels, [[datum.s[a][b] for b in old] for a in old], name=datum.name)
+
+
+def counted_kernels(monkeypatch):
+    """A list that gains each ``cyclo.Images`` built while the patch holds."""
+    built = []
+
+    class CountedImages(cyclo.Images):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cyclo, "Images", CountedImages)
+    return built

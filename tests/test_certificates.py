@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import relabeled, su2_datum
+from conftest import counted_kernels, relabeled, su2_datum
 
 from fusionring import cyclo, modular_data, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
@@ -22,7 +22,8 @@ from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabe
                                      NotPermutationError, charge_conjugation, galois_permutations,
                                      quantum_dimensions, validate)
 from fusionring.verlinde import (FusionTensor, NonIntegerResultError, PropertyReport,
-                                 check_ring, computable_indices, fusion_tensor)
+                                 check_ring, computable_indices, fusion_product,
+                                 fusion_tensor)
 
 
 def with_symmetric(datum, changes):
@@ -233,7 +234,8 @@ def test_bumped_tensors_report_as_the_einsum_oracle(monkeypatch, s4_completed, s
     # non-associative quadruple included, also when few or no split primes
     # lie below the prime bound and every check is exact.
     if name == "s4":
-        datum, tensor = s4_completed, s4_tensor
+        # A fresh copy, whose image is built under the prime bound of this case.
+        datum, tensor = s4_completed.with_entries({}), s4_tensor
     else:
         datum = su2_datum(18) if name == "su(2)_18" else relabeled(
             lattice_modular_data(LatticeSpec(7)), seed=7)
@@ -258,8 +260,11 @@ def test_without_a_usable_prime_every_report_is_the_same(monkeypatch, s4_complet
         assert_matches_oracles(relabeled(lattice_modular_data(LatticeSpec(k)), seed=k))
     for k in range(1, 9):
         assert_matches_oracles(relabeled(su2_datum(k), seed=100 + k))
-    assert charge(s4_completed) == list(range(28))
-    assert assert_ring_report_matches(s4_tensor, s4_completed).ok
+    # A fresh copy: the shared fixture may already keep its conjugation and
+    # its image, and then the exact path would not run.
+    s4 = s4_completed.with_entries({})
+    assert charge(s4) == list(range(28))
+    assert assert_ring_report_matches(s4_tensor, s4).ok
     for datum in corrupted_data().values():
         assert charge(datum) == square_by_triple_loop(datum)
     datum = relabeled(su2_datum(6), seed=7)
@@ -271,14 +276,7 @@ def test_validate_fails_the_galois_check_before_imaging(monkeypatch):
     # sigma_g maps the column (1, zeta) of S to (1, zeta^g), which is no
     # column, so S is never imaged and row 0 of S^2, 1 + zeta^2, is summed
     # exactly.
-    built = []
-
-    class CountedImages(cyclo.Images):
-        def __init__(self, groups):
-            built.append(1)
-            super().__init__(groups)
-
-    monkeypatch.setattr(cyclo, "Images", CountedImages)
+    built = counted_kernels(monkeypatch)
     one, zeta = Cyclotomic.one(), root_of_unity(1000003)
     datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
                          [[one, zeta], [zeta, -one]])
@@ -286,6 +284,22 @@ def test_validate_fails_the_galois_check_before_imaging(monkeypatch):
     assert built == []
     assert report.square_is_permutation is False
     assert report.square_message.startswith("S^2[0,0] = ")
+
+
+@pytest.mark.parametrize("name", ["s4", "su(2)_6"])
+def test_one_image_of_s_per_datum(monkeypatch, s4_completed, name):
+    # validate, the tensor, one product and the ring check all read the
+    # datum's one image of S, at one prime; a copy builds its own.
+    built = counted_kernels(monkeypatch)
+    datum = (s4_completed if name == "s4" else relabeled(su2_datum(6), seed=7)).with_entries({})
+    assert validate(datum).ok
+    tensor = fusion_tensor(datum)
+    assert fusion_product(datum, 1, 2) == tensor.product(1, 2)
+    assert check_ring(tensor, datum).ok
+    assert len(built) == 1 and len(datum.images.primes) == 1
+    copy = datum.with_entries({})
+    assert check_ring(fusion_tensor(copy), copy).ok
+    assert len(built) == 2
 
 
 # -- the Galois check, and the exact paths of data that fail it ----------------

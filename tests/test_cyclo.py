@@ -454,44 +454,53 @@ def test_is_prime_against_trial_division():
 def test_images_are_ring_homomorphisms(a, b):
     # Each prime's map zeta_N -> w, on lifts over a denominator, respects
     # sums and products; both sides are imaged by one kernel.
-    group = [a, b, a + b, a * b]
-    images = cyclo.Images([group])
-    assert images.choose_primes(1 << 40)
-    assert len(images.primes) >= 2 and len(images.residues) == len(images.primes)
-    (pos,) = images.positions
-    for (p, _), (values,) in zip(images.primes, images.residues):
-        x, y, total, product = (values[pos[v]] for v in group)
+    values = [a, b, a + b, a * b]
+    images = cyclo.Images(values)
+    chosen = images.choose_primes(1 << 40)
+    assert len(chosen) >= 2 and len(images.residues) == len(images.primes) == len(chosen)
+    for (p, residues), (q, _) in zip(chosen, images.primes):
+        assert p == q
+        x, y, total, product = (residues[images.index[v]] for v in values)
         assert (x + y - total) % p == 0 and (x * y - product) % p == 0
 
 
 def test_images_are_one_residue_list_per_prime():
-    # Real and complex groups alike are imaged once per prime, at w itself;
+    # Real and complex values alike are imaged once per prime, at w itself;
     # a repeated value is imaged once.
-    for group in ([sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)],
-                  [root_of_unity(3), Fraction(1, 2) * root_of_unity(8)]):
-        images = cyclo.Images([group + group[:1], group[:1]])
-        assert images.positions == [{v: i for i, v in enumerate(group)}, {group[0]: 0}]
+    for values in ([sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)],
+                   [root_of_unity(3), Fraction(1, 2) * root_of_unity(8)]):
+        images = cyclo.Images(values + values[:1])
+        assert images.index == {v: i for i, v in enumerate(values)}
         assert images.choose_primes(1 << 70)
         assert len(images.primes) >= 3
         for (p, w), residues in zip(images.primes, images.residues):
             powers = {e: pow(w, e, p) for e in range(images.order)}
             expected = [sum(c.numerator * pow(c.denominator, -1, p)
                             * powers[e * images.order // v.order] for e, c in v.coeffs.items())
-                        for v in group]
-            assert residues == [[x % p for x in expected], [expected[0] % p]]
-    assert images.combine([[p - 1] for p, _ in images.primes]) == [images.modulus - 1]
+                        for v in values]
+            assert residues == [x % p for x in expected]
+    primes = [p for p, _ in images.primes]
+    assert cyclo.combine(primes, [[p - 1] for p in primes]) == [math.prod(primes) - 1]
 
 
-def test_images_share_the_order_and_keep_group_denominators():
-    images = cyclo.Images([[Fraction(1, 6) * root_of_unity(4)], [Fraction(3, 10) * sqrt_int(3)]])
-    assert images.order == 12 and images.denoms == [6, 10]
-    # 10 * 3/10 sqrt(3) has two basis terms, each with coefficient 3 or -3.
-    assert images.norms == [[1], [6]]
+def test_images_add_primes_only_when_a_bound_needs_them():
+    # Later bounds reuse the primes imaged so far, largest first, and a prime
+    # dividing ``avoid`` is skipped without being imaged again.
+    images = cyclo.Images([Fraction(3, 10) * sqrt_int(3)])
+    assert images.denom == 10 and images.norms == [6]
+    ((p, residues),) = images.choose_primes(1)
+    assert images.primes[0][0] == p and images.residues == [residues]
+    # A bound of p needs a second prime; the first is not imaged again.
+    chosen = [q for q, _ in images.choose_primes(p)]
+    assert chosen == [p, images.primes[1][0]] and len(images.residues) == 2
+    # A prime dividing ``avoid`` is skipped.
+    assert [q for q, _ in images.choose_primes(1, avoid=2 * p)] == [images.primes[1][0]]
+    assert len(images.primes) == 2 and p > images.primes[1][0]
 
 
 def test_without_a_split_prime_no_primes_are_chosen(monkeypatch):
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
-    images = cyclo.Images([[root_of_unity(288)]])
+    images = cyclo.Images([root_of_unity(288)])
     assert not images.choose_primes(10) and images.primes == [] and images.residues == []
 
 
@@ -516,9 +525,8 @@ def test_packed_product_is_a_vector_matrix_product(data):
 def test_packed_product_at_the_largest_allowed_prime(rows):
     # The largest prime choose_primes takes for ``rows`` summands, with every
     # residue at its maximum p - 1: each slot holds rows * (p - 1)^2.
-    images = cyclo.Images([[Cyclotomic.one()]])
-    assert images.choose_primes(1, summands=rows)
-    ((p, _),) = images.primes
+    images = cyclo.Images([Cyclotomic.one()], summands=rows)
+    ((p, _),) = images.choose_primes(1)
     assert rows * (p - 1) ** 2 < 1 << 64 < rows * (p + 1) ** 2 * 2
     width = 3
     packed = [cyclo.pack([p - 1] * width) for _ in range(rows)]

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import relabeled
+from conftest import counted_kernels, relabeled
 
 from fusionring import mdf
 from fusionring import modular_data as md
@@ -236,23 +236,14 @@ def test_unitarity_checked_on_real_data():
 
 
 def test_validate_images_s_once(monkeypatch):
-    import fusionring.cyclo as cyclo
-
-    kernels = []
-
-    class CountedImages(cyclo.Images):
-        def __init__(self, groups):
-            kernels.append(self)
-            super().__init__(groups)
-
-    monkeypatch.setattr(cyclo, "Images", CountedImages)
+    kernels = counted_kernels(monkeypatch)
     assert validate(lattice_modular_data(LatticeSpec(3))).unitary is True
     # One kernel images the six distinct entries zeta_6^e / sqrt(6) of S
     # once, at one prime.
     (kernel,) = kernels
-    assert [len(lifts) for lifts in kernel.lifts] == [6]
+    assert len(kernel.lifts) == 6
     assert kernel.order == 24 and len(kernel.primes) == 1
-    assert [[len(values) for values in residues] for residues in kernel.residues] == [[6]]
+    assert [len(values) for values in kernel.residues] == [6]
 
 
 def test_qdims_not_checked_without_a_vacuum_entry():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import su2_datum
+from conftest import counted_kernels, su2_datum
 
 from fusionring import cyclo, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
@@ -247,8 +247,10 @@ def test_su2_tensor_equals_exact_sums(k):
 def test_several_primes_give_the_same_tensor(monkeypatch, s4_completed, s4_tensor,
                                              s4_bound, su2_bound):
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", s4_bound)
-    assert len(verlinde._Engine(s4_completed, list(range(28))).primes) >= 2
-    assert fusion_tensor(s4_completed) == s4_tensor
+    # A fresh copy: the shared fixture keeps the image and primes it already has.
+    s4 = s4_completed.with_entries({})
+    assert len(verlinde._Engine(s4, list(range(28))).primes) >= 2
+    assert fusion_tensor(s4) == s4_tensor
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", su2_bound)
     datum = su2_datum(8)
     assert len(verlinde._Engine(datum, list(range(9))).primes) >= 2
@@ -259,10 +261,24 @@ def test_without_a_usable_prime_every_row_is_summed_exactly(monkeypatch, s4_comp
                                                            s4_tensor):
     # No prime p = 1 mod 288 (or mod 20) lies below 32.
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
-    assert verlinde._Engine(s4_completed, list(range(28))).primes == []
-    assert fusion_tensor(s4_completed) == s4_tensor
+    s4 = s4_completed.with_entries({})
+    assert verlinde._Engine(s4, list(range(28))).primes == []
+    assert fusion_tensor(s4) == s4_tensor
     datum = su2_datum(8)
     assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
+
+
+def test_vacuum_inverse_with_a_denominator_is_certified_by_images(monkeypatch):
+    # S = [[2]]: N[0,0]^0 = 2 * 2 * 2 / 2 = 4.  The vacuum inverse 1/2 has the
+    # denominator D_inv = 2, which scales both the bound, 2^2 * 1 * 2, and the
+    # largest certifiable coefficient, 8 / (1^3 * 2).
+    datum = ModularDatum([ModuleLabel(0, "a", dual=0)], [[Cyclotomic.from_rational(2)]])
+    expected = verlinde_by_exact_sums(datum)
+    assert expected == [[[4]]]
+    engine = verlinde._Engine(datum, [0])
+    assert engine.primes and engine.max_coeff == 4
+    monkeypatch.setattr(cyclo, "exact_sum", lambda values: pytest.fail("a row was summed"))
+    assert [[engine.row_for_pair(0, 0)]] == expected
 
 
 def test_corrupted_entry_reports_the_exact_residual():
@@ -273,19 +289,6 @@ def test_corrupted_entry_reports_the_exact_residual():
     assert err.value.triple == (0, 0, 5)
     assert str(err.value.residual) == "1/4*E(16)-1/4*E(16)^7"
     assert str(err.value) == "N(0, 0, 5) is not a rational integer: 1/4*E(16)-1/4*E(16)^7"
-
-
-def counted_kernels(monkeypatch):
-    """A list that gains one entry per ``cyclo.Images`` built."""
-    built = []
-
-    class CountedImages(cyclo.Images):
-        def __init__(self, groups):
-            built.append(1)
-            super().__init__(groups)
-
-    monkeypatch.setattr(cyclo, "Images", CountedImages)
-    return built
 
 
 def test_bad_entry_fails_the_galois_check_before_any_image(monkeypatch):
@@ -348,7 +351,7 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     packed_product = cyclo.packed_product
     monkeypatch.setattr(cyclo, "packed_product",
                         lambda *args: calls.append(1) or packed_product(*args))
-    engine = verlinde._Engine(s4_completed, list(range(28)))
+    engine = verlinde._Engine(s4_completed.with_entries({}), list(range(28)))
     assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
