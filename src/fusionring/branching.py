@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
-                    eliminate, exact_sum, inverse)
+from .cyclo import (Cyclotomic, Elimination, InconsistentSystemError,
+                    UnderdeterminedError, eliminate, exact_sum, inverse)
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
+from .verlinde import _character_identity
 
 __all__ = [
     "UnderdeterminedError", "InconsistentSystemError", "check_derived_rows",
@@ -207,6 +209,29 @@ def complete(target: ModularDatum, parents: list[BranchingSection]) -> Completio
 
 # -- eigenvector cross-check --------------------------------------------------
 
+def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cyclotomic):
+    """The eigenvalue relations of column s, as ``cyclo.Elimination`` rows, one
+    per recorded product (a, b) in sorted order; built as they are read, each
+    chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it."""
+    chi = lru_cache(maxsize=None)(lambda r: target.entry(r, s) * inv0)
+    for (a, b), terms in sorted(products.items()):
+        # The eigenvalue relation sum_k N[a,b]^k chi_s(k) = chi_s(a) chi_s(b)
+        # stays linear in the unknowns as long as chi_s(a) is known.
+        if a in missing:
+            continue
+        b_unknown = b in missing
+        if not b_unknown and not any(k in missing for k in terms):
+            continue
+        coeffs = {k: Cyclotomic.from_rational(mult)
+                  for k, mult in terms.items() if k in missing}
+        residual = [chi(k) * -mult for k, mult in terms.items() if k not in missing]
+        if b_unknown:
+            coeffs[b] = coeffs.get(b, Cyclotomic.zero()) - chi(a)
+        else:
+            residual.append(chi(a) * chi(b))
+        yield coeffs, exact_sum(residual), (f"N[{a},{b}] col{s}",)
+
+
 def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cyclotomic]:
     """Second, independent route to the unknown entries via fusion matrices.
 
@@ -217,6 +242,16 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     unknown entries of that column.  Agreement with the branching-based
     completion cross-checks both routes and the fixture transcription; a
     contradiction names the relations "N[a,b] colS" that produce it.
+
+    Each column is solved exactly from the shortest prefix of its relations
+    that pins every unknown (``cyclo.Elimination``).  The rest are certified
+    at once: on S' = S with those values, ``verlinde._character_identity``
+    proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] for every
+    recorded product at every column, which includes every relation of every
+    column.  When it proves less, as when S' fails its Galois check or
+    S'^2 = C, or has no usable prime, each column's elimination reads and
+    checks all its relations, so the result and every error are those of
+    eliminating all of them.  The route reads fixtures and shipped entries only.
     """
     n = target.size
     check_fixture_range(fixtures, n)
@@ -227,37 +262,34 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
         products[(fx.left, fx.right)] = fx.terms
         products[(fx.right, fx.left)] = fx.terms
     out: dict[tuple[int, int], Cyclotomic] = {}
-    for s in range(n):
-        missing = [r for r in range(n) if not target.known(r, s)]
-        if not missing:
-            continue
-        missing_set = set(missing)
-        inv0 = inverse(target.entry(0, s))
-        chi = {r: target.entry(r, s) * inv0 for r in range(n)
-               if r not in missing_set}
-        rows = []
-        for (a, b), terms in sorted(products.items()):
-            # The eigenvalue relation sum_k N[a,b]^k chi_s(k) = chi_s(a) chi_s(b)
-            # stays linear in the unknowns as long as chi_s(a) is known.
-            if a in missing_set:
+    eliminations: list[Elimination] = []
+    try:
+        for s in range(n):
+            missing = [r for r in range(n) if not target.known(r, s)]
+            if not missing:
                 continue
-            b_unknown = b in missing_set
-            if not b_unknown and not any(k in missing_set for k in terms):
-                continue
-            coeffs = {k: Cyclotomic.from_rational(mult)
-                      for k, mult in terms.items() if k in missing_set}
-            residual = [chi[k] * -mult for k, mult in terms.items() if k not in missing_set]
-            if b_unknown:
-                coeffs[b] = coeffs.get(b, Cyclotomic.zero()) - chi[a]
-            else:
-                residual.append(chi[a] * chi[b])
-            rows.append((coeffs, exact_sum(residual), (f"N[{a},{b}] col{s}",)))
-        try:
-            values = eliminate(rows, missing)
-        except UnderdeterminedError:
-            raise UnderdeterminedError([(r, s) for r in missing]) from None
-        s00 = target.entry(0, s)
-        for r in missing:
-            out[(r, s)] = values[r] * s00
+            s00 = target.entry(0, s)
+            elimination = Elimination(
+                _eigen_rows(target, products, s, set(missing), inverse(s00)), missing)
+            try:
+                values = elimination.solution()
+            except UnderdeterminedError:
+                raise UnderdeterminedError([(r, s) for r in missing]) from None
+            eliminations.append(elimination)
+            for r in missing:
+                out[(r, s)] = values[r] * s00
+    except (ArithmeticError, LookupError, ValueError):
+        # The columns are checked in order: an earlier column's contradiction
+        # is the error, as when each column is eliminated in full in turn.
+        for elimination in eliminations:
+            elimination.check_rest()
+        raise
+    if out:
+        # N[a,b] = N[b,a]: one row per unordered product.
+        rows = {(a, b): [terms.get(k, 0) for k in range(n)]
+                for (a, b), terms in products.items() if a <= b}
+        holds = _character_identity(target.with_entries(out), rows)
+        if not (holds and all(holds(a, b) is True for a, b in rows)):
+            for elimination in eliminations:
+                elimination.check_rest()
     return out
-

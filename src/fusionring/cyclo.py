@@ -28,10 +28,13 @@ ring check are certified by one image kernel, ``Images``: the entries of S
 lifted to their common order N and imaged once modulo each prime p = 1 mod
 N, which suffices once the Galois symmetry of S makes each sum rational.
 
-The module also holds the package's one exact linear solver, ``eliminate``:
-sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
-which source relations every reduced row came from.  The branching
-completion and the eigenvector route go through it.
+The module also holds the package's one exact linear solver,
+``Elimination``: sparse Gauss-Jordan elimination over Q or a cyclotomic
+field that records which source relations every reduced row came from.  It
+reads its rows lazily, so it can stop at the shortest prefix of them that
+pins every unknown; ``eliminate`` reads and checks them all.  The branching
+completion eliminates all its relations; the eigenvector route solves each
+column from a prefix and certifies the rest by the character identity.
 """
 
 from __future__ import annotations
@@ -674,47 +677,105 @@ class InconsistentSystemError(ValueError):
         self.residual = residual
 
 
-def eliminate(rows, unknowns: list) -> dict:
-    """Sparse Gauss-Jordan elimination over Q or a cyclotomic field.
+class Elimination:
+    """Sparse Gauss-Jordan elimination over Q or a cyclotomic field that reads
+    its rows lazily.
 
     Each row is ``(coeffs, rhs, labels)``: the relation
     sum_u coeffs[u] * x_u = rhs together with the labels of the source
-    relations it came from.  Coefficients and right-hand sides may be
-    ``Fraction`` or ``Cyclotomic`` values; only ``1 / c``, ``*``, ``-`` and
-    truthiness are used.  Unknowns are pivoted in the given order, each on the
-    first remaining row that contains it, and every other row -- earlier pivot
-    rows included -- is reduced by the pivot, so no back-substitution is
-    needed.  A reduced row inherits the labels of every pivot applied to it.
+    relations it came from.  Coefficients and right-hand sides may be ``int``,
+    ``Fraction`` or ``Cyclotomic``; pivots are inverted as ``Fraction(1) / c``,
+    so the solution is exact.  Unknowns are pivoted in the given order, each
+    on the first row that contains it once reduced by the pivots before it,
+    and every pivot row is reduced by the later pivots, so no
+    back-substitution is needed.  A reduced row inherits the labels of every
+    pivot applied to it.
 
-    Returns {unknown: value}.  Raises InconsistentSystemError with the merged
-    labels when a row reduces to 0 = r with r != 0, and UnderdeterminedError
-    naming the unknowns left without a pivot.
+    A row is read from ``rows`` (any iterable) only when no row read before it
+    holds the next pivot, and reduced only when scanned for one, so the
+    constructor reads the shortest prefix that pins every unknown.
+    ``check_rest`` reads and reduces the others.  A row reduced to 0 = r,
+    r != 0, raises InconsistentSystemError with its labels: of all rows, the
+    one zeroed by the earliest pivot (a row read without coefficients counts
+    as zeroed by the first), then the earliest, which is the row that
+    reducing every row by each pivot as it is made would meet first.
     """
-    work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
-            for coeffs, rhs, labels in rows]
-    pivots: dict = {}
-    for u in unknowns:
-        index = next((i for i, row in enumerate(work) if row[0].get(u)), None)
-        if index is None:
-            continue
-        coeffs, rhs, labels = work.pop(index)
-        inv = 1 / coeffs.pop(u)
-        coeffs = {k: c * inv for k, c in coeffs.items()}
-        pivot = (coeffs, rhs * inv, labels)
-        reduced = []
-        for row in work:
-            row = _reduce_row(row, u, pivot)
-            if row[0]:
-                reduced.append(row)
-            elif row[1]:
-                raise InconsistentSystemError(row[2], row[1])
-        work = reduced
-        pivots = {v: _reduce_row(row, u, pivot) for v, row in pivots.items()}
-        pivots[u] = pivot
-    free = [u for u in unknowns if u not in pivots]
-    if free:
-        raise UnderdeterminedError(free)
-    return {u: pivots[u][1] for u in unknowns}
+
+    def __init__(self, rows, unknowns: list):
+        self.unknowns = unknowns
+        self.pivots: dict = {}
+        # Rows read and not pivoted, in order: [coeffs, rhs, labels, applied],
+        # ``applied`` counting the pivots of ``_steps`` applied so far.  Once
+        # coeffs is empty no pivot changes the row, and ``applied`` stays the
+        # number of pivots that zeroed it.
+        self._source = ([{k: c for k, c in coeffs.items() if c}, rhs, set(labels), 0]
+                        for coeffs, rhs, labels in rows)
+        self._work: list[list] = []
+        self._steps: list[tuple] = []  # (unknown, pivot row as made), in order
+        for u in unknowns:
+            index = self._find(u)
+            if index is None:
+                continue
+            coeffs, rhs, labels, _ = self._work.pop(index)
+            inv = Fraction(1) / coeffs.pop(u)
+            pivot = ({k: c * inv for k, c in coeffs.items()}, rhs * inv, labels)
+            self.pivots = {v: _reduce_row(row, u, pivot) for v, row in self.pivots.items()}
+            self.pivots[u] = pivot
+            self._steps.append((u, pivot))
+
+    def _scan(self):
+        """Every row not pivoted, in order, reduced by every pivot so far,
+        reading a row only past the end of those read."""
+        for index in count():
+            if index == len(self._work):
+                row = next(self._source, None)
+                if row is None:
+                    return
+                self._work.append(row)
+            row = self._work[index]
+            coeffs, rhs, labels, applied = row
+            while coeffs and applied < len(self._steps):
+                u, pivot = self._steps[applied]
+                coeffs, rhs, labels = _reduce_row((coeffs, rhs, labels), u, pivot)
+                applied += 1
+            row[:] = coeffs, rhs, labels, applied
+            yield row
+
+    def _find(self, u):
+        """The place in ``_work`` of the first row containing u, or None."""
+        for index, (coeffs, rhs, _, _) in enumerate(self._scan()):
+            if coeffs.get(u):
+                return index
+            # Before the first pivot a contradiction cannot be reported yet:
+            # that pivot may zero an earlier row, which comes first.
+            if not coeffs and rhs and self._steps:
+                self.check_rest()
+        return None
+
+    def check_rest(self) -> None:
+        """Read and reduce every row not pivoted; raise InconsistentSystemError
+        on a contradiction."""
+        bad = [row for row in self._scan() if not row[0] and row[1]]
+        if bad:
+            _, rhs, labels, _ = min(bad, key=lambda row: max(row[3], 1))
+            raise InconsistentSystemError(labels, rhs)
+
+    def solution(self) -> dict:
+        """{unknown: value}.  An unknown without a pivot raises
+        UnderdeterminedError naming every such unknown, after ``check_rest``."""
+        free = [u for u in self.unknowns if u not in self.pivots]
+        if free:
+            self.check_rest()
+            raise UnderdeterminedError(free)
+        return {u: self.pivots[u][1] for u in self.unknowns}
+
+
+def eliminate(rows, unknowns: list) -> dict:
+    """{unknown: value} solving every row exactly (``Elimination``, then
+    ``check_rest``); raises InconsistentSystemError or UnderdeterminedError."""
+    elimination = Elimination(rows, unknowns)
+    elimination.check_rest()
+    return elimination.solution()
 
 
 def _reduce_row(row, u, pivot):

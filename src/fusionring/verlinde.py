@@ -300,7 +300,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
         report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
 
     qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
-    holds = _character_identity(datum, N)
+    holds = _character_identity(datum, {(i, j): N[i][j] for i in every for j in every})
     certified, bad_pair = holds is not None, None
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
@@ -332,21 +332,24 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     return report
 
 
-def _character_identity(datum: ModularDatum, values):
+def _character_identity(datum: ModularDatum, products: dict):
     """A test of E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at
-    every column s, or None without S fully known, its Galois permutations
-    and S^2 = C.  With those, E_ij = 0 for all pairs (i <= j for a
-    commutative N) makes R[m,s] = S[m,s]/S[0,s] invertible, and i -> R[i,.]
-    embeds N in C^n with the pointwise product, so N is associative
-    (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).  sigma_a
+    every column s, for the rows N[i,j] = ``products[i, j]`` (lists of n
+    integers), or None without S fully known, its Galois permutations and
+    S^2 = C.  ``check_ring`` passes the whole tensor: with those, E_ij = 0 for
+    all pairs (i <= j for a commutative N) makes R[m,s] = S[m,s]/S[0,s]
+    invertible, and i -> R[i,.] embeds N in C^n with the pointwise product,
+    so N is associative (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*,
+    ch. 3).  ``branching.eigen_complete`` passes the recorded fusion products,
+    to certify its eigenvector relations at every column at once.  sigma_a
     maps E_ij(s) to E_ij(pi_a(s)), the column signs cancelling, so the
     datum's one image of S per prime (``ModularDatum.images``) images every
     E_ij(s) at every unit.  With x = D S lifted to Z[C_N],
-    |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2,
-    t_s = max_k |x[k,s]|_1 and W the largest row sum of |N|; primes whose
-    product exceeds twice that prove E_ij = 0 from zero images.  The test of
-    (i, j) gives True then, False on a nonzero image at s = 0 (a certified
-    qdim failure), and None otherwise.
+    |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2, t_s = max_k |x[k,s]|_1 and W
+    the largest row sum of |N| over ``products``; primes whose product
+    exceeds twice that prove E_ij = 0 from zero images.  The test of (i, j)
+    gives True then, False on a nonzero image at s = 0 (a certified qdim
+    failure), and None otherwise.
     """
     if not datum.fully_known() or datum.galois is None:
         return None
@@ -356,7 +359,7 @@ def _character_identity(datum: ModularDatum, values):
         return None
     images, n = datum.images, datum.size
     norms = datum.as_matrix(images.norms)
-    weight = max(sum(map(abs, row)) for plane in values for row in plane)
+    weight = max(sum(map(abs, row)) for row in products.values())
     chosen = images.choose_primes(2 * max(x0 * weight * t + t * t for x0, t in
                                           zip(norms[0], map(max, zip(*norms)))))
     if not chosen:
@@ -370,7 +373,7 @@ def _character_identity(datum: ModularDatum, values):
     def holds(i: int, j: int) -> bool | None:
         verdict = True
         for p, x, rows in primes:
-            lhs = cyclo.packed_product([m % p for m in values[i][j]], rows, n, p)
+            lhs = cyclo.packed_product([m % p for m in products[i, j]], rows, n, p)
             if lhs[0] != x[i][0] * x[j][0] % p:
                 return False
             if lhs != [a * b % p for a, b in zip(x[i], x[j])]:

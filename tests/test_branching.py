@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from fusionring import branching, cyclo
 from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
                                   assemble_system, check_derived_rows,
                                   complete, eigen_complete, solve)
-from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
+from fusionring.cyclo import Cyclotomic, Elimination, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec
 from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
 from fusionring.modular_data import validate
@@ -225,6 +226,79 @@ def test_eigen_route_failure_names_its_relations(s4):
     certificate = info.value.certificate
     assert any(label.startswith("N[0,1] ") for label in certificate), certificate
     assert all(label.startswith("N[") for label in certificate), certificate
+
+
+def test_eigen_route_reports_the_first_column_that_fails(s4):
+    # 9 x 11 gains the channel 1.  Column 5 meets the contradiction within
+    # the relations that pin its unknowns, column 1 only after them; column 1
+    # is reported, as when every column is eliminated in full, in order.
+    datum, _, fixtures = s4
+    tampered = [FixtureRecord(9, 11, {1: 1, **fx.terms}, fx.soft, fx.citation)
+                if (fx.left, fx.right, fx.soft) == (9, 11, False) else fx for fx in fixtures]
+    assert tampered != fixtures
+    with pytest.raises(InconsistentSystemError) as info:
+        eigen_complete(datum, tampered)
+    assert info.value.certificate == ["N[8,1] col1", "N[8,3] col1", "N[8,4] col1",
+                                      "N[8,5] col1", "N[8,7] col1", "N[9,11] col1"]
+    assert info.value.residual == -1
+
+
+def counted_eigen_route(monkeypatch):
+    """(rows read per column, columns eliminated in full) while the patch holds."""
+    read, full = {}, []
+    rows = branching._eigen_rows
+
+    def counted_rows(target, products, s, missing, inv0):
+        for row in rows(target, products, s, missing, inv0):
+            read[s] = read.get(s, 0) + 1
+            yield row
+
+    check_rest = Elimination.check_rest
+    monkeypatch.setattr(branching, "_eigen_rows", counted_rows)
+    monkeypatch.setattr(Elimination, "check_rest",
+                        lambda self: full.append(1) or check_rest(self))
+    return read, full
+
+
+def test_eigen_route_solves_each_column_from_a_prefix(monkeypatch, s4, s4_completed):
+    datum, _, fixtures = s4
+    products = {}
+    for fx in fixtures:
+        if not fx.soft:
+            products[fx.left, fx.right] = products[fx.right, fx.left] = fx.terms
+    columns = {c for _, c in datum.unknown_positions()}
+    every = {s: len(list(branching._eigen_rows(
+        datum, products, s, {r for r in range(datum.size) if not datum.known(r, s)},
+        inverse(datum.entry(0, s))))) for s in columns}
+    read, full = counted_eigen_route(monkeypatch)
+    eigen = eigen_complete(datum, fixtures)
+    assert eigen == {pos: s4_completed.entry(*pos) for pos in eigen} and len(eigen) == 49
+    assert full == [] and set(read) == columns
+    assert all(read[s] < every[s] for s in columns), (read, every)
+
+
+@pytest.mark.parametrize("case", ["fixture contradicts a known column", "no split prime"])
+def test_eigen_route_falls_back_to_every_relation(monkeypatch, s4, s4_completed, case):
+    # Either way the character identity proves less than every fixture at
+    # every column, so each column eliminates all its relations, as the
+    # route did before it read prefixes; the entries are the same.
+    datum, _, fixtures = s4
+    datum = datum.with_entries({})
+    if case == "no split prime":
+        monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
+    else:
+        # 0 x 8 = 2*8 breaks the qdim identity at column 0.  Modules 0 and 8
+        # lie outside the unknown block 1..7, so no eigenvalue relation of a
+        # column with unknowns reads this product.
+        assert {c for _, c in datum.unknown_positions()} == set(range(1, 8))
+        fixtures = [FixtureRecord(0, 8, {8: 2}, fx.soft, fx.citation)
+                    if (fx.left, fx.right, fx.terms, fx.soft) == (0, 8, {8: 1}, False) else fx
+                    for fx in fixtures]
+        assert any(fx.terms == {8: 2} for fx in fixtures)
+    _, full = counted_eigen_route(monkeypatch)
+    eigen = eigen_complete(datum, fixtures)
+    assert eigen == {pos: s4_completed.entry(*pos) for pos in eigen} and len(eigen) == 49
+    assert len(full) == 7
 
 
 def test_eigen_route_rejects_fixtures_outside_the_datum(s4):

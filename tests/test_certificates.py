@@ -178,6 +178,11 @@ def test_corrupted_data_report_the_exact_failure(name):
     assert report["unitary"] is None and report["ok"] is False
 
 
+def tensor_rows(values):
+    """The rows N[i,j] of a tensor, keyed by (i, j), as the character identity takes them."""
+    return {(i, j): row for i, plane in enumerate(values) for j, row in enumerate(plane)}
+
+
 def bumped(tensor, changes):
     values = [[row[:] for row in plane] for plane in tensor.values]
     for i, j, k in changes:
@@ -207,7 +212,7 @@ def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity(monkeypat
     values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
     values[2][2][2] -= 1
     values[2][2][4] += 1
-    assert verlinde._character_identity(datum, values)(2, 2) is None
+    assert verlinde._character_identity(datum, tensor_rows(values))(2, 2) is None
     searched = []
     search = verlinde._first_nonassociative
     monkeypatch.setattr(verlinde, "_first_nonassociative",
@@ -363,7 +368,7 @@ def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
 def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
     # The shipped s4 knows column 0, hence every qdim, but not all of S: the
     # qdim pairs are compared exactly and associativity is searched directly.
-    assert verlinde._character_identity(s4[0], s4_tensor.values) is None
+    assert verlinde._character_identity(s4[0], tensor_rows(s4_tensor.values)) is None
     assert check_ring(s4_tensor, s4[0]) == check_ring(s4_tensor, s4_completed)
     assert assert_ring_report_matches(s4_tensor, s4[0]).ok
     assert assert_ring_report_matches(bumped(s4_tensor, [(20, 9, 14)]), s4[0]).failures == [
@@ -384,7 +389,7 @@ def test_identity_never_certifies_associativity_without_s_squared_c():
     values = [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]
     assert datum.galois is not None
     assert charge(datum) == "S^2[0,0] = 3 is neither 0 nor 1"
-    assert verlinde._character_identity(datum, values) is None
+    assert verlinde._character_identity(datum, tensor_rows(values)) is None
     report = assert_ring_report_matches(FusionTensor([0, 1, 2], values), datum)
     assert report.commutative and report.qdim_multiplicative
     assert "associativity fails at quadruple (1, 1, 2, 0)" in report.failures
@@ -399,7 +404,7 @@ def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed
     negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
     for datum in (negated, *corrupted_data().values()):
         tensor = tensors[datum.size]
-        assert verlinde._character_identity(datum, tensor.values) is None
+        assert verlinde._character_identity(datum, tensor_rows(tensor.values)) is None
         if datum.s[0][0].is_zero():
             with pytest.raises(ZeroDivisionError):
                 check_ring(tensor, datum)

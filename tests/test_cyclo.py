@@ -183,8 +183,15 @@ def test_eliminate_rational_system():
             ({"y": 2, "z": Fraction(1, 2), "x": 0}, Fraction(11, 2), ("b",)),
             ({"x": 1, "z": -1}, Fraction(-2), ("c",)),
             ({"x": 2, "y": 2, "z": 2}, Fraction(12), ("d",))]
-    assert eliminate(rows, ["x", "y", "z"]) == {"x": 1, "y": 2, "z": 3}
+    solution = eliminate(rows, ["x", "y", "z"])
+    assert solution == {"x": 1, "y": 2, "z": 3}
+    assert all(type(value) is Fraction for value in solution.values())
     assert eliminate([], []) == {}
+    # Integer coefficients are inverted exactly, never as floats.
+    solution = eliminate([({"x": 3, "y": 1}, Fraction(1), ("a",)), ({"y": 7}, 1, ("b",))],
+                         ["x", "y"])
+    assert solution == {"x": Fraction(2, 7), "y": Fraction(1, 7)}
+    assert all(type(value) is Fraction for value in solution.values())
 
 
 def test_eliminate_cyclotomic_rhs_with_rational_coefficients():
@@ -203,6 +210,89 @@ def test_eliminate_certificate_merges_labels():
         eliminate(rows, ["x", "y", "z"])
     assert info.value.certificate == ["a", "b", "c"]
     assert info.value.residual == 2
+
+
+@pytest.mark.parametrize("rows, certificate, residual", [
+    # The pivot on x already gives d: 0 = 5, so d is reported, not the
+    # earlier row c, which only the later pivot on y zeroes (0 = 4).
+    ([({"x": 1, "y": 1}, 2, ("a",)), ({"y": 1}, 1, ("b",)),
+      ({"y": 1}, 5, ("c",)), ({"x": 1, "y": 1}, 7, ("d",))], ["a", "d"], 5),
+    # x has no pivot.  A row without coefficients counts as zeroed by the
+    # first pivot, on y, which zeroes the earlier row b too.
+    ([({"y": 2}, 1, ("a",)), ({"y": 1}, -2, ("b",)), ({}, 2, ("c",))],
+     ["a", "b"], Fraction(-5, 2)),
+])
+def test_eliminate_reports_the_row_the_earliest_pivot_zeroes(rows, certificate, residual):
+    with pytest.raises(InconsistentSystemError) as info:
+        eliminate(rows, ["x", "y"])
+    assert info.value.certificate == certificate and info.value.residual == residual
+
+
+@pytest.mark.parametrize("rows, unknowns", [
+    ([({}, Fraction(5), ("a",))], []),
+    ([({"x": 0}, Fraction(0), ("b",)), ({}, 5, ("a",))], ["x"]),
+])
+def test_eliminate_reports_a_contradiction_no_pivot_reduces(rows, unknowns):
+    with pytest.raises(InconsistentSystemError) as info:
+        eliminate(rows, unknowns)
+    assert info.value.certificate == ["a"] and info.value.residual == 5
+
+
+def test_elimination_reads_rows_only_until_every_unknown_is_pinned():
+    read = []
+
+    def rows():
+        for label, coeffs, rhs in [("a", {"x": 1, "y": 1}, 3), ("b", {"y": 1}, 1),
+                                   ("c", {"x": 2}, 4), ("d", {"x": 1}, 7)]:
+            read.append(label)
+            yield coeffs, rhs, (label,)
+
+    elimination = cyclo.Elimination(rows(), ["x", "y"])
+    assert elimination.solution() == {"x": 2, "y": 1} and read == ["a", "b"]
+    with pytest.raises(InconsistentSystemError) as info:
+        elimination.check_rest()
+    assert read == ["a", "b", "c", "d"]
+    assert info.value.certificate == ["a", "b", "d"] and info.value.residual == 5
+
+
+def _determinant(matrix):
+    if not matrix:
+        return 1
+    return sum((-1) ** j * matrix[0][j] * _determinant([row[:j] + row[j + 1:]
+                                                        for row in matrix[1:]])
+               for j in range(len(matrix)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eliminate_solves_integer_systems_exactly(data):
+    # A square integer system with a nonzero determinant and a rational
+    # solution, plus integer combinations of its rows, in random order.
+    n = data.draw(st.integers(1, 4))
+    coeff = st.integers(-4, 4)
+    square = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                                min_size=n, max_size=n).filter(_determinant))
+    x = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                           min_size=n, max_size=n))
+    extra = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=4))
+    matrix = square + [[sum(c * row[u] for c, row in zip(mix, square)) for u in range(n)]
+                       for mix in extra]
+    rows = [({u: a for u, a in enumerate(row)}, sum(a * v for a, v in zip(row, x)), (f"r{i}",))
+            for i, row in enumerate(matrix)]
+    rows = data.draw(st.permutations(rows))
+    solution = eliminate(rows, list(range(n)))
+    assert solution == dict(enumerate(x))
+    assert all(type(value) is Fraction for value in solution.values())
+    # One more row whose right-hand side is off by delta makes it inconsistent,
+    # and the certificate names that row.
+    bad = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    delta = data.draw(st.fractions(min_value=-3, max_value=3).filter(bool))
+    at = data.draw(st.integers(0, len(rows)))
+    inconsistent = ({u: a for u, a in enumerate(bad)},
+                    sum(a * v for a, v in zip(bad, x)) + delta, ("bad",))
+    with pytest.raises(InconsistentSystemError) as info:
+        eliminate(rows[:at] + [inconsistent] + rows[at:], list(range(n)))
+    assert "bad" in info.value.certificate
 
 
 def test_eliminate_underdetermined_names_free_unknowns():
