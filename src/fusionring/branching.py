@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
-from .cyclo import (Cyclotomic, Elimination, InconsistentSystemError,
-                    UnderdeterminedError, eliminate, exact_sum, inverse)
+from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
+                    eliminate, exact_sum, inverse)
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
@@ -210,7 +211,7 @@ def complete(target: ModularDatum, parents: list[BranchingSection]) -> Completio
 # -- eigenvector cross-check --------------------------------------------------
 
 def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cyclotomic):
-    """The eigenvalue relations of column s, as ``cyclo.Elimination`` rows, one
+    """The eigenvalue relations of column s, as ``cyclo.eliminate`` rows, one
     per recorded product (a, b) in sorted order; built as they are read, each
     chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it."""
     chi = lru_cache(maxsize=None)(lambda r: target.entry(r, s) * inv0)
@@ -232,6 +233,41 @@ def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cycl
         yield coeffs, exact_sum(residual), (f"N[{a},{b}] col{s}",)
 
 
+def _solve_prefix(relations, missing: list) -> dict:
+    """``eliminate`` on the shortest prefix of len(missing) * 2^t relations
+    that pins every unknown; UnderdeterminedError once the relations run out.
+    Rows outside the prefix are not checked."""
+    rows = list(islice(relations, len(missing)))
+    while True:
+        try:
+            return eliminate(rows, missing)
+        except UnderdeterminedError:
+            more = list(islice(relations, len(rows)))
+            if not more:
+                raise
+            rows += more
+
+
+def _eigen_columns(target: ModularDatum, products, solve) -> dict[tuple[int, int], Cyclotomic]:
+    """The unknown entries of every column, in order, each column's relations
+    solved by ``solve(relations, missing)``."""
+    n = target.size
+    out: dict[tuple[int, int], Cyclotomic] = {}
+    for s in range(n):
+        missing = [r for r in range(n) if not target.known(r, s)]
+        if not missing:
+            continue
+        s00 = target.entry(0, s)
+        relations = _eigen_rows(target, products, s, set(missing), inverse(s00))
+        try:
+            values = solve(relations, missing)
+        except UnderdeterminedError:
+            raise UnderdeterminedError([(r, s) for r in missing]) from None
+        for r in missing:
+            out[(r, s)] = values[r] * s00
+    return out
+
+
 def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cyclotomic]:
     """Second, independent route to the unknown entries via fusion matrices.
 
@@ -243,53 +279,34 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     completion cross-checks both routes and the fixture transcription; a
     contradiction names the relations "N[a,b] colS" that produce it.
 
-    Each column is solved exactly from the shortest prefix of its relations
-    that pins every unknown (``cyclo.Elimination``).  The rest are certified
-    at once: on S' = S with those values, ``verlinde._character_identity``
-    proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] for every
-    recorded product at every column, which includes every relation of every
-    column.  When it proves less, as when S' fails its Galois check or
-    S'^2 = C, or has no usable prime, each column's elimination reads and
-    checks all its relations, so the result and every error are those of
-    eliminating all of them.  The route reads fixtures and shipped entries only.
+    Each column is solved from the shortest prefix of len(missing) * 2^t of
+    its relations that pins every unknown.  The rest are certified at once:
+    on S' = S with those values, ``verlinde._character_identity`` proves
+    sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] for every recorded
+    product at every column, which includes every relation of every column.
+    On any failure -- a prefix contradicts itself or runs out of relations,
+    or the identity proves less, as when S' fails its Galois check or
+    S'^2 = C, or has no usable prime -- every column eliminates all its
+    relations, in order, so the result and every error are those of full
+    elimination.  The route reads fixtures and shipped entries only.
     """
-    n = target.size
-    check_fixture_range(fixtures, n)
+    check_fixture_range(fixtures, target.size)
     products: dict[tuple[int, int], dict[int, int]] = {}
     for fx in fixtures:
         if fx.soft:
             continue
         products[(fx.left, fx.right)] = fx.terms
         products[(fx.right, fx.left)] = fx.terms
-    out: dict[tuple[int, int], Cyclotomic] = {}
-    eliminations: list[Elimination] = []
     try:
-        for s in range(n):
-            missing = [r for r in range(n) if not target.known(r, s)]
-            if not missing:
-                continue
-            s00 = target.entry(0, s)
-            elimination = Elimination(
-                _eigen_rows(target, products, s, set(missing), inverse(s00)), missing)
-            try:
-                values = elimination.solution()
-            except UnderdeterminedError:
-                raise UnderdeterminedError([(r, s) for r in missing]) from None
-            eliminations.append(elimination)
-            for r in missing:
-                out[(r, s)] = values[r] * s00
+        out = _eigen_columns(target, products, _solve_prefix)
     except (ArithmeticError, LookupError, ValueError):
-        # The columns are checked in order: an earlier column's contradiction
-        # is the error, as when each column is eliminated in full in turn.
-        for elimination in eliminations:
-            elimination.check_rest()
-        raise
-    if out:
-        # N[a,b] = N[b,a]: one row per unordered product.
-        rows = {(a, b): [terms.get(k, 0) for k in range(n)]
-                for (a, b), terms in products.items() if a <= b}
-        holds = _character_identity(target.with_entries(out), rows)
-        if not (holds and all(holds(a, b) is True for a, b in rows)):
-            for elimination in eliminations:
-                elimination.check_rest()
-    return out
+        return _eigen_columns(target, products, eliminate)
+    if not out:
+        return out
+    # N[a,b] = N[b,a]: one row per unordered product.
+    rows = {(a, b): [terms.get(k, 0) for k in range(target.size)]
+            for (a, b), terms in products.items() if a <= b}
+    holds = _character_identity(target.with_entries(out), rows)
+    if holds and all(holds(a, b) is True for a, b in rows):
+        return out
+    return _eigen_columns(target, products, eliminate)

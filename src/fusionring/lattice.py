@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .cyclo import inverse, root_of_unity, sqrt_int
 from .mdf import DatumFile
 from .modular_data import ModularDatum, ModuleLabel, datum_to_file
-from .verlinde import FusionTensor
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,6 @@ def lattice_modular_data(spec: LatticeSpec) -> ModularDatum:
     roots = [root_of_unity(n, -e) * inv_sqrt for e in range(n)]
     s = [[roots[(j * l) % n] for l in range(n)] for j in range(n)]
     return ModularDatum(labels, s, name=f"lattice_2k{n}")
-
-
-def expected_group_fusion(spec: LatticeSpec):
-    """Coset-addition fusion: N[i,j]^k = 1 iff k = i+j mod 2k.
-
-    This is the independent oracle the Verlinde output is compared against.
-    """
-    n = spec.modules
-    values = [[[1 if k == (i + j) % n else 0 for k in range(n)]
-               for j in range(n)] for i in range(n)]
-    return FusionTensor(list(range(n)), values)
 
 
 def lattice_datum_file(spec: LatticeSpec) -> DatumFile:

@@ -490,6 +490,16 @@ def parse_file(text: str) -> DatumFile:
 
 def _check_ranges(datum: DatumFile) -> None:
     n = datum.modules
+    for br in datum.branchings:
+        if br.k < 1:
+            raise IndexRangeError(f"branching parent {br.parent!r}: k={br.k} is not positive")
+        for parent_idx in br.rows:
+            if not 0 <= parent_idx < 2 * br.k:
+                raise IndexRangeError(f"branching row {parent_idx} out of range for k={br.k}")
+    # Without a header n = 0, so every S entry is out of range.
+    for (r, c) in datum.s_entries:
+        if not (0 <= r < n and 0 <= c < n):
+            raise IndexRangeError(f"S entry ({r}, {c}) out of range")
     if n <= 0:
         return
     declared = {rec.index for rec in datum.labels}
@@ -501,14 +511,9 @@ def _check_ranges(datum: DatumFile) -> None:
     for rec in datum.labels:
         if rec.dual is not None and not 0 <= rec.dual < n:
             raise IndexRangeError(f"dual index {rec.dual} out of range for label {rec.index}")
-    for (r, c) in datum.s_entries:
-        if not (0 <= r < n and 0 <= c < n):
-            raise IndexRangeError(f"S entry ({r}, {c}) out of range")
     check_fixture_range(datum.fixtures, n)
     for br in datum.branchings:
-        for parent_idx, terms in br.rows.items():
-            if not 0 <= parent_idx < 2 * br.k:
-                raise IndexRangeError(f"branching row {parent_idx} out of range for k={br.k}")
+        for terms in br.rows.values():
             for idx in terms:
                 if not 0 <= idx < n:
                     raise IndexRangeError(f"branching target {idx} out of range")

@@ -8,7 +8,7 @@ from fusionring.branching import complete
 from fusionring.cyclo import inverse, root_of_unity, sqrt_int
 from fusionring.modular_data import ModularDatum, ModuleLabel
 from fusionring.s4_dataset import load_dataset
-from fusionring.verlinde import fusion_tensor
+from fusionring.verlinde import FusionTensor, fusion_tensor
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +41,17 @@ def su2_datum(k):
     s = [[(root_of_unity(2 * h, (a + 1) * (b + 1)) - root_of_unity(2 * h, -(a + 1) * (b + 1)))
           * scale for b in range(k + 1)] for a in range(k + 1)]
     return ModularDatum([ModuleLabel(a, f"j{a}", dual=a) for a in range(k + 1)], s)
+
+
+def expected_group_fusion(spec):
+    """Coset-addition fusion of the rank-1 lattice: N[i,j]^k = 1 iff k = i+j mod 2k.
+
+    This is the independent oracle the Verlinde output is compared against.
+    """
+    n = spec.modules
+    values = [[[1 if k == (i + j) % n else 0 for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    return FusionTensor(list(range(n)), values)
 
 
 def relabeled(datum, seed):

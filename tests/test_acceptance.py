@@ -10,12 +10,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from conftest import expected_group_fusion
 
 from fusionring.branching import complete
 from fusionring.cyclo import (Cyclotomic, embed, inverse, root_of_unity,
                               sqrt_int)
-from fusionring.lattice import (LatticeSpec, expected_group_fusion,
-                                lattice_modular_data)
+from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import glob, quantum_dimensions
 from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import compare_fixtures, fusion_tensor

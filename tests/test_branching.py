@@ -10,7 +10,7 @@ from fusionring import branching, cyclo
 from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
                                   assemble_system, check_derived_rows,
                                   complete, eigen_complete, solve)
-from fusionring.cyclo import Cyclotomic, Elimination, embed, inverse, root_of_unity, sqrt_int
+from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec
 from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
 from fusionring.modular_data import validate
@@ -244,44 +244,58 @@ def test_eigen_route_reports_the_first_column_that_fails(s4):
 
 
 def counted_eigen_route(monkeypatch):
-    """(rows read per column, columns eliminated in full) while the patch holds."""
-    read, full = {}, []
-    rows = branching._eigen_rows
+    """(rows built per column, rows of each ``eliminate`` call) while the patch holds."""
+    built, calls = {}, []
+    rows, eliminate = branching._eigen_rows, branching.eliminate
 
     def counted_rows(target, products, s, missing, inv0):
         for row in rows(target, products, s, missing, inv0):
-            read[s] = read.get(s, 0) + 1
+            built[s] = built.get(s, 0) + 1
             yield row
 
-    check_rest = Elimination.check_rest
+    def counted_eliminate(relations, unknowns):
+        relations = list(relations)
+        calls.append(len(relations))
+        return eliminate(relations, unknowns)
+
     monkeypatch.setattr(branching, "_eigen_rows", counted_rows)
-    monkeypatch.setattr(Elimination, "check_rest",
-                        lambda self: full.append(1) or check_rest(self))
-    return read, full
+    monkeypatch.setattr(branching, "eliminate", counted_eliminate)
+    return built, calls
 
 
-def test_eigen_route_solves_each_column_from_a_prefix(monkeypatch, s4, s4_completed):
-    datum, _, fixtures = s4
+# Columns 1-4 are pinned by their first 14 relations, columns 5-7 by their
+# first 56; each column has 7 unknowns, so its prefixes double from 7.
+PREFIX_CALLS = [7, 14] * 4 + [7, 14, 28, 56] * 3
+
+
+def every_eigen_row_count(datum, fixtures):
+    """{column: number of its eigenvalue relations} for the columns with unknowns."""
     products = {}
     for fx in fixtures:
         if not fx.soft:
             products[fx.left, fx.right] = products[fx.right, fx.left] = fx.terms
-    columns = {c for _, c in datum.unknown_positions()}
-    every = {s: len(list(branching._eigen_rows(
+    columns = sorted({c for _, c in datum.unknown_positions()})
+    return {s: len(list(branching._eigen_rows(
         datum, products, s, {r for r in range(datum.size) if not datum.known(r, s)},
         inverse(datum.entry(0, s))))) for s in columns}
-    read, full = counted_eigen_route(monkeypatch)
+
+
+def test_eigen_route_solves_each_column_from_a_prefix(monkeypatch, s4, s4_completed):
+    datum, _, fixtures = s4
+    every = every_eigen_row_count(datum, fixtures)
+    built, calls = counted_eigen_route(monkeypatch)
     eigen = eigen_complete(datum, fixtures)
     assert eigen == {pos: s4_completed.entry(*pos) for pos in eigen} and len(eigen) == 49
-    assert full == [] and set(read) == columns
-    assert all(read[s] < every[s] for s in columns), (read, every)
+    assert built == {1: 14, 2: 14, 3: 14, 4: 14, 5: 56, 6: 56, 7: 56}
+    assert calls == PREFIX_CALLS
+    assert all(count < every[s] for s, count in built.items()), (built, every)
 
 
 @pytest.mark.parametrize("case", ["fixture contradicts a known column", "no split prime"])
 def test_eigen_route_falls_back_to_every_relation(monkeypatch, s4, s4_completed, case):
     # Either way the character identity proves less than every fixture at
-    # every column, so each column eliminates all its relations, as the
-    # route did before it read prefixes; the entries are the same.
+    # every column, so after the prefixes each column eliminates all its
+    # relations, in order; the entries are the same.
     datum, _, fixtures = s4
     datum = datum.with_entries({})
     if case == "no split prime":
@@ -295,10 +309,26 @@ def test_eigen_route_falls_back_to_every_relation(monkeypatch, s4, s4_completed,
                     if (fx.left, fx.right, fx.terms, fx.soft) == (0, 8, {8: 1}, False) else fx
                     for fx in fixtures]
         assert any(fx.terms == {8: 2} for fx in fixtures)
-    _, full = counted_eigen_route(monkeypatch)
+    every = every_eigen_row_count(datum, fixtures)
+    _, calls = counted_eigen_route(monkeypatch)
     eigen = eigen_complete(datum, fixtures)
     assert eigen == {pos: s4_completed.entry(*pos) for pos in eigen} and len(eigen) == 49
-    assert len(full) == 7
+    full = calls[len(PREFIX_CALLS):]
+    assert calls[:len(PREFIX_CALLS)] == PREFIX_CALLS
+    assert len(full) == 7 and full == list(every.values())
+
+
+def test_eigen_route_names_a_column_its_relations_cannot_pin(monkeypatch, s4):
+    # With the first 150 hard fixtures column 1 has 104 relations: the
+    # prefixes 7, 14, 28, 56 and then all 104 leave unknowns free, and the
+    # full elimination of column 1 names its entries.
+    datum, _, fixtures = s4
+    hard = [fx for fx in fixtures if not fx.soft][:150]
+    _, calls = counted_eigen_route(monkeypatch)
+    with pytest.raises(UnderdeterminedError) as info:
+        eigen_complete(datum, hard)
+    assert info.value.free_unknowns == [(r, 1) for r in range(1, 8)]
+    assert calls == [7, 14, 28, 56, 104, 104]
 
 
 def test_eigen_route_rejects_fixtures_outside_the_datum(s4):

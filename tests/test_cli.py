@@ -177,6 +177,61 @@ def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
     assert err.endswith("error: fusion record index 6 out of range for 6 modules\n")
 
 
+def lattice_file(capsys, tmp_path, k, edit=lambda line: line):
+    """The lattice datum of norm 2k written to a file, each line passed through ``edit``."""
+    code, out, _ = run(capsys, "lattice", "--k", str(k))
+    assert code == 0
+    path = tmp_path / f"lattice{k}.mdf"
+    path.write_text("".join(edit(line) + "\n" for line in out.splitlines()))
+    return path
+
+
+def test_validate_reports_wrong_dual_labels(tmp_path, capsys):
+    # In Z_4 the dual of coset 1 is 3; the file claims 1 is self-dual.
+    datum = lattice_file(capsys, tmp_path, 2,
+                         lambda line: "1 c1 qdim=1 dual=1" if line.startswith("1 c1 ") else line)
+    code, out, _ = run(capsys, "validate", str(datum))
+    assert code == 1
+    assert "S^2=C: permutation [0, 3, 2, 1]\ndual labels disagree at [1]\n" in out
+    assert out.endswith("verdict: INVALID\n")
+    code, out, _ = run(capsys, "validate", str(datum), "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["dual_mismatches"] == [1] and payload["ok"] is False
+
+
+def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):
+    # Z_4 with S[1,1], S[1,3], S[3,1], S[3,3] hidden, completed from itself.
+    # The fixtures 2 x 1 = 1 and 2 x 3 = 3 (truly 3 and 1) give, with
+    # chi_s(2) = -1 at s = 1, 3, the consistent eigen values 0.
+    datum = lattice_file(capsys, tmp_path, 2, lambda line: line[:4] + "?" if line in (
+        "1 1 -E(4)", "1 3 E(4)", "3 1 E(4)", "3 3 -E(4)") else line)
+    parents = tmp_path / "self.mdf"
+    parents.write_text('[branching parent="self" k=2]\n'
+                       + "".join(f"{j} = {j}\n" for j in range(4)))
+    fixtures = tmp_path / "wrong.mdf"
+    fixtures.write_text("[fusion]\n2 x 1 = 1\n2 x 3 = 3\n")
+    code, out, err = run(capsys, "complete", str(datum), "--parents", str(parents),
+                         "--cross-check", "eigen", "--fixtures", str(fixtures))
+    assert code == 3 and out == ""
+    assert err == ("# solved 3 unknown entries; 12 relations verified\n"
+                   + "".join(f"# eigen route disagrees at S[{r},{c}]: 0\n"
+                             for r, c in [(1, 1), (1, 3), (3, 1), (3, 3)]))
+
+
+@pytest.mark.parametrize("section, row, message", [
+    ('[branching parent="p" k=2]', "-1 = 0", "branching row -1 out of range for k=2"),
+    ('[branching parent="p" k=2]', "7 = 0", "branching row 7 out of range for k=2"),
+    ('[branching parent="p" k=0]', "0 = 0", "branching parent 'p': k=0 is not positive"),
+])
+def test_headerless_branching_is_range_checked(tmp_path, capsys, section, row, message):
+    # Without a [header] the file declares no module count, but the rows of
+    # a parent of norm 2k still range over 0..2k-1.
+    parents = tmp_path / "headerless.mdf"
+    parents.write_text(f"{section}\n{row}\n")
+    code, out, err = run(capsys, "complete", "@s4", "--parents", str(parents))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_branching_outside_the_datum(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "--k", "3")
     datum = tmp_path / "lattice3.mdf"

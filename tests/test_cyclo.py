@@ -221,6 +221,10 @@ def test_eliminate_certificate_merges_labels():
     # first pivot, on y, which zeroes the earlier row b too.
     ([({"y": 2}, 1, ("a",)), ({"y": 1}, -2, ("b",)), ({}, 2, ("c",))],
      ["a", "b"], Fraction(-5, 2)),
+    # a and b pin x and y; c is consistent, and d, reduced by both pivots,
+    # reads 0 = 5.
+    ([({"x": 1, "y": 1}, 3, ("a",)), ({"y": 1}, 1, ("b",)),
+      ({"x": 2}, 4, ("c",)), ({"x": 1}, 7, ("d",))], ["a", "b", "d"], 5),
 ])
 def test_eliminate_reports_the_row_the_earliest_pivot_zeroes(rows, certificate, residual):
     with pytest.raises(InconsistentSystemError) as info:
@@ -236,23 +240,6 @@ def test_eliminate_reports_a_contradiction_no_pivot_reduces(rows, unknowns):
     with pytest.raises(InconsistentSystemError) as info:
         eliminate(rows, unknowns)
     assert info.value.certificate == ["a"] and info.value.residual == 5
-
-
-def test_elimination_reads_rows_only_until_every_unknown_is_pinned():
-    read = []
-
-    def rows():
-        for label, coeffs, rhs in [("a", {"x": 1, "y": 1}, 3), ("b", {"y": 1}, 1),
-                                   ("c", {"x": 2}, 4), ("d", {"x": 1}, 7)]:
-            read.append(label)
-            yield coeffs, rhs, (label,)
-
-    elimination = cyclo.Elimination(rows(), ["x", "y"])
-    assert elimination.solution() == {"x": 2, "y": 1} and read == ["a", "b"]
-    with pytest.raises(InconsistentSystemError) as info:
-        elimination.check_rest()
-    assert read == ["a", "b", "c", "d"]
-    assert info.value.certificate == ["a", "b", "d"] and info.value.residual == 5
 
 
 def _determinant(matrix):

@@ -1,10 +1,10 @@
 """Rank-1 lattice modular data and the group-ring fusion oracle."""
 
 import pytest
+from conftest import expected_group_fusion
 
 from fusionring.cyclo import inverse, root_of_unity, sqrt_int
-from fusionring.lattice import (LatticeSpec, expected_group_fusion,
-                                lattice_datum_file, lattice_modular_data)
+from fusionring.lattice import LatticeSpec, lattice_datum_file, lattice_modular_data
 from fusionring.mdf import parse_file, serialize
 from fusionring.modular_data import datum_from_file, quantum_dimensions, validate
 from fusionring.verlinde import fusion_tensor

@@ -249,6 +249,49 @@ soft 0 x 0 = 2*0 | src:demo2
     assert parse_file(serialize(df)) == df
 
 
+HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line 3
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("[header\n", ParseError, "line 1, offset 0: malformed section header"),
+    ("[tables]\n", ParseError, "line 1, offset 0: unknown section 'tables'"),
+    ('[branching parent="p"]\n', ParseError,
+     'line 1, offset 0: branching sections need parent="..." and k=...'),
+    ("0 0 1\n", ParseError, "line 1, offset 0: content before any section header"),
+    ("[header]\nmodules 2\n", ParseError, "line 2, offset 0: header lines are key = value"),
+    ("[header]\ncolour = red\n", ParseError, "line 2, offset 0: unknown header key 'colour'"),
+    (HEADER2 + "[labels]\n0\n", ParseError,
+     "line 4, offset 0: label lines are: index name [attrs]"),
+    (HEADER2 + "[labels]\n0 vac qdim\n", ParseError,
+     "line 4, offset 0: malformed label attribute 'qdim'"),
+    (HEADER2 + "[labels]\n0 vac spin=0\n", ParseError,
+     "line 4, offset 0: unknown label attribute 'spin'"),
+    (HEADER2 + "[S]\n0 1\n", ParseError, "line 4, offset 0: S lines are: row col expr"),
+    (HEADER2 + "[S]\nx 1 1\n", ParseError,
+     "line 4, offset 0: invalid literal for int() with base 10: 'x'"),
+    ("[fusion]\n0 x 1\n", ParseError,
+     "line 2, offset 0: fusion lines are: [soft] i x j = sum [| citation]"),
+    ("[fusion]\n0 * 1 = 1\n", ParseError,
+     "line 2, offset 0: fusion lines are: [soft] i x j = sum [| citation]"),
+    ("[fusion]\n0 x 1 = 1 +\n", ParseError, "line 2, offset 0: empty summand"),
+    ("[fusion]\n0 x 1 = 0*1\n", ParseError, "line 2, offset 0: multiplicities must be positive"),
+    ('[branching parent="p" k=1]\n0 1\n', ParseError,
+     "line 2, offset 0: branching lines are: parent_index = sum"),
+    (HEADER2 + "[labels]\n0 a\n2 b\n", IndexRangeError,
+     "label indices do not cover 0..1: missing [1], out of range [2]"),
+    (HEADER2 + "[labels]\n0 a dual=0\n1 b dual=2\n", IndexRangeError,
+     "dual index 2 out of range for label 1"),
+    (HEADER2 + '[branching parent="p" k=1]\n1 = 2\n', IndexRangeError,
+     "branching target 2 out of range"),
+    # Without a header the datum has no modules, so no S entry is in range.
+    ("[S]\n0 0 1\n", IndexRangeError, "S entry (0, 0) out of range"),
+])
+def test_malformed_lines_are_located(text, error, message):
+    with pytest.raises(error) as info:
+        parse_file(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_unknown_s_entries_survive_round_trip():
     df = DatumFile(name="p", modules=2)
     df.labels = [LabelRecord(0, "a"), LabelRecord(1, "b")]

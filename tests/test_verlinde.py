@@ -7,11 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import counted_kernels, su2_datum
+from conftest import counted_kernels, expected_group_fusion, su2_datum
 
 from fusionring import cyclo, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
-from fusionring.lattice import LatticeSpec, expected_group_fusion, lattice_modular_data
+from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
