@@ -505,11 +505,11 @@ def build_fixtures() -> list[FixtureRecord]:
 
 def build_partial_datum_file() -> DatumFile:
     df = DatumFile(name="VL2-S4-orbifold", modules=28,
-                   scale_expr=mdf.parse_expr("1/sqrt(32)"))
+                   scale_expr="1/sqrt(32)")
     for i in range(28):
         weight = WEIGHTS.get(i)
         df.labels.append(LabelRecord(
-            index=i, name=f"M{i}", qdim_expr=mdf.parse_expr(str(QDIMS[i])),
+            index=i, name=f"M{i}", qdim_expr=str(QDIMS[i]),
             dual=i, weight=Fraction(weight) if weight else None))
     table: dict[tuple[int, int], str] = {}
     for r in range(28):
@@ -526,13 +526,13 @@ def build_partial_datum_file() -> DatumFile:
     for r in range(28):
         for c in range(28):
             if (r, c) in table:
-                df.s_entries[(r, c)] = mdf.parse_expr(table[(r, c)])
+                df.s_entries[(r, c)] = table[(r, c)]
             elif (c, r) in table:
-                df.s_entries[(r, c)] = mdf.parse_expr(table[(c, r)])
+                df.s_entries[(r, c)] = table[(c, r)]
             else:
                 assert 1 <= r <= 7 and 1 <= c <= 7, (r, c)
                 df.s_entries[(r, c)] = None
-    unknown = [key for key, expr in df.s_entries.items() if expr is None]
+    unknown = [key for key, text in df.s_entries.items() if text is None]
     assert len(unknown) == 49
     return df
 

@@ -22,7 +22,7 @@ from .branching import (InconsistentSystemError, UnderdeterminedError,
 from .cyclo import embed, format_exact
 from .lattice import LatticeSpec, lattice_datum_file
 from .mdf import (BranchingSection, DatumFile, DuplicateEntryError,
-                  IndexRangeError, ParseError, check_fixture_range, expr_to_text,
+                  IndexRangeError, ParseError, check_fixture_range,
                   format_formal_sum, parse_file, serialize)
 from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
                            datum_to_file, glob, quantum_dimensions, validate)
@@ -109,8 +109,7 @@ def cmd_complete(args) -> int:
                       file=sys.stderr)
             return EXIT_COMPLETION
         print(f"# eigen cross-check: {len(eigen)} entries agree", file=sys.stderr)
-    scale_text = expr_to_text(df.scale_expr) if df.scale_expr is not None else None
-    out = serialize(datum_to_file(result_datum, scale_expr_text=scale_text))
+    out = serialize(datum_to_file(result_datum, scale_expr_text=df.scale_expr))
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(out)

@@ -44,7 +44,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 
@@ -173,7 +173,8 @@ def _canonicalize(n: int, terms: dict[int, Fraction]):
         n //= g
         terms = {e // g: c for e, c in terms.items()}
     if n % 4 == 2:
-        # zeta_n = zeta_{2n}^2, the rule _lcm_order uses: orders 2 mod 4 are not used.
+        # zeta_n = zeta_{2n}^2: canonical orders are never 2 mod 4, so neither
+        # is the lcm of two of them.
         n *= 2
         terms = {2 * e: c for e, c in terms.items()}
     return _deflate(n, _reduce_terms(n, terms))
@@ -269,7 +270,7 @@ class Cyclotomic:
                               _canonical=True)
         if self.order == 1:
             return other.__mul__(self)
-        n = _lcm_order(self.order, other.order)
+        n = lcm(self.order, other.order)
         # Convolve with denominators cleared; integer arithmetic is much
         # faster than Fraction arithmetic in dense products.
         da = _denominator_lcm((self,))
@@ -306,13 +307,6 @@ class Cyclotomic:
         return format_exact(self)
 
 
-def _lcm_order(a: int, b: int) -> int:
-    n = a * b // gcd(a, b)
-    if n % 4 == 2:
-        n *= 2
-    return n
-
-
 def _from_int_terms(order: int, terms: dict[int, int], denom: int) -> Cyclotomic:
     """Canonicalize an integer exponent map with a shared denominator."""
     order, terms = _canonicalize(order, terms)
@@ -335,7 +329,7 @@ def _common_order(values) -> int:
     order = 1
     for v in values:
         if order % v.order:
-            order = _lcm_order(order, v.order)
+            order = lcm(order, v.order)
     return order
 
 
@@ -346,7 +340,7 @@ def _denominator_lcm(values) -> int:
         for c in v.coeffs.values():
             d = c.denominator
             if denom % d:
-                denom = denom * d // gcd(denom, d)
+                denom = lcm(denom, d)
     return denom
 
 

@@ -26,11 +26,16 @@ stored as tabulated; the optional header ``scale`` expression multiplies
 every entry on load so that file text can mirror a printed table verbatim.
 The optional ``vacuum`` line must read 0.  Each branching table is one
 ``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
-are checked by ``modular_data.datum_from_file``.  Parse errors name the line.
-S texts are parsed once per distinct text, and equal texts share one tree.
+are checked by ``modular_data.datum_from_file``.  Parse errors name the line,
+and a header key, label, S entry or branching row given twice is a
+``DuplicateEntryError``.
 
-Serialization is deterministic: ``parse_file(serialize(d))`` reproduces the
-datum structurally and re-serializing yields identical bytes.
+Records hold every expression (S entry, ``qdim=``, ``scale``) as its stripped
+text, ``None`` for ``?``: ``parse_file`` parses each distinct text once, only
+to locate its errors, and ``serialize`` writes the texts back as read.  Syntax
+trees exist only between ``parse_expr`` and ``eval_expr``.  Serialization is
+deterministic: ``parse_file(serialize(d))`` reproduces the datum and
+re-serializing yields identical bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
 __all__ = [
     "MAX_ORDER", "ParseError", "DuplicateEntryError", "IndexRangeError",
-    "parse_expr", "eval_expr", "expr_to_text",
+    "parse_expr", "eval_expr",
     "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
 ]
@@ -271,45 +276,13 @@ def _summands(node, negate: bool):
         yield -value if negate else value
 
 
-def expr_to_text(node, _level: int = 0) -> str:
-    """Render a syntax tree back to grammar text; reparsing is the identity."""
-    op = node[0]
-    if op in ("add", "sub"):
-        text = expr_to_text(node[1], 0) + ("+" if op == "add" else "-") + expr_to_text(node[2], 1)
-        need = _level > 0
-    elif op in ("mul", "div"):
-        text = expr_to_text(node[1], 1) + ("*" if op == "mul" else "/") + expr_to_text(node[2], 2)
-        need = _level > 1
-    elif op == "neg":
-        text = "-" + expr_to_text(node[1], 3)
-        need = _level > 2
-    elif op == "pow":
-        text = expr_to_text(node[1], 3) + "^" + str(node[2])
-        need = False
-    elif op == "rat":
-        c = node[1]
-        if c < 0:
-            return expr_to_text(("neg", ("rat", -c)), _level)
-        text = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        need = False
-    elif op == "E":
-        text = f"E({node[1]})"
-        need = False
-    elif op == "sqrt":
-        text = f"sqrt({node[1]})"
-        need = False
-    else:
-        raise ValueError(f"unknown node {op!r}")
-    return f"({text})" if need else text
-
-
 # -- datum files -----------------------------------------------------------
 
 @dataclass
 class LabelRecord:
     index: int
     name: str
-    qdim_expr: tuple | None = None
+    qdim_expr: str | None = None
     dual: int | None = None
     weight: Fraction | None = None
 
@@ -334,9 +307,9 @@ class BranchingSection:
 class DatumFile:
     name: str = ""
     modules: int = 0
-    scale_expr: tuple | None = None
+    scale_expr: str | None = None
     labels: list[LabelRecord] = field(default_factory=list)
-    s_entries: dict[tuple[int, int], tuple | None] = field(default_factory=dict)
+    s_entries: dict[tuple[int, int], str | None] = field(default_factory=dict)
     fixtures: list[FixtureRecord] = field(default_factory=list)
     branchings: list[BranchingSection] = field(default_factory=list)
 
@@ -385,8 +358,14 @@ def parse_file(text: str) -> DatumFile:
     datum = DatumFile()
     section = None
     branching: BranchingSection | None = None
+    seen_keys: set[str] = set()
     seen_labels: set[int] = set()
-    parse_entry = lru_cache(maxsize=None)(parse_expr)
+
+    @lru_cache(maxsize=None)
+    def checked(text: str) -> str:
+        parse_expr(text)  # once per distinct text; raises with the offset
+        return text
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -412,6 +391,9 @@ def parse_file(text: str) -> DatumFile:
                 if not eq:
                     raise ParseError("header lines are key = value", 0, line_no)
                 key, value = key.strip(), value.strip()
+                if key in seen_keys:
+                    raise DuplicateEntryError(f"line {line_no}: header key {key!r} declared twice")
+                seen_keys.add(key)
                 if key == "name":
                     datum.name = value
                 elif key == "modules":
@@ -420,7 +402,7 @@ def parse_file(text: str) -> DatumFile:
                     if int(value) != 0:
                         raise ParseError("vacuum must be 0: module 0 is the vacuum", 0, line_no)
                 elif key == "scale":
-                    datum.scale_expr = parse_expr(value)
+                    datum.scale_expr = checked(value)
                 else:
                     raise ParseError(f"unknown header key {key!r}", 0, line_no)
             elif section == "labels":
@@ -433,7 +415,7 @@ def parse_file(text: str) -> DatumFile:
                     if not eq:
                         raise ParseError(f"malformed label attribute {attr!r}", 0, line_no)
                     if key == "qdim":
-                        rec.qdim_expr = parse_expr(value)
+                        rec.qdim_expr = checked(value)
                     elif key == "dual":
                         rec.dual = int(value)
                     elif key == "weight":
@@ -452,7 +434,7 @@ def parse_file(text: str) -> DatumFile:
                 key = (row, col)
                 if key in datum.s_entries:
                     raise DuplicateEntryError(f"line {line_no}: S entry {key} declared twice")
-                datum.s_entries[key] = None if fields[2].strip() == "?" else parse_entry(fields[2])
+                datum.s_entries[key] = None if fields[2] == "?" else checked(fields[2])
             elif section == "fusion":
                 body, _, citation = line.partition("|")
                 body = body.strip()
@@ -533,14 +515,14 @@ def serialize(datum: DatumFile) -> str:
     lines = ["[header]", f"name = {datum.name}", f"modules = {datum.modules}",
              "vacuum = 0"]
     if datum.scale_expr is not None:
-        lines.append(f"scale = {expr_to_text(datum.scale_expr)}")
+        lines.append(f"scale = {datum.scale_expr}")
     if datum.labels:
         lines.append("")
         lines.append("[labels]")
         for rec in sorted(datum.labels, key=lambda r: r.index):
             parts = [str(rec.index), rec.name]
             if rec.qdim_expr is not None:
-                parts.append(f"qdim={expr_to_text(rec.qdim_expr)}")
+                parts.append(f"qdim={rec.qdim_expr}")
             if rec.dual is not None:
                 parts.append(f"dual={rec.dual}")
             if rec.weight is not None:
@@ -549,11 +531,9 @@ def serialize(datum: DatumFile) -> str:
     if datum.s_entries:
         lines.append("")
         lines.append("[S]")
-        text = lru_cache(maxsize=None)(expr_to_text)
         for (r, c) in sorted(datum.s_entries):
-            expr = datum.s_entries[(r, c)]
-            value = "?" if expr is None else text(expr)
-            lines.append(f"{r} {c} {value}")
+            text = datum.s_entries[(r, c)]
+            lines.append(f"{r} {c} {'?' if text is None else text}")
     for br in datum.branchings:
         lines.append("")
         lines.append(f'[branching parent="{br.parent}" k={br.k}]')

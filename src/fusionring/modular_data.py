@@ -380,9 +380,13 @@ def validate(datum: ModularDatum) -> ValidationReport:
 
 # -- file conversion ---------------------------------------------------------
 
+def _value(text: str) -> Cyclotomic:
+    return eval_expr(parse_expr(text))
+
+
 def datum_from_file(df: DatumFile) -> ModularDatum:
     """Build the in-memory datum, scaled by the header scale factor, evaluating
-    each distinct entry tree once; every recorded ``qdim=`` must equal
+    each distinct entry text once; every recorded ``qdim=`` must equal
     S[i,0]/S[0,0] exactly."""
     n = df.modules
     labels = []
@@ -391,13 +395,13 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
         rec = by_index.get(i, LabelRecord(index=i, name=f"m{i}"))
         labels.append(ModuleLabel(index=i, name=rec.name, dual=rec.dual,
                                   conformal_weight=rec.weight))
-    scale = eval_expr(df.scale_expr) if df.scale_expr is not None else None
+    scale = _value(df.scale_expr) if df.scale_expr is not None else None
     entry = lru_cache(maxsize=None)(
-        lambda expr: eval_expr(expr) if scale is None else eval_expr(expr) * scale)
+        lambda text: _value(text) if scale is None else _value(text) * scale)
     s: list[list[Cyclotomic | None]] = [[None] * n for _ in range(n)]
-    for (r, c), expr in df.s_entries.items():
-        if expr is not None:
-            s[r][c] = entry(expr)
+    for (r, c), text in df.s_entries.items():
+        if text is not None:
+            s[r][c] = entry(text)
     datum = ModularDatum(labels, s, name=df.name)
     recorded = [rec for rec in df.labels if rec.qdim_expr is not None]
     if recorded:
@@ -405,7 +409,7 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
         for rec in recorded:
             if dims[rec.index] is None:
                 raise MissingEntryError(f"S[{rec.index},0] is unknown")
-            value = eval_expr(rec.qdim_expr)
+            value = _value(rec.qdim_expr)
             if dims[rec.index] != value:
                 raise QdimMismatchError(f"module {rec.index}: S[{rec.index},0]/S[0,0] "
                                         f"!= recorded qdim {value}")
@@ -414,20 +418,20 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
 
 def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> DatumFile:
     """Serialize back to a DatumFile, dividing entries by the chosen scale;
-    each distinct entry and qdim is scaled, formatted and parsed once."""
-    scale_expr = parse_expr(scale_expr_text) if scale_expr_text else None
-    inv_scale = inverse(eval_expr(scale_expr)) if scale_expr is not None else None
-    df = DatumFile(name=datum.name, modules=datum.size, scale_expr=scale_expr)
+    each distinct entry is scaled and formatted once, each distinct qdim
+    formatted once."""
+    inv_scale = inverse(_value(scale_expr_text)) if scale_expr_text else None
+    df = DatumFile(name=datum.name, modules=datum.size, scale_expr=scale_expr_text or None)
     dims = [None] * datum.size
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)
-    tree = lru_cache(maxsize=None)(lambda value: parse_expr(format_exact(value)))
-    entry = tree if inv_scale is None else lru_cache(maxsize=None)(
-        lambda value: tree(value * inv_scale))
+    text = lru_cache(maxsize=None)(format_exact)
+    entry = text if inv_scale is None else lru_cache(maxsize=None)(
+        lambda value: text(value * inv_scale))
     for lab in datum.labels:
         dim = dims[lab.index]
         df.labels.append(LabelRecord(index=lab.index, name=lab.name,
-                                     qdim_expr=None if dim is None else tree(dim),
+                                     qdim_expr=None if dim is None else text(dim),
                                      dual=lab.dual, weight=lab.conformal_weight))
     df.s_entries = {(i, j): None if value is None else entry(value)
                     for i, row in enumerate(datum.s) for j, value in enumerate(row)}

@@ -463,7 +463,8 @@ def tensor_to_triples(tensor: FusionTensor) -> str:
 def triples_to_fixtures(text: str):
     """Read a triples file back as fixture records (for regression runs).
 
-    A triple declared twice is a DuplicateEntryError, as in datum files.
+    A triple declared twice is a DuplicateEntryError, and N <= 0 a ParseError,
+    as in datum files.
     """
     sums: dict[tuple[int, int], dict[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -474,6 +475,8 @@ def triples_to_fixtures(text: str):
             i, j, k, m = (int(x) for x in line.split())
         except ValueError:
             raise ParseError("triple lines are: i j k N", 0, line_no) from None
+        if m <= 0:
+            raise ParseError("multiplicities must be positive", 0, line_no)
         channels = sums.setdefault((i, j), {})
         if k in channels:
             raise DuplicateEntryError(f"line {line_no}: triple {(i, j, k)} declared twice")

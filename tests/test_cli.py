@@ -360,6 +360,26 @@ def test_regress_duplicate_triple_is_a_parse_error(completed_file, tmp_path, cap
     assert err == "error: line 2: triple (0, 0, 0) declared twice\n"
 
 
+@pytest.mark.parametrize("line", ["1 1 0 0", "1 1 0 -1"])
+def test_regress_nonpositive_triple_is_a_parse_error(completed_file, tmp_path, capsys, line):
+    triples = tmp_path / "triples.txt"
+    triples.write_text(f"0 0 0 1\n{line}\n")
+    code, out, err = run(capsys, "regress", completed_file, str(triples))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2, offset 0: multiplicities must be positive\n"
+
+
+def test_complete_copies_scale_as_read(tmp_path, capsys):
+    code, out, _ = run(capsys, "lattice", "--k", "3")
+    assert code == 0 and "\nscale = 1/sqrt(6)\n" in out
+    datum = tmp_path / "datum.mdf"
+    datum.write_text(out.replace("scale = 1/sqrt(6)", "scale = 1 / sqrt( 6 )"))
+    code, written, _ = run(capsys, "complete", str(datum))
+    assert code == 0
+    assert written == out.replace("scale = 1/sqrt(6)", "scale = 1 / sqrt( 6 )")
+
+
 def test_table_self_regression(completed_file, tmp_path, capsys):
     code, out, _ = run(capsys, "table", completed_file)
     assert code == 0

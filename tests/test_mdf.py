@@ -12,7 +12,7 @@ from fusionring.cli import main
 from fusionring.cyclo import embed
 from fusionring.mdf import (MAX_ORDER, DatumFile, DuplicateEntryError, FixtureRecord,
                             IndexRangeError, LabelRecord, ParseError,
-                            eval_expr, expr_to_text, parse_expr, parse_file,
+                            eval_expr, parse_expr, parse_file,
                             serialize)
 
 MINIMAL = """
@@ -136,34 +136,6 @@ def test_rational_binds_at_atom_level():
     assert eval_expr(parse_expr("4/2^2")) == 4
 
 
-EXPR_LEAVES = st.one_of(
-    st.builds(lambda n, d: ("rat", Fraction(n, d)), st.integers(0, 9), st.integers(1, 9)),
-    st.builds(lambda n: ("E", n), st.integers(1, 12)),
-    st.builds(lambda n: ("sqrt", n), st.integers(1, 12)),
-)
-
-
-def expr_nodes(depth=3):
-    if depth == 0:
-        return EXPR_LEAVES
-    sub = expr_nodes(depth - 1)
-    return st.one_of(
-        EXPR_LEAVES,
-        st.builds(lambda a, b: ("add", a, b), sub, sub),
-        st.builds(lambda a, b: ("sub", a, b), sub, sub),
-        st.builds(lambda a, b: ("mul", a, b), sub, sub),
-        st.builds(lambda a: ("neg", a), EXPR_LEAVES),
-        st.builds(lambda a, k: ("pow", a, k), EXPR_LEAVES, st.integers(0, 3)),
-    )
-
-
-@settings(max_examples=80, deadline=None)
-@given(expr_nodes())
-def test_printer_parser_round_trip(node):
-    text = expr_to_text(node)
-    assert parse_expr(text) == node
-
-
 def test_minimal_file_round_trip():
     df = parse_file(MINIMAL)
     assert df.modules == 1
@@ -211,8 +183,20 @@ def test_repeated_s_texts_keep_error_locations(entries, where):
 def test_repeated_and_spaced_s_texts_parse_as_before():
     entries = {(0, 0): "1+2", (0, 1): "1 + 2", (1, 0): "?", (1, 1): "1+2"}
     df = parse_file(S_HEADER + "".join(f"{r} {c} {t}\n" for (r, c), t in entries.items()))
-    assert df.s_entries == {key: None if t == "?" else parse_expr(t) for key, t in entries.items()}
-    assert [eval_expr(df.s_entries[key]) for key in [(0, 0), (0, 1), (1, 1)]] == [3, 3, 3]
+    assert df.s_entries == {key: None if t == "?" else t for key, t in entries.items()}
+    values = [eval_expr(parse_expr(df.s_entries[key])) for key in [(0, 0), (0, 1), (1, 1)]]
+    assert values == [3, 3, 3]
+
+
+def test_serialize_writes_expressions_as_read():
+    text = ("[header]\nname = m\nmodules = 2\nvacuum = 0\nscale = 1 + 2\n\n"
+            "[labels]\n0 a qdim=(1)\n1 b qdim=1+0\n\n"
+            "[S]\n0 0 1 + 2\n0 1 (1)\n1 0 ?\n1 1   -E(3)^2  \n")
+    out = serialize(parse_file(text))
+    assert "scale = 1 + 2\n" in out
+    assert "0 a qdim=(1)\n1 b qdim=1+0\n" in out
+    assert "0 0 1 + 2\n0 1 (1)\n1 0 ?\n1 1 -E(3)^2\n" in out
+    assert serialize(parse_file(out)) == out
 
 
 def test_duplicate_s_entry_rejected():
@@ -285,6 +269,11 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
      "branching target 2 out of range"),
     # Without a header the datum has no modules, so no S entry is in range.
     ("[S]\n0 0 1\n", IndexRangeError, "S entry (0, 0) out of range"),
+    # A repeated header key is rejected, not overwritten by the later line.
+    ("[header]\nmodules = 1\nmodules = 2\n", DuplicateEntryError,
+     "line 3: header key 'modules' declared twice"),
+    ("[header]\nmodules = 1\nscale = 1/2\nscale = 2\n", DuplicateEntryError,
+     "line 4: header key 'scale' declared twice"),
 ])
 def test_malformed_lines_are_located(text, error, message):
     with pytest.raises(error) as info:
@@ -295,8 +284,7 @@ def test_malformed_lines_are_located(text, error, message):
 def test_unknown_s_entries_survive_round_trip():
     df = DatumFile(name="p", modules=2)
     df.labels = [LabelRecord(0, "a"), LabelRecord(1, "b")]
-    df.s_entries = {(0, 0): parse_expr("1"), (0, 1): parse_expr("1"),
-                    (1, 0): parse_expr("1"), (1, 1): None}
+    df.s_entries = {(0, 0): "1", (0, 1): "1", (1, 0): "1", (1, 1): None}
     again = parse_file(serialize(df))
     assert again.s_entries[(1, 1)] is None
     assert again == df
@@ -326,14 +314,20 @@ def test_shipped_dataset_parses_cleanly():
 
 
 NAME_ST = st.text(alphabet="abcdefgz", min_size=1, max_size=6)
-# The parser only ever emits nonnegative rational leaves (minus signs become
-# "neg" nodes), so file-borne syntax trees are drawn in that form.
-SMALL_EXPR = st.one_of(
-    st.builds(lambda n, d: ("rat", Fraction(n, d)), st.integers(0, 5), st.integers(1, 5)),
-    st.builds(lambda n: ("E", n), st.integers(1, 9)),
-    st.builds(lambda a: ("neg", a), EXPR_LEAVES),
-    st.builds(lambda a, b: ("add", a, b), EXPR_LEAVES, EXPR_LEAVES),
+# Records hold expressions as stripped text.  A qdim= label is one
+# whitespace-free field of its line; S entries and the scale may hold spaces.
+LEAF_TEXT = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 9), st.integers(1, 9)),
+    st.builds(lambda n: f"E({n})", st.integers(1, 12)),
+    st.builds(lambda n: f"sqrt({n})", st.integers(1, 12)),
 )
+SMALL_EXPR = st.one_of(
+    LEAF_TEXT,
+    st.builds(lambda a: f"-{a}", LEAF_TEXT),
+    st.builds(lambda a, b: f"{a}+{b}", LEAF_TEXT, LEAF_TEXT),
+    st.builds(lambda a, k: f"({a})^{k}", LEAF_TEXT, st.integers(0, 3)),
+)
+SPACED_EXPR = SMALL_EXPR | st.builds(lambda a, b: f"{a} - {b} * {b}", LEAF_TEXT, LEAF_TEXT)
 
 
 @st.composite
@@ -341,7 +335,7 @@ def datum_files(draw):
     n = draw(st.integers(1, 4))
     df = DatumFile(name=draw(NAME_ST), modules=n)
     if draw(st.booleans()):
-        df.scale_expr = draw(SMALL_EXPR)
+        df.scale_expr = draw(SPACED_EXPR)
     for i in range(n):
         df.labels.append(LabelRecord(
             index=i, name=draw(NAME_ST),
@@ -352,7 +346,7 @@ def datum_files(draw):
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           unique=True, max_size=6))
     for cell in cells:
-        df.s_entries[cell] = draw(st.none() | SMALL_EXPR)
+        df.s_entries[cell] = draw(st.none() | SPACED_EXPR)
     for _ in range(draw(st.integers(0, 3))):
         terms = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3),
                                      min_size=1, max_size=3))

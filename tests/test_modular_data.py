@@ -10,7 +10,7 @@ from fusionring import mdf
 from fusionring import modular_data as md
 from fusionring.cyclo import Cyclotomic, format_exact, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec, lattice_modular_data
-from fusionring.mdf import eval_expr, expr_to_text, parse_expr, parse_file, serialize
+from fusionring.mdf import eval_expr, parse_expr, parse_file, serialize
 from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      ModuleLabel, NotPermutationError,
                                      charge_conjugation, datum_from_file, datum_to_file,
@@ -278,14 +278,17 @@ def test_file_layer_works_once_per_distinct_value(monkeypatch):
     assert len(s_texts) == 26
     calls.clear()
     again = parse_file(text)
-    # One parse per distinct S text, one for the scale and one per qdim= label.
-    assert calls["parse_expr"] == len(s_texts) + 1 + datum.size
+    # One parse per distinct expression text: the S entries, the scale and the
+    # qdim= labels ("1", also an S text here) share one memo.
+    qdim_texts = {rec.qdim_expr for rec in again.labels}
+    assert qdim_texts == {"1"}
+    assert calls["parse_expr"] == len(s_texts | qdim_texts | {again.scale_expr}) == 27
     calls.clear()
     back = datum_from_file(again)
-    # One evaluation per distinct tree, one for the scale and one per qdim= label.
-    trees = set(again.s_entries.values())
-    assert len(trees) == 26
-    assert calls["eval_expr"] == len(trees) + 1 + datum.size
+    # One evaluation per distinct S text, one for the scale and one per qdim= label.
+    texts = set(again.s_entries.values())
+    assert len(texts) == 26
+    assert calls["eval_expr"] == len(texts) + 1 + datum.size
     assert back.s == datum.s
 
 
@@ -302,8 +305,12 @@ def test_file_round_trip_is_byte_identical(k):
     df = parse_file(text)
     back = datum_from_file(df)
     assert back.s == datum.s and back.dual_permutation() == datum.dual_permutation()
-    assert serialize(datum_to_file(back, scale_expr_text=expr_to_text(df.scale_expr))) == text
-    # The trees match those written entry by entry, with nothing shared.
+    assert serialize(datum_to_file(back, scale_expr_text=df.scale_expr)) == text
+    # Each S text is the entry over the scale, and each qdim text the qdim,
+    # as format_exact writes them.
     inv_scale = inverse(eval_expr(parse_expr(scale)))
-    assert df.s_entries == {(i, j): None if v is None else parse_expr(format_exact(v * inv_scale))
+    assert df.scale_expr == scale
+    assert df.s_entries == {(i, j): None if v is None else format_exact(v * inv_scale)
                             for i, row in enumerate(datum.s) for j, v in enumerate(row)}
+    assert [rec.qdim_expr for rec in df.labels] == [
+        None if d is None else format_exact(d) for d in quantum_dimensions(datum)]
