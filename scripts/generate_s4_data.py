@@ -28,7 +28,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fusionring import mdf
 from fusionring.branching import assemble_system, check_derived_rows
-from fusionring.mdf import BranchingSection, DatumFile, FixtureRecord, LabelRecord
+from fusionring.mdf import BranchingSection, DatumFile, FixtureRecord, ModuleLabel
 from fusionring.modular_data import datum_from_file, quantum_dimensions
 
 DATA_DIR = ROOT / "src" / "fusionring" / "data"
@@ -508,9 +508,10 @@ def build_partial_datum_file() -> DatumFile:
                    scale_expr="1/sqrt(32)")
     for i in range(28):
         weight = WEIGHTS.get(i)
-        df.labels.append(LabelRecord(
-            index=i, name=f"M{i}", qdim_expr=str(QDIMS[i]),
-            dual=i, weight=Fraction(weight) if weight else None))
+        df.labels.append(ModuleLabel(
+            index=i, name=f"M{i}", dual=i,
+            weight=Fraction(weight) if weight else None))
+        df.qdims[i] = str(QDIMS[i])
     table: dict[tuple[int, int], str] = {}
     for r in range(28):
         for c, text in zip(COLS_1, TABLE_1[r]):

@@ -481,7 +481,7 @@ class Images:
         denom = self.denom = _denominator_lcm(self.index)
         self.lifts = [list(_lift_into({}, v, order, denom).items()) for v in self.index]
         self.norms = [sum(abs(c) for _, c in lift) for lift in self.lifts]
-        self._exponents = sorted({e for lift in self.lifts for e, _ in lift})
+        self._exponents = {e for lift in self.lifts for e, _ in lift}
         limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
         self._found = _split_primes(order, limit, denom)
         self.primes: list[tuple[int, int]] = []
@@ -500,7 +500,7 @@ class Images:
                 if prime is None:
                     return []
                 p, w = prime
-                powers = _powers(w, self._exponents, p)
+                powers = {e: pow(w, e, p) for e in self._exponents}
                 scale = pow(self.denom, -1, p)
                 self.primes.append(prime)
                 self.residues.append([sum(c * powers[e] for e, c in lift) * scale % p
@@ -517,22 +517,6 @@ def combine(primes: list[int], residues) -> list[int]:
     modulus = prod(primes)
     crt = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     return [sum(map(mul, rs, crt)) % modulus for rs in zip(*residues)]
-
-
-def _powers(w: int, exponents: list[int], p: int) -> dict[int, int]:
-    """w^e mod p for sorted exponents e: one product per exponent, and one
-    ``pow`` per distinct gap between neighbours, of which dense supports
-    have few."""
-    out, steps = {}, {}
-    x, last = 1, 0
-    for e in exponents:
-        gap = e - last
-        step = steps.get(gap)
-        if step is None:
-            step = steps[gap] = pow(w, gap, p)
-        x = out[e] = x * step % p
-        last = e
-    return out
 
 
 def pack(residues) -> int:

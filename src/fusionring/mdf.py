@@ -30,12 +30,16 @@ are checked by ``modular_data.datum_from_file``.  Parse errors name the line,
 and a header key, label, S entry or branching row given twice is a
 ``DuplicateEntryError``.
 
-Records hold every expression (S entry, ``qdim=``, ``scale``) as its stripped
-text, ``None`` for ``?``: ``parse_file`` parses each distinct text once, only
-to locate its errors, and ``serialize`` writes the texts back as read.  Syntax
-trees exist only between ``parse_expr`` and ``eval_expr``.  Serialization is
-deterministic: ``parse_file(serialize(d))`` reproduces the datum and
-re-serializing yields identical bytes.
+A ``DatumFile`` holds every expression as its stripped text: ``s_entries``
+(``None`` for ``?``), ``qdims`` (by module index) and ``scale_expr``.
+``parse_file`` parses each distinct text once, only to locate its errors, and
+``serialize`` writes the texts back as read.  Syntax trees exist only between
+``parse_expr`` and ``eval_expr``.  A ``ModuleLabel`` holds only label facts
+(name, dual, weight); the datum uses the file's labels as they are.
+Serialization is deterministic: ``parse_file(serialize(d))`` reproduces the
+datum and re-serializing yields identical bytes; free text that would read
+back otherwise (a ``#``, a line break, surrounding whitespace, whitespace in
+a label name, ``"`` in a parent) is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 __all__ = [
     "MAX_ORDER", "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr",
-    "LabelRecord", "FixtureRecord", "BranchingSection", "DatumFile",
+    "ModuleLabel", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
 ]
 
@@ -278,11 +282,11 @@ def _summands(node, negate: bool):
 
 # -- datum files -----------------------------------------------------------
 
-@dataclass
-class LabelRecord:
+@dataclass(frozen=True)
+class ModuleLabel:
+    """A module's label facts: its name, its dual k' and its conformal weight."""
     index: int
     name: str
-    qdim_expr: str | None = None
     dual: int | None = None
     weight: Fraction | None = None
 
@@ -308,8 +312,9 @@ class DatumFile:
     name: str = ""
     modules: int = 0
     scale_expr: str | None = None
-    labels: list[LabelRecord] = field(default_factory=list)
+    labels: list[ModuleLabel] = field(default_factory=list)
     s_entries: dict[tuple[int, int], str | None] = field(default_factory=dict)
+    qdims: dict[int, str] = field(default_factory=dict)
     fixtures: list[FixtureRecord] = field(default_factory=list)
     branchings: list[BranchingSection] = field(default_factory=list)
 
@@ -351,6 +356,16 @@ def _sum_text(terms: dict[int, int]) -> str:
     if not terms:
         raise ValueError("an empty formal sum cannot be written to a datum file")
     return format_formal_sum(terms)
+
+
+def _written(text: str, what: str, forbidden: str = "#", one_word: bool = False) -> str:
+    """Free text as a datum file line holds it; ValueError where parsing would
+    read it back otherwise: it cuts lines at ``#`` and at line breaks, strips
+    their ends and, on a label line, splits fields at whitespace."""
+    if (text != text.strip() or len(text.splitlines()) > 1
+            or any(c in forbidden for c in text) or one_word and text.split() != [text]):
+        raise ValueError(f"{what} {text!r} cannot be written to a datum file")
+    return text
 
 
 def parse_file(text: str) -> DatumFile:
@@ -409,23 +424,23 @@ def parse_file(text: str) -> DatumFile:
                 fields = line.split()
                 if len(fields) < 2:
                     raise ParseError("label lines are: index name [attrs]", 0, line_no)
-                rec = LabelRecord(index=int(fields[0]), name=fields[1])
+                index, facts = int(fields[0]), {}
                 for attr in fields[2:]:
                     key, eq, value = attr.partition("=")
                     if not eq:
                         raise ParseError(f"malformed label attribute {attr!r}", 0, line_no)
                     if key == "qdim":
-                        rec.qdim_expr = checked(value)
+                        datum.qdims[index] = checked(value)
                     elif key == "dual":
-                        rec.dual = int(value)
+                        facts["dual"] = int(value)
                     elif key == "weight":
-                        rec.weight = Fraction(value)
+                        facts["weight"] = Fraction(value)
                     else:
                         raise ParseError(f"unknown label attribute {key!r}", 0, line_no)
-                if rec.index in seen_labels:
-                    raise DuplicateEntryError(f"line {line_no}: label {rec.index} declared twice")
-                seen_labels.add(rec.index)
-                datum.labels.append(rec)
+                if index in seen_labels:
+                    raise DuplicateEntryError(f"line {line_no}: label {index} declared twice")
+                seen_labels.add(index)
+                datum.labels.append(ModuleLabel(index, fields[1], **facts))
             elif section == "S":
                 fields = line.split(None, 2)
                 if len(fields) != 3:
@@ -512,17 +527,20 @@ def check_fixture_range(fixtures, size: int) -> None:
 
 def serialize(datum: DatumFile) -> str:
     """Deterministic text form; byte-stable under parse/serialize round trips."""
-    lines = ["[header]", f"name = {datum.name}", f"modules = {datum.modules}",
-             "vacuum = 0"]
+    lines = ["[header]", f"name = {_written(datum.name, 'header name')}",
+             f"modules = {datum.modules}", "vacuum = 0"]
     if datum.scale_expr is not None:
         lines.append(f"scale = {datum.scale_expr}")
+    unlabelled = sorted(set(datum.qdims) - {rec.index for rec in datum.labels})
+    if unlabelled:
+        raise ValueError(f"qdims of modules {unlabelled} have no label line to be written on")
     if datum.labels:
         lines.append("")
         lines.append("[labels]")
         for rec in sorted(datum.labels, key=lambda r: r.index):
-            parts = [str(rec.index), rec.name]
-            if rec.qdim_expr is not None:
-                parts.append(f"qdim={rec.qdim_expr}")
+            parts = [str(rec.index), _written(rec.name, "label name", one_word=True)]
+            if rec.index in datum.qdims:
+                parts.append(f"qdim={datum.qdims[rec.index]}")
             if rec.dual is not None:
                 parts.append(f"dual={rec.dual}")
             if rec.weight is not None:
@@ -536,7 +554,8 @@ def serialize(datum: DatumFile) -> str:
             lines.append(f"{r} {c} {'?' if text is None else text}")
     for br in datum.branchings:
         lines.append("")
-        lines.append(f'[branching parent="{br.parent}" k={br.k}]')
+        parent = _written(br.parent, "branching parent", '#"')
+        lines.append(f'[branching parent="{parent}" k={br.k}]')
         for idx in sorted(br.rows):
             lines.append(f"{idx} = {_sum_text(br.rows[idx])}")
     if datum.fixtures:
@@ -546,6 +565,6 @@ def serialize(datum: DatumFile) -> str:
             prefix = "soft " if fx.soft else ""
             line = f"{prefix}{fx.left} x {fx.right} = {_sum_text(fx.terms)}"
             if fx.citation:
-                line += f" | {fx.citation}"
+                line += f" | {_written(fx.citation, 'fixture citation')}"
             lines.append(line)
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Validated in-memory model of a modular datum: labels plus S-matrix.
 
-A datum is a list of module labels and a square matrix of exact cyclotomic
-entries, possibly partial (``None`` marks an unknown entry).  The vacuum
-module is index 0 by file-format convention.  Validation reports problems
-instead of raising, because shipped datasets may be deliberately partial and
-discrepancies are data, not crashes; only recorded qdims are enforced on load.
+A datum is a list of module labels (``mdf.ModuleLabel``, shared with the
+datum file) and a square matrix of exact cyclotomic entries, possibly partial
+(``None`` marks an unknown entry).  The vacuum module is index 0 by
+file-format convention.  Validation reports problems instead of raising,
+because shipped datasets may be deliberately partial and discrepancies are
+data, not crashes; only recorded qdims are enforced on load.
 ``validate`` certifies S^2 = C from the datum's one image of S per split
 prime (``ModularDatum.images``), which the Verlinde tensor and the ring check
 read too, once ``galois_permutations`` shows S^2 rational, and sums a row
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, conj, embed, format_brief, format_exact, inverse
-from .mdf import DatumFile, LabelRecord, eval_expr, parse_expr
+from .mdf import DatumFile, ModuleLabel, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
@@ -44,14 +44,6 @@ class NotPermutationError(ValueError):
 
 class QdimMismatchError(ValueError):
     """The S-matrix vacuum column contradicts the recorded quantum dimensions."""
-
-
-@dataclass
-class ModuleLabel:
-    index: int
-    name: str
-    dual: int | None = None
-    conformal_weight: Fraction | None = None
 
 
 class ModularDatum:
@@ -119,9 +111,7 @@ class ModularDatum:
         s = [row[:] for row in self.s]
         for (i, j), value in new_entries.items():
             s[i][j] = value
-        labels = [ModuleLabel(l.index, l.name, l.dual, l.conformal_weight)
-                  for l in self.labels]
-        return ModularDatum(labels, s, name=self.name)
+        return ModularDatum(self.labels, s, name=self.name)
 
 
 # -- derived quantities ------------------------------------------------------
@@ -365,11 +355,10 @@ def validate(datum: ModularDatum) -> ValidationReport:
         else:
             report.square_is_permutation = True
             report.dual_permutation = perm
-            if perm[0] != 0:
-                report.dual_mismatches.append(0)
-            for lab, j in zip(datum.labels, perm):
-                if lab.dual is not None and lab.dual != j:
-                    report.dual_mismatches.append(lab.index)
+            # An unset dual reads as self-dual, and the vacuum must be self-dual.
+            labelled = datum.dual_permutation()
+            report.dual_mismatches = [i for i, j in enumerate(perm)
+                                      if labelled[i] != j or i == 0 != j]
             # S^2 = C gives S^-1[i,j] = S[i,perm[j]], so S is unitary iff that
             # equals conj(S[j,i]) everywhere; symmetry is not assumed.
             conjugates = {v: conj(v) for v in set().union(*datum.s)}
@@ -389,12 +378,8 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
     each distinct entry text once; every recorded ``qdim=`` must equal
     S[i,0]/S[0,0] exactly."""
     n = df.modules
-    labels = []
-    by_index = {rec.index: rec for rec in df.labels}
-    for i in range(n):
-        rec = by_index.get(i, LabelRecord(index=i, name=f"m{i}"))
-        labels.append(ModuleLabel(index=i, name=rec.name, dual=rec.dual,
-                                  conformal_weight=rec.weight))
+    by_index = {lab.index: lab for lab in df.labels}
+    labels = [by_index.get(i) or ModuleLabel(i, f"m{i}") for i in range(n)]
     scale = _value(df.scale_expr) if df.scale_expr is not None else None
     entry = lru_cache(maxsize=None)(
         lambda text: _value(text) if scale is None else _value(text) * scale)
@@ -403,16 +388,14 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
         if text is not None:
             s[r][c] = entry(text)
     datum = ModularDatum(labels, s, name=df.name)
-    recorded = [rec for rec in df.labels if rec.qdim_expr is not None]
-    if recorded:
+    if df.qdims:
         dims = quantum_dimensions(datum)
-        for rec in recorded:
-            if dims[rec.index] is None:
-                raise MissingEntryError(f"S[{rec.index},0] is unknown")
-            value = _value(rec.qdim_expr)
-            if dims[rec.index] != value:
-                raise QdimMismatchError(f"module {rec.index}: S[{rec.index},0]/S[0,0] "
-                                        f"!= recorded qdim {value}")
+        for i, text in df.qdims.items():
+            if dims[i] is None:
+                raise MissingEntryError(f"S[{i},0] is unknown")
+            value = _value(text)
+            if dims[i] != value:
+                raise QdimMismatchError(f"module {i}: S[{i},0]/S[0,0] != recorded qdim {value}")
     return datum
 
 
@@ -421,18 +404,15 @@ def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> Da
     each distinct entry is scaled and formatted once, each distinct qdim
     formatted once."""
     inv_scale = inverse(_value(scale_expr_text)) if scale_expr_text else None
-    df = DatumFile(name=datum.name, modules=datum.size, scale_expr=scale_expr_text or None)
     dims = [None] * datum.size
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)
     text = lru_cache(maxsize=None)(format_exact)
     entry = text if inv_scale is None else lru_cache(maxsize=None)(
         lambda value: text(value * inv_scale))
-    for lab in datum.labels:
-        dim = dims[lab.index]
-        df.labels.append(LabelRecord(index=lab.index, name=lab.name,
-                                     qdim_expr=None if dim is None else text(dim),
-                                     dual=lab.dual, weight=lab.conformal_weight))
-    df.s_entries = {(i, j): None if value is None else entry(value)
-                    for i, row in enumerate(datum.s) for j, value in enumerate(row)}
-    return df
+    return DatumFile(
+        name=datum.name, modules=datum.size, scale_expr=scale_expr_text or None,
+        labels=list(datum.labels),
+        s_entries={(i, j): None if value is None else entry(value)
+                   for i, row in enumerate(datum.s) for j, value in enumerate(row)},
+        qdims={i: text(dim) for i, dim in enumerate(dims) if dim is not None})

@@ -147,6 +147,15 @@ class _Engine:
                 # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
                 inverses[denom] = inverse(denom)
         self.inverses = [inverses[v] for v in datum.s[0]]
+        # The sum reads S^-1[s,k] as S[s,k'], so a full datum's labels must be
+        # C; without a C to compare, a bad sum names its own triple.
+        if datum.fully_known() and datum.galois is not None:
+            try:
+                wrong = [i for i, j in enumerate(charge_conjugation(datum)) if dual[i] != j]
+            except NotPermutationError:
+                wrong = []
+            if wrong:
+                raise ValueError(f"dual labels disagree with S^2 = C at modules {wrong}")
         self._times = lru_cache(maxsize=None)(mul)
         self._row_cache: dict = {}
         self.primes: list[int] = []
@@ -201,7 +210,8 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     The index set is ``computable_indices(datum)``: every module of a fully
     known datum, and the fully known block of a partial one, whose modules
     ``tensor.indices`` lists (``check_ring`` rejects such a tensor).  Raises
-    MissingEntryError if the vacuum row is not fully known, and fails
+    MissingEntryError if the vacuum row is not fully known, ValueError if the
+    dual labels of a fully known datum disagree with its S^2 = C, and fails
     atomically on the first non-integer or negative coefficient.  ``jobs``
     is accepted for compatibility and ignored: the tensor is filled pair by
     pair in this process.

@@ -205,6 +205,20 @@ def test_corrupted_branching_yields_certificate(s4):
     assert any("norm8" in line for line in info.value.certificate)
 
 
+def test_module_missing_from_every_parent_fails_the_checks(s4):
+    datum, parents, _ = s4
+    dropped = [BranchingSection(parent=p.parent, k=p.k,
+                                rows={l: {m: c for m, c in t.items() if m != 27}
+                                      for l, t in p.rows.items()})
+               for p in parents]
+    system = assemble_system(dropped, datum)
+    assert system.check_failures[0] == "modules [27] never appear in any parent decomposition"
+    with pytest.raises(InconsistentSystemError) as info:
+        solve(system, datum)
+    assert info.value.residual == "known-entry checks failed"
+    assert info.value.certificate == sorted(system.check_failures)
+
+
 def test_eigen_route_agrees(s4, s4_completed):
     datum, _, fixtures = s4
     eigen = eigen_complete(datum, fixtures)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -197,6 +198,35 @@ def test_validate_reports_wrong_dual_labels(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(datum), "--json")
     payload = json.loads(out)
     assert code == 1 and payload["dual_mismatches"] == [1] and payload["ok"] is False
+
+
+def test_unset_duals_that_contradict_s_squared_are_refused(tmp_path, capsys):
+    # Z_6 without its dual= attributes: an unset dual reads as self-dual, but
+    # S^2 = C pairs 1 with 5 and 2 with 4.  Trusted, the labels made 1 x 1
+    # read 4 instead of 2.
+    datum = lattice_file(capsys, tmp_path, 3, lambda line: re.sub(r" dual=\d+", "", line))
+    code, out, _ = run(capsys, "validate", str(datum), "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["dual_mismatches"] == [1, 2, 4, 5] and payload["ok"] is False
+    for argv in (["fuse", str(datum), "1", "1"], ["table", str(datum)]):
+        assert run(capsys, *argv) == (
+            1, "", "error: dual labels disagree with S^2 = C at modules [1, 2, 4, 5]\n")
+
+
+@pytest.mark.parametrize("command, text, code, out, err", [
+    ("validate", '[branching parent="p" k=1]\n1 = 0\n1 = 0\n', 2, "",
+     "error: line 3: branching row 1 declared twice\n"),
+    ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 1/0\n", 2, "",
+     "error: line 5, offset 0: zero denominator\n"),
+    ("table", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 0\n1 0 0\n1 1 1\n", 1, "",
+     "error: S[0,1] = 0 in the Verlinde denominator\n"),
+    ("qdim", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 1\n1 0 ?\n1 1 -1\n", 1,
+     "0 m0 1 1.0000000000\n", "error: S[1,0] is unknown\n"),
+])
+def test_documented_errors(tmp_path, capsys, command, text, code, out, err):
+    path = tmp_path / "datum.mdf"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (code, out, err)
 
 
 def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):

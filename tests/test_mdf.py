@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from fusionring.cli import main
 from fusionring.cyclo import embed
-from fusionring.mdf import (MAX_ORDER, DatumFile, DuplicateEntryError, FixtureRecord,
-                            IndexRangeError, LabelRecord, ParseError,
-                            eval_expr, parse_expr, parse_file,
-                            serialize)
+from fusionring.mdf import (MAX_ORDER, BranchingSection, DatumFile, DuplicateEntryError,
+                            FixtureRecord, IndexRangeError, ModuleLabel, ParseError,
+                            eval_expr, parse_expr, parse_file, serialize)
 
 MINIMAL = """
 [header]
@@ -283,7 +282,7 @@ def test_malformed_lines_are_located(text, error, message):
 
 def test_unknown_s_entries_survive_round_trip():
     df = DatumFile(name="p", modules=2)
-    df.labels = [LabelRecord(0, "a"), LabelRecord(1, "b")]
+    df.labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
     df.s_entries = {(0, 0): "1", (0, 1): "1", (1, 0): "1", (1, 1): None}
     again = parse_file(serialize(df))
     assert again.s_entries[(1, 1)] is None
@@ -295,6 +294,55 @@ def test_empty_formal_sum_is_not_serialized():
     df = DatumFile(name="p", modules=2)
     df.fixtures = [FixtureRecord(left=1, right=1, terms={})]
     with pytest.raises(ValueError, match="empty formal sum"):
+        serialize(df)
+
+
+def writable_file():
+    df = DatumFile(name="s4", modules=2)
+    df.labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
+    df.branchings = [BranchingSection(parent="norm8", k=1, rows={0: {0: 1}})]
+    df.fixtures = [FixtureRecord(left=1, right=1, terms={0: 1}, citation="src:7.1")]
+    return df
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # Parsing cuts "s4 #2" to "s4", "v#0" to "v", and "a b" to two fields.
+    ("name", "s4 #2", "header name 's4 #2'"),
+    ("name", "s4\nmodules = 9", "header name 's4\\nmodules = 9'"),
+    ("name", " s4", "header name ' s4'"),
+    ("label", "v#0", "label name 'v#0'"),
+    ("label", "a b", "label name 'a b'"),
+    ("label", "a\tb", "label name 'a\\tb'"),
+    ("label", "", "label name ''"),
+    ("parent", 'say "hi"', "branching parent 'say \"hi\"'"),
+    ("parent", "p#1", "branching parent 'p#1'"),
+    ("parent", "p ", "branching parent 'p '"),
+    ("citation", "src#2", "fixture citation 'src#2'"),
+    ("citation", "src\r\n2", "fixture citation 'src\\r\\n2'"),
+    ("citation", "src ", "fixture citation 'src '"),
+])
+def test_serialize_refuses_text_it_cannot_write_back(field, value, message):
+    df = writable_file()
+    assert parse_file(serialize(df)) == df
+    if field == "name":
+        df.name = value
+    elif field == "label":
+        df.labels[1] = ModuleLabel(1, value)
+    elif field == "parent":
+        df.branchings[0].parent = value
+    else:
+        df.fixtures[0].citation = value
+    with pytest.raises(ValueError) as info:
+        serialize(df)
+    assert str(info.value) == f"{message} cannot be written to a datum file"
+
+
+def test_serialize_refuses_a_qdim_without_its_label():
+    # A qdim= text is written on its module's label line, which must exist.
+    df = writable_file()
+    df.labels.pop()
+    df.qdims[1] = "1"
+    with pytest.raises(ValueError, match=r"qdims of modules \[1\] have no label line"):
         serialize(df)
 
 
@@ -337,12 +385,14 @@ def datum_files(draw):
     if draw(st.booleans()):
         df.scale_expr = draw(SPACED_EXPR)
     for i in range(n):
-        df.labels.append(LabelRecord(
+        df.labels.append(ModuleLabel(
             index=i, name=draw(NAME_ST),
-            qdim_expr=draw(st.none() | SMALL_EXPR),
             dual=draw(st.none() | st.integers(0, n - 1)),
             weight=draw(st.none() | st.builds(Fraction, st.integers(0, 9),
                                               st.integers(1, 9)))))
+        qdim = draw(st.none() | SMALL_EXPR)
+        if qdim is not None:
+            df.qdims[i] = qdim
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           unique=True, max_size=6))
     for cell in cells:

@@ -87,6 +87,39 @@ def test_charge_conjugation_leaves_the_labels_alone():
     assert [lab.dual for lab in datum.labels] == [None] * 4
 
 
+def test_dual_mismatches_list_each_module_once():
+    # S^2 = C swaps 0 and 1.  The vacuum, labelled self-dual, is listed once,
+    # and module 1, whose unset dual reads as self-dual, is listed too.
+    half = Cyclotomic.from_rational(Fraction(1, 2))
+    a, b = (1 + root_of_unity(4)) * half, (1 - root_of_unity(4)) * half
+    datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b")], [[a, b], [b, a]])
+    report = validate(datum)
+    assert report.dual_permutation == [1, 0]
+    assert report.dual_mismatches == [0, 1]
+    assert not report.ok
+
+
+def test_one_label_record_serves_file_and_datum():
+    assert md.ModuleLabel is mdf.ModuleLabel
+    label = ModuleLabel(0, "vac", dual=0)
+    with pytest.raises(AttributeError):
+        label.dual = 1
+    df = parse_file("[header]\nmodules = 2\n\n[labels]\n1 b weight=1/16\n0 vac qdim=1\n\n"
+                    "[S]\n0 0 1\n0 1 1\n1 0 1\n1 1 -1\n")
+    assert df.labels == [ModuleLabel(1, "b", weight=Fraction(1, 16)), ModuleLabel(0, "vac")]
+    assert df.qdims == {0: "1"}
+    datum = datum_from_file(df)
+    # The file's labels are used as they are, in index order.
+    assert datum.labels[0] is df.labels[1] and datum.labels[1] is df.labels[0]
+    assert datum.with_entries({}).labels is datum.labels
+    back = datum_to_file(datum)
+    assert all(x is y for x, y in zip(back.labels, datum.labels))
+    assert back.qdims == {0: "1", 1: "1"}
+    # A module without a label line is named m{i}.
+    bare = datum_from_file(parse_file("[header]\nmodules = 1\n\n[S]\n0 0 1\n"))
+    assert bare.labels == [ModuleLabel(0, "m0")]
+
+
 def test_charge_conjugation_requires_full_matrix(s4):
     datum, _, _ = s4
     with pytest.raises(MissingEntryError):
@@ -149,7 +182,7 @@ def test_quantum_dimensions_on_partial_data():
     with pytest.raises(MissingEntryError):
         glob(datum)
     assert validate(datum).bad_qdims == []
-    assert [lab.qdim_expr is None for lab in datum_to_file(datum).labels] == [False, True, False]
+    assert list(datum_to_file(datum).qdims) == [0, 2]
     datum.s[0][0] = None
     with pytest.raises(MissingEntryError):
         quantum_dimensions(datum)
@@ -280,7 +313,7 @@ def test_file_layer_works_once_per_distinct_value(monkeypatch):
     again = parse_file(text)
     # One parse per distinct expression text: the S entries, the scale and the
     # qdim= labels ("1", also an S text here) share one memo.
-    qdim_texts = {rec.qdim_expr for rec in again.labels}
+    qdim_texts = set(again.qdims.values())
     assert qdim_texts == {"1"}
     assert calls["parse_expr"] == len(s_texts | qdim_texts | {again.scale_expr}) == 27
     calls.clear()
@@ -312,5 +345,5 @@ def test_file_round_trip_is_byte_identical(k):
     assert df.scale_expr == scale
     assert df.s_entries == {(i, j): None if v is None else format_exact(v * inv_scale)
                             for i, row in enumerate(datum.s) for j, v in enumerate(row)}
-    assert [rec.qdim_expr for rec in df.labels] == [
+    assert [df.qdims.get(i) for i in range(datum.size)] == [
         None if d is None else format_exact(d) for d in quantum_dimensions(datum)]

@@ -143,9 +143,9 @@ def test_data_notes_shipped():
 
 def test_weights_recorded_where_stated(s4):
     datum, _, _ = s4
-    assert datum.labels[8].conformal_weight == Fraction(1, 16)
-    assert datum.labels[9].conformal_weight == Fraction(49, 16)
-    assert datum.labels[0].conformal_weight is None
+    assert datum.labels[8].weight == Fraction(1, 16)
+    assert datum.labels[9].weight == Fraction(49, 16)
+    assert datum.labels[0].weight is None
 
 
 def test_shipped_files_byte_stable():

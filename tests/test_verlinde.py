@@ -13,7 +13,8 @@ from fusionring import cyclo, verlinde
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
-from fusionring.modular_data import MissingEntryError, ModularDatum, ModuleLabel
+from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
+                                     charge_conjugation)
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
                                  NonIntegerResultError, check_ring,
                                  compare_fixtures, fusion_product, fusion_tensor,
@@ -347,11 +348,14 @@ def test_non_integer_message_prints_residuals_up_to_64_terms(terms):
 
 
 def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
+    datum = s4_completed.with_entries({})
+    # The engine checks the dual labels against S^2 = C; certify it before counting.
+    charge_conjugation(datum)
     calls = []
     packed_product = cyclo.packed_product
     monkeypatch.setattr(cyclo, "packed_product",
                         lambda *args: calls.append(1) or packed_product(*args))
-    engine = verlinde._Engine(s4_completed.with_entries({}), list(range(28)))
+    engine = verlinde._Engine(datum, list(range(28)))
     assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
