@@ -36,7 +36,7 @@ from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
-from .verlinde import _character_identity
+from .verlinde import _reproduces
 
 __all__ = [
     "UnderdeterminedError", "InconsistentSystemError", "check_derived_rows",
@@ -281,14 +281,15 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
 
     Each column is solved from the shortest prefix of len(missing) * 2^t of
     its relations that pins every unknown.  The rest are certified at once:
-    on S' = S with those values, ``verlinde._character_identity`` proves
-    sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] for every recorded
-    product at every column, which includes every relation of every column.
-    On any failure -- a prefix contradicts itself or runs out of relations,
-    or the identity proves less, as when S' fails its Galois check or
-    S'^2 = C, or has no usable prime -- every column eliminates all its
-    relations, in order, so the result and every error are those of full
-    elimination.  The route reads fixtures and shipped entries only.
+    on S' = S with those values, ``verlinde._reproduces`` checks that the
+    Verlinde engine of S' certifies every recorded product as its row, which
+    proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] at every column,
+    hence every relation of every column.  On any failure -- a prefix
+    contradicts itself or runs out of relations, or a recorded product is
+    not the certified row, or S' fails its Galois check or S'^2 = C, or has
+    no usable prime -- every column eliminates all its relations, in order,
+    so the result and every error are those of full elimination.  The route
+    reads fixtures and shipped entries only.
     """
     check_fixture_range(fixtures, target.size)
     products: dict[tuple[int, int], dict[int, int]] = {}
@@ -301,12 +302,9 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
         out = _eigen_columns(target, products, _solve_prefix)
     except (ArithmeticError, LookupError, ValueError):
         return _eigen_columns(target, products, eliminate)
-    if not out:
-        return out
     # N[a,b] = N[b,a]: one row per unordered product.
     rows = {(a, b): [terms.get(k, 0) for k in range(target.size)]
             for (a, b), terms in products.items() if a <= b}
-    holds = _character_identity(target.with_entries(out), rows)
-    if holds and all(holds(a, b) is True for a, b in rows):
+    if not out or _reproduces(target.with_entries(out), rows):
         return out
     return _eigen_columns(target, products, eliminate)

@@ -23,17 +23,17 @@ Inversion needs no linear algebra: ``inverse`` multiplies an element by its
 Galois conjugates (``galois``) until the product is rational, so the inverse
 is the product of those conjugates over that rational.
 
-Verlinde coefficients, the entries of S^2 and the character identity of the
-ring check are certified by one image kernel, ``Images``: the entries of S
-lifted to their common order N and imaged once modulo each prime p = 1 mod
-N, which suffices once the Galois symmetry of S makes each sum rational.
+Verlinde coefficients and the entries of S^2 are certified by one image
+kernel, ``Images``: the entries of S lifted to their common order N and
+imaged once modulo each prime p = 1 mod N, which suffices once the Galois
+symmetry of S makes each sum rational.
 
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
 which source relations every reduced row came from.  The branching
 completion eliminates all its relations; the eigenvector route eliminates
 doubling prefixes of each column's relations and certifies the rest by the
-character identity.
+Verlinde rows of the completed S.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import inverse, root_of_unity, sqrt_int
-from .mdf import DatumFile
+from .mdf import MAX_MODULES, DatumFile
 from .modular_data import ModularDatum, ModuleLabel, datum_to_file
 
 
@@ -25,6 +25,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
+        if self.modules > MAX_MODULES:
+            raise ValueError(f"2k = {self.modules} modules exceeds {MAX_MODULES}")
 
     @property
     def modules(self) -> int:

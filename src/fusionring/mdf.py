@@ -19,8 +19,8 @@ Scalar values use a small expression grammar (whitespace-insensitive)::
 
 ``E(n)`` is the root of unity exp(2*pi*i/n).  Its order n, every prime factor
 of m in ``sqrt(m)`` and the size of a ``^`` exponent may not exceed
-``MAX_ORDER``; uncapped, each would cost time and memory without bound.  A
-rational literal like
+``MAX_ORDER``, nor a header ``modules`` count ``MAX_MODULES``; uncapped, each
+would cost time and memory without bound.  A rational literal like
 ``4/2^2`` binds the slash at the atom level, per the grammar.  An S entry is
 stored as tabulated; the optional header ``scale`` expression multiplies
 every entry on load so that file text can mirror a printed table verbatim.
@@ -52,7 +52,7 @@ from functools import lru_cache
 from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 
 __all__ = [
-    "MAX_ORDER", "ParseError", "DuplicateEntryError", "IndexRangeError",
+    "MAX_ORDER", "MAX_MODULES", "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr",
     "ModuleLabel", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
@@ -85,6 +85,8 @@ class IndexRangeError(IndexError):
 
 # The largest order of E(n) and the largest prime factor of m in sqrt(m).
 MAX_ORDER = 1 << 16
+# The most modules a datum may have; it holds modules^2 S entries.
+MAX_MODULES = 1 << 10
 
 
 def _largest_prime_factor(m: int) -> int:
@@ -413,6 +415,8 @@ def parse_file(text: str) -> DatumFile:
                     datum.name = value
                 elif key == "modules":
                     datum.modules = int(value)
+                    if datum.modules > MAX_MODULES:
+                        raise ParseError(f"modules exceeds {MAX_MODULES}", 0, line_no)
                 elif key == "vacuum":
                     if int(value) != 0:
                         raise ParseError("vacuum must be 0: module 0 is the vacuum", 0, line_no)

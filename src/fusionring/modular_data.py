@@ -62,6 +62,7 @@ class ModularDatum:
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
         self._conjugation: list[int] | None = None  # set by charge_conjugation
+        self._engine = None  # set by verlinde._engine
 
     @property
     def size(self) -> int:

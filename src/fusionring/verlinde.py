@@ -17,10 +17,11 @@ Coefficients are certified from the datum's one image of S modulo each
 prime p = 1 mod N (``ModularDatum.images``), once the Galois symmetry of S
 (``ModularDatum.galois``) makes each one rational; no float is consulted,
 and a coefficient that fails is summed exactly, so its error carries its
-exact value (see ``_Engine``).  ``check_ring`` certifies qdim
-multiplicativity and associativity by one character identity through the
-same image, and searches for a non-associative quadruple directly only when
-that identity does not prove the ring associative.
+exact value (see ``_Engine``).  One engine per datum serves ``fusion_tensor``,
+``fusion_product`` and ``check_ring``, which certifies qdim multiplicativity
+and associativity when the engine reproduces every row of the tensor
+(``_reproduces``), and otherwise compares qdims exactly and searches for a
+non-associative quadruple directly.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class FusionTensor:
         row = self.values[pi][pj]
         return {self.indices[pk]: m for pk, m in enumerate(row) if m}
 
-    def fusion_matrix(self, i: int) -> list[list[int]]:
-        return self.values[self._pos[i]]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionTensor):
             return NotImplemented
@@ -113,7 +111,8 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
 
 class _Engine:
     """Memoized per-datum quantities for the tensor of ``fusion_tensor``, whose
-    ``indices`` are ``computable_indices(datum)``.
+    ``indices`` are ``computable_indices(datum)``; ``_engine`` keeps one per
+    datum.  It holds ``datum.s``, not the datum, so the two form no cycle.
 
     A row is certified from the datum's one image of S (``ModularDatum.images``),
     never by canonicalizing a coefficient.  The datum's Galois permutations
@@ -128,14 +127,14 @@ class _Engine:
     c = sum_s x(i,s) x(j,s) y(s) x(s,k'), x the image of S and
     y(s) = x(0,s)^-1; lifted to 0..P-1, 0 <= c <= B / (D^3 D_inv) certifies
     N[i,j]^k = c, and any other c that it is not a nonnegative integer.
-    Certified rows are cached by the images of S[i,s] S[j,s].
+    Certified rows are cached by the images of S[i,s] S[j,s]; callers get copies.
 
     A row that fails is recomputed with ``cyclo.exact_sum``, which names the
     first bad triple and its exact value; so is every row when the check
     fails or no usable prime exists."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
-        self.datum, self.indices = datum, indices
+        self.s, self.indices = datum.s, indices
         dual = datum.dual_permutation()
         cols = self.cols = [dual[k] for k in indices]
         inverses: dict[Cyclotomic, Cyclotomic] = {}
@@ -175,33 +174,44 @@ class _Engine:
         # Per prime, the rows of S, and for each s the images y(s) x(s,k')
         # packed into one integer with a 64-bit slot per k, so one row costs
         # n small modular products and one sum of n packed products.
-        self._rows, self._packed = [], []
-        for p, x in chosen:
-            rows = datum.as_matrix(x)
-            self._rows.append(rows)
-            self._packed.append([cyclo.pack([y * row[c] % p for c in cols])
-                                 for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)])
+        self._rows = [datum.as_matrix(x) for _, x in chosen]
+        self._packed = [[cyclo.pack([y * row[c] % p for c in cols])
+                         for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)]
+                        for p, rows in zip(self.primes, self._rows)]
+
+    def certified(self, i: int, j: int) -> list[int]:
+        """The row of ``row_for_pair`` if the images certify it, else []."""
+        if not self.primes:
+            return []
+        pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
+                 for p, rows in zip(self.primes, self._rows)]
+        key = tuple(map(cyclo.pack, pairs))
+        out = self._row_cache.get(key)
+        if out is None:
+            out = cyclo.combine(self.primes, (
+                cyclo.packed_product(pair, packed, len(self.indices), p)
+                for pair, packed, p in zip(pairs, self._packed, self.primes)))
+            # A lift above the bound is negative or not an integer: [].
+            out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+        return out[:]
 
     def row_for_pair(self, i: int, j: int) -> list[int]:
         """All N[i,j]^k for k in the index set, in index order."""
-        if self.primes:
-            pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
-                     for p, rows in zip(self.primes, self._rows)]
-            key = tuple(map(tuple, pairs))
-            out = self._row_cache.get(key)
-            if out is None:
-                out = cyclo.combine(self.primes, (
-                    cyclo.packed_product(pair, packed, len(self.indices), p)
-                    for pair, packed, p in zip(pairs, self._packed, self.primes)))
-                # A lift above the bound is negative or not an integer: [].
-                out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
-            if out:
-                return out
-        times, s = self._times, self.datum.s
+        out = self.certified(i, j)
+        if out:
+            return out
+        times, s = self._times, self.s
         pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], self.inverses)]
         return [_integer_coeff(cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)]),
                                (i, j, k))
                 for k, c in zip(self.indices, self.cols)]
+
+
+def _engine(datum: ModularDatum) -> _Engine:
+    """The datum's one engine, built at most once; none is kept if building raises."""
+    if datum._engine is None:
+        datum._engine = _Engine(datum, computable_indices(datum))
+    return datum._engine
 
 
 def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
@@ -212,17 +222,17 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     ``tensor.indices`` lists (``check_ring`` rejects such a tensor).  Raises
     MissingEntryError if the vacuum row is not fully known, ValueError if the
     dual labels of a fully known datum disagree with its S^2 = C, and fails
-    atomically on the first non-integer or negative coefficient.  ``jobs``
-    is accepted for compatibility and ignored: the tensor is filled pair by
-    pair in this process.
+    atomically on the first non-integer or negative coefficient.  Each row is
+    a list of its own.  ``jobs`` is accepted for compatibility and ignored.
     """
-    indices = computable_indices(datum)
-    engine = _Engine(datum, indices)
+    engine = _engine(datum)
+    indices = engine.indices
     m = len(indices)
     values = [[[0] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            values[a][b] = values[b][a] = engine.row_for_pair(indices[a], indices[b])
+            row = values[a][b] = engine.row_for_pair(indices[a], indices[b])
+            values[b][a] = row[:]
     return FusionTensor(indices, values)
 
 
@@ -236,13 +246,12 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
     for idx in (i, j):
         if not 0 <= idx < datum.size:
             raise IndexRangeError(f"module index {idx} out of range for {datum.size} modules")
-    indices = computable_indices(datum)
     # The engine comes first, as in fusion_tensor: a hole in the vacuum row
     # is reported as such before any row is blamed.
-    engine = _Engine(datum, indices)
-    if i not in indices or j not in indices:
+    engine = _engine(datum)
+    if i not in engine.indices or j not in engine.indices:
         raise MissingEntryError(f"rows {i}, {j} are not fully known")
-    return {k: m for k, m in zip(indices, engine.row_for_pair(i, j)) if m}
+    return {k: m for k, m in zip(engine.indices, engine.row_for_pair(i, j)) if m}
 
 
 # -- ring-property verification ---------------------------------------------
@@ -287,11 +296,10 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     """Verify ring axioms, duality, qdim laws and simple currents exactly.
 
     Vacuum identity, commutativity, duality and simple currents are integer
-    loops.  Qdim multiplicativity and associativity rest on one character
-    identity (``_character_identity``): its column 0 is the qdim identity,
-    and all its columns, for every pair, prove associativity.  A pair it
-    leaves open is compared exactly; unless it holds for every pair,
-    associativity is decided by the direct search ``_first_nonassociative``.
+    loops.  Qdim multiplicativity and associativity hold when the datum's
+    engine reproduces the tensor (``_reproduces``); otherwise the qdims of
+    each pair are compared by exact sums, and associativity is decided by
+    the direct search ``_first_nonassociative``.
     """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
@@ -310,18 +318,13 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
         report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
 
     qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
-    holds = _character_identity(datum, {(i, j): N[i][j] for i in every for j in every})
-    certified, bad_pair = holds is not None, None
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
     pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
-    for i, j in pairs if None not in qdims else []:
-        verdict = holds and holds(i, j)
-        certified = certified and verdict is True
-        if verdict is False or verdict is None and cyclo.exact_sum(
-                qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]:
-            bad_pair = i, j
-            break
+    certified = _reproduces(datum, {(i, j): N[i][j] for i, j in pairs})
+    bad_pair = None if certified or None in qdims else next((
+        (i, j) for i, j in pairs if cyclo.exact_sum(
+            qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]), None)
     bad = None if certified else _first_nonassociative(N)
     report.associative = bad is None
     if bad:
@@ -342,55 +345,27 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     return report
 
 
-def _character_identity(datum: ModularDatum, products: dict):
-    """A test of E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at
-    every column s, for the rows N[i,j] = ``products[i, j]`` (lists of n
-    integers), or None without S fully known, its Galois permutations and
-    S^2 = C.  ``check_ring`` passes the whole tensor: with those, E_ij = 0 for
-    all pairs (i <= j for a commutative N) makes R[m,s] = S[m,s]/S[0,s]
-    invertible, and i -> R[i,.] embeds N in C^n with the pointwise product,
-    so N is associative (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*,
-    ch. 3).  ``branching.eigen_complete`` passes the recorded fusion products,
-    to certify its eigenvector relations at every column at once.  sigma_a
-    maps E_ij(s) to E_ij(pi_a(s)), the column signs cancelling, so the
-    datum's one image of S per prime (``ModularDatum.images``) images every
-    E_ij(s) at every unit.  With x = D S lifted to Z[C_N],
-    |D^2 E_ij(s)|_1 <= |x[0,s]| W t_s + t_s^2, t_s = max_k |x[k,s]|_1 and W
-    the largest row sum of |N| over ``products``; primes whose product
-    exceeds twice that prove E_ij = 0 from zero images.  The test of (i, j)
-    gives True then, False on a nonzero image at s = 0 (a certified qdim
-    failure), and None otherwise.
-    """
+def _reproduces(datum: ModularDatum, rows: dict) -> bool:
+    """Whether S is fully known, passes ``datum.galois`` and S^2 = C, its
+    engine has primes, and each ``rows[i, j]`` (n integers) equals the
+    engine's certified row N[i,j].  Then, with S^-1[s,k] = S[s,k'] (the
+    labels being C), N[i,j] = v S^-1 for v(s) = S[i,s] S[j,s] / S[0,s], so
+    E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
+    column s, whose column 0 is the qdim identity.  ``check_ring`` passes the whole tensor (i <= j for a
+    commutative N): R[m,s] = S[m,s]/S[0,s] is invertible, and i -> R[i,.]
+    embeds N in C^n with the pointwise product, so N is associative
+    (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).
+    ``branching.eigen_complete`` passes the recorded fusion products, to
+    certify its eigenvector relations at every column at once."""
     if not datum.fully_known() or datum.galois is None:
-        return None
+        return False
     try:
         charge_conjugation(datum)
-    except NotPermutationError:
-        return None
-    images, n = datum.images, datum.size
-    norms = datum.as_matrix(images.norms)
-    weight = max(sum(map(abs, row)) for row in products.values())
-    chosen = images.choose_primes(2 * max(x0 * weight * t + t * t for x0, t in
-                                          zip(norms[0], map(max, zip(*norms)))))
-    if not chosen:
-        return None
-    # Per prime, S and its rows with column s scaled by S[0,s], packed.
-    primes = []
-    for p, x in chosen:
-        x = datum.as_matrix(x)
-        primes.append((p, x, [cyclo.pack([a * b % p for a, b in zip(row, x[0])]) for row in x]))
-
-    def holds(i: int, j: int) -> bool | None:
-        verdict = True
-        for p, x, rows in primes:
-            lhs = cyclo.packed_product([m % p for m in products[i, j]], rows, n, p)
-            if lhs[0] != x[i][0] * x[j][0] % p:
-                return False
-            if lhs != [a * b % p for a, b in zip(x[i], x[j])]:
-                verdict = None
-        return verdict
-
-    return holds
+        engine = _engine(datum)
+    except (ZeroDivisionError, ValueError):  # S^2 != C, S[0,s] = 0, labels not C
+        return False
+    return bool(engine.primes) and all(engine.certified(i, j) == row
+                                       for (i, j), row in rows.items())
 
 
 def _first_nonassociative(values) -> tuple[int, int, int, int] | None:

@@ -307,9 +307,9 @@ def test_eigen_route_solves_each_column_from_a_prefix(monkeypatch, s4, s4_comple
 
 @pytest.mark.parametrize("case", ["fixture contradicts a known column", "no split prime"])
 def test_eigen_route_falls_back_to_every_relation(monkeypatch, s4, s4_completed, case):
-    # Either way the character identity proves less than every fixture at
-    # every column, so after the prefixes each column eliminates all its
-    # relations, in order; the entries are the same.
+    # Either way the Verlinde engine of the completed S does not certify
+    # every fixture as its row, so after the prefixes each column eliminates
+    # all its relations, in order; the entries are the same.
     datum, _, fixtures = s4
     datum = datum.with_entries({})
     if case == "no split prime":

@@ -179,7 +179,7 @@ def test_corrupted_data_report_the_exact_failure(name):
 
 
 def tensor_rows(values):
-    """The rows N[i,j] of a tensor, keyed by (i, j), as the character identity takes them."""
+    """The rows N[i,j] of a tensor, keyed by (i, j), as ``verlinde._reproduces`` takes them."""
     return {(i, j): row for i, plane in enumerate(values) for j, row in enumerate(plane)}
 
 
@@ -203,16 +203,28 @@ def test_bumped_s4_tensor_entry_reports_the_first_failing_pair(s4_completed, s4_
     assert not assert_ring_report_matches(tensor, s4_completed).ok
 
 
+def test_tensor_edited_in_place_is_checked_as_edited(s4_completed):
+    # The datum's engine keeps the rows it certified; the ring check must see
+    # the edited tensor, not the cached rows.
+    datum = s4_completed.with_entries({})
+    tensor = fusion_tensor(datum)
+    tensor.values[2][3][1] += 1
+    report = assert_ring_report_matches(tensor, datum)
+    assert not report.ok and not report.commutative
+
+
 def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity(monkeypatch):
     # In su(2)_6, 2 x 2 = 0 + 2 + 4 and d_2 = d_4.  Moving the channel breaks
-    # the tensor but not the qdim identity: the character identity of (2, 2)
-    # holds at column 0 and fails at another column, so the pair's qdims are
-    # compared exactly and associativity comes from the direct search.
+    # the tensor but not the qdim identity: the row of (2, 2) is not the
+    # engine's, while every other row is, so the pair's qdims are compared
+    # exactly and associativity comes from the direct search.
     datum = su2_datum(6)
     values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
     values[2][2][2] -= 1
     values[2][2][4] += 1
-    assert verlinde._character_identity(datum, tensor_rows(values))(2, 2) is None
+    rows = tensor_rows(values)
+    assert verlinde._reproduces(datum, {(2, 2): rows.pop((2, 2))}) is False
+    assert verlinde._reproduces(datum, rows) is True
     searched = []
     search = verlinde._first_nonassociative
     monkeypatch.setattr(verlinde, "_first_nonassociative",
@@ -368,7 +380,7 @@ def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
 def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
     # The shipped s4 knows column 0, hence every qdim, but not all of S: the
     # qdim pairs are compared exactly and associativity is searched directly.
-    assert verlinde._character_identity(s4[0], tensor_rows(s4_tensor.values)) is None
+    assert verlinde._reproduces(s4[0], tensor_rows(s4_tensor.values)) is False
     assert check_ring(s4_tensor, s4[0]) == check_ring(s4_tensor, s4_completed)
     assert assert_ring_report_matches(s4_tensor, s4[0]).ok
     assert assert_ring_report_matches(bumped(s4_tensor, [(20, 9, 14)]), s4[0]).failures == [
@@ -381,7 +393,8 @@ def test_identity_never_certifies_associativity_without_s_squared_c():
     # S = all ones passes the Galois check (its entries are rational), but
     # S^2 = 3 S is no permutation, so R[m,s] = S[m,s]/S[0,s] is not
     # invertible.  Every row of N below sums to 1, so the character identity
-    # holds at every column, yet 1 (1 2) = 1 1 = 0 and (1 1) 2 = 2.
+    # S[0,s] sum_k N[i,j]^k S[k,s] = S[i,s] S[j,s] holds at every column, yet
+    # 1 (1 2) = 1 1 = 0 and (1 1) 2 = 2.
     one = Cyclotomic.one()
     datum = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(3)],
                          [[one] * 3 for _ in range(3)])
@@ -389,7 +402,7 @@ def test_identity_never_certifies_associativity_without_s_squared_c():
     values = [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]
     assert datum.galois is not None
     assert charge(datum) == "S^2[0,0] = 3 is neither 0 nor 1"
-    assert verlinde._character_identity(datum, tensor_rows(values)) is None
+    assert verlinde._reproduces(datum, tensor_rows(values)) is False
     report = assert_ring_report_matches(FusionTensor([0, 1, 2], values), datum)
     assert report.commutative and report.qdim_multiplicative
     assert "associativity fails at quadruple (1, 1, 2, 0)" in report.failures
@@ -404,7 +417,7 @@ def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed
     negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
     for datum in (negated, *corrupted_data().values()):
         tensor = tensors[datum.size]
-        assert verlinde._character_identity(datum, tensor_rows(tensor.values)) is None
+        assert verlinde._reproduces(datum, tensor_rows(tensor.values)) is False
         if datum.s[0][0].is_zero():
             with pytest.raises(ZeroDivisionError):
                 check_ring(tensor, datum)

@@ -302,6 +302,28 @@ def test_fuse(completed_file, capsys, monkeypatch):
     assert calls == [(8, 18)]
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["validate", "huge.mdf"], 2, "error: line 2, offset 0: modules exceeds 1024\n"),
+    (["lattice", "--k", "100000"], 1, "error: 2k = 200000 modules exceeds 1024\n"),
+])
+def test_module_counts_above_the_cap_are_refused_within_a_memory_limit(tmp_path, argv, code,
+                                                                        message):
+    # 100000 modules would be 10^10 S cells; the count is refused before any
+    # is allocated, here under a 1 GB address-space limit.
+    resource = pytest.importorskip("resource")
+    (tmp_path / "huge.mdf").write_text("[header]\nmodules = 100000\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fusionring.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env(),
+                          preexec_fn=limit, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
+
+
 def test_fuse_unknown_rows(capsys):
     code, out, err = run(capsys, "fuse", "@s4", "1", "2")
     assert code == 1

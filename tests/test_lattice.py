@@ -15,6 +15,12 @@ def test_spec_rejects_nonpositive_k():
         LatticeSpec(0)
 
 
+def test_spec_caps_the_module_count():
+    assert LatticeSpec(512).modules == 1024
+    with pytest.raises(ValueError, match="2k = 1026 modules exceeds 1024"):
+        LatticeSpec(513)
+
+
 def test_k1_matrix():
     datum = lattice_modular_data(LatticeSpec(1))
     inv = inverse(sqrt_int(2))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from fusionring.cli import main
 from fusionring.cyclo import embed
-from fusionring.mdf import (MAX_ORDER, BranchingSection, DatumFile, DuplicateEntryError,
-                            FixtureRecord, IndexRangeError, ModuleLabel, ParseError,
-                            eval_expr, parse_expr, parse_file, serialize)
+from fusionring.mdf import (MAX_MODULES, MAX_ORDER, BranchingSection, DatumFile,
+                            DuplicateEntryError, FixtureRecord, IndexRangeError, ModuleLabel,
+                            ParseError, eval_expr, parse_expr, parse_file, serialize)
 
 MINIMAL = """
 [header]
@@ -99,6 +99,9 @@ def test_caps_admit_the_shipped_and_generated_orders():
         parse_expr(text)
     # 2^40 3^7: trial division ends once the cofactor is exhausted.
     assert eval_expr(parse_expr("sqrt(2404631929946112)")) == eval_expr(parse_expr("2^20*27*sqrt(3)"))
+    # The module cap admits 1024 modules, twice the largest lattice k of 512.
+    assert MAX_MODULES == 1 << 10
+    assert parse_file("[header]\nmodules = 1024\n").modules == 1024
 
 
 def test_root_power_is_one_canonicalization(monkeypatch):
@@ -243,6 +246,7 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
     ("0 0 1\n", ParseError, "line 1, offset 0: content before any section header"),
     ("[header]\nmodules 2\n", ParseError, "line 2, offset 0: header lines are key = value"),
     ("[header]\ncolour = red\n", ParseError, "line 2, offset 0: unknown header key 'colour'"),
+    ("[header]\nname = x\nmodules = 1025\n", ParseError, "line 3, offset 0: modules exceeds 1024"),
     (HEADER2 + "[labels]\n0\n", ParseError,
      "line 4, offset 0: label lines are: index name [attrs]"),
     (HEADER2 + "[labels]\n0 vac qdim\n", ParseError,

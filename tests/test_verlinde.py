@@ -1,8 +1,10 @@
 """Fusion coefficients, tensors, ring checks and fixture regression."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from conftest import counted_kernels, expected_group_fusion, su2_datum
 
 from fusionring import cyclo, verlinde
+from fusionring.branching import eigen_complete
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
@@ -96,7 +99,7 @@ def test_check_ring_s4(s4_tensor, s4_completed):
     assert report.duality_symmetric and report.qdim_multiplicative
     assert report.simple_currents == [0, 1]
     # The nontrivial simple current swaps the paired modules.
-    mat = s4_tensor.fusion_matrix(1)
+    mat = s4_tensor.values[1]
     image = [row.index(1) for row in mat]
     assert image == [1, 0, 2, 4, 3, 6, 5, 7, 9, 8, 11, 10,
                      12, 13, 14, 15, 16, 17, 25, 24, 23, 22, 21, 20, 19, 18, 27, 26]
@@ -359,6 +362,74 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
+
+
+def counted_engines(monkeypatch):
+    """A list that gains the datum of each ``verlinde._Engine`` built while the patch holds."""
+    built = []
+
+    class CountedEngine(verlinde._Engine):
+        def __init__(self, datum, indices):
+            built.append(datum)
+            super().__init__(datum, indices)
+
+    monkeypatch.setattr(verlinde, "_Engine", CountedEngine)
+    return built
+
+
+def test_tensor_ring_check_and_product_share_one_engine(monkeypatch, s4_completed, s4_tensor):
+    built = counted_engines(monkeypatch)
+    datum = s4_completed.with_entries({})
+    tensor = fusion_tensor(datum)
+    assert tensor == s4_tensor and check_ring(tensor, datum).ok
+    assert fusion_product(datum, 8, 18) == {18: 1, 19: 1, 26: 1, 27: 1}
+    assert fusion_tensor(datum) == tensor
+    assert built == [datum]
+    copy = datum.with_entries({})
+    assert check_ring(tensor, copy).ok
+    assert built == [datum, copy]
+
+
+def test_eigen_route_builds_one_engine_on_the_completed_s(monkeypatch, s4, s4_completed):
+    datum, _, fixtures = s4
+    built = counted_engines(monkeypatch)
+    eigen = eigen_complete(datum, fixtures)
+    assert len(eigen) == 49 and len(built) == 1
+    (completed,) = built
+    assert completed is not datum and completed.s == s4_completed.s
+
+
+def test_failed_engine_is_not_kept(monkeypatch, s4_completed):
+    built = counted_engines(monkeypatch)
+    holed = s4_completed.with_entries({(0, 9): None})
+    for _ in range(2):
+        with pytest.raises(MissingEntryError, match=r"S\[0,9\] is unknown"):
+            fusion_tensor(holed)
+    assert built == [holed, holed] and holed._engine is None
+
+
+def test_engine_and_datum_form_no_cycle():
+    # The engine holds S, not the datum: once the last name goes, the datum
+    # and its engine are freed without the cycle collector.
+    datum = su2_datum(6)
+    fusion_tensor(datum)
+    engine = weakref.ref(datum._engine)
+    gc.disable()
+    try:
+        del datum
+        assert engine() is None
+    finally:
+        gc.enable()
+
+
+def test_rows_are_copies_of_the_cached_rows(s4_completed):
+    datum = s4_completed.with_entries({})
+    tensor = fusion_tensor(datum)
+    tensor.values[2][3][1] += 1
+    tensor.values[8][18].clear()
+    assert tensor.values[3][2][1] == tensor.values[2][3][1] - 1
+    assert fusion_tensor(datum).values[2][3][1] == tensor.values[2][3][1] - 1
+    assert fusion_product(datum, 8, 18) == {18: 1, 19: 1, 26: 1, 27: 1}
 
 
 def test_package_runs_with_numpy_blocked(tmp_path):
