@@ -85,7 +85,7 @@ def cmd_validate(args) -> int:
 def cmd_complete(args) -> int:
     datum, df = _load_datum(args.file)
     if not args.parents:
-        if datum.unknown_positions():
+        if not datum.fully_known():
             print("error: unknown entries present and no parents given "
                   "(underdetermined)", file=sys.stderr)
             return EXIT_COMPLETION

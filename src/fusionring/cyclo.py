@@ -1,16 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Every scalar handled by this package is an element of some Q(zeta_n),
-zeta_n = exp(2*pi*i/n), stored as a rational linear combination of roots of
-unity in the canonical (Zumbroich) basis of Q(zeta_n) over Q.  Canonical
-forms are unique, so equality is a structural comparison and zero-testing is
-exact.  Elements are always kept at the minimal order that can represent
-them, which keeps arithmetic in long accumulation loops cheap: plain
-rationals sit at order 1, and an order n = 2 mod 4 is never used (an
-exponent map there is read at 2n, e -> 2e).  One routine, ``_canonicalize``,
-serves every constructor: it rewrites a raw exponent map into the basis and
-then, in one pass over the primes of the order, drops each prime for as long
-as the element allows, by plain exponent arithmetic (see ``_deflate``).
+zeta_n = exp(2*pi*i/n), stored in the canonical (Zumbroich) basis of
+Q(zeta_n) over Q as FLINT's ``fmpq_poly`` stores a rational polynomial:
+integer numerators over one positive denominator, coprime to their content.
+Canonical forms are unique, so equality is a structural comparison and
+zero-testing is exact.  Elements are always kept at the minimal order that
+can represent them, which keeps arithmetic in long accumulation loops cheap:
+plain rationals sit at order 1, and an order n = 2 mod 4 is never used (an
+exponent map there is read at 2n, e -> 2e).  One routine, ``_element``,
+builds every element: ``_canonicalize`` rewrites an integer exponent map
+into the basis and then, in one pass over the primes of the order, drops each
+prime for as long as the element allows (see ``_deflate``), and the common
+factor of the numerators and the denominator is divided out.
 
 The Zumbroich basis of Q(zeta_n) consists of the roots zeta_n^e whose
 residue at each prime power p^v || n avoids a forbidden digit: writing the
@@ -90,11 +92,11 @@ def _allowed_exponents(n: int) -> bytes:
     return bytes(flags)
 
 
-def _reduce_terms(n: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+def _reduce_terms(n: int, terms: dict[int, int]) -> dict[int, int]:
     """Rewrite a raw exponent->coefficient map into the canonical basis at order n."""
     allowed = _allowed_exponents(n)
     crt = _crt_data(n)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     stack = []
     for e, c in terms.items():
         e %= n
@@ -127,7 +129,7 @@ def _reduce_terms(n: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e: c for e, c in out.items() if c}
 
 
-def _deflate(n: int, coeffs: dict[int, Fraction]):
+def _deflate(n: int, coeffs: dict[int, int]):
     """The minimal order of a canonical element and its form there.
 
     One pass over the primes p of n drops p for as long as the element
@@ -164,7 +166,7 @@ def _deflate(n: int, coeffs: dict[int, Fraction]):
     return n, coeffs
 
 
-def _canonicalize(n: int, terms: dict[int, Fraction]):
+def _canonicalize(n: int, terms: dict[int, int]):
     """The canonical (order, coeffs) of a raw exponent->coefficient map at order n."""
     g = gcd(n, *terms)
     if g > 1:
@@ -181,31 +183,32 @@ def _canonicalize(n: int, terms: dict[int, Fraction]):
 
 
 class Cyclotomic:
-    """An exact element of a cyclotomic field, immutable and always canonical."""
+    """An exact element of a cyclotomic field, immutable and always canonical:
+    integer numerators ``coeffs`` of the basis roots at ``order`` over one
+    ``denom`` > 0, gcd(denom, *coeffs.values()) = 1.  The constructor takes
+    a map to rationals."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coeffs", "denom", "_hash")
 
     def __init__(self, order: int, coeffs: dict[int, Fraction], _canonical: bool = False):
-        if not _canonical:
-            order, coeffs = _canonicalize(order, coeffs)
-        self.order = order
-        self.coeffs = coeffs
-        self._hash = None
+        denom = lcm(*(c.denominator for c in coeffs.values()))
+        _element(order, {e: c.numerator * (denom // c.denominator) for e, c in coeffs.items()},
+                 denom, _canonical, self)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value) -> Cyclotomic:
         c = Fraction(value)
-        return Cyclotomic(1, {0: c} if c else {}, _canonical=True)
+        return _element(1, {0: c.numerator} if c else {}, c.denominator, True)
 
     @staticmethod
     def zero() -> Cyclotomic:
-        return Cyclotomic(1, {}, _canonical=True)
+        return _element(1, {}, 1, True)
 
     @staticmethod
     def one() -> Cyclotomic:
-        return Cyclotomic(1, {0: Fraction(1)}, _canonical=True)
+        return _element(1, {0: 1}, 1, True)
 
     # -- predicates and conversions ---------------------------------------
 
@@ -218,7 +221,7 @@ class Cyclotomic:
     def as_rational(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.coeffs.get(0, 0), self.denom)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -228,11 +231,11 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.denom, self.coeffs) == (other.order, other.denom, other.coeffs)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, frozenset(self.coeffs.items())))
+            self._hash = hash((self.order, self.denom, frozenset(self.coeffs.items())))
         return self._hash
 
     # -- arithmetic --------------------------------------------------------
@@ -251,7 +254,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self) -> Cyclotomic:
-        return Cyclotomic(self.order, {e: -c for e, c in self.coeffs.items()}, _canonical=True)
+        return _element(self.order, {e: -c for e, c in self.coeffs.items()}, self.denom, True)
 
     def __sub__(self, other) -> Cyclotomic:
         return self + (-self._coerce(other))
@@ -266,17 +269,14 @@ class Cyclotomic:
             if c0 is None:
                 return Cyclotomic.zero()
             # A nonzero rational multiple of a canonical form is canonical.
-            return Cyclotomic(self.order, {e: c * c0 for e, c in self.coeffs.items()},
-                              _canonical=True)
+            return _element(self.order, {e: c * c0 for e, c in self.coeffs.items()},
+                            self.denom * other.denom, True)
         if self.order == 1:
             return other.__mul__(self)
         n = lcm(self.order, other.order)
-        # Convolve with denominators cleared; integer arithmetic is much
-        # faster than Fraction arithmetic in dense products.
-        da = _denominator_lcm((self,))
-        db = _denominator_lcm((other,))
-        terms = _convolve(_lift_into({}, self, n, da), _lift_into({}, other, n, db), n)
-        return _from_int_terms(n, terms, da * db)
+        terms = _convolve(_lift_into({}, self, n, self.denom),
+                          _lift_into({}, other, n, other.denom), n)
+        return _element(n, terms, self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -307,18 +307,28 @@ class Cyclotomic:
         return format_exact(self)
 
 
-def _from_int_terms(order: int, terms: dict[int, int], denom: int) -> Cyclotomic:
-    """Canonicalize an integer exponent map with a shared denominator."""
-    order, terms = _canonicalize(order, terms)
-    return Cyclotomic(order, {e: Fraction(c, denom) for e, c in terms.items()},
-                      _canonical=True)
+def _element(order: int, terms: dict[int, int], denom: int, canonical: bool = False,
+             out: Cyclotomic | None = None) -> Cyclotomic:
+    """The element sum_e terms[e] zeta_order^e / denom, filled into ``out`` or
+    a new ``Cyclotomic``; ``canonical`` says that ``terms`` is canonical at
+    ``order`` already."""
+    if not canonical:
+        order, terms = _canonicalize(order, terms)
+    g = gcd(denom, *terms.values())
+    if g > 1:
+        denom //= g
+        terms = {e: c // g for e, c in terms.items()}
+    if out is None:
+        out = object.__new__(Cyclotomic)
+    out.order, out.coeffs, out.denom, out._hash = order, terms, denom, None
+    return out
 
 
 # -- the exact accumulation kernel --------------------------------------------
 #
 # Every sum of many cyclotomic terms (matrix products, Verlinde sums, global
 # dimensions, linear residuals) goes through one path: lift the terms once to
-# their common order N over one shared denominator, add them as integer
+# their common order N over the lcm of their denominators, add them as integer
 # exponent maps in the group ring Z[C_N], and canonicalize once at the end.
 # The reduction Z[C_N] -> Z[zeta_N] is a ring homomorphism, so deferring it
 # gives exactly the element that per-addition canonicalization would, at the
@@ -333,29 +343,19 @@ def _common_order(values) -> int:
     return order
 
 
-def _denominator_lcm(values) -> int:
-    """The least common denominator of every coefficient of every value."""
-    denom = 1
-    for v in values:
-        for c in v.coeffs.values():
-            d = c.denominator
-            if denom % d:
-                denom = lcm(denom, d)
-    return denom
-
-
 def _lift_into(dest: dict[int, int], value: Cyclotomic, order: int,
                denom: int) -> dict[int, int]:
     """dest += value * denom as an integer exponent map at ``order``.
 
-    ``order`` must be a multiple of ``value.order`` and ``denom`` a multiple of
-    every coefficient denominator of ``value``.
+    ``order`` must be a multiple of ``value.order`` and ``denom`` of
+    ``value.denom``.
     """
     step = order // value.order
+    scale = denom // value.denom
     get = dest.get
     for e, c in value.coeffs.items():
         e *= step
-        dest[e] = get(e, 0) + c.numerator * (denom // c.denominator)
+        dest[e] = get(e, 0) + c * scale
     return dest
 
 
@@ -381,11 +381,11 @@ def exact_sum(values) -> Cyclotomic:
     if len(values) < 2:
         return values[0] if values else Cyclotomic.zero()
     order = _common_order(values)
-    denom = _denominator_lcm(values)
+    denom = lcm(*(v.denom for v in values))
     acc: dict[int, int] = {}
     for v in values:
         _lift_into(acc, v, order, denom)
-    return _from_int_terms(order, acc, denom)
+    return _element(order, acc, denom)
 
 
 # -- images in split prime fields ---------------------------------------------
@@ -478,7 +478,7 @@ class Images:
     def __init__(self, values, summands: int = 1):
         self.index = {v: i for i, v in enumerate(dict.fromkeys(values))}
         order = self.order = _common_order(self.index)
-        denom = self.denom = _denominator_lcm(self.index)
+        denom = self.denom = lcm(*(v.denom for v in self.index))
         self.lifts = [list(_lift_into({}, v, order, denom).items()) for v in self.index]
         self.norms = [sum(abs(c) for _, c in lift) for lift in self.lifts]
         self._exponents = {e for lift in self.lifts for e, _ in lift}
@@ -541,7 +541,7 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     """zeta_n^k as an exact element, in canonical form at minimal order."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    return Cyclotomic(n, {k % n: Fraction(1)})
+    return Cyclotomic(n, {k % n: 1})
 
 
 def galois(a: Cyclotomic, k: int) -> Cyclotomic:
@@ -549,7 +549,7 @@ def galois(a: Cyclotomic, k: int) -> Cyclotomic:
     n = a.order
     if gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit mod {n}")
-    return Cyclotomic(n, {(e * k) % n: c for e, c in a.coeffs.items()})
+    return _element(n, {(e * k) % n: c for e, c in a.coeffs.items()}, a.denom)
 
 
 def conj(a: Cyclotomic) -> Cyclotomic:
@@ -589,7 +589,7 @@ def sqrt_int(m: int) -> Cyclotomic:
 def _sqrt_prime(p: int) -> Cyclotomic:
     if p == 2:
         return root_of_unity(8, 1) + root_of_unity(8, 7)
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int] = {}
     for a in range(p):
         e = (a * a) % p
         terms[e] = terms.get(e, 0) + 1
@@ -614,7 +614,7 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     if a.is_zero():
         raise ZeroDivisionError("division by zero cyclotomic")
     if a.order == 1:
-        return Cyclotomic.from_rational(1 / a.coeffs[0])
+        return Cyclotomic.from_rational(Fraction(a.denom, a.coeffs[0]))
     n = a.order
     others = [conj(a)]
     if others[0] == a:
@@ -629,7 +629,7 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     result = others[0]
     for image in others[1:]:
         result = result * image
-    return result * (1 / norm.as_rational())
+    return result * Fraction(norm.denom, norm.coeffs[0])
 
 
 # -- exact linear elimination -------------------------------------------------
@@ -721,7 +721,7 @@ def embed(a: Cyclotomic) -> complex:
     n = a.order
     z = 0j
     for e, c in a.coeffs.items():
-        z += float(c) * cmath.exp(2j * cmath.pi * e / n)
+        z += c / a.denom * cmath.exp(2j * cmath.pi * e / n)
     return z
 
 
@@ -734,23 +734,17 @@ def format_exact(a: Cyclotomic) -> str:
     if a.is_zero():
         return "0"
     n = a.order
-    parts = []
+    out = ""
     for e in sorted(a.coeffs):
-        c = a.coeffs[e]
+        c = Fraction(a.coeffs[e], a.denom)
+        out += "-" if c < 0 else "+" if out else ""
+        root = f"E({n})" if e == 1 else f"E({n})^{e}"
         if e == 0:
-            term = _format_fraction(abs(c))
+            out += str(abs(c))
+        elif abs(c) == 1:
+            out += root
         else:
-            root = f"E({n})" if e == 1 else f"E({n})^{e}"
-            if abs(c) == 1:
-                term = root
-            else:
-                term = f"{_format_fraction(abs(c))}*{root}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        out += sign + term
+            out += f"{abs(c)}*{root}"
     return out
 
 
@@ -762,8 +756,3 @@ def format_brief(a: Cyclotomic) -> str:
         return format_exact(a)
     return f"an element of Q(zeta_{a.order}) with {terms} terms"
 
-
-def _format_fraction(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"

@@ -19,11 +19,12 @@ Scalar values use a small expression grammar (whitespace-insensitive)::
 
 ``E(n)`` is the root of unity exp(2*pi*i/n).  Its order n, every prime factor
 of m in ``sqrt(m)`` and the size of a ``^`` exponent may not exceed
-``MAX_ORDER``, nor a header ``modules`` count ``MAX_MODULES``; uncapped, each
-would cost time and memory without bound.  A rational literal like
-``4/2^2`` binds the slash at the atom level, per the grammar.  An S entry is
-stored as tabulated; the optional header ``scale`` expression multiplies
-every entry on load so that file text can mirror a printed table verbatim.
+``MAX_ORDER``, nor a header ``modules`` count or the 2k modules of a
+branching parent ``MAX_MODULES``; uncapped, each would cost time and memory
+without bound.  A rational literal like ``4/2^2`` binds the slash at the
+atom level, per the grammar.  An S entry is stored as tabulated; the
+optional header ``scale`` expression multiplies every entry on load so that
+file text can mirror a printed table verbatim.
 The optional ``vacuum`` line must read 0.  Each branching table is one
 ``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
 are checked by ``modular_data.datum_from_file``.  Parse errors name the line,
@@ -494,6 +495,9 @@ def _check_ranges(datum: DatumFile) -> None:
     for br in datum.branchings:
         if br.k < 1:
             raise IndexRangeError(f"branching parent {br.parent!r}: k={br.k} is not positive")
+        if 2 * br.k > MAX_MODULES:
+            raise IndexRangeError(f"branching parent {br.parent!r}: 2k = {2 * br.k} modules "
+                                  f"exceeds {MAX_MODULES}")
         for parent_idx in br.rows:
             if not 0 <= parent_idx < 2 * br.k:
                 raise IndexRangeError(f"branching row {parent_idx} out of range for k={br.k}")

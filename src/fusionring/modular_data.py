@@ -57,7 +57,7 @@ class ModularDatum:
             raise ValueError("a modular datum needs at least the vacuum module")
         self.labels = labels
         # Equal entries become one object, so lookups keyed by entries hit by
-        # identity instead of comparing Fraction coefficients.
+        # identity instead of comparing coefficient maps.
         shared: dict[Cyclotomic, Cyclotomic] = {}
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
@@ -331,7 +331,7 @@ def validate(datum: ModularDatum) -> ValidationReport:
     """Run all structural checks; reports findings and never raises."""
     n = datum.size
     report = ValidationReport(name=datum.name, size=n,
-                              unknown_count=len(datum.unknown_positions()))
+                              unknown_count=sum(row.count(None) for row in datum.s))
     for i in range(n):
         for j in range(i + 1, n):
             if datum.known(i, j) and datum.known(j, i):

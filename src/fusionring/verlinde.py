@@ -163,9 +163,9 @@ class _Engine:
 
         images = datum.images
         norms = datum.as_matrix(images.norms)
-        d_inv = lcm(*(c.denominator for v in inverses.values() for c in v.coeffs.values()))
+        d_inv = lcm(*(v.denom for v in inverses.values()))
         bound = sum(max((norms[i][s] for i in indices), default=0) ** 2
-                    * int(sum(map(abs, inv.coeffs.values())) * d_inv)
+                    * sum(map(abs, inv.coeffs.values())) * (d_inv // inv.denom)
                     * max((norms[s][c] for c in cols), default=0)
                     for s, inv in enumerate(self.inverses))
         self.max_coeff = bound // (images.denom ** 3 * d_inv)

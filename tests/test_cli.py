@@ -252,6 +252,8 @@ def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):
     ('[branching parent="p" k=2]', "-1 = 0", "branching row -1 out of range for k=2"),
     ('[branching parent="p" k=2]', "7 = 0", "branching row 7 out of range for k=2"),
     ('[branching parent="p" k=0]', "0 = 0", "branching parent 'p': k=0 is not positive"),
+    ('[branching parent="p" k=100000]', "0 = 0",
+     "branching parent 'p': 2k = 200000 modules exceeds 1024"),
 ])
 def test_headerless_branching_is_range_checked(tmp_path, capsys, section, row, message):
     # Without a [header] the file declares no module count, but the rows of

@@ -356,9 +356,20 @@ def test_equality_is_structural():
     assert a != b + 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(elements(), elements())
+def test_integer_numerators_over_one_reduced_denominator(a, b):
+    x = a * b
+    for value in (a, b, x, a + b, -a, conj(a), inverse(a) if a else a):
+        assert value.denom > 0 and math.gcd(value.denom, *value.coeffs.values()) == 1
+        assert all(type(c) is int for c in value.coeffs.values())
+    halves = [x * Fraction(2, 4), x / 2, exact_sum([x, -x / 2])]
+    assert all(h == halves[0] and hash(h) == hash(halves[0]) for h in halves)
+
+
 def test_canonicalization_idempotent():
     a = root_of_unity(12, 5) * Fraction(3, 7) + root_of_unity(9, 2)
-    again = Cyclotomic(a.order, dict(a.coeffs))
+    again = Cyclotomic(a.order, {e: Fraction(c, a.denom) for e, c in a.coeffs.items()})
     assert again == a and again.order == a.order and again.coeffs == a.coeffs
 
 
@@ -396,7 +407,7 @@ def _in_basis(m, e):
 
 
 def _assert_minimal_canonical(value, order, terms):
-    m, coeffs = value.order, value.coeffs
+    m, coeffs = value.order, {e: Fraction(c, value.denom) for e, c in value.coeffs.items()}
     assert m % 4 != 2
     assert abs(_float_value(m, coeffs) - _float_value(order, terms)) < 1e-9
     assert all(c and 0 <= e < m and _in_basis(m, e) for e, c in coeffs.items())
@@ -421,7 +432,8 @@ def test_lifting_to_a_multiple_keeps_the_canonical_form(n):
             terms = _random_terms(rng, d)
             here = Cyclotomic(d, terms)
             lifted = Cyclotomic(n, {e * (n // d): c for e, c in terms.items()})
-            assert (lifted.order, lifted.coeffs) == (here.order, here.coeffs)
+            assert ((lifted.order, lifted.denom, lifted.coeffs)
+                    == (here.order, here.denom, here.coeffs))
             _assert_minimal_canonical(lifted, d, terms)
 
 
@@ -484,7 +496,7 @@ def _sum_by_constructor(xs):
     for x in xs:
         for e, c in x.coeffs.items():
             key = e * (order // x.order)
-            terms[key] = terms.get(key, 0) + c
+            terms[key] = terms.get(key, 0) + Fraction(c, x.denom)
     return Cyclotomic(order, terms)
 
 
@@ -552,7 +564,7 @@ def test_images_are_one_residue_list_per_prime():
         assert len(images.primes) >= 3
         for (p, w), residues in zip(images.primes, images.residues):
             powers = {e: pow(w, e, p) for e in range(images.order)}
-            expected = [sum(c.numerator * pow(c.denominator, -1, p)
+            expected = [sum(c * pow(v.denom, -1, p)
                             * powers[e * images.order // v.order] for e, c in v.coeffs.items())
                         for v in values]
             assert residues == [x % p for x in expected]

@@ -1,5 +1,6 @@
 """Datum model: validation, charge conjugation, quantum dimensions."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -277,6 +278,20 @@ def test_validate_images_s_once(monkeypatch):
     assert len(kernel.lifts) == 6
     assert kernel.order == 24 and len(kernel.primes) == 1
     assert [len(values) for values in kernel.residues] == [6]
+
+
+def test_validate_counts_unknowns_without_allocating_per_cell():
+    # A header-only file at the module cap leaves all 1024^2 cells unknown;
+    # one (i, j) tuple per cell would peak near 100 MB.
+    datum = datum_from_file(parse_file(f"[header]\nmodules = {mdf.MAX_MODULES}\n"))
+    tracemalloc.start()
+    try:
+        report = validate(datum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.unknown_count == mdf.MAX_MODULES ** 2
+    assert peak < 1 << 20
 
 
 def test_qdims_not_checked_without_a_vacuum_entry():
