@@ -16,7 +16,10 @@ exact Gaussian elimination with symmetry-folded unknowns.
 A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
-One generator, ``_relations``, evaluates the right-hand sides.  The system
+One generator, ``_relations``, yields each right-hand side as weighted pairs
+(P[l,j], b[j,m]), and each consumer appends its known entries weighted by
+-b[l,k] and sums once through ``cyclo.weighted_sum``, so no integer weight
+becomes a cyclotomic and no product is canonicalized on its own.  The system
 consumes every relation.  The relations of single-module rows (branching
 {m: 1}) give S entries outright; where such an entry is known, a failed
 check is also an anti-typo audit finding, worded as a derived-versus-shipped
@@ -27,12 +30,11 @@ conflict.  ``complete`` takes the audit from that one pass, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
 from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
-                    eliminate, exact_sum, inverse)
+                    eliminate, inverse, weighted_sum)
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
@@ -58,7 +60,7 @@ def _occurrences(section: BranchingSection, size: int) -> list[list[tuple[int, i
 
 def _relations(parents: list[BranchingSection], size: int, singles_only: bool = False):
     """Every relation sum_k b[l,k] S[k,m] = sum_j P[l,j] b[j,m], one per parent row l
-    and orbifold column m, as (label, b[l,.], m, [P[l,j] * b[j,m] for each j]).
+    and orbifold column m, as (label, b[l,.], m, [(P[l,j], b[j,m]) for each j]).
 
     With ``singles_only`` only the rows b[l,.] = {r: 1} are generated: their
     relations read S[r,m] straight off the parent side.
@@ -72,7 +74,7 @@ def _relations(parents: list[BranchingSection], size: int, singles_only: bool = 
             row = parent.s[l]
             for m in range(size):
                 yield (f"{section.parent}:module{l}:col{m}", terms, m,
-                       [row[j] * bjm for j, bjm in occurrences[m]])
+                       [(row[j], bjm) for j, bjm in occurrences[m]])
 
 
 def _fold(i: int, j: int) -> tuple[int, int]:
@@ -116,15 +118,15 @@ def assemble_system(parents: list[BranchingSection],
         system.check_failures.append(
             f"modules {missing} never appear in any parent decomposition")
     for label, terms, m, residual in _relations(parents, n):
-        coeffs: dict[tuple[int, int], Fraction] = {}
+        coeffs: dict[tuple[int, int], int] = {}
         for k, blk in sorted(terms.items()):
             value = _entry(target, k, m)
             if value is None:
                 key = _fold(k, m)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + blk
+                coeffs[key] = coeffs.get(key, 0) + blk
             else:
-                residual.append(value * -blk)
-        rhs = exact_sum(residual)
+                residual.append((value, -blk))
+        rhs = weighted_sum(residual)
         if coeffs:
             system.equations.append((coeffs, rhs, (label,)))
         elif rhs.is_zero():
@@ -187,12 +189,12 @@ def check_derived_rows(parents: list[BranchingSection],
     overwritten).  This is the dataset's anti-typo audit.
     """
     report = DeriveReport()
-    for label, terms, m, products in _relations(parents, target.size, singles_only=True):
+    for label, terms, m, pairs in _relations(parents, target.size, singles_only=True):
         (r,) = terms
         shipped = _entry(target, r, m)
         report.entries_checked += 1
         if shipped is not None:
-            residual = exact_sum(products + [-shipped])
+            residual = weighted_sum(pairs + [(shipped, -1)])
             if residual:
                 report.conflicts.append(_conflict(label, r, m, shipped, residual))
     return report
@@ -213,7 +215,8 @@ def complete(target: ModularDatum, parents: list[BranchingSection]) -> Completio
 def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cyclotomic):
     """The eigenvalue relations of column s, as ``cyclo.eliminate`` rows, one
     per recorded product (a, b) in sorted order; built as they are read, each
-    chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it."""
+    chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it.  Fusion
+    multiplicities stay integer coefficients and weights."""
     chi = lru_cache(maxsize=None)(lambda r: target.entry(r, s) * inv0)
     for (a, b), terms in sorted(products.items()):
         # The eigenvalue relation sum_k N[a,b]^k chi_s(k) = chi_s(a) chi_s(b)
@@ -223,14 +226,13 @@ def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cycl
         b_unknown = b in missing
         if not b_unknown and not any(k in missing for k in terms):
             continue
-        coeffs = {k: Cyclotomic.from_rational(mult)
-                  for k, mult in terms.items() if k in missing}
-        residual = [chi(k) * -mult for k, mult in terms.items() if k not in missing]
+        coeffs = {k: mult for k, mult in terms.items() if k in missing}
+        residual = [(chi(k), -mult) for k, mult in terms.items() if k not in missing]
         if b_unknown:
-            coeffs[b] = coeffs.get(b, Cyclotomic.zero()) - chi(a)
+            coeffs[b] = coeffs.get(b, 0) - chi(a)
         else:
-            residual.append(chi(a) * chi(b))
-        yield coeffs, exact_sum(residual), (f"N[{a},{b}] col{s}",)
+            residual.append((chi(a) * chi(b), 1))
+        yield coeffs, weighted_sum(residual), (f"N[{a},{b}] col{s}",)
 
 
 def _solve_prefix(relations, missing: list) -> dict:

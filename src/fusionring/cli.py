@@ -100,7 +100,11 @@ def cmd_complete(args) -> int:
     if args.cross_check == "eigen":
         fixtures_text = _read_text(args.fixtures or "@s4_fixtures")
         fixtures = parse_file(fixtures_text).fixtures
-        eigen = eigen_complete(datum, fixtures)
+        try:
+            eigen = eigen_complete(datum, fixtures)
+        except (UnderdeterminedError, InconsistentSystemError) as exc:
+            print(f"error: eigen cross-check: {exc}", file=sys.stderr)
+            return EXIT_COMPLETION
         bad = [(pos, value) for pos, value in sorted(eigen.items())
                if result_datum.entry(*pos) != value]
         if bad:

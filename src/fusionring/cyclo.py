@@ -12,7 +12,11 @@ exponent map there is read at 2n, e -> 2e).  One routine, ``_element``,
 builds every element: ``_canonicalize`` rewrites an integer exponent map
 into the basis and then, in one pass over the primes of the order, drops each
 prime for as long as the element allows (see ``_deflate``), and the common
-factor of the numerators and the denominator is divided out.
+factor of the numerators and the denominator is divided out.  An operator
+never makes a rational operand an element: a product by an ``int`` or
+``Fraction`` scales the numerators and ``denom`` of a form that stays
+canonical, and every sum or difference is one call of the weighted
+accumulation kernel, ``weighted_sum``, in which rationals are weights.
 
 The Zumbroich basis of Q(zeta_n) consists of the roots zeta_n^e whose
 residue at each prime power p^v || n avoids a forbidden digit: writing the
@@ -45,7 +49,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -227,11 +231,12 @@ class Cyclotomic:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            return (self.order, self.denom, self.coeffs) == (other.order, other.denom, other.coeffs)
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return (self.order, self.denom, self.coeffs) == (other.order, other.denom, other.coeffs)
+            return (self.order == 1 and self.denom == other.denominator
+                    and self.coeffs.get(0, 0) == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
@@ -239,17 +244,12 @@ class Cyclotomic:
         return self._hash
 
     # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> Cyclotomic:
-        if isinstance(x, Cyclotomic):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic.from_rational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
+    #
+    # A rational operand is never made an element: it scales the numerators
+    # and ``denom`` of a product, and rides as the weight of one in a sum.
 
     def __add__(self, other) -> Cyclotomic:
-        return exact_sum((self, self._coerce(other)))
+        return weighted_sum(((self, 1), _weighted(other, 1)))
 
     __radd__ = __add__
 
@@ -257,26 +257,29 @@ class Cyclotomic:
         return _element(self.order, {e: -c for e, c in self.coeffs.items()}, self.denom, True)
 
     def __sub__(self, other) -> Cyclotomic:
-        return self + (-self._coerce(other))
+        return weighted_sum(((self, 1), _weighted(other, -1)))
 
     def __rsub__(self, other) -> Cyclotomic:
-        return self._coerce(other) + (-self)
+        return weighted_sum(((self, -1), _weighted(other, 1)))
 
     def __mul__(self, other) -> Cyclotomic:
-        other = self._coerce(other)
-        if other.order == 1:
-            c0 = other.coeffs.get(0)
-            if c0 is None:
-                return Cyclotomic.zero()
-            # A nonzero rational multiple of a canonical form is canonical.
-            return _element(self.order, {e: c * c0 for e, c in self.coeffs.items()},
-                            self.denom * other.denom, True)
-        if self.order == 1:
+        if isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
+        elif not isinstance(other, Cyclotomic):
+            return NotImplemented
+        elif other.order == 1:
+            num, den = other.coeffs.get(0, 0), other.denom
+        elif self.order == 1:
             return other.__mul__(self)
-        n = lcm(self.order, other.order)
-        terms = _convolve(_lift_into({}, self, n, self.denom),
-                          _lift_into({}, other, n, other.denom), n)
-        return _element(n, terms, self.denom * other.denom)
+        else:
+            n = lcm(self.order, other.order)
+            terms = _convolve(_lift_into({}, self, n, 1), _lift_into({}, other, n, 1), n)
+            return _element(n, terms, self.denom * other.denom)
+        if not num:
+            return Cyclotomic.zero()
+        # A nonzero rational multiple of a canonical form is canonical.
+        return _element(self.order, {e: c * num for e, c in self.coeffs.items()},
+                        self.denom * den, True)
 
     __rmul__ = __mul__
 
@@ -293,10 +296,14 @@ class Cyclotomic:
         return acc
 
     def __truediv__(self, other) -> Cyclotomic:
-        return self * inverse(self._coerce(other))
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        return self * inverse(other)
 
     def __rtruediv__(self, other) -> Cyclotomic:
-        return self._coerce(other) * inverse(self)
+        return inverse(self) * other
 
     # -- presentation ------------------------------------------------------
 
@@ -327,12 +334,15 @@ def _element(order: int, terms: dict[int, int], denom: int, canonical: bool = Fa
 # -- the exact accumulation kernel --------------------------------------------
 #
 # Every sum of many cyclotomic terms (matrix products, Verlinde sums, global
-# dimensions, linear residuals) goes through one path: lift the terms once to
-# their common order N over the lcm of their denominators, add them as integer
-# exponent maps in the group ring Z[C_N], and canonicalize once at the end.
-# The reduction Z[C_N] -> Z[zeta_N] is a ring homomorphism, so deferring it
-# gives exactly the element that per-addition canonicalization would, at the
-# price of one canonicalization per result instead of one per addition.
+# dimensions, linear residuals, and every binary + and -) goes through one
+# path: lift the terms once to their common order N over one common
+# denominator, add them as integer exponent maps in the group ring Z[C_N], and
+# canonicalize once at the end.  Each term carries a rational weight, so a sum
+# sum_i w_i v_i with integer multiplicities or signs w_i costs one lift per
+# value and builds no element for w_i or for any product w_i v_i.  The
+# reduction Z[C_N] -> Z[zeta_N] is a ring homomorphism, so deferring it gives
+# exactly the element that per-addition canonicalization would, at the price
+# of one canonicalization per result instead of one per addition.
 
 def _common_order(values) -> int:
     """The least order (never 2 mod 4) at which every value can be written."""
@@ -344,14 +354,10 @@ def _common_order(values) -> int:
 
 
 def _lift_into(dest: dict[int, int], value: Cyclotomic, order: int,
-               denom: int) -> dict[int, int]:
-    """dest += value * denom as an integer exponent map at ``order``.
-
-    ``order`` must be a multiple of ``value.order`` and ``denom`` of
-    ``value.denom``.
-    """
+               scale: int) -> dict[int, int]:
+    """dest += scale * (the numerators of value) as an integer exponent map at
+    ``order``, a multiple of ``value.order``."""
     step = order // value.order
-    scale = denom // value.denom
     get = dest.get
     for e, c in value.coeffs.items():
         e *= step
@@ -375,17 +381,36 @@ def _convolve(a: dict[int, int], b: dict[int, int], order: int) -> dict[int, int
     return acc
 
 
+def weighted_sum(pairs) -> Cyclotomic:
+    """The exact sum of w * v over (Cyclotomic v, int or Fraction w) pairs,
+    canonicalized once."""
+    pairs = [(v, w) for v, w in pairs if w and v.coeffs]
+    if not pairs:
+        return Cyclotomic.zero()
+    if len(pairs) == 1:
+        v, w = pairs[0]
+        return v if w == 1 else v * w
+    order = _common_order(v for v, _ in pairs)
+    denoms = [v.denom * w.denominator for v, w in pairs]
+    denom = lcm(*denoms)
+    acc: dict[int, int] = {}
+    for (v, w), d in zip(pairs, denoms):
+        _lift_into(acc, v, order, denom // d * w.numerator)
+    return _element(order, acc, denom)
+
+
 def exact_sum(values) -> Cyclotomic:
     """The exact sum of cyclotomic values, canonicalized once."""
-    values = [v for v in values if v.coeffs]
-    if len(values) < 2:
-        return values[0] if values else Cyclotomic.zero()
-    order = _common_order(values)
-    denom = lcm(*(v.denom for v in values))
-    acc: dict[int, int] = {}
-    for v in values:
-        _lift_into(acc, v, order, denom)
-    return _element(order, acc, denom)
+    return weighted_sum(zip(values, repeat(1)))
+
+
+def _weighted(x, weight) -> tuple[Cyclotomic, int | Fraction]:
+    """x times weight as a ``weighted_sum`` pair; a rational x is a weight on one."""
+    if isinstance(x, Cyclotomic):
+        return x, weight
+    if isinstance(x, (int, Fraction)):
+        return Cyclotomic.one(), x * weight
+    raise TypeError(f"cannot add {type(x).__name__} to Cyclotomic")
 
 
 # -- images in split prime fields ---------------------------------------------
@@ -479,7 +504,8 @@ class Images:
         self.index = {v: i for i, v in enumerate(dict.fromkeys(values))}
         order = self.order = _common_order(self.index)
         denom = self.denom = lcm(*(v.denom for v in self.index))
-        self.lifts = [list(_lift_into({}, v, order, denom).items()) for v in self.index]
+        self.lifts = [list(_lift_into({}, v, order, denom // v.denom).items())
+                      for v in self.index]
         self.norms = [sum(abs(c) for _, c in lift) for lift in self.lifts]
         self._exponents = {e for lift in self.lifts for e, _ in lift}
         limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
@@ -588,7 +614,7 @@ def sqrt_int(m: int) -> Cyclotomic:
 
 def _sqrt_prime(p: int) -> Cyclotomic:
     if p == 2:
-        return root_of_unity(8, 1) + root_of_unity(8, 7)
+        return Cyclotomic(8, {1: 1, 7: 1})
     terms: dict[int, int] = {}
     for a in range(p):
         e = (a * a) % p
@@ -614,7 +640,7 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     if a.is_zero():
         raise ZeroDivisionError("division by zero cyclotomic")
     if a.order == 1:
-        return Cyclotomic.from_rational(Fraction(a.denom, a.coeffs[0]))
+        return Cyclotomic.one() * Fraction(a.denom, a.coeffs[0])
     n = a.order
     others = [conj(a)]
     if others[0] == a:

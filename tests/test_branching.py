@@ -120,6 +120,29 @@ def test_system_shape(s4):
     assert len(system.equations) == 126
 
 
+def test_branching_weights_stay_integers(s4, monkeypatch):
+    # Multiplicities, signs and integer pivots reach the accumulation kernel as
+    # plain numbers: no stage turns a rational into an element, and no sum is
+    # built one pair at a time.
+    datum, parents, fixtures = s4
+    calls = []
+
+    def counted(name, func):
+        return lambda *args: calls.append(name) or func(*args)
+
+    monkeypatch.setattr(Cyclotomic, "from_rational",
+                        staticmethod(counted("from_rational", Cyclotomic.from_rational)))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Cyclotomic, name, counted(name, getattr(Cyclotomic, name)))
+    report = check_derived_rows(parents, datum)
+    system = assemble_system(parents, datum)
+    eigen = eigen_complete(datum, fixtures)
+    assert calls == []
+    assert (report.entries_checked, report.conflicts) == (1120, [])
+    assert (len(system.equations), system.checks_passed, len(system.unknowns)) == (126, 1498, 28)
+    assert len(eigen) == 49
+
+
 def test_fully_known_datum_gives_empty_system(s4_completed, s4):
     _, parents, _ = s4
     system = assemble_system(parents, s4_completed)

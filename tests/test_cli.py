@@ -156,6 +156,26 @@ def test_complete_eigen_cross_check(capsys):
     assert "49 entries agree" in err
 
 
+def test_eigen_cross_check_failure_names_its_route(tmp_path, capsys):
+    # The branching completion succeeds; only the eigen route fails, and its
+    # error says so.  No fixtures leave column 1 free; 9 x 11 gaining the
+    # channel 1 contradicts the relations of column 1.
+    from fusionring.s4_dataset import data_path
+
+    fixtures = tmp_path / "tampered.mdf"
+    fixtures.write_text(data_path("s4_fixtures.mdf").read_text().replace(
+        "9 x 11 = 3 + ", "9 x 11 = 1 + 3 + "))
+    free = "system leaves unknowns free: [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]"
+    contradiction = ("contradictory relations (residual -1): ['N[8,1] col1', 'N[8,3] col1', "
+                     "'N[8,4] col1', 'N[8,5] col1', 'N[8,7] col1', 'N[9,11] col1']")
+    for path, message in (("/dev/null", free), (str(fixtures), contradiction)):
+        code, out, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
+                             "--cross-check", "eigen", "--fixtures", path)
+        assert code == 3 and out == ""
+        assert err == ("# solved 28 unknown entries; 1498 relations verified\n"
+                       f"error: eigen cross-check: {message}\n")
+
+
 def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
     # A 6-module lattice datum with S[1,2] = S[2,1] hidden, completed from
     # itself; the default fixtures belong to the 28-module dataset.

@@ -16,7 +16,7 @@ from fusionring.mdf import MAX_ORDER
 from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
                               UnderdeterminedError, conj, eliminate, embed,
                               exact_sum, format_exact, galois, inverse, is_real,
-                              root_of_unity, sqrt_int)
+                              root_of_unity, sqrt_int, weighted_sum)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -517,6 +517,75 @@ def test_exact_sum_edge_cases():
     assert exact_sum([x, -x, Cyclotomic.zero()]).is_zero()
     # 1 + zeta_5 + ... + zeta_5^4 = 0, and the result drops to order 1.
     assert exact_sum([root_of_unity(5, e) for e in range(5)]).order == 1
+
+
+def _weighted_by_constructor(pairs):
+    """Oracle: sum w * x as raw Fraction exponent maps at the lcm of the
+    orders, canonicalized through the constructor."""
+    order = math.lcm(1, *(x.order for x, _ in pairs))
+    terms = {}
+    for x, w in pairs:
+        for e, c in x.coeffs.items():
+            key = e * (order // x.order)
+            terms[key] = terms.get(key, 0) + Fraction(c, x.denom) * w
+    return Cyclotomic(order, terms)
+
+
+def _assert_same(fast, slow):
+    assert isinstance(fast, Cyclotomic)
+    assert (fast.order, fast.coeffs, fast.denom) == (slow.order, slow.coeffs, slow.denom)
+    assert hash(fast) == hash(slow)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements(), elements(), st.integers(-6, 6),
+       st.fractions(-5, 5, max_denominator=6))
+def test_rational_fast_paths_match_the_coerced_path(x, y, n, q):
+    # A rational operand scales numerators and denominator, and a difference
+    # is one weighted lift; each must give the element the coerced path gives.
+    coerced = Cyclotomic.from_rational
+    for fast, slow, pairs in [
+            (x * n, x * coerced(n), [(x, n)]),
+            (n * x, coerced(n) * x, [(x, n)]),
+            (x * q, x * coerced(q), [(x, q)]),
+            (q * x, coerced(q) * x, [(x, q)]),
+            (x * 0, x * coerced(0), []),
+            (x * True, x * coerced(1), [(x, 1)]),
+            (x - y, exact_sum([x, -y]), [(x, 1), (y, -1)]),
+            (y - x, exact_sum([y, -x]), [(y, 1), (x, -1)]),
+            (0 - x, -x, [(x, -1)]),
+            (q - x, exact_sum([coerced(q), -x]), [(coerced(q), 1), (x, -1)]),
+            (x - q, exact_sum([x, -coerced(q)]), [(x, 1), (coerced(q), -1)])]:
+        _assert_same(fast, slow)
+        _assert_same(fast, _weighted_by_constructor(pairs))
+    if n:
+        _assert_same(x / n, x * inverse(coerced(n)))
+    if q:
+        _assert_same(x / q, x * inverse(coerced(q)))
+    if x:
+        _assert_same(q / x, coerced(q) * inverse(x))
+    for r in (n, q, x.as_rational() if x.order == 1 else 0):
+        assert (x == r) is (x == coerced(r))
+        assert (x == r) is (x.order == 1 and x.as_rational() == r)
+        assert coerced(r) == r
+
+
+def test_division_by_a_zero_rational_raises():
+    with pytest.raises(ZeroDivisionError):
+        root_of_unity(3) / 0
+    with pytest.raises(ZeroDivisionError):
+        root_of_unity(3) / Fraction(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(elements(), st.integers(-3, 3)), max_size=6), st.data())
+def test_weighted_sum_matches_the_constructor(pairs, data):
+    # Zero, negative and repeated weights, and the same value twice.
+    if pairs:
+        pairs.append(data.draw(st.sampled_from(pairs)))
+    pairs.append((data.draw(elements()), 0))
+    _assert_same(weighted_sum(pairs), _weighted_by_constructor(pairs))
+    _assert_same(weighted_sum(pairs), exact_sum([x * w for x, w in pairs]))
 
 
 # -- images in split prime fields ---------------------------------------------
