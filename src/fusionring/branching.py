@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
-                    eliminate, inverse, weighted_sum)
+                    eliminate, weighted_sum)
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
@@ -252,7 +252,7 @@ def _solve_prefix(relations, missing: list) -> dict:
 
 def _eigen_columns(target: ModularDatum, products, solve) -> dict[tuple[int, int], Cyclotomic]:
     """The unknown entries of every column, in order, each column's relations
-    solved by ``solve(relations, missing)``."""
+    solved by ``solve(relations, missing)``; 1/S[0,s] is ``target.vacuum_inverse(s)``."""
     n = target.size
     out: dict[tuple[int, int], Cyclotomic] = {}
     for s in range(n):
@@ -260,7 +260,7 @@ def _eigen_columns(target: ModularDatum, products, solve) -> dict[tuple[int, int
         if not missing:
             continue
         s00 = target.entry(0, s)
-        relations = _eigen_rows(target, products, s, set(missing), inverse(s00))
+        relations = _eigen_rows(target, products, s, set(missing), target.vacuum_inverse(s))
         try:
             values = solve(relations, missing)
         except UnderdeterminedError:
@@ -284,14 +284,14 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     Each column is solved from the shortest prefix of len(missing) * 2^t of
     its relations that pins every unknown.  The rest are certified at once:
     on S' = S with those values, ``verlinde._reproduces`` checks that the
-    Verlinde engine of S' certifies every recorded product as its row, which
-    proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] at every column,
-    hence every relation of every column.  On any failure -- a prefix
-    contradicts itself or runs out of relations, or a recorded product is
-    not the certified row, or S' fails its Galois check or S'^2 = C, or has
-    no usable prime -- every column eliminates all its relations, in order,
-    so the result and every error are those of full elimination.  The route
-    reads fixtures and shipped entries only.
+    engine of S' (``ModularDatum.engine``) certifies every recorded product
+    as its row, which proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s]
+    at every column, hence every relation of every column.  On any failure
+    -- a prefix contradicts itself or runs out of relations, or a recorded
+    product is not the certified row, or S' fails its Galois check or
+    S'^2 = C, or has no usable prime -- every column eliminates all its
+    relations, in order, so the result and every error are those of full
+    elimination.  The route reads fixtures and shipped entries only.
     """
     check_fixture_range(fixtures, target.size)
     products: dict[tuple[int, int], dict[int, int]] = {}

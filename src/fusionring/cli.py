@@ -83,6 +83,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    # The shipped fixtures describe the shipped datum only.
+    fixtures_spec = args.fixtures or ("@s4_fixtures" if args.file == "@s4" else None)
+    if args.cross_check == "eigen" and fixtures_spec is None:
+        print("error: --cross-check eigen needs --fixtures for a datum other than @s4",
+              file=sys.stderr)
+        return EXIT_USAGE
     datum, df = _load_datum(args.file)
     if not args.parents:
         if not datum.fully_known():
@@ -98,8 +104,7 @@ def cmd_complete(args) -> int:
         print(f"# solved {len(result.solved)} unknown entries; "
               f"{result.checks_passed} relations verified", file=sys.stderr)
     if args.cross_check == "eigen":
-        fixtures_text = _read_text(args.fixtures or "@s4_fixtures")
-        fixtures = parse_file(fixtures_text).fixtures
+        fixtures = parse_file(_read_text(fixtures_spec)).fixtures
         try:
             eigen = eigen_complete(datum, fixtures)
         except (UnderdeterminedError, InconsistentSystemError) as exc:
@@ -212,7 +217,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--parents", help="comma-separated branching files")
     p.add_argument("--cross-check", choices=["eigen"], dest="cross_check")
-    p.add_argument("--fixtures", help="fixture file for the eigen cross-check")
+    p.add_argument("--fixtures", help="eigen cross-check fixtures (@s4_fixtures for @s4)")
     p.add_argument("-o", "--output", help="write the completed datum here")
 
     p = add("fuse", cmd_fuse, "fusion product of two irreducibles")

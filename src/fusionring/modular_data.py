@@ -6,11 +6,12 @@ datum file) and a square matrix of exact cyclotomic entries, possibly partial
 file-format convention.  Validation reports problems instead of raising,
 because shipped datasets may be deliberately partial and discrepancies are
 data, not crashes; only recorded qdims are enforced on load.
-``validate`` certifies S^2 = C from the datum's one image of S per split
-prime (``ModularDatum.images``), which the Verlinde tensor and the ring check
-read too, once ``galois_permutations`` shows S^2 rational, and sums a row
-exactly only when its images do not certify it.  Once S^2 = C holds,
-S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is decided from it.
+A datum's one certificate engine (``ModularDatum.engine``) is the only
+product of its one image of S per split prime; ``validate`` reads S^2 = C off
+its vacuum-pair rows (i, 0), as the Verlinde tensor reads its other rows.
+Once S^2 = C holds, S^-1[i,j] = S[i,j'] is known entry by entry, and
+unitarity is decided from it.  Each 1/S[0,s] is inverted once per datum
+(``ModularDatum.vacuum_inverse``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class ModularDatum:
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
         self._conjugation: list[int] | None = None  # set by charge_conjugation
-        self._engine = None  # set by verlinde._engine
+        self._inverses: dict[Cyclotomic, Cyclotomic] = {}  # filled by vacuum_inverse
 
     @property
     def size(self) -> int:
@@ -96,16 +97,23 @@ class ModularDatum:
     @cached_property
     def images(self) -> cyclo.Images:
         """The known entries of S in one ``cyclo.Images``, one summand per
-        module, built at most once per datum and read by every certificate
-        once ``galois`` passes, so each prime images each entry once."""
+        module, built at most once per datum and read by ``engine`` once
+        ``galois`` passes, so each prime images each entry once."""
         return cyclo.Images([v for row in self.s for v in row if v is not None],
                             summands=self.size)
 
-    def as_matrix(self, values: list) -> list[list]:
-        """``values``, one per distinct entry in ``images.index`` order, laid
-        out as S, with None at the unknown entries."""
-        index = self.images.index
-        return [[None if v is None else values[index[v]] for v in row] for row in self.s]
+    @cached_property
+    def engine(self) -> "_Engine":
+        """The datum's one certificate engine over ``computable_indices(self)``,
+        built at most once; none is kept if building raises."""
+        return _Engine(self, computable_indices(self))
+
+    def vacuum_inverse(self, s: int) -> Cyclotomic:
+        """1/S[0,s], each distinct vacuum entry inverted at most once per datum."""
+        value = self.entry(0, s)
+        if value not in self._inverses:
+            self._inverses[value] = inverse(value)
+        return self._inverses[value]
 
     def with_entries(self, new_entries: dict[tuple[int, int], Cyclotomic]) -> "ModularDatum":
         """A copy with additional entries filled in."""
@@ -118,11 +126,10 @@ class ModularDatum:
 # -- derived quantities ------------------------------------------------------
 
 def quantum_dimensions(datum: ModularDatum) -> list[Cyclotomic | None]:
-    """Every quantum dimension, inverting S[0,0] once; None where S[i,0] is unknown."""
-    denom = datum.entry(0, 0)
-    if denom.is_zero():
+    """Every quantum dimension, by ``datum.vacuum_inverse(0)``; None where S[i,0] is unknown."""
+    if datum.entry(0, 0).is_zero():
         raise ZeroDivisionError("S[0,0] = 0")
-    inv = inverse(denom)
+    inv = datum.vacuum_inverse(0)
     return [None if row[0] is None else row[0] * inv for row in datum.s]
 
 
@@ -150,12 +157,12 @@ def charge_conjugation(datum: ModularDatum) -> list[int]:
     n = datum.size
     perm = [-1] * n
     for i, row in enumerate(_s_squared_rows(datum)):
-        for j, v in enumerate(row):
+        for j, v in row:
             if v == 1:
                 if perm[i] != -1:
                     raise NotPermutationError(f"row {i} of S^2 has two unit entries")
                 perm[i] = j
-            elif not v.is_zero():
+            elif v:
                 raise NotPermutationError(f"S^2[{i},{j}] = {format_brief(v)} is neither 0 nor 1")
         if perm[i] == -1:
             raise NotPermutationError(f"row {i} of S^2 has no unit entry")
@@ -224,39 +231,103 @@ def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
 
 
 def _s_squared_rows(datum: ModularDatum):
-    """The rows of S^2 in order, each certified 0/1 from images or summed exactly.
+    """The rows i of S^2, as pairs (j, S^2[i,j]), off ``datum.engine`` or exact.
 
-    The Galois permutations of all of S make S^2 rational.  With x = D S lifted
-    to Z[C_N] (``ModularDatum.images``), D^2 S^2[i,j] - c D^2, c in {0, 1}, has
-    l1 norm at most B = sum_s max_i |x[i,s]|_1 max_j |x[s,j]|_1 + D^2, so for
-    primes whose product exceeds 4B a row whose images lift to 0 or 1 is
-    exact.  Any other row, and every row without the permutations or a usable
-    prime, is summed exactly, so it reports its exact value.
-    """
-    n = datum.size
-    everything = range(n)
-    chosen = []
-    # The Galois check covers the dual columns, all of S once they are a permutation.
-    if sorted(datum.dual_permutation()) == list(everything) and datum.galois is not None:
-        images = datum.images
-        norms = datum.as_matrix(images.norms)
-        bound = images.denom ** 2 + sum(max(row[s] for row in norms) * max(norms[s])
-                                        for s in everything)
-        for p, x in images.choose_primes(4 * bound):
-            rows = datum.as_matrix(x)
-            chosen.append((p, rows, [cyclo.pack(row) for row in rows]))
-    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    As S[0,s] / S[0,s] = 1, the engine's row for the pair (i, 0) is
+    sum_s S[i,s] S[s,k'] = S^2[i,k'] at module k, with no C assumed.  A row
+    it does not certify as 0s and 1s, and every row when the dual labels are
+    not a permutation or S[0,s] = 0 leaves no engine, is summed exactly,
+    entry by entry, so it reports its exact value."""
+    everything = range(datum.size)
+    engine = None
+    if sorted(datum.dual_permutation()) == list(everything):
+        try:
+            engine = datum.engine
+        except ZeroDivisionError:
+            pass
     times = lru_cache(maxsize=None)(mul)
     for i in everything:
-        if chosen:
-            row = cyclo.combine([p for p, _, _ in chosen],
-                                (cyclo.packed_product(rows[i], packed, n, p)
-                                 for p, rows, packed in chosen))
-            if all(c <= 1 for c in row):
-                yield [one if c else zero for c in row]
-                continue
-        yield [cyclo.exact_sum([times(datum.s[i][s], datum.s[s][j]) for s in everything])
-               for j in everything]
+        row = engine.certified(i, 0) if engine else []
+        if row and max(row) <= 1:
+            yield zip(engine.cols, row)
+        else:
+            yield ((j, cyclo.exact_sum([times(datum.s[i][s], datum.s[s][j]) for s in everything]))
+                   for j in everything)
+
+
+class _Engine:
+    """The certified Verlinde rows N[i,j]^k, k in ``indices``, of
+    ``ModularDatum.engine``; it holds ``datum.s``, not the datum, so the two
+    form no cycle.  A row is certified from the datum's one image of S
+    (``ModularDatum.images``), never by canonicalizing a coefficient.  The
+    Galois permutations (``ModularDatum.galois``, on the rows 0 and
+    ``indices`` and the dual columns of ``indices``) make every N[i,j]^k
+    rational, the sign of column s cancelling in S[i,s] S[j,s] S[s,k'] / S[0,s].
+    Over the denominators D of S and D_inv of the vacuum inverses, the sum
+    over s of the lifts of (D S[i,s]) (D S[j,s]) (D_inv / S[0,s]) (D S[s,k'])
+    to Z[C_N] reduces to D^3 D_inv N[i,j]^k, with l1 norm at most
+    B = sum_s max_i |D S[i,s]|_1^2 |D_inv / S[0,s]|_1 max_k |D S[s,k']|_1.
+    At primes p = 1 mod N dividing neither D nor D_inv, whose product P
+    exceeds 4B, N[i,j]^k images to c = sum_s x(i,s) x(j,s) y(s) x(s,k'),
+    x the image of S and y(s) = x(0,s)^-1; lifted to 0..P-1,
+    0 <= c <= B / (D^3 D_inv) certifies N[i,j]^k = c, and any other c that
+    it is not a nonnegative integer.  Certified rows are cached by the images
+    of S[i,s] S[j,s]; callers get copies.  ``times`` memoizes the products of
+    exact sums of other rows."""
+
+    def __init__(self, datum: ModularDatum, indices: list[int]):
+        self.s, self.indices = datum.s, indices
+        dual = datum.dual_permutation()
+        cols = self.cols = [dual[k] for k in indices]
+        for s in range(datum.size):
+            if datum.entry(0, s).is_zero():  # MissingEntryError at a hole
+                raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
+        self.inverses = [datum.vacuum_inverse(s) for s in range(datum.size)]
+        self.times = lru_cache(maxsize=None)(mul)
+        self._row_cache: dict = {}
+        self.primes: list[int] = []
+        if datum.galois is None:
+            return
+
+        images = datum.images
+
+        def as_matrix(values):  # one value per entry of ``images``, laid out as S
+            return [[None if v is None else values[images.index[v]] for v in row]
+                    for row in datum.s]
+
+        norms = as_matrix(images.norms)
+        d_inv = lcm(*(v.denom for v in self.inverses))
+        bound = sum(max((norms[i][s] for i in indices), default=0) ** 2
+                    * sum(map(abs, inv.coeffs.values())) * (d_inv // inv.denom)
+                    * max((norms[s][c] for c in cols), default=0)
+                    for s, inv in enumerate(self.inverses))
+        self.max_coeff = bound // (images.denom ** 3 * d_inv)
+        chosen = images.choose_primes(4 * bound, avoid=d_inv)
+        self.primes = [p for p, _ in chosen]
+        # Per prime, the rows of S, and for each s the images y(s) x(s,k')
+        # packed into one integer with a 64-bit slot per k, so one row costs
+        # n small modular products and one sum of n packed products.
+        self._rows = [as_matrix(x) for _, x in chosen]
+        self._packed = [[cyclo.pack([y * row[c] % p for c in cols])
+                         for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)]
+                        for p, rows in zip(self.primes, self._rows)]
+
+    def certified(self, i: int, j: int) -> list[int]:
+        """All N[i,j]^k for k in ``indices``, in index order, if the images
+        certify them, else []."""
+        if not self.primes:
+            return []
+        pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
+                 for p, rows in zip(self.primes, self._rows)]
+        key = tuple(map(cyclo.pack, pairs))
+        out = self._row_cache.get(key)
+        if out is None:
+            out = cyclo.combine(self.primes, (
+                cyclo.packed_product(pair, packed, len(self.indices), p)
+                for pair, packed, p in zip(pairs, self._packed, self.primes)))
+            # A lift above the bound is negative or not an integer: [].
+            out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+        return out[:]
 
 
 # -- validation --------------------------------------------------------------

@@ -13,30 +13,27 @@ block of a partial one, so the same call certifies a completed datum and
 checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
-Coefficients are certified from the datum's one image of S modulo each
-prime p = 1 mod N (``ModularDatum.images``), once the Galois symmetry of S
-(``ModularDatum.galois``) makes each one rational; no float is consulted,
-and a coefficient that fails is summed exactly, so its error carries its
-exact value (see ``_Engine``).  One engine per datum serves ``fusion_tensor``,
-``fusion_product`` and ``check_ring``, which certifies qdim multiplicativity
-and associativity when the engine reproduces every row of the tensor
-(``_reproduces``), and otherwise compares qdims exactly and searches for a
-non-associative quadruple directly.
+Coefficients are certified by the datum's one engine (``ModularDatum.engine``,
+which certifies S^2 = C too) from its image of S modulo primes p = 1 mod N;
+no float is consulted, and a row that fails is summed exactly, so its error
+carries its exact value (``_row_for_pair``).  The engine serves
+``fusion_tensor``, ``fusion_product`` and ``check_ring``, which certifies
+qdim multiplicativity and associativity when the engine reproduces every
+row of the tensor (``_reproduces``), and otherwise compares qdims exactly
+and searches for a non-associative quadruple directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from . import cyclo
-from .cyclo import Cyclotomic, format_brief, inverse
+from .cyclo import Cyclotomic, format_brief
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
 from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError,
-                           charge_conjugation, computable_indices, quantum_dimensions)
+                           charge_conjugation, quantum_dimensions)
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
@@ -109,109 +106,34 @@ def _integer_coeff(value: Cyclotomic, triple) -> int:
     return n
 
 
-class _Engine:
-    """Memoized per-datum quantities for the tensor of ``fusion_tensor``, whose
-    ``indices`` are ``computable_indices(datum)``; ``_engine`` keeps one per
-    datum.  It holds ``datum.s``, not the datum, so the two form no cycle.
-
-    A row is certified from the datum's one image of S (``ModularDatum.images``),
-    never by canonicalizing a coefficient.  The datum's Galois permutations
-    (``ModularDatum.galois``, on the rows 0 and ``indices`` and the dual
-    columns of ``indices``) make every N[i,j]^k rational, the sign of column
-    s cancelling in S[i,s] S[j,s] S[s,k'] / S[0,s].  Over the denominators D
-    of S and D_inv of the vacuum inverses, the sum over s of the lifts of
-    (D S[i,s]) (D S[j,s]) (D_inv / S[0,s]) (D S[s,k']) to Z[C_N] reduces to
-    D^3 D_inv N[i,j]^k, with l1 norm at most B = sum_s max_i |D S[i,s]|_1^2
-    |D_inv / S[0,s]|_1 max_k |D S[s,k']|_1.  At primes p = 1 mod N dividing
-    neither D nor D_inv, whose product P exceeds 4B, N[i,j]^k images to
-    c = sum_s x(i,s) x(j,s) y(s) x(s,k'), x the image of S and
-    y(s) = x(0,s)^-1; lifted to 0..P-1, 0 <= c <= B / (D^3 D_inv) certifies
-    N[i,j]^k = c, and any other c that it is not a nonnegative integer.
-    Certified rows are cached by the images of S[i,s] S[j,s]; callers get copies.
-
-    A row that fails is recomputed with ``cyclo.exact_sum``, which names the
-    first bad triple and its exact value; so is every row when the check
-    fails or no usable prime exists."""
-
-    def __init__(self, datum: ModularDatum, indices: list[int]):
-        self.s, self.indices = datum.s, indices
+def _engine(datum: ModularDatum):
+    """``datum.engine``; ValueError if a full datum passing the Galois check
+    has dual labels other than its C, as the rows read S^-1[s,k] as S[s,k'].
+    Without a C to compare, a bad sum names its own triple."""
+    engine = datum.engine
+    if datum.fully_known() and datum.galois is not None:
         dual = datum.dual_permutation()
-        cols = self.cols = [dual[k] for k in indices]
-        inverses: dict[Cyclotomic, Cyclotomic] = {}
-        for s in range(datum.size):
-            denom = datum.entry(0, s)  # MissingEntryError if the vacuum row has a hole
-            if denom.is_zero():
-                raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
-            if denom not in inverses:
-                # Vacuum-row entries repeat, e.g. S[0,s] = S[0,k-s] for su(2)_k.
-                inverses[denom] = inverse(denom)
-        self.inverses = [inverses[v] for v in datum.s[0]]
-        # The sum reads S^-1[s,k] as S[s,k'], so a full datum's labels must be
-        # C; without a C to compare, a bad sum names its own triple.
-        if datum.fully_known() and datum.galois is not None:
-            try:
-                wrong = [i for i, j in enumerate(charge_conjugation(datum)) if dual[i] != j]
-            except NotPermutationError:
-                wrong = []
-            if wrong:
-                raise ValueError(f"dual labels disagree with S^2 = C at modules {wrong}")
-        self._times = lru_cache(maxsize=None)(mul)
-        self._row_cache: dict = {}
-        self.primes: list[int] = []
-        if datum.galois is None:
-            return
-
-        images = datum.images
-        norms = datum.as_matrix(images.norms)
-        d_inv = lcm(*(v.denom for v in inverses.values()))
-        bound = sum(max((norms[i][s] for i in indices), default=0) ** 2
-                    * sum(map(abs, inv.coeffs.values())) * (d_inv // inv.denom)
-                    * max((norms[s][c] for c in cols), default=0)
-                    for s, inv in enumerate(self.inverses))
-        self.max_coeff = bound // (images.denom ** 3 * d_inv)
-        chosen = images.choose_primes(4 * bound, avoid=d_inv)
-        self.primes = [p for p, _ in chosen]
-        # Per prime, the rows of S, and for each s the images y(s) x(s,k')
-        # packed into one integer with a 64-bit slot per k, so one row costs
-        # n small modular products and one sum of n packed products.
-        self._rows = [datum.as_matrix(x) for _, x in chosen]
-        self._packed = [[cyclo.pack([y * row[c] % p for c in cols])
-                         for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)]
-                        for p, rows in zip(self.primes, self._rows)]
-
-    def certified(self, i: int, j: int) -> list[int]:
-        """The row of ``row_for_pair`` if the images certify it, else []."""
-        if not self.primes:
-            return []
-        pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
-                 for p, rows in zip(self.primes, self._rows)]
-        key = tuple(map(cyclo.pack, pairs))
-        out = self._row_cache.get(key)
-        if out is None:
-            out = cyclo.combine(self.primes, (
-                cyclo.packed_product(pair, packed, len(self.indices), p)
-                for pair, packed, p in zip(pairs, self._packed, self.primes)))
-            # A lift above the bound is negative or not an integer: [].
-            out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
-        return out[:]
-
-    def row_for_pair(self, i: int, j: int) -> list[int]:
-        """All N[i,j]^k for k in the index set, in index order."""
-        out = self.certified(i, j)
-        if out:
-            return out
-        times, s = self._times, self.s
-        pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], self.inverses)]
-        return [_integer_coeff(cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)]),
-                               (i, j, k))
-                for k, c in zip(self.indices, self.cols)]
+        try:
+            wrong = [i for i, j in enumerate(charge_conjugation(datum)) if dual[i] != j]
+        except NotPermutationError:
+            wrong = []
+        if wrong:
+            raise ValueError(f"dual labels disagree with S^2 = C at modules {wrong}")
+    return engine
 
 
-def _engine(datum: ModularDatum) -> _Engine:
-    """The datum's one engine, built at most once; none is kept if building raises."""
-    if datum._engine is None:
-        datum._engine = _Engine(datum, computable_indices(datum))
-    return datum._engine
+def _row_for_pair(engine, i: int, j: int) -> list[int]:
+    """All N[i,j]^k for k in ``engine.indices``, in index order: the engine's
+    certified row, or else the row summed exactly with ``cyclo.exact_sum``,
+    which names the first bad triple and its exact value."""
+    out = engine.certified(i, j)
+    if out:
+        return out
+    times, s = engine.times, engine.s
+    pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], engine.inverses)]
+    return [_integer_coeff(cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)]),
+                           (i, j, k))
+            for k, c in zip(engine.indices, engine.cols)]
 
 
 def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
@@ -231,7 +153,7 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     values = [[[0] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            row = values[a][b] = engine.row_for_pair(indices[a], indices[b])
+            row = values[a][b] = _row_for_pair(engine, indices[a], indices[b])
             values[b][a] = row[:]
     return FusionTensor(indices, values)
 
@@ -251,7 +173,7 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
     engine = _engine(datum)
     if i not in engine.indices or j not in engine.indices:
         raise MissingEntryError(f"rows {i}, {j} are not fully known")
-    return {k: m for k, m in zip(engine.indices, engine.row_for_pair(i, j)) if m}
+    return {k: m for k, m in zip(engine.indices, _row_for_pair(engine, i, j)) if m}
 
 
 # -- ring-property verification ---------------------------------------------

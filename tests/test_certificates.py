@@ -10,20 +10,24 @@ so a fault in the certificates shows as a disagreement.
 import json
 import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from conftest import counted_kernels, relabeled, su2_datum
 
 from fusionring import cyclo, modular_data, verlinde
+from fusionring.cli import main
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
+from fusionring.mdf import serialize
 from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
-                                     NotPermutationError, charge_conjugation, galois_permutations,
-                                     quantum_dimensions, validate)
+                                     NotPermutationError, charge_conjugation, computable_indices,
+                                     datum_to_file, galois_permutations, quantum_dimensions,
+                                     validate)
 from fusionring.verlinde import (FusionTensor, NonIntegerResultError, PropertyReport,
-                                 check_ring, computable_indices, fusion_product,
-                                 fusion_tensor)
+                                 check_ring, fusion_product, fusion_tensor)
 
 
 def with_symmetric(datum, changes):
@@ -156,6 +160,12 @@ def corrupted_data():
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
     labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b")]
     return {
+        # S[0,4] = 0 leaves no engine to read S^2 from: every row is exact.
+        "vacuum zero": with_symmetric(lattice, {(0, 4): lambda v: zero}),
+        # S^2 = [[1, 2], [0, 1]].  Dual labels that are not a permutation lay
+        # out no row of S^2: read through them, row 0 would show 1, 1.
+        "duals not a permutation": ModularDatum(
+            [ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=0)], [[one, one], [zero, one]]),
         "sign flip": with_symmetric(su2, {(2, 5): lambda v: -v}),
         "sign flip, one cell": su2.with_entries({(3, 1): -su2.s[3][1]}),
         "vacuum sign flip": with_symmetric(lattice, {(0, 4): lambda v: -v}),
@@ -176,6 +186,33 @@ def test_corrupted_data_report_the_exact_failure(name):
     report = json.loads(validate(datum).to_json())
     assert (report["square_is_permutation"], report["square_message"]) == (False, expected)
     assert report["unitary"] is None and report["ok"] is False
+
+
+def test_scrambled_dual_labels_are_reported_not_trusted(monkeypatch, tmp_path, capsys):
+    # The dual labels of a relabeled Z_10 shuffled into another permutation:
+    # S^2 = C is still read off the engine's (i, 0) rows through them, so
+    # validate reports each mismatch, and the tensor refuses the labels.
+    datum = relabeled(lattice_modular_data(LatticeSpec(5)), seed=5)
+    truth = charge_conjugation(datum.with_entries({}))
+    duals = truth[:1] + random.Random(5).sample(truth[1:], len(truth) - 1)
+    wrong = [i for i, (d, c) in enumerate(zip(duals, truth)) if d != c]
+    assert wrong
+    scrambled = ModularDatum([replace(lab, dual=d) for lab, d in zip(datum.labels, duals)],
+                             datum.s)
+    summed = []
+    exact = cyclo.exact_sum
+    monkeypatch.setattr(cyclo, "exact_sum", lambda values: summed.append(1) or exact(values))
+    report = validate(scrambled)
+    assert summed == []
+    assert (report.dual_permutation, report.dual_mismatches, report.ok) == (truth, wrong, False)
+    with pytest.raises(ValueError, match=rf"^dual labels disagree with S\^2 = C at modules "
+                                         rf"{re.escape(str(wrong))}$"):
+        fusion_tensor(scrambled)
+    path = tmp_path / "scrambled.mdf"
+    path.write_text(serialize(datum_to_file(scrambled)))
+    assert main(["table", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: dual labels disagree with S^2 = C at modules {wrong}\n")
 
 
 def tensor_rows(values):

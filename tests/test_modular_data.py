@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import counted_kernels, relabeled
+from conftest import counted_kernels, relabeled, su2_datum
 
 from fusionring import mdf
 from fusionring import modular_data as md
@@ -192,7 +192,8 @@ def test_quantum_dimensions_on_partial_data():
         quantum_dimensions(datum)
 
 
-def test_s00_inverted_once_per_datum_loop(monkeypatch):
+def counted_inverses(monkeypatch):
+    """A list that gains each value ``modular_data`` inverts while the patch holds."""
     calls = []
 
     def counting_inverse(value):
@@ -200,11 +201,36 @@ def test_s00_inverted_once_per_datum_loop(monkeypatch):
         return inverse(value)
 
     monkeypatch.setattr(md, "inverse", counting_inverse)
-    datum = lattice_modular_data(LatticeSpec(4))
-    for run in (glob, validate, datum_to_file, quantum_dimensions):
+    return calls
+
+
+def test_s00_inverted_once_per_datum_loop(monkeypatch):
+    # Each distinct S[0,s] is inverted once per datum, whichever of these
+    # runs first needs it: the qdims need S[0,0], the engine every S[0,s].
+    # Every S[0,s] of the lattice datum is 1/sqrt(8); su(2)_6 has four values.
+    calls = counted_inverses(monkeypatch)
+    for datum in (lattice_modular_data(LatticeSpec(4)), su2_datum(6)):
+        distinct = list(dict.fromkeys(datum.s[0]))
         calls.clear()
-        run(datum)
-        assert calls == [datum.s[0][0]], run.__name__
+        glob(datum)
+        assert calls == [datum.s[0][0]]
+        for run in (validate, datum_to_file, quantum_dimensions, fusion_tensor):
+            run(datum)
+            assert calls == distinct, run.__name__
+        # A copy has its own memo.
+        copy = datum.with_entries({})
+        for run in (fusion_tensor, validate, glob):
+            run(copy)
+        assert calls == distinct * 2
+
+
+def test_validate_inverts_a_one_module_vacuum_once(monkeypatch):
+    # S = [[sqrt(1031)]]: the qdims and the engine share the one inversion.
+    calls = counted_inverses(monkeypatch)
+    datum = ModularDatum([ModuleLabel(0, "vac", dual=0)], [[sqrt_int(1031)]])
+    report = validate(datum)
+    assert calls == [datum.s[0][0]]
+    assert report.square_message == "S^2[0,0] = 1031 is neither 0 nor 1"
 
 
 def test_validation_report_json(s4):

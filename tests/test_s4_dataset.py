@@ -8,9 +8,9 @@ import pytest
 
 from fusionring.cyclo import inverse, sqrt_int
 from fusionring.mdf import parse_file, serialize
-from fusionring.modular_data import QdimMismatchError, quantum_dimensions
+from fusionring.modular_data import QdimMismatchError, computable_indices, quantum_dimensions
 from fusionring.s4_dataset import data_path, load_dataset
-from fusionring.verlinde import check_ring, compare_fixtures, computable_indices
+from fusionring.verlinde import check_ring, compare_fixtures
 
 QDIMS = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
          8, 8, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6, 6, 12, 12]

@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 from conftest import counted_kernels, expected_group_fusion, su2_datum
 
-from fusionring import cyclo, verlinde
+from fusionring import cyclo, modular_data, verlinde
 from fusionring.branching import eigen_complete
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
-                                     charge_conjugation)
+                                     charge_conjugation, validate)
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
                                  NonIntegerResultError, check_ring,
                                  compare_fixtures, fusion_product, fusion_tensor,
@@ -137,21 +137,18 @@ def test_associativity_failure_names_first_quadruple():
 
 
 def test_vacuum_row_inverted_once_per_distinct_value(monkeypatch):
-    from fusionring import cyclo, modular_data, verlinde
-
     calls = []
 
     def counting_inverse(value):
         calls.append(value)
         return cyclo.inverse(value)
 
-    monkeypatch.setattr(verlinde, "inverse", counting_inverse)
     monkeypatch.setattr(modular_data, "inverse", counting_inverse)
     # Every S[0,s] of the lattice datum is 1/sqrt(8).
     datum = lattice_modular_data(LatticeSpec(4))
     tensor = fusion_tensor(datum)
     assert calls == [datum.s[0][0]]
-    calls.clear()
+    # The ring check's qdims reuse the datum's inverse of S[0,0].
     assert check_ring(tensor, datum).ok
     assert calls == [datum.s[0][0]]
 
@@ -253,11 +250,11 @@ def test_several_primes_give_the_same_tensor(monkeypatch, s4_completed, s4_tenso
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", s4_bound)
     # A fresh copy: the shared fixture keeps the image and primes it already has.
     s4 = s4_completed.with_entries({})
-    assert len(verlinde._Engine(s4, list(range(28))).primes) >= 2
+    assert len(s4.engine.primes) >= 2
     assert fusion_tensor(s4) == s4_tensor
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", su2_bound)
     datum = su2_datum(8)
-    assert len(verlinde._Engine(datum, list(range(9))).primes) >= 2
+    assert len(datum.engine.primes) >= 2
     assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
 
 
@@ -266,7 +263,7 @@ def test_without_a_usable_prime_every_row_is_summed_exactly(monkeypatch, s4_comp
     # No prime p = 1 mod 288 (or mod 20) lies below 32.
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
     s4 = s4_completed.with_entries({})
-    assert verlinde._Engine(s4, list(range(28))).primes == []
+    assert s4.engine.primes == []
     assert fusion_tensor(s4) == s4_tensor
     datum = su2_datum(8)
     assert fusion_tensor(datum).values == verlinde_by_exact_sums(datum)
@@ -279,10 +276,10 @@ def test_vacuum_inverse_with_a_denominator_is_certified_by_images(monkeypatch):
     datum = ModularDatum([ModuleLabel(0, "a", dual=0)], [[Cyclotomic.from_rational(2)]])
     expected = verlinde_by_exact_sums(datum)
     assert expected == [[[4]]]
-    engine = verlinde._Engine(datum, [0])
+    engine = datum.engine
     assert engine.primes and engine.max_coeff == 4
     monkeypatch.setattr(cyclo, "exact_sum", lambda values: pytest.fail("a row was summed"))
-    assert [[engine.row_for_pair(0, 0)]] == expected
+    assert [[verlinde._row_for_pair(engine, 0, 0)]] == expected
 
 
 def test_corrupted_entry_reports_the_exact_residual():
@@ -299,10 +296,10 @@ def test_bad_entry_fails_the_galois_check_before_any_image(monkeypatch):
     built = counted_kernels(monkeypatch)
     datum = su2_datum(6)
     bad = datum.with_entries({(2, 5): datum.s[2][5] + 1})
-    engine = verlinde._Engine(bad, list(range(7)))
+    engine = bad.engine
     assert built == [] and engine.primes == []
     with pytest.raises(NonIntegerResultError) as err:
-        engine.row_for_pair(0, 0)
+        verlinde._row_for_pair(engine, 0, 0)
     assert err.value.triple == (0, 0, 5)
 
 
@@ -352,34 +349,36 @@ def test_non_integer_message_prints_residuals_up_to_64_terms(terms):
 
 def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     datum = s4_completed.with_entries({})
-    # The engine checks the dual labels against S^2 = C; certify it before counting.
+    # S^2 = C reads rows of the engine too; certify it before counting.
     charge_conjugation(datum)
     calls = []
     packed_product = cyclo.packed_product
     monkeypatch.setattr(cyclo, "packed_product",
                         lambda *args: calls.append(1) or packed_product(*args))
-    engine = verlinde._Engine(datum, list(range(28)))
-    assert engine.row_for_pair(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
+    engine = datum.engine
+    assert verlinde._row_for_pair(engine, 8, 18) == [int(k in (18, 19, 26, 27))
+                                                     for k in range(28)]
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
 
 
 def counted_engines(monkeypatch):
-    """A list that gains the datum of each ``verlinde._Engine`` built while the patch holds."""
+    """A list that gains the datum of each ``ModularDatum.engine`` built while the patch holds."""
     built = []
 
-    class CountedEngine(verlinde._Engine):
+    class CountedEngine(modular_data._Engine):
         def __init__(self, datum, indices):
             built.append(datum)
             super().__init__(datum, indices)
 
-    monkeypatch.setattr(verlinde, "_Engine", CountedEngine)
+    monkeypatch.setattr(modular_data, "_Engine", CountedEngine)
     return built
 
 
 def test_tensor_ring_check_and_product_share_one_engine(monkeypatch, s4_completed, s4_tensor):
     built = counted_engines(monkeypatch)
     datum = s4_completed.with_entries({})
+    assert validate(datum).ok
     tensor = fusion_tensor(datum)
     assert tensor == s4_tensor and check_ring(tensor, datum).ok
     assert fusion_product(datum, 8, 18) == {18: 1, 19: 1, 26: 1, 27: 1}
@@ -405,7 +404,7 @@ def test_failed_engine_is_not_kept(monkeypatch, s4_completed):
     for _ in range(2):
         with pytest.raises(MissingEntryError, match=r"S\[0,9\] is unknown"):
             fusion_tensor(holed)
-    assert built == [holed, holed] and holed._engine is None
+    assert built == [holed, holed] and "engine" not in vars(holed)
 
 
 def test_engine_and_datum_form_no_cycle():
@@ -413,7 +412,7 @@ def test_engine_and_datum_form_no_cycle():
     # and its engine are freed without the cycle collector.
     datum = su2_datum(6)
     fusion_tensor(datum)
-    engine = weakref.ref(datum._engine)
+    engine = weakref.ref(datum.engine)
     gc.disable()
     try:
         del datum
