@@ -31,8 +31,8 @@ is the product of those conjugates over that rational.
 
 Verlinde coefficients and the entries of S^2 are certified by one image
 kernel, ``Images``: the entries of S lifted to their common order N and
-imaged once modulo each prime p = 1 mod N, which suffices once the Galois
-symmetry of S makes each sum rational.
+imaged, in one pass, modulo the fewest primes p = 1 mod N that a bound needs,
+which suffices once the Galois symmetry of S makes each sum rational.
 
 The module also holds the package's one exact linear solver, ``eliminate``:
 sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
@@ -488,16 +488,15 @@ def _split_primes(order: int, limit: int, denom: int):
 
 
 class Images:
-    """Values lifted to one order N and imaged in F_p, once per split prime p.
+    """Values lifted to one order N and imaged in F_p at split primes p.
 
     ``index`` maps each distinct value to its place; the values are lifted,
     over one denominator D (``denom``), to the integer exponent maps of D v
-    at the common order N (``lifts``), with l1 norms ``norms``.  ``primes``
-    holds the primes p = 1 mod N imaged so far, largest first, each with w of
-    exact order N in F_p, and ``residues[q]`` every value's image under
-    zeta_N -> w at the q-th.  No p divides D, and every p stays below
-    ``_PRIME_BOUND`` and sqrt(2^64 / summands), so that a sum of ``summands``
-    products of two residues fits one 64-bit slot of ``packed_product``.
+    at the common order N (``lifts``), with l1 norms ``norms``.  Only
+    ``choose_primes`` images them, under zeta_N -> w of exact order N in F_p,
+    at no p dividing D; every p stays below ``_PRIME_BOUND`` and
+    sqrt(2^64 / summands), so that a sum of ``summands`` products of two
+    residues fits one 64-bit slot of ``packed_product``.
     """
 
     def __init__(self, values, summands: int = 1):
@@ -508,33 +507,21 @@ class Images:
                       for v in self.index]
         self.norms = [sum(abs(c) for _, c in lift) for lift in self.lifts]
         self._exponents = {e for lift in self.lifts for e, _ in lift}
-        limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
-        self._found = _split_primes(order, limit, denom)
-        self.primes: list[tuple[int, int]] = []
-        self.residues: list[list[int]] = []
+        self._limit = min(_PRIME_BOUND, isqrt(((1 << 64) - 1) // max(summands, 1)))
 
     def choose_primes(self, bound: int, avoid: int = 1) -> list[tuple[int, list[int]]]:
-        """The first of ``primes`` not dividing ``avoid`` whose product exceeds
-        ``bound``, as (p, ``residues`` at p), imaging a new prime only when
-        those imaged so far fall short; [] when there are too few."""
+        """In one pass, the largest split primes not dividing ``avoid`` whose
+        product exceeds ``bound``, as (p, every value's image at p); [] if too few."""
         chosen, modulus = [], 1
-        for q in count():
-            if modulus > bound and chosen:
+        for p, w in _split_primes(self.order, self._limit, self.denom * avoid):
+            powers = {e: pow(w, e, p) for e in self._exponents}
+            scale = pow(self.denom, -1, p)
+            chosen.append((p, [sum(c * powers[e] for e, c in lift) * scale % p
+                               for lift in self.lifts]))
+            modulus *= p
+            if modulus > bound:
                 return chosen
-            if q == len(self.primes):
-                prime = next(self._found, None)
-                if prime is None:
-                    return []
-                p, w = prime
-                powers = {e: pow(w, e, p) for e in self._exponents}
-                scale = pow(self.denom, -1, p)
-                self.primes.append(prime)
-                self.residues.append([sum(c * powers[e] for e, c in lift) * scale % p
-                                      for lift in self.lifts])
-            p = self.primes[q][0]
-            if avoid % p:
-                chosen.append((p, self.residues[q]))
-                modulus *= p
+        return []
 
 
 def combine(primes: list[int], residues) -> list[int]:

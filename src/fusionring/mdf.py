@@ -25,6 +25,8 @@ without bound.  A rational literal like ``4/2^2`` binds the slash at the
 atom level, per the grammar.  An S entry is stored as tabulated; the
 optional header ``scale`` expression multiplies every entry on load so that
 file text can mirror a printed table verbatim.
+A ``weight=`` is ('+'|'-')? rational, its uint nonzero; a decimal or an
+exponent like ``1e999999999``, which would be built in full, is refused.
 The optional ``vacuum`` line must read 0.  Each branching table is one
 ``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
 are checked by ``modular_data.datum_from_file``.  Parse errors name the line,
@@ -324,6 +326,7 @@ class DatumFile:
 
 _SECTION_RE = re.compile(r"\[(\w+)((?:\s+\w+=(?:\"[^\"]*\"|\S+))*)\s*\]$")
 _ATTR_RE = re.compile(r"(\w+)=(\"[^\"]*\"|\S+)")
+_WEIGHT_RE = re.compile(r"([+-]?\d+)(?:/(\d*[1-9]\d*))?")  # no zero denominator
 
 
 def _parse_sum(text: str, line_no: int) -> dict[int, int]:
@@ -439,7 +442,11 @@ def parse_file(text: str) -> DatumFile:
                     elif key == "dual":
                         facts["dual"] = int(value)
                     elif key == "weight":
-                        facts["weight"] = Fraction(value)
+                        m = _WEIGHT_RE.fullmatch(value)
+                        if m is None:
+                            raise ParseError(f"weight {value!r} is not [sign]int[/uint > 0]",
+                                             0, line_no)
+                        facts["weight"] = Fraction(int(m.group(1)), int(m.group(2) or 1))
                     else:
                         raise ParseError(f"unknown label attribute {key!r}", 0, line_no)
                 if index in seen_labels:

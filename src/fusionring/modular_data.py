@@ -7,10 +7,11 @@ file-format convention.  Validation reports problems instead of raising,
 because shipped datasets may be deliberately partial and discrepancies are
 data, not crashes; only recorded qdims are enforced on load.
 A datum's one certificate engine (``ModularDatum.engine``) is the only
-product of its one image of S per split prime; ``validate`` reads S^2 = C off
-its vacuum-pair rows (i, 0), as the Verlinde tensor reads its other rows.
-Once S^2 = C holds, S^-1[i,j] = S[i,j'] is known entry by entry, and
-unitarity is decided from it.  Each 1/S[0,s] is inverted once per datum
+holder of its one image of S per split prime.  S^2 = C is read off its
+vacuum-pair rows (i, 0), as the Verlinde tensor reads its other rows, and
+decided once per datum, held or failed (``ModularDatum.s_squared``).  Once
+S^2 = C holds, S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is
+decided from it.  Each 1/S[0,s] is inverted once per datum
 (``ModularDatum.vacuum_inverse``).
 """
 
@@ -29,8 +30,8 @@ from .mdf import DatumFile, ModuleLabel, eval_expr, parse_expr
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
     "ModuleLabel", "ModularDatum",
-    "validate", "charge_conjugation", "computable_indices", "galois_permutations",
-    "quantum_dimensions", "glob",
+    "validate", "charge_conjugation", "dual_mismatches", "computable_indices",
+    "galois_permutations", "quantum_dimensions", "glob",
     "datum_from_file", "datum_to_file",
 ]
 
@@ -62,7 +63,6 @@ class ModularDatum:
         shared: dict[Cyclotomic, Cyclotomic] = {}
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
-        self._conjugation: list[int] | None = None  # set by charge_conjugation
         self._inverses: dict[Cyclotomic, Cyclotomic] = {}  # filled by vacuum_inverse
 
     @property
@@ -95,12 +95,26 @@ class ModularDatum:
         return galois_permutations(self)
 
     @cached_property
-    def images(self) -> cyclo.Images:
-        """The known entries of S in one ``cyclo.Images``, one summand per
-        module, built at most once per datum and read by ``engine`` once
-        ``galois`` passes, so each prime images each entry once."""
-        return cyclo.Images([v for row in self.s for v in row if v is not None],
-                            summands=self.size)
+    def s_squared(self) -> list[int] | str:
+        """The verdict on S^2 = C, derived at most once per datum, held or
+        failed: C as a permutation, or why S^2 is none as a message (a kept
+        exception's traceback would tie the datum into a cycle).  Raises
+        MissingEntryError without a fully known S.  Read by ``charge_conjugation``."""
+        if not self.fully_known():
+            raise MissingEntryError("charge conjugation needs a fully known S-matrix")
+        perm = [-1] * self.size
+        for i, row in enumerate(_s_squared_rows(self)):
+            for j, v in row:
+                if v == 1 and perm[i] == -1:
+                    perm[i] = j
+                elif v:
+                    return (f"row {i} of S^2 has two unit entries" if v == 1 else
+                            f"S^2[{i},{j}] = {format_brief(v)} is neither 0 nor 1")
+            if perm[i] == -1:
+                return f"row {i} of S^2 has no unit entry"
+        if any(perm[j] != i for i, j in enumerate(perm)):
+            return "S^2 permutation is not an involution"
+        return perm
 
     @cached_property
     def engine(self) -> "_Engine":
@@ -143,34 +157,24 @@ def glob(datum: ModularDatum) -> Cyclotomic:
 
 
 def charge_conjugation(datum: ModularDatum) -> list[int]:
-    """The permutation i -> i' with S^2 = (delta_{i,j'}).
+    """The permutation i -> i' with S^2 = (delta_{i,j'}): a copy of the
+    datum's one verdict, ``ModularDatum.s_squared``.
 
-    Requires a fully known S.  Raises NotPermutationError if S^2 has an entry
-    other than exact 0 or 1.  The labels' dual fields are left as they are.
-    A certified permutation is kept on the datum and returned by later calls;
-    a failure is raised afresh on each call.
+    Requires a fully known S.  Raises NotPermutationError, with the verdict's
+    message, if S^2 has an entry other than exact 0 or 1.  The labels' dual
+    fields are left as they are; ``dual_mismatches`` compares them with C.
     """
-    if datum._conjugation is not None:
-        return datum._conjugation[:]
-    if not datum.fully_known():
-        raise MissingEntryError("charge conjugation needs a fully known S-matrix")
-    n = datum.size
-    perm = [-1] * n
-    for i, row in enumerate(_s_squared_rows(datum)):
-        for j, v in row:
-            if v == 1:
-                if perm[i] != -1:
-                    raise NotPermutationError(f"row {i} of S^2 has two unit entries")
-                perm[i] = j
-            elif v:
-                raise NotPermutationError(f"S^2[{i},{j}] = {format_brief(v)} is neither 0 nor 1")
-        if perm[i] == -1:
-            raise NotPermutationError(f"row {i} of S^2 has no unit entry")
-    for i, j in enumerate(perm):
-        if perm[j] != i:
-            raise NotPermutationError("S^2 permutation is not an involution")
-    datum._conjugation = perm
-    return perm[:]
+    verdict = datum.s_squared
+    if isinstance(verdict, str):
+        raise NotPermutationError(verdict)
+    return verdict[:]
+
+
+def dual_mismatches(datum: ModularDatum) -> list[int]:
+    """The modules whose dual label (self where unset) is not their image
+    under ``charge_conjugation(datum)``, whose errors it raises."""
+    labelled = datum.dual_permutation()
+    return [i for i, j in enumerate(charge_conjugation(datum)) if labelled[i] != j]
 
 
 def computable_indices(datum: ModularDatum) -> list[int]:
@@ -258,8 +262,9 @@ def _s_squared_rows(datum: ModularDatum):
 class _Engine:
     """The certified Verlinde rows N[i,j]^k, k in ``indices``, of
     ``ModularDatum.engine``; it holds ``datum.s``, not the datum, so the two
-    form no cycle.  A row is certified from the datum's one image of S
-    (``ModularDatum.images``), never by canonicalizing a coefficient.  The
+    form no cycle.  A row is certified from the datum's one image of S, a
+    ``cyclo.Images`` that only the engine holds, at the fewest primes its
+    bound needs, never by canonicalizing a coefficient.  The
     Galois permutations (``ModularDatum.galois``, on the rows 0 and
     ``indices`` and the dual columns of ``indices``) make every N[i,j]^k
     rational, the sign of column s cancelling in S[i,s] S[j,s] S[s,k'] / S[0,s].
@@ -289,7 +294,9 @@ class _Engine:
         if datum.galois is None:
             return
 
-        images = datum.images
+        # The engine is cached per datum: each prime images each entry once.
+        images = cyclo.Images([v for row in datum.s for v in row if v is not None],
+                              summands=datum.size)
 
         def as_matrix(values):  # one value per entry of ``images``, laid out as S
             return [[None if v is None else values[images.index[v]] for v in row]
@@ -427,10 +434,9 @@ def validate(datum: ModularDatum) -> ValidationReport:
         else:
             report.square_is_permutation = True
             report.dual_permutation = perm
-            # An unset dual reads as self-dual, and the vacuum must be self-dual.
-            labelled = datum.dual_permutation()
-            report.dual_mismatches = [i for i, j in enumerate(perm)
-                                      if labelled[i] != j or i == 0 != j]
+            # The vacuum must be self-dual too, whatever its label says.
+            wrong = dual_mismatches(datum)
+            report.dual_mismatches = wrong if perm[0] == 0 or 0 in wrong else [0, *wrong]
             # S^2 = C gives S^-1[i,j] = S[i,perm[j]], so S is unitary iff that
             # equals conj(S[j,i]) everywhere; symmetry is not assumed.
             conjugates = {v: conj(v) for v in set().union(*datum.s)}

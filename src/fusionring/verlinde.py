@@ -33,7 +33,7 @@ from .cyclo import Cyclotomic, format_brief
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
 from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError,
-                           charge_conjugation, quantum_dimensions)
+                           dual_mismatches, quantum_dimensions)
 
 __all__ = [
     "NonIntegerResultError", "NegativeResultError",
@@ -112,9 +112,8 @@ def _engine(datum: ModularDatum):
     Without a C to compare, a bad sum names its own triple."""
     engine = datum.engine
     if datum.fully_known() and datum.galois is not None:
-        dual = datum.dual_permutation()
         try:
-            wrong = [i for i, j in enumerate(charge_conjugation(datum)) if dual[i] != j]
+            wrong = dual_mismatches(datum)
         except NotPermutationError:
             wrong = []
         if wrong:
@@ -268,26 +267,26 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
 
 def _reproduces(datum: ModularDatum, rows: dict) -> bool:
-    """Whether S is fully known, passes ``datum.galois`` and S^2 = C, its
-    engine has primes, and each ``rows[i, j]`` (n integers) equals the
-    engine's certified row N[i,j].  Then, with S^-1[s,k] = S[s,k'] (the
-    labels being C), N[i,j] = v S^-1 for v(s) = S[i,s] S[j,s] / S[0,s], so
-    E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
-    column s, whose column 0 is the qdim identity.  ``check_ring`` passes the whole tensor (i <= j for a
-    commutative N): R[m,s] = S[m,s]/S[0,s] is invertible, and i -> R[i,.]
-    embeds N in C^n with the pointwise product, so N is associative
+    """Whether S is fully known, passes ``datum.galois`` and S^2 = C, its dual
+    labels are C (``dual_mismatches``), its engine has primes, and each
+    ``rows[i, j]`` (n integers) equals the engine's certified row N[i,j].
+    Then S^-1[s,k] = S[s,k'] gives N[i,j] = v S^-1, v(s) = S[i,s] S[j,s] / S[0,s],
+    so E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
+    column s, whose column 0 is the qdim identity.  ``check_ring`` passes the
+    whole tensor (i <= j for a commutative N): the matrix
+    R[m,s] = S[m,s]/S[0,s] is invertible, and i -> R[i,.] embeds N in C^n
+    with the pointwise product, so N is associative
     (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).
     ``branching.eigen_complete`` passes the recorded fusion products, to
     certify its eigenvector relations at every column at once."""
     if not datum.fully_known() or datum.galois is None:
         return False
     try:
-        charge_conjugation(datum)
-        engine = _engine(datum)
-    except (ZeroDivisionError, ValueError):  # S^2 != C, S[0,s] = 0, labels not C
+        engine, wrong = datum.engine, dual_mismatches(datum)
+    except (ZeroDivisionError, NotPermutationError):  # S[0,s] = 0, S^2 != C
         return False
-    return bool(engine.primes) and all(engine.certified(i, j) == row
-                                       for (i, j), row in rows.items())
+    return not wrong and bool(engine.primes) and all(
+        engine.certified(i, j) == row for (i, j), row in rows.items())
 
 
 def _first_nonassociative(values) -> tuple[int, int, int, int] | None:

@@ -350,7 +350,7 @@ def test_one_image_of_s_per_datum(monkeypatch, s4_completed, name):
     tensor = fusion_tensor(datum)
     assert fusion_product(datum, 1, 2) == tensor.product(1, 2)
     assert check_ring(tensor, datum).ok
-    assert len(built) == 1 and len(datum.images.primes) == 1
+    assert len(built) == 1 and len(datum.engine.primes) == 1
     copy = datum.with_entries({})
     assert check_ring(fusion_tensor(copy), copy).ok
     assert len(built) == 2

@@ -615,51 +615,62 @@ def test_images_are_ring_homomorphisms(a, b):
     values = [a, b, a + b, a * b]
     images = cyclo.Images(values)
     chosen = images.choose_primes(1 << 40)
-    assert len(chosen) >= 2 and len(images.residues) == len(images.primes) == len(chosen)
-    for (p, residues), (q, _) in zip(chosen, images.primes):
-        assert p == q
+    assert len(chosen) >= 2
+    for p, residues in chosen:
         x, y, total, product = (residues[images.index[v]] for v in values)
         assert (x + y - total) % p == 0 and (x * y - product) % p == 0
 
 
 def test_images_are_one_residue_list_per_prime():
     # Real and complex values alike are imaged once per prime, at w itself;
-    # a repeated value is imaged once.
+    # a repeated value is imaged once.  Primes come largest first.
     for values in ([sqrt_int(2), sqrt_int(3), root_of_unity(5, 1) + root_of_unity(5, 4)],
                    [root_of_unity(3), Fraction(1, 2) * root_of_unity(8)]):
         images = cyclo.Images(values + values[:1])
         assert images.index == {v: i for i, v in enumerate(values)}
-        assert images.choose_primes(1 << 70)
-        assert len(images.primes) >= 3
-        for (p, w), residues in zip(images.primes, images.residues):
+        chosen = images.choose_primes(1 << 70)
+        assert len(chosen) >= 3
+        found = cyclo._split_primes(images.order, images._limit, images.denom)
+        for (p, residues), (q, w) in zip(chosen, found):
+            assert p == q
             powers = {e: pow(w, e, p) for e in range(images.order)}
             expected = [sum(c * pow(v.denom, -1, p)
                             * powers[e * images.order // v.order] for e, c in v.coeffs.items())
                         for v in values]
             assert residues == [x % p for x in expected]
-    primes = [p for p, _ in images.primes]
+    primes = [p for p, _ in chosen]
+    assert primes == sorted(primes, reverse=True)
     assert cyclo.combine(primes, [[p - 1] for p in primes]) == [math.prod(primes) - 1]
 
 
-def test_images_add_primes_only_when_a_bound_needs_them():
-    # Later bounds reuse the primes imaged so far, largest first, and a prime
-    # dividing ``avoid`` is skipped without being imaged again.
+def test_images_add_primes_only_when_a_bound_needs_them(monkeypatch):
+    # One pass takes the fewest primes, largest first, whose product exceeds
+    # the bound, and draws no prime past them; a prime dividing ``avoid`` is
+    # skipped.
+    drawn = []
+    split_primes = cyclo._split_primes
+
+    def counted(*args):
+        for prime in split_primes(*args):
+            drawn.append(prime[0])
+            yield prime
+
+    monkeypatch.setattr(cyclo, "_split_primes", counted)
     images = cyclo.Images([Fraction(3, 10) * sqrt_int(3)])
     assert images.denom == 10 and images.norms == [6]
     ((p, residues),) = images.choose_primes(1)
-    assert images.primes[0][0] == p and images.residues == [residues]
-    # A bound of p needs a second prime; the first is not imaged again.
-    chosen = [q for q, _ in images.choose_primes(p)]
-    assert chosen == [p, images.primes[1][0]] and len(images.residues) == 2
+    assert drawn == [p]
+    # A bound of p needs a second, smaller prime; the first images as before.
+    ((first, again), (q, _)) = images.choose_primes(p)
+    assert (first, again) == (p, residues) and p > q and drawn == [p, p, q]
     # A prime dividing ``avoid`` is skipped.
-    assert [q for q, _ in images.choose_primes(1, avoid=2 * p)] == [images.primes[1][0]]
-    assert len(images.primes) == 2 and p > images.primes[1][0]
+    assert [r for r, _ in images.choose_primes(1, avoid=2 * p)] == [q]
 
 
 def test_without_a_split_prime_no_primes_are_chosen(monkeypatch):
     monkeypatch.setattr(cyclo, "_PRIME_BOUND", 32)
     images = cyclo.Images([root_of_unity(288)])
-    assert not images.choose_primes(10) and images.primes == [] and images.residues == []
+    assert images.choose_primes(10) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -90,6 +90,32 @@ def test_huge_exponent_exits_2_at_once(tmp_path, capsys, entry):
     assert captured.err.endswith("exponent exceeds 65536\n")
 
 
+@pytest.mark.parametrize("weight, message", [
+    ("1e999999999", "weight '1e999999999' is not [sign]int[/uint > 0]"),
+    ("0.5", "weight '0.5' is not [sign]int[/uint > 0]"),
+    ("1/-2", "weight '1/-2' is not [sign]int[/uint > 0]"),
+    ("1/0", "weight '1/0' is not [sign]int[/uint > 0]"),
+    ("1/000", "weight '1/000' is not [sign]int[/uint > 0]"),
+])
+def test_weight_reads_only_a_grammar_rational(tmp_path, capsys, weight, message):
+    # Fraction(text) would build 10^999999999 in full, or raise outside
+    # ParseError on a zero denominator.
+    bad = tmp_path / "weight.mdf"
+    bad.write_text("[header]\nmodules = 1\n\n[labels]\n"
+                   f"0 a weight={weight}\n\n[S]\n0 0 1\n")
+    start = time.perf_counter()
+    code = main(["validate", str(bad)])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: line 5, offset 0: {message}\n")
+
+
+def test_signed_weights_are_read():
+    df = parse_file("[header]\nmodules = 3\n\n[labels]\n"
+                    "0 a weight=-3/16\n1 b weight=+2\n2 c weight=49/016\n")
+    assert [lab.weight for lab in df.labels] == [Fraction(-3, 16), 2, Fraction(49, 16)]
+
+
 def test_caps_admit_the_shipped_and_generated_orders():
     assert MAX_ORDER == 1 << 16
     # s4 works at order 288, su(2)_k at 4(k+2), lattice data at the order of

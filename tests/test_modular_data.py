@@ -17,7 +17,7 @@ from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      charge_conjugation, datum_from_file, datum_to_file,
                                      glob, quantum_dimensions, validate)
 from fusionring.s4_dataset import data_path
-from fusionring.verlinde import check_ring, fusion_tensor
+from fusionring.verlinde import _reproduces, check_ring, fusion_product, fusion_tensor
 
 
 def two_by_two():
@@ -98,6 +98,10 @@ def test_dual_mismatches_list_each_module_once():
     assert report.dual_permutation == [1, 0]
     assert report.dual_mismatches == [0, 1]
     assert not report.ok
+    # Labels that agree with C still leave the vacuum listed, as C moves it.
+    agreeing = ModularDatum([ModuleLabel(0, "a", dual=1), ModuleLabel(1, "b", dual=0)],
+                            [[a, b], [b, a]])
+    assert validate(agreeing).dual_mismatches == [0]
 
 
 def test_one_label_record_serves_file_and_datum():
@@ -146,17 +150,38 @@ def test_charge_conjugation_is_certified_once_per_datum(monkeypatch):
     assert check_ring(fusion_tensor(datum), datum).ok
     assert charge_conjugation(datum) == [0, 5, 4, 3, 2, 1]
     assert squared == [datum]
-    # Failures are not kept: each call certifies again and raises the same error.
+    # A failure is kept too: each call raises the one derivation's message.
     one = Cyclotomic.one()
     bad = ModularDatum([ModuleLabel(0, "a"), ModuleLabel(1, "b")], [[one, one], [one, one]])
     for _ in range(2):
         with pytest.raises(NotPermutationError, match=r"^S\^2\[0,0\] = 2 is neither 0 nor 1$"):
             charge_conjugation(bad)
-    assert squared == [datum, bad, bad]
+    assert squared == [datum, bad]
     partial = ModularDatum(bad.labels, [[one, one], [one, None]])
     for _ in range(2):
         with pytest.raises(MissingEntryError, match="needs a fully known S-matrix"):
             charge_conjugation(partial)
+
+
+def test_failed_verdict_is_derived_once_per_datum(monkeypatch):
+    # The all-ones S passes the Galois check, as every entry is rational, but
+    # S^2 = 3 * ones is no permutation; its tensor, ring check and the
+    # reproduction certificate all read the one failed verdict.
+    squared = []
+    s_squared_rows = md._s_squared_rows
+    monkeypatch.setattr(md, "_s_squared_rows",
+                        lambda datum: squared.append(datum) or s_squared_rows(datum))
+    one = Cyclotomic.one()
+    datum = ModularDatum([ModuleLabel(i, f"m{i}") for i in range(3)], [[one] * 3] * 3)
+    assert datum.galois is not None
+    assert validate(datum).square_message == "S^2[0,0] = 3 is neither 0 nor 1"
+    for _ in range(5):
+        assert fusion_product(datum, 1, 2) == {0: 3, 1: 3, 2: 3}
+    assert not check_ring(fusion_tensor(datum), datum).ok
+    assert not _reproduces(datum, {})
+    with pytest.raises(NotPermutationError, match="neither 0 nor 1"):
+        charge_conjugation(datum)
+    assert squared == [datum]
 
 
 def test_qdim_examples(s4):
@@ -297,13 +322,13 @@ def test_unitarity_checked_on_real_data():
 
 def test_validate_images_s_once(monkeypatch):
     kernels = counted_kernels(monkeypatch)
-    assert validate(lattice_modular_data(LatticeSpec(3))).unitary is True
-    # One kernel images the six distinct entries zeta_6^e / sqrt(6) of S
-    # once, at one prime.
+    datum = lattice_modular_data(LatticeSpec(3))
+    assert validate(datum).unitary is True
+    # One kernel, held by the datum's engine alone, images the six distinct
+    # entries zeta_6^e / sqrt(6) of S once, at one prime.
     (kernel,) = kernels
-    assert len(kernel.lifts) == 6
-    assert kernel.order == 24 and len(kernel.primes) == 1
-    assert [len(values) for values in kernel.residues] == [6]
+    assert len(kernel.lifts) == 6 and kernel.order == 24
+    assert len(datum.engine.primes) == 1 and "images" not in vars(datum)
 
 
 def test_validate_counts_unknowns_without_allocating_per_cell():

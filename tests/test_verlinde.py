@@ -408,15 +408,20 @@ def test_failed_engine_is_not_kept(monkeypatch, s4_completed):
 
 
 def test_engine_and_datum_form_no_cycle():
-    # The engine holds S, not the datum: once the last name goes, the datum
-    # and its engine are freed without the cycle collector.
+    # The engine holds S, not the datum, and a failed S^2 = C verdict keeps
+    # its message, not its traceback: once the last name goes, each datum and
+    # its engine are freed without the cycle collector.
     datum = su2_datum(6)
     fusion_tensor(datum)
-    engine = weakref.ref(datum.engine)
+    one = Cyclotomic.one()
+    ones = ModularDatum([ModuleLabel(i, f"m{i}") for i in range(3)], [[one] * 3] * 3)
+    report = validate(ones)
+    assert report.square_is_permutation is False and isinstance(ones.s_squared, str)
+    refs = [weakref.ref(x) for x in (datum, datum.engine, ones, ones.engine)]
     gc.disable()
     try:
-        del datum
-        assert engine() is None
+        del datum, ones
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
