@@ -142,8 +142,8 @@ def _deflate(n: int, coeffs: dict[int, int]):
     4 || n, since orders 2 mod 4 are not used), and e maps to e // step.
     When an odd p || n, with m = n/p, the element lies in Q(zeta_m) iff the
     exponents in each class e mod m are p - 1 roots sharing one coefficient
-    c; since 1 + zeta_p + ... + zeta_p^(p-1) = 0 the class is -c zeta_m^w
-    with w = e p^-1 mod m.  An element that needs p at order n needs it at
+    c (so p - 1 divides the term count); since 1 + zeta_p + ... + zeta_p^(p-1) = 0 the class
+    is -c zeta_m^w with w = e p^-1 mod m.  An element that needs p at order n needs it at
     every smaller order p divides, so no prime is revisited.
     """
     if not coeffs:
@@ -157,6 +157,8 @@ def _deflate(n: int, coeffs: dict[int, int]):
                 n //= step
                 coeffs = {e // step: c for e, c in coeffs.items()}
                 continue
+            if len(coeffs) % (p - 1):
+                break
             m = n // p
             classes: dict[int, list] = {}
             for e, c in coeffs.items():
@@ -558,11 +560,13 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
 
 
 def galois(a: Cyclotomic, k: int) -> Cyclotomic:
-    """The automorphism zeta -> zeta^k of Q(zeta_n), n = a.order, k prime to n."""
+    """The automorphism zeta -> zeta^k of Q(zeta_n), n = a.order, k prime to n.  It fixes
+    each subfield Q(zeta_m) and maps Z[zeta_n], on which the basis is integral (Bosma
+    1990), onto itself, so the image rewritten into the basis at n is canonical."""
     n = a.order
     if gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit mod {n}")
-    return _element(n, {(e * k) % n: c for e, c in a.coeffs.items()}, a.denom)
+    return _element(n, _reduce_terms(n, {e * k: c for e, c in a.coeffs.items()}), a.denom, True)
 
 
 def conj(a: Cyclotomic) -> Cyclotomic:
@@ -721,12 +725,19 @@ def _reduce_row(row, u, pivot):
         return row
     coeffs = {k: c for k, c in coeffs.items() if k != u}
     for k, c in pivot[0].items():
-        value = coeffs.get(k, 0) - factor * c
+        value = _minus_product(coeffs.get(k, 0), factor, c)
         if value:
             coeffs[k] = value
         else:
             coeffs.pop(k, None)
-    return coeffs, rhs - factor * pivot[1], labels | pivot[2]
+    return coeffs, _minus_product(rhs, factor, pivot[1]), labels | pivot[2]
+
+
+def _minus_product(x, a, b):
+    """x - a * b: one ``weighted_sum`` with a rational a or b as the other's weight."""
+    if isinstance(a, Cyclotomic) is isinstance(b, Cyclotomic):
+        return x - a * b
+    return weighted_sum((_weighted(x, 1), (a, -b) if isinstance(a, Cyclotomic) else (b, -a)))
 
 
 def embed(a: Cyclotomic) -> complex:

@@ -18,6 +18,7 @@ decided from it.  Each 1/S[0,s] is inverted once per datum
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
@@ -140,20 +141,20 @@ class ModularDatum:
 # -- derived quantities ------------------------------------------------------
 
 def quantum_dimensions(datum: ModularDatum) -> list[Cyclotomic | None]:
-    """Every quantum dimension, by ``datum.vacuum_inverse(0)``; None where S[i,0] is unknown."""
+    """Every quantum dimension, by ``datum.vacuum_inverse(0)`` and one product
+    per distinct S[i,0], kept for this call only; None where S[i,0] is unknown."""
     if datum.entry(0, 0).is_zero():
         raise ZeroDivisionError("S[0,0] = 0")
-    inv = datum.vacuum_inverse(0)
-    return [None if row[0] is None else row[0] * inv for row in datum.s]
+    dims = {v: v * datum.vacuum_inverse(0) for v in {row[0] for row in datum.s} - {None}}
+    return [dims.get(row[0]) for row in datum.s]
 
 
 def glob(datum: ModularDatum) -> Cyclotomic:
-    """Global dimension: the sum of squared quantum dimensions."""
+    """Global dimension: the sum of squared quantum dimensions, one per distinct value."""
     dims = quantum_dimensions(datum)
-    for i, q in enumerate(dims):
-        if q is None:
-            raise MissingEntryError(f"S[{i},0] is unknown")
-    return cyclo.exact_sum(q * q for q in dims)
+    if None in dims:
+        raise MissingEntryError(f"S[{dims.index(None)},0] is unknown")
+    return cyclo.weighted_sum((q * q, m) for q, m in Counter(dims).items())
 
 
 def charge_conjugation(datum: ModularDatum) -> list[int]:
@@ -419,12 +420,10 @@ def validate(datum: ModularDatum) -> ValidationReport:
         if datum.known(0, j) and datum.s[0][j].is_zero():
             report.vacuum_row_zeros.append(j)
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
-        report.bad_qdims = []
-        for i, q in enumerate(quantum_dimensions(datum)):
-            # Realness is decided exactly; only the sign of a nonzero real
-            # value is read off the float embedding.
-            if q is not None and not (cyclo.is_real(q) and embed(q).real > 0):
-                report.bad_qdims.append(i)
+        dims = quantum_dimensions(datum)
+        # Realness is exact, once per distinct value; the float embedding gives only a sign.
+        positive = {q: cyclo.is_real(q) and embed(q).real > 0 for q in set(dims) - {None}}
+        report.bad_qdims = [i for i, q in enumerate(dims) if q is not None and not positive[q]]
     if datum.fully_known():
         try:
             perm = charge_conjugation(datum)

@@ -102,6 +102,36 @@ def test_galois_is_a_ring_homomorphism(a, b, start):
     assert galois(a, -1) == conj(a)
 
 
+def _assert_galois_matches_the_constructor(a, k):
+    # The image skips the minimal-order search; the constructor's full
+    # canonicalization of the raw exponent map must agree field by field.
+    n = a.order
+    image = galois(a, k)
+    slow = Cyclotomic(n, {k * e % n: Fraction(c, a.denom) for e, c in a.coeffs.items()})
+    assert (image.order, image.denom, image.coeffs) == (slow.order, slow.denom, slow.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements(max_terms=6), st.integers(-300, 300))
+def test_galois_image_is_canonical_at_the_same_order(a, start):
+    k = next(k for k in range(start, start + a.order + 1) if math.gcd(k, a.order) == 1)
+    _assert_galois_matches_the_constructor(a, k)
+
+
+@pytest.mark.parametrize("order", [15, 36, 104])
+def test_galois_image_at_orders_the_search_would_deflate(order):
+    # 15 = 3 * 5 and 104 = 8 * 13 have an odd p || n, 36 = 4 * 9 an odd
+    # p^2 | n: the orders at which the minimal-order search tests each p.
+    rng = random.Random(order)
+    values = [Cyclotomic(order, _random_terms(rng, order)) for _ in range(20)]
+    values += [root_of_unity(order, e) for e in range(order)]
+    values += [root_of_unity(order, 1) + root_of_unity(order, -1), sqrt_int(13), sqrt_int(3)]
+    for a in values:
+        for k in range(1, a.order):
+            if math.gcd(k, a.order) == 1:
+                _assert_galois_matches_the_constructor(a, k)
+
+
 def test_galois_needs_a_unit():
     with pytest.raises(ValueError):
         galois(root_of_unity(12, 1), 3)

@@ -217,6 +217,22 @@ def test_quantum_dimensions_on_partial_data():
         quantum_dimensions(datum)
 
 
+def test_quantum_dimensions_one_product_per_distinct_entry(monkeypatch):
+    # Every S[i,0] of the k = 13 lattice datum is the one object 1/sqrt(26).
+    datum = lattice_modular_data(LatticeSpec(13))
+    datum.vacuum_inverse(0)
+    products = []
+    times = Cyclotomic.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return times(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    assert quantum_dimensions(datum) == [1] * 26
+    assert len(products) == 1
+
+
 def counted_inverses(monkeypatch):
     """A list that gains each value ``modular_data`` inverts while the patch holds."""
     calls = []
