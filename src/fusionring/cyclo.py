@@ -233,6 +233,8 @@ class Cyclotomic:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if isinstance(other, Cyclotomic):
             return (self.order, self.denom, self.coeffs) == (other.order, other.denom, other.coeffs)
         if isinstance(other, (int, Fraction)):

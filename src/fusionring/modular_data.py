@@ -277,9 +277,9 @@ class _Engine:
     exceeds 4B, N[i,j]^k images to c = sum_s x(i,s) x(j,s) y(s) x(s,k'),
     x the image of S and y(s) = x(0,s)^-1; lifted to 0..P-1,
     0 <= c <= B / (D^3 D_inv) certifies N[i,j]^k = c, and any other c that
-    it is not a nonnegative integer.  Certified rows are cached by the images
-    of S[i,s] S[j,s]; callers get copies.  ``times`` memoizes the products of
-    exact sums of other rows."""
+    it is not a nonnegative integer.  Certified rows are cached by the pair
+    {i, j} and by the images of S[i,s] S[j,s]; callers get copies.  ``times``
+    memoizes the products of exact sums of other rows."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
         self.s, self.indices = datum.s, indices
@@ -291,6 +291,7 @@ class _Engine:
         self.inverses = [datum.vacuum_inverse(s) for s in range(datum.size)]
         self.times = lru_cache(maxsize=None)(mul)
         self._row_cache: dict = {}
+        self._pair_cache: dict = {}
         self.primes: list[int] = []
         if datum.galois is None:
             return
@@ -325,16 +326,20 @@ class _Engine:
         certify them, else []."""
         if not self.primes:
             return []
-        pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
-                 for p, rows in zip(self.primes, self._rows)]
-        key = tuple(map(cyclo.pack, pairs))
-        out = self._row_cache.get(key)
+        ij = (i, j) if i <= j else (j, i)  # the image product is symmetric
+        out = self._pair_cache.get(ij)
         if out is None:
-            out = cyclo.combine(self.primes, (
-                cyclo.packed_product(pair, packed, len(self.indices), p)
-                for pair, packed, p in zip(pairs, self._packed, self.primes)))
-            # A lift above the bound is negative or not an integer: [].
-            out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+            pairs = [[a * b % p for a, b in zip(rows[i], rows[j])]
+                     for p, rows in zip(self.primes, self._rows)]
+            key = tuple(map(cyclo.pack, pairs))
+            out = self._row_cache.get(key)
+            if out is None:
+                out = cyclo.combine(self.primes, (
+                    cyclo.packed_product(pair, packed, len(self.indices), p)
+                    for pair, packed, p in zip(pairs, self._packed, self.primes)))
+                # A lift above the bound is negative or not an integer: [].
+                out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+            self._pair_cache[ij] = out
         return out[:]
 
 
@@ -410,7 +415,7 @@ def validate(datum: ModularDatum) -> ValidationReport:
     """Run all structural checks; reports findings and never raises."""
     n = datum.size
     report = ValidationReport(name=datum.name, size=n,
-                              unknown_count=sum(row.count(None) for row in datum.s))
+                              unknown_count=sum(v is None for row in datum.s for v in row))
     for i in range(n):
         for j in range(i + 1, n):
             if datum.known(i, j) and datum.known(j, i):

@@ -17,16 +17,16 @@ Coefficients are certified by the datum's one engine (``ModularDatum.engine``,
 which certifies S^2 = C too) from its image of S modulo primes p = 1 mod N;
 no float is consulted, and a row that fails is summed exactly, so its error
 carries its exact value (``_row_for_pair``).  The engine serves
-``fusion_tensor``, ``fusion_product`` and ``check_ring``, which certifies
-qdim multiplicativity and associativity when the engine reproduces every
-row of the tensor (``_reproduces``), and otherwise compares qdims exactly
-and searches for a non-associative quadruple directly.
+``fusion_tensor``, ``fusion_product`` and ``check_ring``, which reads the
+integer axioms off rows and columns, certifies qdims, associativity and
+simple currents when the engine reproduces every row (``_reproduces``),
+each pair imaged once per datum, and otherwise decides them exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import itemgetter, mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, format_brief
@@ -216,48 +216,56 @@ class PropertyReport:
 def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     """Verify ring axioms, duality, qdim laws and simple currents exactly.
 
-    Vacuum identity, commutativity, duality and simple currents are integer
-    loops.  Qdim multiplicativity and associativity hold when the datum's
-    engine reproduces the tensor (``_reproduces``); otherwise the qdims of
-    each pair are compared by exact sums, and associativity is decided by
-    the direct search ``_first_nonassociative``.
+    Vacuum identity, commutativity and duality compare rows of N with rows
+    and permuted columns.  If the datum's engine reproduces the tensor
+    (``_reproduces``), qdims multiply, N is associative and the simple
+    currents have S[i,0] = S[0,0]; otherwise the qdims of each pair are
+    compared by exact sums and ``_first_nonassociative`` searches directly.
     """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
     report = PropertyReport()
     n, N, dual = datum.size, tensor.values, datum.dual_permutation()
     every = range(n)
-    report.vacuum_identity = all(N[0][j][k] == (j == k) for j in every for k in every)
+    report.vacuum_identity = all(tuple(row) == (0,) * j + (1,) + (0,) * (n - 1 - j)
+                                 for j, row in enumerate(N[0]))
     if not report.vacuum_identity:
         report.failures.append("N[0,j]^k != delta_jk")
     report.commutative = all(N[i][j] == N[j][i] for i in every for j in range(i))
     if not report.commutative:
         report.failures.append("N[i,j]^k != N[j,i]^k somewhere")
-    report.duality_symmetric = all(N[i][j][k] == N[i][dual[k]][dual[j]]
-                                   for i in every for j in every for k in every)
+    # Row j of plane i is its column j' read at k'; itemgetter(0) gives no tuple.
+    permuted = itemgetter(*dual) if n > 1 else tuple
+    report.duality_symmetric = all(
+        tuple(row) == permuted(columns[d])
+        for plane in N for columns in [list(zip(*plane))] for row, d in zip(plane, dual))
     if not report.duality_symmetric:
         report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
 
-    qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
     pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
-    certified = _reproduces(datum, {(i, j): N[i][j] for i, j in pairs})
-    bad_pair = None if certified or None in qdims else next((
-        (i, j) for i, j in pairs if cyclo.exact_sum(
-            qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]), None)
-    bad = None if certified else _first_nonassociative(N)
-    report.associative = bad is None
-    if bad:
-        report.failures.append(f"associativity fails at quadruple {bad}")
-    if None in qdims:
-        report.qdim_multiplicative = report.simple_currents_are_permutations = None
-        return report
-    if bad_pair:
-        report.failures.append(f"qdim multiplicativity fails at pair {bad_pair}")
-    report.qdim_multiplicative = bad_pair is None
+    if _reproduces(datum, {(i, j): N[i][j] for i, j in pairs}):
+        # A certified S has S[0,0] != 0, so d_i = S[i,0] / S[0,0] is 1 iff S[i,0] = S[0,0].
+        report.associative = report.qdim_multiplicative = True
+        report.simple_currents = [i for i, row in enumerate(datum.s) if row[0] == datum.s[0][0]]
+    else:
+        qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
+        bad_pair = None if None in qdims else next((
+            (i, j) for i, j in pairs if cyclo.exact_sum(
+                qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]), None)
+        bad = _first_nonassociative(N)
+        report.associative = bad is None
+        if bad:
+            report.failures.append(f"associativity fails at quadruple {bad}")
+        if None in qdims:
+            report.qdim_multiplicative = report.simple_currents_are_permutations = None
+            return report
+        if bad_pair:
+            report.failures.append(f"qdim multiplicativity fails at pair {bad_pair}")
+        report.qdim_multiplicative = bad_pair is None
+        report.simple_currents = [i for i in every if qdims[i] == 1]
 
-    report.simple_currents = [i for i in every if qdims[i] == 1]
     report.simple_currents_are_permutations = True
     for i in report.simple_currents:
         if not all(sorted(line) == [0] * (n - 1) + [1] for line in (*N[i], *zip(*N[i]))):

@@ -228,7 +228,8 @@ def bumped(tensor, changes):
 
 
 @pytest.mark.parametrize("changes", [[(2, 3, 1)], [(2, 3, 1), (3, 2, 1)], [(5, 5, 0)],
-                                     [(1, 1, 6)], [(6, 0, 6)]])
+                                     [(1, 1, 6)], [(6, 0, 6)], [(0, 2, 2)],
+                                     [(0, 2, 3), (2, 0, 3)]])
 def test_bumped_tensor_entry_reports_the_first_failing_pair(changes):
     datum = relabeled(su2_datum(6), seed=7)
     tensor = bumped(fusion_tensor(datum), changes)
@@ -238,6 +239,65 @@ def test_bumped_tensor_entry_reports_the_first_failing_pair(changes):
 def test_bumped_s4_tensor_entry_reports_the_first_failing_pair(s4_completed, s4_tensor):
     tensor = bumped(s4_tensor, [(20, 9, 14), (9, 20, 14)])
     assert not assert_ring_report_matches(tensor, s4_completed).ok
+
+
+def test_one_module_datum_matches_the_oracle():
+    datum = ModularDatum([ModuleLabel(0, "vac", dual=0)], [[Cyclotomic.one()]])
+    tensor = fusion_tensor(datum)
+    assert tensor.values == [[[1]]]
+    report = assert_ring_report_matches(tensor, datum)
+    assert report.ok and report.simple_currents == [0]
+    report = assert_ring_report_matches(FusionTensor([0], [[[2]]]), datum)
+    assert not report.vacuum_identity and report.duality_symmetric
+    assert report.simple_currents_are_permutations is False
+
+
+def test_permuted_vacuum_plane_matches_the_oracle():
+    datum = relabeled(su2_datum(6), seed=7)
+    values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
+    values[0][1], values[0][2] = values[0][2], values[0][1]
+    report = assert_ring_report_matches(FusionTensor(list(range(7)), values), datum)
+    assert not report.vacuum_identity and report.commutative is False
+
+
+def test_duality_fault_under_a_nontrivial_dual_matches_the_oracle():
+    # Z_14 relabeled: j' = -j is no fixed index map.  N[i,j]^k and N[j,i]^k
+    # bumped together keep N commutative and break N[i,j]^k = N[i,k']^{j'},
+    # and every module is a simple current, so i and j lose their permutations.
+    datum = relabeled(lattice_modular_data(LatticeSpec(7)), seed=3)
+    dual = datum.dual_permutation()
+    i, j, k = 2, 5, 9
+    assert len({j, dual[j], k, dual[k]}) == 4
+    report = assert_ring_report_matches(bumped(fusion_tensor(datum), [(i, j, k), (j, i, k)]),
+                                        datum)
+    assert report.vacuum_identity and report.commutative and not report.duality_symmetric
+    assert report.simple_currents == list(range(14))
+    assert report.simple_currents_are_permutations is False
+
+
+def test_simple_current_with_a_non_permutation_matrix_matches_the_oracle():
+    # In su(2)_6, 6 x j = 6 - j.  Moving the channel of 6 x 2 from 4 to 3
+    # leaves one 1 in each row of N[6], but two in its column 3.
+    datum = su2_datum(6)
+    values = [[row[:] for row in plane] for plane in fusion_tensor(datum).values]
+    for a, b in ((6, 2), (2, 6)):
+        values[a][b][4], values[a][b][3] = 0, 1
+    report = assert_ring_report_matches(FusionTensor(list(range(7)), values), datum)
+    assert report.simple_currents == [0, 6]
+    assert report.simple_currents_are_permutations is False
+    assert "simple current 6 has a non-permutation fusion matrix" in report.failures
+
+
+def test_vacuum_zero_s00_raises_as_the_oracle():
+    # S = [[0, 1], [1, 0]] squares to 1, but d_i = S[i,0] / S[0,0] has no value.
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    datum = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(2)],
+                         [[zero, one], [one, zero]])
+    assert charge(datum) == [0, 1]
+    tensor = fusion_tensor(lattice_modular_data(LatticeSpec(1)))
+    for check in (check_ring, ring_report_by_einsum):
+        with pytest.raises(ZeroDivisionError):
+            check(tensor, datum)
 
 
 def test_tensor_edited_in_place_is_checked_as_edited(s4_completed):

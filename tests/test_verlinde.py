@@ -148,7 +148,8 @@ def test_vacuum_row_inverted_once_per_distinct_value(monkeypatch):
     datum = lattice_modular_data(LatticeSpec(4))
     tensor = fusion_tensor(datum)
     assert calls == [datum.s[0][0]]
-    # The ring check's qdims reuse the datum's inverse of S[0,0].
+    # The ring check inverts nothing: the tensor is certified, so its simple
+    # currents are read off S[i,0] = S[0,0].
     assert check_ring(tensor, datum).ok
     assert calls == [datum.s[0][0]]
 
@@ -387,6 +388,27 @@ def test_tensor_ring_check_and_product_share_one_engine(monkeypatch, s4_complete
     copy = datum.with_entries({})
     assert check_ring(tensor, copy).ok
     assert built == [datum, copy]
+
+
+def test_ring_check_after_the_tensor_makes_no_product(monkeypatch):
+    # Each pair is imaged once per datum and a certified tensor's simple
+    # currents need no qdim, so the ring check packs, images and multiplies
+    # nothing; a fresh datum with the same S certifies from scratch.
+    datum = su2_datum(12)
+    tensor = fusion_tensor(datum)
+    calls = []
+    for owner, name in ((cyclo, "pack"), (cyclo, "packed_product"), (cyclo, "combine"),
+                        (Cyclotomic, "__mul__")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, f=getattr(owner, name):
+                            calls.append(name) or f(*args))
+    report = check_ring(tensor, datum)
+    assert report.ok and report.simple_currents == [0, 12]
+    assert calls == []
+    fresh = ModularDatum(datum.labels, datum.s)
+    assert check_ring(tensor, fresh) == report
+    assert {"pack", "packed_product", "combine"} <= set(calls)
+    rows = datum.engine.certified(2, 3), datum.engine.certified(3, 2)
+    assert rows[0] == rows[1] == tensor.values[2][3] and rows[0] is not rows[1]
 
 
 def test_eigen_route_builds_one_engine_on_the_completed_s(monkeypatch, s4, s4_completed):
