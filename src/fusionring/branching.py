@@ -18,9 +18,12 @@ lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
 One generator, ``_relations``, yields each right-hand side as weighted pairs
 (P[l,j], b[j,m]), and each consumer appends its known entries weighted by
--b[l,k] and sums once through ``cyclo.weighted_sum``, so no integer weight
-becomes a cyclotomic and no product is canonicalized on its own.  The system
-consumes every relation.  The relations of single-module rows (branching
+-b[l,k] and computes each distinct sum once per call, through one local
+memo of ``cyclo.weighted_sum`` keyed by the tuple of pairs (equal entries are
+one object in the datum, and parent rows repeat).  So no integer weight
+becomes a cyclotomic and no product is canonicalized on its own, while every
+check, equation and finding stays one per relation.  The system consumes
+every relation.  The relations of single-module rows (branching
 {m: 1}) give S entries outright; where such an entry is known, a failed
 check is also an anti-typo audit finding, worded as a derived-versus-shipped
 conflict.  ``complete`` takes the audit from that one pass, and
@@ -117,6 +120,7 @@ def assemble_system(parents: list[BranchingSection],
     if parents and missing:
         system.check_failures.append(
             f"modules {missing} never appear in any parent decomposition")
+    sums = lru_cache(maxsize=None)(weighted_sum)
     for label, terms, m, residual in _relations(parents, n):
         coeffs: dict[tuple[int, int], int] = {}
         for k, blk in sorted(terms.items()):
@@ -126,7 +130,7 @@ def assemble_system(parents: list[BranchingSection],
                 coeffs[key] = coeffs.get(key, 0) + blk
             else:
                 residual.append((value, -blk))
-        rhs = weighted_sum(residual)
+        rhs = sums(tuple(residual))
         if coeffs:
             system.equations.append((coeffs, rhs, (label,)))
         elif rhs.is_zero():
@@ -189,12 +193,13 @@ def check_derived_rows(parents: list[BranchingSection],
     overwritten).  This is the dataset's anti-typo audit.
     """
     report = DeriveReport()
+    sums = lru_cache(maxsize=None)(weighted_sum)
     for label, terms, m, pairs in _relations(parents, target.size, singles_only=True):
         (r,) = terms
         shipped = _entry(target, r, m)
         report.entries_checked += 1
         if shipped is not None:
-            residual = weighted_sum(pairs + [(shipped, -1)])
+            residual = sums((*pairs, (shipped, -1)))
             if residual:
                 report.conflicts.append(_conflict(label, r, m, shipped, residual))
     return report
@@ -214,11 +219,12 @@ def complete(target: ModularDatum, parents: list[BranchingSection]) -> Completio
 
 def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cyclotomic):
     """The eigenvalue relations of column s, as ``cyclo.eliminate`` rows, one
-    per recorded product (a, b) in sorted order; built as they are read, each
+    per recorded product (a, b) in the insertion order of ``products`` (sorted
+    once by ``eigen_complete``); built as they are read, each
     chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it.  Fusion
     multiplicities stay integer coefficients and weights."""
     chi = lru_cache(maxsize=None)(lambda r: target.entry(r, s) * inv0)
-    for (a, b), terms in sorted(products.items()):
+    for (a, b), terms in products.items():
         # The eigenvalue relation sum_k N[a,b]^k chi_s(k) = chi_s(a) chi_s(b)
         # stays linear in the unknowns as long as chi_s(a) is known.
         if a in missing:
@@ -300,6 +306,7 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
             continue
         products[(fx.left, fx.right)] = fx.terms
         products[(fx.right, fx.left)] = fx.terms
+    products = dict(sorted(products.items()))
     try:
         out = _eigen_columns(target, products, _solve_prefix)
     except (ArithmeticError, LookupError, ValueError):

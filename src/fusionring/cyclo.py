@@ -681,7 +681,9 @@ def eliminate(rows, unknowns: list) -> dict:
     the first remaining row that contains it, and every other row -- earlier
     pivot rows included -- is reduced by the pivot at once, so no
     back-substitution is needed.  A reduced row inherits the labels of every
-    pivot applied to it.
+    pivot applied to it.  Each distinct update x - a * b is computed once per
+    call, through one local memo of ``_minus_product`` that keys on the types
+    too, so an ``int`` and an equal ``Fraction`` keep their own results.
 
     Returns {unknown: value}.  Raises InconsistentSystemError with the merged
     labels of the first row a pivot reduces to 0 = r, r != 0 (a row read
@@ -692,6 +694,7 @@ def eliminate(rows, unknowns: list) -> dict:
     work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
             for coeffs, rhs, labels in rows]
     pivots: dict = {}
+    minus_product = lru_cache(maxsize=None, typed=True)(_minus_product)
     for u in unknowns:
         index = next((i for i, row in enumerate(work) if row[0].get(u)), None)
         if index is None:
@@ -699,10 +702,10 @@ def eliminate(rows, unknowns: list) -> dict:
         coeffs, rhs, labels = work.pop(index)
         inv = Fraction(1) / coeffs.pop(u)
         pivot = ({k: c * inv for k, c in coeffs.items()}, rhs * inv, labels)
-        work = [_reduce_row(row, u, pivot) for row in work]
+        work = [_reduce_row(row, u, pivot, minus_product) for row in work]
         _raise_contradiction(work)
         work = [row for row in work if row[0]]
-        pivots = {v: _reduce_row(row, u, pivot) for v, row in pivots.items()}
+        pivots = {v: _reduce_row(row, u, pivot, minus_product) for v, row in pivots.items()}
         pivots[u] = pivot
     if not pivots:
         _raise_contradiction(work)
@@ -719,7 +722,7 @@ def _raise_contradiction(work) -> None:
             raise InconsistentSystemError(labels, rhs)
 
 
-def _reduce_row(row, u, pivot):
+def _reduce_row(row, u, pivot, minus_product):
     """Eliminate unknown u from a row with a normalized pivot row for u."""
     coeffs, rhs, labels = row
     factor = coeffs.get(u)
@@ -727,12 +730,12 @@ def _reduce_row(row, u, pivot):
         return row
     coeffs = {k: c for k, c in coeffs.items() if k != u}
     for k, c in pivot[0].items():
-        value = _minus_product(coeffs.get(k, 0), factor, c)
+        value = minus_product(coeffs.get(k, 0), factor, c)
         if value:
             coeffs[k] = value
         else:
             coeffs.pop(k, None)
-    return coeffs, _minus_product(rhs, factor, pivot[1]), labels | pivot[2]
+    return coeffs, minus_product(rhs, factor, pivot[1]), labels | pivot[2]
 
 
 def _minus_product(x, a, b):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,79 @@ def test_branching_weights_stay_integers(s4, monkeypatch):
     assert (report.entries_checked, report.conflicts) == (1120, [])
     assert (len(system.equations), system.checks_passed, len(system.unknowns)) == (126, 1498, 28)
     assert len(eigen) == 49
+
+
+def test_each_distinct_sum_once_per_call(s4, s4_completed, monkeypatch):
+    # Equal entries are one object and parent rows repeat: of the system's
+    # 1624 relation sums 178 are distinct, of the audit's 1120 83, and of the
+    # elimination's 919 updates 260 (an int and an equal Fraction apart).
+    # Each memo lives for one call, so a second call sums everything again.
+    datum, parents, _ = s4
+    calls = []
+    for module, name in ((branching, "weighted_sum"), (cyclo, "_minus_product")):
+        func = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, func=func:
+                            calls.append(name) or func(*args))
+
+    def counted(call):
+        calls.clear()
+        result = call()
+        return result, (calls.count("weighted_sum"), calls.count("_minus_product"))
+
+    system, count = counted(lambda: assemble_system(parents, datum))
+    assert count == (178, 0)
+    assert (len(system.equations), system.checks_passed, system.check_failures) == (126, 1498, [])
+    assert counted(lambda: assemble_system(parents, datum))[1] == (178, 0)
+    report, count = counted(lambda: check_derived_rows(parents, datum))
+    assert count == (83, 0)
+    assert (report.entries_checked, report.conflicts) == (1120, [])
+    result, count = counted(lambda: solve(system, datum))
+    assert count == (0, 260)
+    assert result.datum.s == s4_completed.s
+
+
+def unmemoized_findings(parents, target):
+    """(check failures, derived conflicts, residual tuple of each failure) with
+    every relation summed on its own: the oracle for the memoized passes."""
+    failures, conflicts, failing = [], [], []
+    for label, terms, m, residual in branching._relations(parents, target.size):
+        known = [(k, branching._entry(target, k, m)) for k in sorted(terms)]
+        if any(value is None for _, value in known):
+            continue
+        residual += [(value, -terms[k]) for k, value in known]
+        rhs = cyclo.weighted_sum(residual)
+        if rhs:
+            failures.append(f"{label}: residual {rhs} (known entries violate the relation)")
+            failing.append(tuple(residual))
+            if list(terms.values()) == [1]:
+                ((r, shipped),) = known
+                conflicts.append(branching._conflict(label, r, m, shipped, rhs))
+    return failures, conflicts, failing
+
+
+@pytest.mark.parametrize("cell, shared", [
+    # Parent rows 3 and 5 of norm8 are both {27: 1} and read S[27,4] with
+    # one residual tuple: two derived conflicts from one sum.
+    ((27, 4), 2),
+    # Nine column-0 checks read S[7,0]: norm32 rows 4, 12, 20 and 28 share one
+    # residual tuple, norm18 rows 3 and 15 one, norm8 rows 2 and 6 one.
+    ((7, 0), 8),
+])
+def test_findings_stay_per_relation(s4, cell, shared):
+    # A memoized sum is shared; a finding is not: every failing relation is
+    # listed under its own label, in relation order.
+    datum, parents, _ = s4
+    bad = datum.with_entries({cell: Cyclotomic.zero()})
+    failures, conflicts, failing = unmemoized_findings(parents, bad)
+    assert sum(n for n in Counter(failing).values() if n > 1) == shared
+    system = assemble_system(parents, bad)
+    assert system.check_failures == failures
+    assert system.derived_conflicts == conflicts
+    assert check_derived_rows(parents, bad).conflicts == conflicts
+    if conflicts:
+        with pytest.raises(InconsistentSystemError) as info:
+            complete(bad, parents)
+        assert info.value.certificate == sorted(conflicts)
 
 
 def test_fully_known_datum_gives_empty_system(s4_completed, s4):

@@ -231,6 +231,27 @@ def test_eliminate_cyclotomic_rhs_with_rational_coefficients():
     assert eliminate(rows, [0, 1]) == {0: Cyclotomic.zero(), 1: w * 3}
 
 
+def test_eliminate_keeps_each_value_type_through_shared_updates():
+    # Updates repeat with int and equal Fraction operands (and a rational
+    # Cyclotomic); each solution keeps the value and type of unshared updates.
+    two = Cyclotomic.from_rational(2)
+    rows = [({"x": 1, "y": Fraction(1), "z": 2}, 9, ("a",)),
+            ({"x": Fraction(1), "y": 1, "z": Fraction(-1)}, Fraction(0), ("b",)),
+            ({"x": 2, "y": Fraction(2), "z": 1}, 9, ("c",)),
+            ({"x": 1, "y": 2, "z": Fraction(2)}, Fraction(11), ("d",))]
+    solution = eliminate(rows, ["z", "y", "x"])
+    assert solution == {"z": 3, "y": 2, "x": 1}
+    assert all(type(value) is Fraction for value in solution.values())
+    rows = [({"y": 1}, 1, ("b",)),
+            ({"x": 1, "y": two}, Fraction(3), ("a",)),
+            ({"z": Fraction(2), "x": 1}, 2, ("c",)),
+            ({"v": 2}, Fraction(3), ("e",)),
+            ({"v": 1, "y": Fraction(1)}, Fraction(5, 2), ("f",))]
+    solution = eliminate(rows, ["y", "x", "z", "v"])
+    assert solution == {"y": 1, "x": 1, "z": Fraction(1, 2), "v": Fraction(3, 2)}
+    assert [type(solution[u]) for u in "yxzv"] == [Fraction, Cyclotomic, Cyclotomic, Fraction]
+
+
 def test_eliminate_certificate_merges_labels():
     rows = [({"x": 1, "y": 1}, Fraction(1), ("a",)),
             ({"x": 1, "y": -1}, Fraction(0), ("b",)),
