@@ -164,7 +164,8 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
     combination is contradictory, or UnderdeterminedError naming free
     unknowns.  On success the returned datum is fully known and every input
     relation is reproduced; a "?" cell whose mirror is known takes the
-    mirror's value.
+    mirror's value.  The datum is ``target.completed``, so while it is held
+    an ``eigen_complete`` of ``target`` that agrees certifies this object.
     """
     if system.check_failures:
         raise InconsistentSystemError(system.check_failures, "known-entry checks failed")
@@ -173,7 +174,7 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
     for i, j in target.unknown_positions():
         mirror = target.s[j][i]
         new_entries[(i, j)] = solution[_fold(i, j)] if mirror is None else mirror
-    completed = target.with_entries(new_entries)
+    completed = target.completed(new_entries)
     return CompletionResult(datum=completed, solved=solution,
                             checks_passed=system.checks_passed)
 
@@ -289,15 +290,22 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
 
     Each column is solved from the shortest prefix of len(missing) * 2^t of
     its relations that pins every unknown.  The rest are certified at once:
-    on S' = S with those values, ``verlinde._reproduces`` checks that the
-    engine of S' (``ModularDatum.engine``) certifies every recorded product
-    as its row, which proves sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s]
-    at every column, hence every relation of every column.  On any failure
-    -- a prefix contradicts itself or runs out of relations, or a recorded
-    product is not the certified row, or S' fails its Galois check or
-    S'^2 = C, or has no usable prime -- every column eliminates all its
-    relations, in order, so the result and every error are those of full
-    elimination.  The route reads fixtures and shipped entries only.
+    on S' = ``target.completed`` with those values, ``verlinde._reproduces``
+    checks that the engine of S' (``ModularDatum.engine``) certifies every
+    recorded product as its row, which proves
+    sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] at every column, hence
+    every relation of every column.  On any failure -- a prefix contradicts
+    itself or runs out of relations, or a recorded product is not the
+    certified row, or S' fails its Galois check or S'^2 = C, or has no
+    usable prime -- every column eliminates all its relations, in order, so
+    the result and every error are those of full elimination.  The route
+    reads fixtures and shipped entries only.
+
+    When the values agree with those of a ``solve`` of ``target`` whose datum
+    is still held, S' is that datum: its Galois check, S^2 = C, engine and
+    certified rows, derived here or there, serve ``validate``, the tensor and
+    ``check_ring`` too.  Run before ``solve``, or after its datum is dropped,
+    the route certifies an S' of its own, which is gone once it returns.
     """
     check_fixture_range(fixtures, target.size)
     products: dict[tuple[int, int], dict[int, int]] = {}
@@ -312,8 +320,12 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
     except (ArithmeticError, LookupError, ValueError):
         return _eigen_columns(target, products, eliminate)
     # N[a,b] = N[b,a]: one row per unordered product.
-    rows = {(a, b): [terms.get(k, 0) for k in range(target.size)]
-            for (a, b), terms in products.items() if a <= b}
-    if not out or _reproduces(target.with_entries(out), rows):
+    rows = {}
+    for (a, b), terms in products.items():
+        if a <= b:
+            row = rows[a, b] = [0] * target.size
+            for k, mult in terms.items():
+                row[k] = mult
+    if not out or _reproduces(target.completed(out), rows):
         return out
     return _eigen_columns(target, products, eliminate)

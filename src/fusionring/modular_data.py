@@ -12,12 +12,15 @@ vacuum-pair rows (i, 0), as the Verlinde tensor reads its other rows, and
 decided once per datum, held or failed (``ModularDatum.s_squared``).  Once
 S^2 = C holds, S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is
 decided from it.  Each 1/S[0,s] is inverted once per datum
-(``ModularDatum.vacuum_inverse``).
+(``ModularDatum.vacuum_inverse``).  Equal completions of one datum are one
+datum while any caller holds it (``ModularDatum.completed``), so a completed
+S is certified once however many routes complete it.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -50,7 +53,14 @@ class QdimMismatchError(ValueError):
 
 
 class ModularDatum:
-    """Immutable-after-load container for labels and the (partial) S-matrix."""
+    """Immutable-after-load container for labels and the (partial) S-matrix.
+
+    Its derived state -- the Galois check, the S^2 = C verdict, the engine
+    and its certified rows, the vacuum inverses -- is kept on the datum and
+    computed at most once.  ``completed`` hands every caller that fills the
+    same values into this datum the same completed datum, so that state is
+    shared by every route that reaches one S; ``with_entries`` always builds
+    a fresh one."""
 
     def __init__(self, labels: list[ModuleLabel], s: list[list[Cyclotomic | None]],
                  name: str = ""):
@@ -65,6 +75,7 @@ class ModularDatum:
         self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
         self.name = name
         self._inverses: dict[Cyclotomic, Cyclotomic] = {}  # filled by vacuum_inverse
+        self._completions: weakref.WeakValueDictionary | None = None  # made by completed
 
     @property
     def size(self) -> int:
@@ -136,6 +147,20 @@ class ModularDatum:
         for (i, j), value in new_entries.items():
             s[i][j] = value
         return ModularDatum(self.labels, s, name=self.name)
+
+    def completed(self, values: dict[tuple[int, int], Cyclotomic]) -> "ModularDatum":
+        """``with_entries(values)``, one object for equal ``values`` while any
+        caller holds it.  The memo is keyed by the values, not their positions
+        alone, so a completion that disagrees anywhere is a datum of its own,
+        with its own checks.  It holds each completion weakly: once the last
+        holder drops one, the next call builds it afresh."""
+        if self._completions is None:
+            self._completions = weakref.WeakValueDictionary()
+        key = frozenset(values.items())
+        datum = self._completions.get(key)
+        if datum is None:
+            datum = self._completions[key] = self.with_entries(values)
+        return datum
 
 
 # -- derived quantities ------------------------------------------------------

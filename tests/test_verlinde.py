@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from conftest import counted_kernels, expected_group_fusion, su2_datum
 
-from fusionring import cyclo, modular_data, verlinde
-from fusionring.branching import eigen_complete
+from fusionring import branching, cyclo, modular_data, verlinde
+from fusionring.branching import complete, eigen_complete
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import FixtureRecord, IndexRangeError
 from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
                                      charge_conjugation, validate)
+from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import (FusionTensor, NegativeResultError,
                                  NonIntegerResultError, check_ring,
                                  compare_fixtures, fusion_product, fusion_tensor,
@@ -412,12 +413,51 @@ def test_ring_check_after_the_tensor_makes_no_product(monkeypatch):
 
 
 def test_eigen_route_builds_one_engine_on_the_completed_s(monkeypatch, s4, s4_completed):
+    # The session's completion is held, so the route certifies that very
+    # datum, and builds its engine only if nothing has yet.
     datum, _, fixtures = s4
     built = counted_engines(monkeypatch)
+    certified = []
+    reproduces = branching._reproduces
+    monkeypatch.setattr(branching, "_reproduces", lambda target, rows:
+                        certified.append(target) or reproduces(target, rows))
     eigen = eigen_complete(datum, fixtures)
-    assert len(eigen) == 49 and len(built) == 1
-    (completed,) = built
-    assert completed is not datum and completed.s == s4_completed.s
+    assert len(eigen) == 49 and certified == [s4_completed]
+    assert built in ([], [s4_completed])
+
+
+def test_one_completed_s_is_certified_once(monkeypatch):
+    # complete and the eigen route fill equal values into one fresh datum, so
+    # they share one completion: one Galois check, one S^2 = C, one engine.
+    calls = []
+    for name in ("galois_permutations", "_s_squared_rows"):
+        func = getattr(modular_data, name)
+        monkeypatch.setattr(modular_data, name, lambda *args, name=name, func=func:
+                            calls.append(name) or func(*args))
+    built = counted_engines(monkeypatch)
+    datum, parents, fixtures = load_dataset()
+    result = complete(datum, parents)
+    eigen = eigen_complete(datum, fixtures)
+    assert all(result.datum.entry(*pos) == value for pos, value in eigen.items())
+    assert validate(result.datum).ok
+    assert check_ring(fusion_tensor(result.datum), result.datum).ok
+    assert built == [result.datum]
+    assert sorted(calls) == ["_s_squared_rows", "galois_permutations"]
+
+
+def test_completions_that_differ_are_different_data(monkeypatch, s4):
+    datum = s4[0].with_entries({})
+    result = complete(datum, s4[1])
+    values = {pos: result.datum.entry(*pos) for pos in datum.unknown_positions()}
+    assert datum.completed(dict(values)) is result.datum
+    negated = {**values, (1, 1): -values[1, 1]}
+    other = datum.completed(negated)
+    assert other is not result.datum and other.s[1][1] == -result.datum.s[1][1]
+    built = counted_engines(monkeypatch)
+    assert other.engine is not result.datum.engine and built == [other, result.datum]
+    assert datum.with_entries(values) is not result.datum
+    assert datum.with_entries({}) is not datum.completed({})
+    assert datum.with_entries({}) is not datum.with_entries({})
 
 
 def test_failed_engine_is_not_kept(monkeypatch, s4_completed):
@@ -439,11 +479,21 @@ def test_engine_and_datum_form_no_cycle():
     ones = ModularDatum([ModuleLabel(i, f"m{i}") for i in range(3)], [[one] * 3] * 3)
     report = validate(ones)
     assert report.square_is_permutation is False and isinstance(ones.s_squared, str)
-    refs = [weakref.ref(x) for x in (datum, datum.engine, ones, ones.engine)]
+    # A completion is held weakly by the datum it completes: dropped, it
+    # and its engine go, and the next call builds a fresh one.
+    holed = datum.with_entries({(1, 2): None, (2, 1): None})
+    s, values = datum.s, {(1, 2): datum.s[1][2], (2, 1): datum.s[2][1]}
+    completion = holed.completed(values)
+    fusion_tensor(completion)
+    assert holed.completed(dict(values)) is completion
+    refs = [weakref.ref(x) for x in (datum, datum.engine, ones, ones.engine,
+                                     completion, completion.engine)]
     gc.disable()
     try:
-        del datum, ones
-        assert [ref() for ref in refs] == [None] * 4
+        del datum, ones, completion
+        assert [ref() for ref in refs] == [None] * 6
+        again = holed.completed(values)
+        assert "engine" not in vars(again) and again.s == s
     finally:
         gc.enable()
 
