@@ -17,17 +17,16 @@ A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
 One generator, ``_relations``, yields each right-hand side as weighted pairs
-(P[l,j], b[j,m]), and each consumer appends its known entries weighted by
--b[l,k] and computes each distinct sum once per call, through one local
+(P[l,j], b[j,m]).  The one relation pass appends the known entries weighted
+by -b[l,k] and computes each distinct sum once per call, through a local
 memo of ``cyclo.weighted_sum`` keyed by the tuple of pairs (equal entries are
 one object in the datum, and parent rows repeat).  So no integer weight
 becomes a cyclotomic and no product is canonicalized on its own, while every
-check, equation and finding stays one per relation.  The system consumes
-every relation.  The relations of single-module rows (branching
-{m: 1}) give S entries outright; where such an entry is known, a failed
-check is also an anti-typo audit finding, worded as a derived-versus-shipped
-conflict.  ``complete`` takes the audit from that one pass, and
-``check_derived_rows`` runs the audit alone.
+check, equation and finding stays one per relation.  A relation of a
+single-module row (branching {m: 1}) gives an S entry outright; where that
+entry is known, a failed check is also an anti-typo audit finding, a
+derived-versus-shipped conflict.  ``complete`` reads the audit off the pass
+over every relation, ``check_derived_rows`` off the pass over these rows alone.
 """
 
 from __future__ import annotations
@@ -100,8 +99,9 @@ class LinearSystem:
     equations: list[tuple] = field(default_factory=list)
     checks_passed: int = 0
     check_failures: list[str] = field(default_factory=list)
-    # The failed checks of single-module rows, worded as ``check_derived_rows``.
+    # The failed checks of single-module rows: the derived-row audit's findings.
     derived_conflicts: list[str] = field(default_factory=list)
+    relations: int = 0  # relations read: checks, equations and failures alike
 
 
 def assemble_system(parents: list[BranchingSection],
@@ -112,6 +112,12 @@ def assemble_system(parents: list[BranchingSection],
     unknown when both of its cells are "?", and a relation reads whichever
     cell of a pair is known, so no known entry is ever solved for.
     """
+    return _relation_pass(parents, target)
+
+
+# Not a keyword of assemble_system: the audit stays off that public, traceable name.
+def _relation_pass(parents: list[BranchingSection], target: ModularDatum,
+                   singles_only: bool = False) -> LinearSystem:
     n = target.size
     system = LinearSystem(unknowns=sorted({_fold(i, j) for i, j in target.unknown_positions()
                                            if _entry(target, i, j) is None}))
@@ -121,7 +127,8 @@ def assemble_system(parents: list[BranchingSection],
         system.check_failures.append(
             f"modules {missing} never appear in any parent decomposition")
     sums = lru_cache(maxsize=None)(weighted_sum)
-    for label, terms, m, residual in _relations(parents, n):
+    for label, terms, m, residual in _relations(parents, n, singles_only):
+        system.relations += 1
         coeffs: dict[tuple[int, int], int] = {}
         for k, blk in sorted(terms.items()):
             value = _entry(target, k, m)
@@ -191,19 +198,11 @@ def check_derived_rows(parents: list[BranchingSection],
 
     Each such entry is one relation of the system, S[r,m] = sum_j P[l,j] b[j,m];
     a mismatch against a known entry, or its known mirror, is reported (never
-    overwritten).  This is the dataset's anti-typo audit.
+    overwritten).  This anti-typo audit is ``complete``'s relation pass over
+    single-module rows alone, read as its relation count and derived conflicts.
     """
-    report = DeriveReport()
-    sums = lru_cache(maxsize=None)(weighted_sum)
-    for label, terms, m, pairs in _relations(parents, target.size, singles_only=True):
-        (r,) = terms
-        shipped = _entry(target, r, m)
-        report.entries_checked += 1
-        if shipped is not None:
-            residual = sums((*pairs, (shipped, -1)))
-            if residual:
-                report.conflicts.append(_conflict(label, r, m, shipped, residual))
-    return report
+    system = _relation_pass(parents, target, singles_only=True)
+    return DeriveReport(system.relations, system.derived_conflicts)
 
 
 def complete(target: ModularDatum, parents: list[BranchingSection]) -> CompletionResult:

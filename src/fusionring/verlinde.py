@@ -149,7 +149,7 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     engine = _engine(datum)
     indices = engine.indices
     m = len(indices)
-    values = [[[0] * m for _ in range(m)] for _ in range(m)]
+    values = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
             row = values[a][b] = _row_for_pair(engine, indices[a], indices[b])

@@ -217,6 +217,28 @@ def test_findings_stay_per_relation(s4, cell, shared):
         assert info.value.certificate == sorted(conflicts)
 
 
+def test_audit_counts_unknown_entries_without_comparing_them(s4):
+    # S[27,3] and its mirror unknown: their relations are read, and become
+    # equations, not conflicts.
+    datum, parents, _ = s4
+    hole = datum.with_entries({(27, 3): None, (3, 27): None})
+    report = check_derived_rows(parents, hole)
+    assert (report.entries_checked, report.conflicts) == (1120, [])
+
+
+def test_audit_stays_off_the_public_assembly(s4, monkeypatch):
+    # The audit runs the private pass, so a rebound assemble_system (as a
+    # tracer installs) never sees it.
+    datum, parents, _ = s4
+
+    def refuse(*args):
+        raise AssertionError("the audit called assemble_system")
+
+    monkeypatch.setattr(branching, "assemble_system", refuse)
+    report = check_derived_rows(parents, datum)
+    assert (report.entries_checked, report.conflicts) == (1120, [])
+
+
 def test_fully_known_datum_gives_empty_system(s4_completed, s4):
     _, parents, _ = s4
     system = assemble_system(parents, s4_completed)
@@ -308,6 +330,11 @@ def test_module_missing_from_every_parent_fails_the_checks(s4):
                                 rows={l: {m: c for m, c in t.items() if m != 27}
                                       for l, t in p.rows.items()})
                for p in parents]
+    # The audit counts the 1064 single-module relations it reads; the
+    # "never appear" failure is no relation.
+    report = check_derived_rows(dropped, datum)
+    assert (report.entries_checked, len(report.conflicts)) == (1064, 2)
+    assert report.conflicts == unmemoized_findings(dropped, datum)[1]
     system = assemble_system(dropped, datum)
     assert system.check_failures[0] == "modules [27] never appear in any parent decomposition"
     with pytest.raises(InconsistentSystemError) as info:
