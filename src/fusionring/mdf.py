@@ -27,11 +27,11 @@ optional header ``scale`` expression multiplies every entry on load so that
 file text can mirror a printed table verbatim.
 A ``weight=`` is ('+'|'-')? rational, its uint nonzero; a decimal or an
 exponent like ``1e999999999``, which would be built in full, is refused.
-The optional ``vacuum`` line must read 0.  Each branching table is one
-``BranchingSection``, which the completion takes as it is; ``qdim=`` labels
-are checked by ``modular_data.datum_from_file``.  Parse errors name the line,
-and a header key, label, S entry or branching row given twice is a
-``DuplicateEntryError``.
+The optional ``vacuum`` line must read 0, and ``modules`` at least 1.  Each
+branching table is one ``BranchingSection``, which the completion takes as it
+is; ``qdim=`` labels are checked by ``modular_data.datum_from_file``.  Parse
+errors name the line, and a header key, label, S entry or branching row given
+twice is a ``DuplicateEntryError``.
 
 A ``DatumFile`` holds every expression as its stripped text: ``s_entries``
 (``None`` for ``?``), ``qdims`` (by module index) and ``scale_expr``.
@@ -419,6 +419,8 @@ def parse_file(text: str) -> DatumFile:
                     datum.name = value
                 elif key == "modules":
                     datum.modules = int(value)
+                    if datum.modules < 1:
+                        raise ParseError("modules must be at least 1", 0, line_no)
                     if datum.modules > MAX_MODULES:
                         raise ParseError(f"modules exceeds {MAX_MODULES}", 0, line_no)
                 elif key == "vacuum":

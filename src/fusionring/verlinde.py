@@ -221,6 +221,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     (``_reproduces``), qdims multiply, N is associative and the simple
     currents have S[i,0] = S[0,0]; otherwise the qdims of each pair are
     compared by exact sums and ``_first_nonassociative`` searches directly.
+    With S[0,0] unknown or zero there are no qdims, and their verdicts are None.
     """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
@@ -250,7 +251,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
         report.associative = report.qdim_multiplicative = True
         report.simple_currents = [i for i, row in enumerate(datum.s) if row[0] == datum.s[0][0]]
     else:
-        qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
+        qdims = quantum_dimensions(datum) if datum.known(0, 0) and datum.s[0][0] else [None]
         bad_pair = None if None in qdims else next((
             (i, j) for i, j in pairs if cyclo.exact_sum(
                 qdims[k] * m for k, m in enumerate(N[i][j]) if m) != qdims[i] * qdims[j]), None)

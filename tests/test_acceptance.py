@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
+import pytest
 from conftest import expected_group_fusion
 
 from fusionring.branching import complete
@@ -19,6 +19,8 @@ from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.modular_data import glob, quantum_dimensions
 from fusionring.s4_dataset import load_dataset
 from fusionring.verlinde import compare_fixtures, fusion_tensor
+
+np = pytest.importorskip("numpy")
 
 QDIM_TABLE = [1, 1, 2, 3, 3, 2, 2, 4, 6, 6, 6, 6,
               8, 8, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6, 6, 12, 12]

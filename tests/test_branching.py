@@ -97,8 +97,9 @@ def test_complete_audits_from_its_one_relation_pass(s4, monkeypatch):
 
     datum, parents, _ = s4
     bad = datum.with_entries({(12, 13): Cyclotomic.zero(), (18, 19): Cyclotomic.one()})
-    expected = check_derived_rows(parents, bad).conflicts
-    assert len(expected) == 4
+    report = check_derived_rows(parents, bad)
+    expected = report.conflicts
+    assert (report.entries_checked, len(expected)) == (1120, 4)
     system = assemble_system(parents, bad)
     assert system.derived_conflicts == expected
     built = []

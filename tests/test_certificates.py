@@ -87,7 +87,7 @@ def qdim_failures_by_exact_loop(values, datum):
 def ring_report_by_einsum(tensor, datum):
     """The whole ``check_ring`` report: the axioms from numpy arrays, the
     first non-associative quadruple from einsum, and qdims from the exact loop."""
-    import numpy as np
+    np = pytest.importorskip("numpy")
 
     n = datum.size
     N = np.array(tensor.values, dtype=np.int64)
@@ -107,7 +107,7 @@ def ring_report_by_einsum(tensor, datum):
     if len(bad):
         quadruple = tuple(int(x) for x in bad[0])
         report.failures.append(f"associativity fails at quadruple {quadruple}")
-    qdims = quantum_dimensions(datum) if datum.known(0, 0) else [None]
+    qdims = quantum_dimensions(datum) if datum.known(0, 0) and datum.s[0][0] else [None]
     if None in qdims:
         return report
     qdim_failures = qdim_failures_by_exact_loop(tensor.values, datum)
@@ -288,16 +288,16 @@ def test_simple_current_with_a_non_permutation_matrix_matches_the_oracle():
     assert "simple current 6 has a non-permutation fusion matrix" in report.failures
 
 
-def test_vacuum_zero_s00_raises_as_the_oracle():
-    # S = [[0, 1], [1, 0]] squares to 1, but d_i = S[i,0] / S[0,0] has no value.
+def test_vacuum_zero_s00_leaves_qdims_open_as_the_oracle():
+    # S = [[0, 1], [1, 0]] squares to 1, but d_i = S[i,0] / S[0,0] has no value:
+    # the ring is still checked, and the qdim verdicts are open.
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
     datum = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(2)],
                          [[zero, one], [one, zero]])
     assert charge(datum) == [0, 1]
     tensor = fusion_tensor(lattice_modular_data(LatticeSpec(1)))
-    for check in (check_ring, ring_report_by_einsum):
-        with pytest.raises(ZeroDivisionError):
-            check(tensor, datum)
+    report = assert_ring_report_matches(tensor, datum)
+    assert report.ok and report.qdim_multiplicative is None
 
 
 def test_tensor_edited_in_place_is_checked_as_edited(s4_completed):
@@ -515,11 +515,7 @@ def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed
     for datum in (negated, *corrupted_data().values()):
         tensor = tensors[datum.size]
         assert verlinde._reproduces(datum, tensor_rows(tensor.values)) is False
-        if datum.s[0][0].is_zero():
-            with pytest.raises(ZeroDivisionError):
-                check_ring(tensor, datum)
-        else:
-            assert_ring_report_matches(tensor, datum)
+        assert_ring_report_matches(tensor, datum)
 
 
 def test_vacuum_hole_is_reported_before_the_galois_check(monkeypatch, s4_completed):

@@ -117,8 +117,7 @@ def test_complete_and_validate(tmp_path, capsys):
     out_path = tmp_path / "completed.mdf"
     code, _, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
                        "-o", str(out_path))
-    assert code == 0
-    assert "solved 28 unknown entries" in err
+    assert (code, err) == (0, "# solved 28 unknown entries; 1498 relations verified\n")
     code, out, _ = run(capsys, "validate", str(out_path))
     assert code == 0
     assert "unknown entries: 0" in out
@@ -149,11 +148,13 @@ def test_complete_without_parents(capsys):
     assert code == 3
 
 
-def test_complete_eigen_cross_check(capsys):
-    code, _, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
-                       "--cross-check", "eigen", "-o", "/dev/null")
-    assert code == 0
-    assert "49 entries agree" in err
+def test_complete_eigen_cross_check(completed_file, capsys):
+    # The eigen route agrees and leaves the completed file as it was.
+    code, out, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
+                         "--cross-check", "eigen")
+    assert (code, out) == (0, Path(completed_file).read_text())
+    assert err == ("# solved 28 unknown entries; 1498 relations verified\n"
+                   "# eigen cross-check: 49 entries agree\n")
 
 
 def test_eigen_cross_check_failure_names_its_route(tmp_path, capsys):
@@ -241,6 +242,14 @@ def test_unset_duals_that_contradict_s_squared_are_refused(tmp_path, capsys):
      "error: line 3: branching row 1 declared twice\n"),
     ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 1/0\n", 2, "",
      "error: line 5, offset 0: zero denominator\n"),
+    ("validate", "[header]\nmodules = 1\nmodules = 2\n\n[S]\n0 0 1\n", 2, "",
+     "error: line 3: header key 'modules' declared twice\n"),
+    ("validate", "[header]\nmodules = 0\n", 2, "",
+     "error: line 2, offset 0: modules must be at least 1\n"),
+    ("validate", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n", 1,
+     "datum: (unnamed)  modules: 2\nunknown entries: 0\nsymmetry: ok\n"
+     "vacuum row: no zero entries\nqdim embeddings: all positive real\n"
+     "S^2=C: FAILED (S^2[0,0] = 2 is neither 0 nor 1)\nverdict: INVALID\n", ""),
     ("table", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 0\n1 0 0\n1 1 1\n", 1, "",
      "error: S[0,1] = 0 in the Verlinde denominator\n"),
     ("qdim", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 1\n1 0 ?\n1 1 -1\n", 1,

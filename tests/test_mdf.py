@@ -273,6 +273,9 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
     ("[header]\nmodules 2\n", ParseError, "line 2, offset 0: header lines are key = value"),
     ("[header]\ncolour = red\n", ParseError, "line 2, offset 0: unknown header key 'colour'"),
     ("[header]\nname = x\nmodules = 1025\n", ParseError, "line 3, offset 0: modules exceeds 1024"),
+    ("[header]\nmodules = 0\n", ParseError, "line 2, offset 0: modules must be at least 1"),
+    ("[header]\nname = x\nmodules = -3\n", ParseError,
+     "line 3, offset 0: modules must be at least 1"),
     (HEADER2 + "[labels]\n0\n", ParseError,
      "line 4, offset 0: label lines are: index name [attrs]"),
     (HEADER2 + "[labels]\n0 vac qdim\n", ParseError,

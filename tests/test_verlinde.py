@@ -35,6 +35,8 @@ def test_trivial_datum():
     datum = ModularDatum([ModuleLabel(0, "vac", dual=0)], [[Cyclotomic.one()]])
     tensor = fusion_tensor(datum)
     assert tensor.coeff(0, 0, 0) == 1
+    report = check_ring(tensor, datum)
+    assert report.ok and report.simple_currents == [0]
 
 
 def test_vacuum_acts_as_identity(s4_tensor):
@@ -114,8 +116,26 @@ def test_check_ring_lattice():
     assert report.simple_currents == list(range(32))
 
 
+@pytest.mark.parametrize("s00", [None, Cyclotomic.zero()])
+def test_check_ring_without_a_vacuum_entry(s00):
+    # Z_2 fusion with S[0,0] unknown or zero: there are no qdims, so the ring
+    # axioms are checked and the qdim verdicts read n/a.
+    one = Cyclotomic.one()
+    datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
+                         [[s00, one], [one, -one]])
+    tensor = FusionTensor([0, 1], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    report = check_ring(tensor, datum)
+    assert report.ok
+    assert report.qdim_multiplicative is None
+    assert report.simple_currents_are_permutations is None
+    assert report.to_text() == (
+        "vacuum identity: ok\ncommutativity: ok\nassociativity: ok\n"
+        "duality symmetry: ok\nqdim multiplicativity: n/a\n"
+        "simple currents: [] (fusion matrices are permutations: n/a)")
+
+
 def test_associativity_failure_names_first_quadruple():
-    import numpy as np
+    np = pytest.importorskip("numpy")
 
     datum = lattice_modular_data(LatticeSpec(2))
     n = datum.size
@@ -529,8 +549,8 @@ def test_package_runs_with_numpy_blocked(tmp_path):
             "    ['validate', '@s4'],\n"
             "    ['complete', '@s4', '--parents', '@s4_branching', '-o', out],\n"
             "    ['fuse', out, '8', '18'], ['table', out], ['qdim', out], ['glob', out],\n"
-            "    ['lattice', '--k', '3'], ['regress', out, '@s4_fixtures'])]\n"
-            "assert codes == [0] * 8, codes\n"
+            "    ['lattice', '--k', '3'], ['regress', out, '@s4_fixtures'], ['table', '@s4'])]\n"
+            "assert codes == [0] * 9, codes\n"
             "for name in ('concurrent.futures', 'multiprocessing'):\n"
             "    assert name not in sys.modules, f'imported {name}'\n")
     tests = Path(__file__).resolve().parent
