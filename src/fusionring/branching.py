@@ -17,16 +17,19 @@ A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
 
 One generator, ``_relations``, yields each right-hand side as weighted pairs
-(P[l,j], b[j,m]).  The one relation pass appends the known entries weighted
-by -b[l,k] and computes each distinct sum once per call, through a local
-memo of ``cyclo.weighted_sum`` keyed by the tuple of pairs (equal entries are
-one object in the datum, and parent rows repeat).  So no integer weight
-becomes a cyclotomic and no product is canonicalized on its own, while every
-check, equation and finding stays one per relation.  A relation of a
-single-module row (branching {m: 1}) gives an S entry outright; where that
-entry is known, a failed check is also an anti-typo audit finding, a
-derived-versus-shipped conflict.  ``complete`` reads the audit off the pass
-over every relation, ``check_derived_rows`` off the pass over these rows alone.
+(P[l,j], b[j,m]), with the row b[l,.] sorted once per parent row.  The one
+relation pass appends the known entries weighted by -b[l,k] and computes
+each distinct sum once per call, through a local memo of
+``cyclo.weighted_sum`` keyed by the tuple of pairs (equal entries are one
+object in the datum, and parent rows repeat).  So no integer weight becomes
+a cyclotomic and no product is canonicalized on its own, while every check,
+equation and finding stays one per relation.  A relation's label,
+"parent:moduleL:colM", is formatted only for an equation or a failed check.
+A relation of a single-module row (branching {m: 1}) gives an S entry
+outright; where that entry is known, a failed check is also an anti-typo
+audit finding, a derived-versus-shipped conflict.  ``complete`` reads the
+audit off the pass over every relation, ``check_derived_rows`` off the pass
+over these rows alone.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def _occurrences(section: BranchingSection, size: int) -> list[list[tuple[int, i
 
 def _relations(parents: list[BranchingSection], size: int, singles_only: bool = False):
     """Every relation sum_k b[l,k] S[k,m] = sum_j P[l,j] b[j,m], one per parent row l
-    and orbifold column m, as (label, b[l,.], m, [(P[l,j], b[j,m]) for each j]).
+    and orbifold column m, as (parent, l, b[l,.], m, [(P[l,j], b[j,m]) for each j]),
+    with b[l,.] the sorted (k, b[l,k]) pairs, sorted once per row.
 
     With ``singles_only`` only the rows b[l,.] = {r: 1} are generated: their
     relations read S[r,m] straight off the parent side.
@@ -74,9 +78,15 @@ def _relations(parents: list[BranchingSection], size: int, singles_only: bool = 
             if singles_only and list(terms.values()) != [1]:
                 continue
             row = parent.s[l]
+            items = sorted(terms.items())
             for m in range(size):
-                yield (f"{section.parent}:module{l}:col{m}", terms, m,
+                yield (section.parent, l, items, m,
                        [(row[j], bjm) for j, bjm in occurrences[m]])
+
+
+def _label(parent: str, l: int, m: int) -> str:
+    """The name of a relation, formatted only for equations and failed checks."""
+    return f"{parent}:module{l}:col{m}"
 
 
 def _fold(i: int, j: int) -> tuple[int, int]:
@@ -127,10 +137,10 @@ def _relation_pass(parents: list[BranchingSection], target: ModularDatum,
         system.check_failures.append(
             f"modules {missing} never appear in any parent decomposition")
     sums = lru_cache(maxsize=None)(weighted_sum)
-    for label, terms, m, residual in _relations(parents, n, singles_only):
+    for parent, l, items, m, residual in _relations(parents, n, singles_only):
         system.relations += 1
         coeffs: dict[tuple[int, int], int] = {}
-        for k, blk in sorted(terms.items()):
+        for k, blk in items:
             value = _entry(target, k, m)
             if value is None:
                 key = _fold(k, m)
@@ -139,14 +149,15 @@ def _relation_pass(parents: list[BranchingSection], target: ModularDatum,
                 residual.append((value, -blk))
         rhs = sums(tuple(residual))
         if coeffs:
-            system.equations.append((coeffs, rhs, (label,)))
+            system.equations.append((coeffs, rhs, (_label(parent, l, m),)))
         elif rhs.is_zero():
             system.checks_passed += 1
         else:
+            label = _label(parent, l, m)
             system.check_failures.append(
                 f"{label}: residual {rhs} (known entries violate the relation)")
-            if list(terms.values()) == [1]:
-                (r,) = terms
+            if [blk for _, blk in items] == [1]:
+                ((r, _),) = items
                 system.derived_conflicts.append(_conflict(label, r, m, _entry(target, r, m), rhs))
     return system
 

@@ -50,7 +50,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, repeat
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -530,10 +530,21 @@ class Images:
 
 def combine(primes: list[int], residues) -> list[int]:
     """Lists of residues, one per prime in order, joined by the CRT into
-    residues modulo the primes' product."""
-    modulus = prod(primes)
-    crt = [modulus // p * pow(modulus // p, -1, p) for p in primes]
-    return [sum(map(mul, rs, crt)) % modulus for rs in zip(*residues)]
+    residues modulo the primes' product.
+
+    Garner's incremental form (Garner 1959): start from the first prime's
+    residues x modulo M = p_1 and fold in each further prime p as
+    x + M * ((r - x) / M mod p), one modular step per value; with one prime
+    nothing is folded.
+    """
+    residues = iter(residues)
+    out = list(next(residues))
+    modulus = primes[0]
+    for p, rs in zip(primes[1:], residues):
+        inv = pow(modulus, -1, p)
+        out = [x + (r - x) * inv % p * modulus for x, r in zip(out, rs)]
+        modulus *= p
+    return out
 
 
 def pack(residues) -> int:
@@ -676,20 +687,22 @@ def eliminate(rows, unknowns: list) -> dict:
     Each row is ``(coeffs, rhs, labels)``: the relation
     sum_u coeffs[u] * x_u = rhs together with the labels of the source
     relations it came from.  Coefficients and right-hand sides may be ``int``,
-    ``Fraction`` or ``Cyclotomic``; pivots are inverted as ``Fraction(1) / c``,
-    so the solution is exact.  Unknowns are pivoted in the given order, each on
-    the first remaining row that contains it, and every other row -- earlier
-    pivot rows included -- is reduced by the pivot at once, so no
-    back-substitution is needed.  A reduced row inherits the labels of every
-    pivot applied to it.  Each distinct update x - a * b is computed once per
-    call, through one local memo of ``_minus_product`` that keys on the types
-    too, so an ``int`` and an equal ``Fraction`` keep their own results.
+    ``Fraction`` or ``Cyclotomic``.  A pivot of +-1 is its own inverse and keeps
+    its type, so integer rows with unit pivots update in ``int``s; any other
+    pivot c is inverted as ``Fraction(1) / c``, so the solution is exact.
+    Unknowns are pivoted in the given order, each on the first remaining row
+    that contains it, and every other row -- earlier pivot rows included -- is
+    reduced by the pivot at once, so no back-substitution is needed.  A
+    reduced row inherits the labels of every pivot applied to it.  Each
+    distinct update x - a * b is computed once per call, through one local
+    memo of ``_minus_product`` that keys on the types too, so an ``int`` and
+    an equal ``Fraction`` keep their own results.
 
-    Returns {unknown: value}.  Raises InconsistentSystemError with the merged
-    labels of the first row a pivot reduces to 0 = r, r != 0 (a row read
-    without coefficients counts as zeroed by the first pivot, or is reported
-    when no pivot is made), and UnderdeterminedError naming the unknowns left
-    without a pivot.
+    Returns {unknown: value}, a rational value as a ``Fraction``.  Raises
+    InconsistentSystemError with the merged labels of the first row a pivot
+    reduces to 0 = r, r != 0 (a row read without coefficients counts as
+    zeroed by the first pivot, or is reported when no pivot is made), and
+    UnderdeterminedError naming the unknowns left without a pivot.
     """
     work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
             for coeffs, rhs, labels in rows]
@@ -700,7 +713,8 @@ def eliminate(rows, unknowns: list) -> dict:
         if index is None:
             continue
         coeffs, rhs, labels = work.pop(index)
-        inv = Fraction(1) / coeffs.pop(u)
+        lead = coeffs.pop(u)
+        inv = lead if lead in (1, -1) else Fraction(1) / lead
         pivot = ({k: c * inv for k, c in coeffs.items()}, rhs * inv, labels)
         work = [_reduce_row(row, u, pivot, minus_product) for row in work]
         _raise_contradiction(work)
@@ -712,7 +726,8 @@ def eliminate(rows, unknowns: list) -> dict:
     free = [u for u in unknowns if u not in pivots]
     if free:
         raise UnderdeterminedError(free)
-    return {u: pivots[u][1] for u in unknowns}
+    values = {u: pivots[u][1] for u in unknowns}
+    return {u: Fraction(v) if type(v) is int else v for u, v in values.items()}
 
 
 def _raise_contradiction(work) -> None:

@@ -29,7 +29,7 @@ from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, conj, embed, format_brief, format_exact, inverse
-from .mdf import DatumFile, ModuleLabel, eval_expr, parse_expr
+from .mdf import DatumFile, ModuleLabel, ParseError, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
@@ -483,8 +483,11 @@ def _value(text: str) -> Cyclotomic:
 def datum_from_file(df: DatumFile) -> ModularDatum:
     """Build the in-memory datum, scaled by the header scale factor, evaluating
     each distinct entry text once; every recorded ``qdim=`` must equal
-    S[i,0]/S[0,0] exactly."""
+    S[i,0]/S[0,0] exactly.  A file without a header ``modules`` key is a
+    ``mdf.ParseError``."""
     n = df.modules
+    if n < 1:
+        raise ParseError("the header has no 'modules' key", 0)
     by_index = {lab.index: lab for lab in df.labels}
     labels = [by_index.get(i) or ModuleLabel(i, f"m{i}") for i in range(n)]
     scale = _value(df.scale_expr) if df.scale_expr is not None else None

@@ -12,7 +12,7 @@ from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
                                   assemble_system, check_derived_rows,
                                   complete, eigen_complete, solve)
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
-from fusionring.lattice import LatticeSpec
+from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
 from fusionring.modular_data import validate
 
@@ -148,7 +148,9 @@ def test_branching_weights_stay_integers(s4, monkeypatch):
 def test_each_distinct_sum_once_per_call(s4, s4_completed, monkeypatch):
     # Equal entries are one object and parent rows repeat: of the system's
     # 1624 relation sums 178 are distinct, of the audit's 1120 83, and of the
-    # elimination's 919 updates 260 (an int and an equal Fraction apart).
+    # elimination's 919 updates 234: every pivot is +-1 and stays an int, so no
+    # pivot turns an update's operands into Fractions that the typed memo
+    # keeps apart from equal ints.
     # Each memo lives for one call, so a second call sums everything again.
     datum, parents, _ = s4
     calls = []
@@ -170,26 +172,39 @@ def test_each_distinct_sum_once_per_call(s4, s4_completed, monkeypatch):
     assert count == (83, 0)
     assert (report.entries_checked, report.conflicts) == (1120, [])
     result, count = counted(lambda: solve(system, datum))
-    assert count == (0, 260)
+    assert count == (0, 234)
     assert result.datum.s == s4_completed.s
 
 
 def unmemoized_findings(parents, target):
     """(check failures, derived conflicts, residual tuple of each failure) with
-    every relation summed on its own: the oracle for the memoized passes."""
+    every relation summed on its own: the oracle for the memoized passes.
+
+    Built from the sections and the parent lattice data alone, in relation
+    order (section, parent row l, column m):
+    sum_j P[l,j] b[j,m] - sum_k b[l,k] S[k,m] over known S[k,m] (or S[m,k])."""
     failures, conflicts, failing = [], [], []
-    for label, terms, m, residual in branching._relations(parents, target.size):
-        known = [(k, branching._entry(target, k, m)) for k in sorted(terms)]
-        if any(value is None for _, value in known):
-            continue
-        residual += [(value, -terms[k]) for k, value in known]
-        rhs = cyclo.weighted_sum(residual)
-        if rhs:
-            failures.append(f"{label}: residual {rhs} (known entries violate the relation)")
-            failing.append(tuple(residual))
-            if list(terms.values()) == [1]:
-                ((r, shipped),) = known
-                conflicts.append(branching._conflict(label, r, m, shipped, rhs))
+    n = target.size
+    for section in parents:
+        p = lattice_modular_data(LatticeSpec(section.k)).s
+        for l, terms in sorted(section.rows.items()):
+            for m in range(n):
+                known = [(k, target.s[k][m] if target.s[k][m] is not None else target.s[m][k])
+                         for k in sorted(terms)]
+                if any(value is None for _, value in known):
+                    continue
+                residual = [(p[l][j], row[m]) for j, row in sorted(section.rows.items())
+                            if m in row]
+                residual += [(value, -terms[k]) for k, value in known]
+                rhs = cyclo.weighted_sum(residual)
+                if rhs:
+                    label = f"{section.parent}:module{l}:col{m}"
+                    failures.append(f"{label}: residual {rhs} (known entries violate the relation)")
+                    failing.append(tuple(residual))
+                    if list(terms.values()) == [1]:
+                        ((r, shipped),) = known
+                        conflicts.append(f"S[{r},{m}] from {section.parent}:module{l}: "
+                                         f"derived {rhs + shipped}, shipped {shipped}")
     return failures, conflicts, failing
 
 

@@ -53,13 +53,12 @@ def test_validate_corrupted(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "qdim", "glob", "table"])
 def test_empty_datum_is_an_error(command, tmp_path, capsys):
+    # An empty file declares no datum size: a parse error naming the missing
+    # header key, like ``modules = 0``.
     empty = tmp_path / "empty.mdf"
     empty.write_text("")
-    code, out, err = run(capsys, command, str(empty))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert run(capsys, command, str(empty)) == (
+        2, "", "error: offset 0: the header has no 'modules' key\n")
 
 
 def test_validate_checks_recorded_qdims(tmp_path, capsys):
@@ -259,6 +258,16 @@ def test_documented_errors(tmp_path, capsys, command, text, code, out, err):
     path = tmp_path / "datum.mdf"
     path.write_text(text)
     assert run(capsys, command, str(path)) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["fuse", "0", "0"], ["table"]])
+def test_missing_modules_key_is_a_parse_error(tmp_path, capsys, argv):
+    # A header without ``modules`` declares no datum size: a parse error
+    # (exit 2) like ``modules = 0``, not a 0-module datum (exit 1).
+    path = tmp_path / "datum.mdf"
+    path.write_text("[header]\nname = x\n")
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", "error: offset 0: the header has no 'modules' key\n")
 
 
 def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: constructors, field axioms, roots, embedding."""
 
 import cmath
+import itertools
 import math
 import operator
 import random
@@ -229,6 +230,35 @@ def test_eliminate_cyclotomic_rhs_with_rational_coefficients():
     rows = [({0: Fraction(2), 1: Fraction(1)}, w * 3, ("a",)),
             ({1: Fraction(1, 3)}, w, ("b",))]
     assert eliminate(rows, [0, 1]) == {0: Cyclotomic.zero(), 1: w * 3}
+
+
+def test_eliminate_unit_pivots_update_in_ints_and_return_fractions(monkeypatch):
+    # A unimodular integer system: every pivot is +-1 and every right-hand
+    # side an int.  No pivot is inverted into a Fraction, so every update is
+    # int arithmetic, and the rational solution still comes back as Fractions.
+    rows = [({"x": 1, "y": 2, "z": -3}, -4, ("a",)),
+            ({"y": -1, "z": 5}, 13, ("b",)),
+            ({"z": 1}, 3, ("c",)),
+            ({"x": 1, "y": 1, "z": 2}, 9, ("d",))]
+    operands = []
+    minus_product = cyclo._minus_product
+    monkeypatch.setattr(cyclo, "_minus_product",
+                        lambda *args: operands.extend(args) or minus_product(*args))
+    solution = eliminate(rows, ["x", "y", "z"])
+    assert solution == {"x": 1, "y": 2, "z": 3}
+    assert all(type(value) is Fraction for value in solution.values())
+    assert operands and {type(x) for x in operands} == {int}
+
+
+def test_eliminate_cyclotomic_rhs_with_unit_pivots():
+    w, r = root_of_unity(5, 2), sqrt_int(2)
+    rows = [({"x": 1, "y": -1}, w - r, ("a",)),
+            ({"y": -1}, -r, ("b",)),
+            ({"x": -1, "y": 1, "z": 1}, r - w + 3, ("c",)),
+            ({"x": 1, "z": 1}, w + 3, ("d",))]
+    solution = eliminate(rows, ["x", "y", "z"])
+    assert solution == {"x": w, "y": r, "z": 3}
+    assert [type(solution[u]) for u in "xyz"] == [Cyclotomic, Cyclotomic, Cyclotomic]
 
 
 def test_eliminate_keeps_each_value_type_through_shared_updates():
@@ -692,6 +722,25 @@ def test_images_are_one_residue_list_per_prime():
     primes = [p for p, _ in chosen]
     assert primes == sorted(primes, reverse=True)
     assert cyclo.combine(primes, [[p - 1] for p in primes]) == [math.prod(primes) - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), st.integers(1, 3), st.data())
+def test_combine_is_the_textbook_crt(order, count, data):
+    # Garner's fold against sum_p r_p (P/p) ((P/p)^-1 mod p) mod P, over split
+    # primes as the engine draws them; one prime returns its residues.
+    limit = data.draw(st.sampled_from([1 << 12, 1 << 20, cyclo._PRIME_BOUND]))
+    primes = [p for p, _ in itertools.islice(cyclo._split_primes(order, limit, 1), count)]
+    width = data.draw(st.integers(1, 6))
+    residues = [data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+                for p in primes]
+    modulus = math.prod(primes)
+    expected = [sum(r * (modulus // p) * pow(modulus // p, -1, p)
+                    for r, p in zip(rs, primes)) % modulus for rs in zip(*residues)]
+    assert cyclo.combine(primes, residues) == expected
+    assert cyclo.combine(primes, iter(residues)) == expected
+    if count == 1:
+        assert cyclo.combine(primes, residues) == residues[0]
 
 
 def test_images_add_primes_only_when_a_bound_needs_them(monkeypatch):
