@@ -495,6 +495,8 @@ def parse_file(text: str) -> DatumFile:
             raise
         except ValueError as exc:
             raise ParseError(str(exc), 0, line_no) from exc
+    if (datum.s_entries or datum.labels) and not datum.modules:
+        raise ParseError("the header has no 'modules' key", 0)
     _check_ranges(datum)
     return datum
 
@@ -510,7 +512,6 @@ def _check_ranges(datum: DatumFile) -> None:
         for parent_idx in br.rows:
             if not 0 <= parent_idx < 2 * br.k:
                 raise IndexRangeError(f"branching row {parent_idx} out of range for k={br.k}")
-    # Without a header n = 0, so every S entry is out of range.
     for (r, c) in datum.s_entries:
         if not (0 <= r < n and 0 <= c < n):
             raise IndexRangeError(f"S entry ({r}, {c}) out of range")

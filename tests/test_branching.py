@@ -1,4 +1,5 @@
-"""The derived-row audit, the relation system, exact solving, and the eigen route."""
+"""The derived-row audit, the relation system, exact solving, completion from
+the branching tables alone, and the eigen route."""
 
 import math
 import re
@@ -14,7 +15,7 @@ from fusionring.branching import (InconsistentSystemError, UnderdeterminedError,
 from fusionring.cyclo import Cyclotomic, embed, inverse, root_of_unity, sqrt_int
 from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import BranchingSection, FixtureRecord, IndexRangeError
-from fusionring.modular_data import validate
+from fusionring.modular_data import ModularDatum, validate
 
 
 def by_name(parents, name):
@@ -357,6 +358,43 @@ def test_module_missing_from_every_parent_fails_the_checks(s4):
         solve(system, datum)
     assert info.value.residual == "known-entry checks failed"
     assert info.value.certificate == sorted(system.check_failures)
+
+
+def blank(datum):
+    """The datum's labels with every S entry unknown."""
+    return ModularDatum(datum.labels, [[None] * datum.size for _ in range(datum.size)])
+
+
+def test_branching_tables_alone_determine_s(s4, s4_completed):
+    # No tabulated entry is read: every S entry is solved from the relations.
+    datum, parents, _ = s4
+    result = complete(blank(datum), parents)
+    assert (len(result.solved), result.checks_passed) == (406, 0)
+    assert result.datum.s == s4_completed.s
+
+
+@pytest.mark.parametrize("dropped, uncovered", [
+    ("norm32", [8, 9, 10, 11, *range(18, 26)]),
+    ("norm18", [12, 13, 14, 15, 16, 17]),
+    ("norm8", [26, 27]),
+])
+def test_branching_alone_without_a_parent_names_its_modules(s4, dropped, uncovered):
+    datum, parents, _ = s4
+    with pytest.raises(InconsistentSystemError) as info:
+        complete(blank(datum), [p for p in parents if p.parent != dropped])
+    assert info.value.certificate == [
+        f"modules {uncovered} never appear in any parent decomposition"]
+
+
+def test_branching_alone_locates_a_corrupted_parent_row(s4):
+    datum, parents, _ = s4
+    tampered = [BranchingSection(p.parent, p.k, {**p.rows, 1: {19: 1}})
+                if p.parent == "norm32" else p for p in parents]
+    with pytest.raises(InconsistentSystemError) as info:
+        complete(blank(datum), tampered)
+    certificate = info.value.certificate
+    assert certificate and all(re.fullmatch(r"norm(32|18|8):module\d+:col\d+", label)
+                               for label in certificate)
 
 
 def test_eigen_route_agrees(s4, s4_completed):

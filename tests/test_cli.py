@@ -262,12 +262,14 @@ def test_documented_errors(tmp_path, capsys, command, text, code, out, err):
 
 @pytest.mark.parametrize("argv", [["validate"], ["fuse", "0", "0"], ["table"]])
 def test_missing_modules_key_is_a_parse_error(tmp_path, capsys, argv):
-    # A header without ``modules`` declares no datum size: a parse error
-    # (exit 2) like ``modules = 0``, not a 0-module datum (exit 1).
+    # A file without ``modules`` declares no datum size: a parse error
+    # (exit 2) like ``modules = 0``, not a 0-module datum (exit 1), and
+    # named by the key, not by the first S entry it leaves out of range.
     path = tmp_path / "datum.mdf"
-    path.write_text("[header]\nname = x\n")
-    assert run(capsys, argv[0], str(path), *argv[1:]) == (
-        2, "", "error: offset 0: the header has no 'modules' key\n")
+    for text in ("[header]\nname = x\n", "[S]\n0 0 1\n"):
+        path.write_text(text)
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (
+            2, "", "error: offset 0: the header has no 'modules' key\n")
 
 
 def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):

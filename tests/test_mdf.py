@@ -45,6 +45,12 @@ def test_eval_sqrt_square():
     assert eval_expr(parse_expr("sqrt(2)^2")) == 2
 
 
+def test_eval_negative_powers_of_non_roots():
+    # Only E(n)^k is a root power; any other base is inverted, then raised.
+    assert eval_expr(parse_expr("sqrt(2)^-2")) == Fraction(1, 2)
+    assert eval_expr(parse_expr("(1+E(3))^-1")) == eval_expr(parse_expr("-E(3)"))
+
+
 def test_eval_division():
     assert eval_expr(parse_expr("(E(8)+E(8)^7)/sqrt(2)")) == 1
 
@@ -299,8 +305,11 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
      "dual index 2 out of range for label 1"),
     (HEADER2 + '[branching parent="p" k=1]\n1 = 2\n', IndexRangeError,
      "branching target 2 out of range"),
-    # Without a header the datum has no modules, so no S entry is in range.
-    ("[S]\n0 0 1\n", IndexRangeError, "S entry (0, 0) out of range"),
+    # S or label lines need the header's module count; files of branching
+    # sections or fixtures alone need no header.
+    ("[S]\n0 0 1\n", ParseError, "offset 0: the header has no 'modules' key"),
+    ("[header]\nname = x\n[labels]\n0 vac\n", ParseError,
+     "offset 0: the header has no 'modules' key"),
     # A repeated header key is rejected, not overwritten by the later line.
     ("[header]\nmodules = 1\nmodules = 2\n", DuplicateEntryError,
      "line 3: header key 'modules' declared twice"),

@@ -157,22 +157,40 @@ def test_shipped_files_byte_stable():
         assert serialize(df) == body.lstrip("\n")
 
 
-def test_generator_script_reproduces_shipped_files(capsys):
-    # Run the generator's audit and rebuild every data file in memory; nothing
-    # is written.
+def generator():
+    """The generator script as a module; importing it writes nothing."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "generate_s4_data.py"
     spec = importlib.util.spec_from_file_location("generate_s4_data", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def test_generator_script_reproduces_shipped_files(capsys):
+    # Run the generator's audit and rebuild every data file in memory; nothing
+    # is written.
+    gen = generator()
     partial = gen.build_partial_datum_file()
     branchings = gen.build_branching_file()
     gen.audit(partial, branchings)
-    out = capsys.readouterr().out
-    assert "derived-row audit: 1120 entries match the tables" in out
-    assert "relation audit: 1498 known-entry relations hold" in out
+    assert capsys.readouterr().out == (
+        "transcription audit: 406 unknowns solved from the branching tables alone; "
+        "all 735 tabulated entries agree\n")
     built = {"s4_partial.mdf": partial, "s4_branching.mdf": branchings,
              "s4_fixtures.mdf": gen.build_fixture_file()}
     for name, df in built.items():
         text = gen.HEADER + serialize(df)
         assert text.encode() == data_path(name).read_bytes(), name
     assert gen.DATA_NOTES.encode() == data_path("DATA_NOTES.txt").read_bytes()
+
+
+def test_generator_audit_names_each_mistranscribed_cell():
+    # S[26,27] and its mirror are tabulated apart, so only the one cell differs;
+    # the audit raises SystemExit, which ``python -O`` keeps.
+    gen = generator()
+    partial = gen.build_partial_datum_file()
+    partial.s_entries[(26, 27)] = "2*sqrt(2)"
+    with pytest.raises(SystemExit) as info:
+        gen.audit(partial, gen.build_branching_file())
+    assert str(info.value) == ("transcription audit: 1 of 735 tabulated S entries "
+                               "differ from the branching-only completion: S[26,27]")

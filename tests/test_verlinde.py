@@ -209,6 +209,11 @@ def test_triples_export_round_trip(s4_tensor):
     assert lines == sorted(lines, key=lambda s: [int(x) for x in s.split()])
 
 
+def test_triples_skip_comments_and_blank_lines():
+    text = "# i j k N\n\n0 1 1 1  # a trailing note\n   \n1 1 0 1\n"
+    assert triples_to_fixtures(text) == [FixtureRecord(0, 1, {1: 1}), FixtureRecord(1, 1, {0: 1})]
+
+
 def test_parallel_matches_serial():
     # jobs is accepted and ignored.
     spec = LatticeSpec(5)
