@@ -5,7 +5,8 @@ The tables below are transcribed from the source document (its S-matrix
 tables, module classification, branching identifications, and recorded
 fusion products); ``src:`` tags on fixture lines index the numbered
 statements they come from.  Before writing anything the script audits the
-transcription; the audits raise, never ``assert``, so ``python -O`` runs them:
+transcription.  Every check, these audits and the table checks alike, raises
+SystemExit naming what failed, never ``assert``, so ``python -O`` runs them:
 
   * a blank 28-module S-matrix is completed from the branching tables and
     the parent lattice S-matrices alone, and every tabulated S entry must
@@ -48,21 +49,24 @@ COSETS_32 = [1, 3, 5, 7, 9, 11, 13, 15]  # modules 18..25 <-> norm-32 cosets s
 def pair18(j: int) -> str:
     j = j % 18
     j = min(j, 18 - j)
-    assert j in COSETS_18, j
+    if j not in COSETS_18:
+        raise SystemExit(f"pair18: {j} is not a norm-18 coset")
     return f"4/3*(E(18)^{j}+E(18)^{18 - j})"
 
 
 def pair16(j: int) -> str:
     j = j % 16
     j = min(j, 16 - j)
-    assert j in (1, 3, 5, 7), j
+    if j not in (1, 3, 5, 7):
+        raise SystemExit(f"pair16: {j} is not an odd residue mod 16")
     return f"E(16)^{j}+E(16)^{16 - j}"
 
 
 def pair32(j: int) -> str:
     j = j % 32
     j = min(j, 32 - j)
-    assert j in COSETS_32, j
+    if j not in COSETS_32:
+        raise SystemExit(f"pair32: {j} is not a norm-32 coset")
     return f"E(32)^{j}+E(32)^{32 - j}"
 
 
@@ -136,12 +140,15 @@ TABLE_2 = [
 # Structural cross-check values for the symbol tables.
 for a, r in enumerate(COSETS_18):
     for b, rp in enumerate(COSETS_18):
-        assert TABLE_1[12 + a][5 + b] == pair18(r * rp), (r, rp)
+        if TABLE_1[12 + a][5 + b] != pair18(r * rp):
+            raise SystemExit(f"TABLE_1[{12 + a}][{5 + b}] is not pair18({r} * {rp})")
 for a, s in enumerate(COSETS_32):
     for b, sp in enumerate(COSETS_32):
-        assert TABLE_2[18 + a][b] == pair32(s * sp), (s, sp)
-    assert TABLE_2[8][a] == pair16(s) and TABLE_2[9][a] == pair16(7 * s)
-    assert TABLE_2[10][a] == pair16(3 * s) and TABLE_2[11][a] == pair16(5 * s)
+        if TABLE_2[18 + a][b] != pair32(s * sp):
+            raise SystemExit(f"TABLE_2[{18 + a}][{b}] is not pair32({s} * {sp})")
+    for row, g in ((8, 1), (9, 7), (10, 3), (11, 5)):
+        if TABLE_2[row][a] != pair16(g * s):
+            raise SystemExit(f"TABLE_2[{row}][{a}] is not pair16({g} * {s})")
 
 
 def mirror(rows: dict[int, dict[int, int]], n: int) -> dict[int, dict[int, int]]:
@@ -197,7 +204,8 @@ def add(i: int, j: int, terms: dict[int, int], cite: str) -> None:
     key = (min(i, j), max(i, j))
     if key in _fixtures:
         raise SystemExit(f"duplicate fixture {key}")
-    assert all(m in (1, 2) for m in terms.values()), (key, terms)
+    if any(m not in (1, 2) for m in terms.values()):
+        raise SystemExit(f"fixture {key}: multiplicities {terms} are not all 1 or 2")
     _fixtures[key] = FixtureRecord(left=key[0], right=key[1],
                                    terms=dict(sorted(terms.items())),
                                    soft=key in SOFT_PAIRS, citation=cite)
@@ -464,7 +472,8 @@ def build_fixtures() -> list[FixtureRecord]:
               (21, 25), (22, 24), (23, 23)]),
     ]:
         for pair in pairs:
-            assert pair not in part_b, pair
+            if pair in part_b:
+                raise SystemExit(f"src:7.3 part B lists {pair} twice")
             part_b[pair] = target
     part_c = {}
     for channels, pairs in [
@@ -478,12 +487,14 @@ def build_fixtures() -> list[FixtureRecord]:
         ((1, 2, 4), [(18, 25), (19, 24), (20, 23), (21, 22)]),
     ]:
         for pair in pairs:
-            assert pair not in part_c, pair
+            if pair in part_c:
+                raise SystemExit(f"src:7.3 part C lists {pair} twice")
             part_c[pair] = channels
     for a in range(18, 26):
         for b in range(a, 26):
             pair = (a, b)
-            assert pair in part_b and pair in part_c, pair
+            if pair not in part_b or pair not in part_c:
+                raise SystemExit(f"src:7.3 parts B and C do not both list {pair}")
             part = ones(12, 15, 16) if pair in part_a1 else ones(13, 14, 17)
             add(a, b, {**part, **ones(part_b[pair]), **ones(*part_c[pair])},
                 "src:7.3")
@@ -529,11 +540,13 @@ def build_partial_datum_file() -> DatumFile:
                 df.s_entries[(r, c)] = table[(r, c)]
             elif (c, r) in table:
                 df.s_entries[(r, c)] = table[(c, r)]
-            else:
-                assert 1 <= r <= 7 and 1 <= c <= 7, (r, c)
+            elif 1 <= r <= 7 and 1 <= c <= 7:
                 df.s_entries[(r, c)] = None
+            else:
+                raise SystemExit(f"S[{r},{c}] is neither tabulated nor in the unknown block")
     unknown = [key for key, text in df.s_entries.items() if text is None]
-    assert len(unknown) == 49
+    if len(unknown) != 49:
+        raise SystemExit(f"{len(unknown)} unknown S cells, not 49")
     return df
 
 

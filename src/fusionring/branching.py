@@ -46,7 +46,6 @@ from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, check_fixture_range
 from .modular_data import ModularDatum
-from .verlinde import _reproduces
 
 __all__ = [
     "UnderdeterminedError", "InconsistentSystemError", "check_derived_rows",
@@ -175,7 +174,7 @@ def _conflict(label: str, r: int, m: int, shipped: Cyclotomic, residual: Cycloto
 class CompletionResult:
     datum: ModularDatum
     solved: dict[tuple[int, int], Cyclotomic]
-    checks_passed: int
+    verified: int  # passed checks + equations eliminated to 0 = 0, len(eqs) - len(unknowns)
 
 
 def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
@@ -196,8 +195,8 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
         mirror = target.s[j][i]
         new_entries[(i, j)] = solution[_fold(i, j)] if mirror is None else mirror
     completed = target.completed(new_entries)
-    return CompletionResult(datum=completed, solved=solution,
-                            checks_passed=system.checks_passed)
+    return CompletionResult(datum=completed, solved=solution, verified=system.checks_passed
+                            + len(system.equations) - len(system.unknowns))
 
 
 @dataclass
@@ -303,7 +302,7 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
 
     Each column is solved from the shortest prefix of len(missing) * 2^t of
     its relations that pins every unknown.  The rest are certified at once:
-    on S' = ``target.completed`` with those values, ``verlinde._reproduces``
+    on S' = ``target.completed`` with those values, ``ModularDatum.reproduces``
     checks that the engine of S' (``ModularDatum.engine``) certifies every
     recorded product as its row, which proves
     sum_k N[a,b]^k S'[k,s] S'[0,s] = S'[a,s] S'[b,s] at every column, hence
@@ -328,10 +327,6 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
         products[(fx.left, fx.right)] = fx.terms
         products[(fx.right, fx.left)] = fx.terms
     products = dict(sorted(products.items()))
-    try:
-        out = _eigen_columns(target, products, _solve_prefix)
-    except (ArithmeticError, LookupError, ValueError):
-        return _eigen_columns(target, products, eliminate)
     # N[a,b] = N[b,a]: one row per unordered product.
     rows = {}
     for (a, b), terms in products.items():
@@ -339,6 +334,10 @@ def eigen_complete(target: ModularDatum, fixtures) -> dict[tuple[int, int], Cycl
             row = rows[a, b] = [0] * target.size
             for k, mult in terms.items():
                 row[k] = mult
-    if not out or _reproduces(target.completed(out), rows):
-        return out
+    try:
+        out = _eigen_columns(target, products, _solve_prefix)
+        if not out or target.completed(out).reproduces(rows):
+            return out
+    except (ArithmeticError, LookupError, ValueError):
+        pass
     return _eigen_columns(target, products, eliminate)

@@ -102,7 +102,7 @@ def cmd_complete(args) -> int:
         result = complete(datum, parents)
         result_datum = result.datum
         print(f"# solved {len(result.solved)} unknown entries; "
-              f"{result.checks_passed} relations verified", file=sys.stderr)
+              f"{result.verified} relations verified", file=sys.stderr)
     if args.cross_check == "eigen":
         fixtures = parse_file(_read_text(fixtures_spec)).fixtures
         try:

@@ -6,15 +6,16 @@ datum file) and a square matrix of exact cyclotomic entries, possibly partial
 file-format convention.  Validation reports problems instead of raising,
 because shipped datasets may be deliberately partial and discrepancies are
 data, not crashes; only recorded qdims are enforced on load.
-A datum's one certificate engine (``ModularDatum.engine``) is the only
-holder of its one image of S per split prime.  S^2 = C is read off its
-vacuum-pair rows (i, 0), as the Verlinde tensor reads its other rows, and
-decided once per datum, held or failed (``ModularDatum.s_squared``).  Once
-S^2 = C holds, S^-1[i,j] = S[i,j'] is known entry by entry, and unitarity is
-decided from it.  Each 1/S[0,s] is inverted once per datum
-(``ModularDatum.vacuum_inverse``).  Equal completions of one datum are one
-datum while any caller holds it (``ModularDatum.completed``), so a completed
-S is certified once however many routes complete it.
+A datum's one certificate engine (``ModularDatum.engine``) is the only holder
+of its one image of S per split prime, and the one maker of Verlinde rows
+(``_Engine.row``).  S^2 = C is read off its vacuum-pair rows (i, 0), as the
+Verlinde tensor reads its other rows, and decided once per datum, held or
+failed (``ModularDatum.s_squared``).  Once S^2 = C holds, S^-1[i,j] = S[i,j']
+is known entry by entry, and unitarity is decided from it.  Each 1/S[0,s] is
+inverted once per datum (``ModularDatum.vacuum_inverse``).  Equal completions
+of one datum are one datum while any caller holds it
+(``ModularDatum.completed``), so a completed S is certified once however many
+routes complete it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .mdf import DatumFile, ModuleLabel, ParseError, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
+    "NonIntegerResultError", "NegativeResultError",
     "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "dual_mismatches", "computable_indices",
     "galois_permutations", "quantum_dimensions", "glob",
@@ -50,6 +52,25 @@ class NotPermutationError(ValueError):
 
 class QdimMismatchError(ValueError):
     """The S-matrix vacuum column contradicts the recorded quantum dimensions."""
+
+
+class NonIntegerResultError(ArithmeticError):
+    """A Verlinde sum failed to canonicalize to a rational integer; the exact
+    ``residual`` is printed as ``cyclo.format_brief`` shows it."""
+
+    def __init__(self, triple, residual):
+        super().__init__(f"N{triple} is not a rational integer: {format_brief(residual)}")
+        self.triple = triple
+        self.residual = residual
+
+
+class NegativeResultError(ArithmeticError):
+    """A Verlinde sum produced a negative integer."""
+
+    def __init__(self, triple, value):
+        super().__init__(f"N{triple} = {value} is negative")
+        self.triple = triple
+        self.value = value
 
 
 class ModularDatum:
@@ -133,6 +154,28 @@ class ModularDatum:
         """The datum's one certificate engine over ``computable_indices(self)``,
         built at most once; none is kept if building raises."""
         return _Engine(self, computable_indices(self))
+
+    def reproduces(self, rows: dict) -> bool:
+        """Whether S is fully known, passes ``galois`` and S^2 = C, its dual
+        labels are C (``dual_mismatches``), its engine has primes, and each
+        ``rows[i, j]`` (n integers) equals the engine's certified row N[i,j].
+        Then S^-1[s,k] = S[s,k'] gives N[i,j] = v S^-1, v(s) = S[i,s] S[j,s] / S[0,s],
+        so E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
+        column s, whose column 0 is the qdim identity.  ``verlinde.check_ring``
+        passes the whole tensor (i <= j for a commutative N): the matrix
+        R[m,s] = S[m,s]/S[0,s] is invertible, and i -> R[i,.] embeds N in C^n
+        with the pointwise product, so N is associative
+        (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).
+        ``branching.eigen_complete`` passes the recorded fusion products, to
+        certify its eigenvector relations at every column at once."""
+        if not self.fully_known() or self.galois is None:
+            return False
+        try:
+            engine, wrong = self.engine, dual_mismatches(self)
+        except (ZeroDivisionError, NotPermutationError):  # S[0,s] = 0, S^2 != C
+            return False
+        return not wrong and bool(engine.primes) and all(
+            engine.certified(i, j) == row for (i, j), row in rows.items())
 
     def vacuum_inverse(self, s: int) -> Cyclotomic:
         """1/S[0,s], each distinct vacuum entry inverted at most once per datum."""
@@ -303,18 +346,19 @@ class _Engine:
     x the image of S and y(s) = x(0,s)^-1; lifted to 0..P-1,
     0 <= c <= B / (D^3 D_inv) certifies N[i,j]^k = c, and any other c that
     it is not a nonnegative integer.  Certified rows are cached by the pair
-    {i, j} and by the images of S[i,s] S[j,s]; callers get copies.  ``times``
-    memoizes the products of exact sums of other rows."""
+    {i, j} and by the images of S[i,s] S[j,s]; callers get copies.  ``row``
+    sums a row the images do not certify exactly, its products memoized
+    across rows."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
-        self.s, self.indices = datum.s, indices
+        self._s, self.indices = datum.s, indices
         dual = datum.dual_permutation()
         cols = self.cols = [dual[k] for k in indices]
         for s in range(datum.size):
             if datum.entry(0, s).is_zero():  # MissingEntryError at a hole
                 raise ZeroDivisionError(f"S[0,{s}] = 0 in the Verlinde denominator")
-        self.inverses = [datum.vacuum_inverse(s) for s in range(datum.size)]
-        self.times = lru_cache(maxsize=None)(mul)
+        self._inverses = [datum.vacuum_inverse(s) for s in range(datum.size)]
+        self._times = lru_cache(maxsize=None)(mul)
         self._row_cache: dict = {}
         self._pair_cache: dict = {}
         self.primes: list[int] = []
@@ -330,11 +374,11 @@ class _Engine:
                     for row in datum.s]
 
         norms = as_matrix(images.norms)
-        d_inv = lcm(*(v.denom for v in self.inverses))
+        d_inv = lcm(*(v.denom for v in self._inverses))
         bound = sum(max((norms[i][s] for i in indices), default=0) ** 2
                     * sum(map(abs, inv.coeffs.values())) * (d_inv // inv.denom)
                     * max((norms[s][c] for c in cols), default=0)
-                    for s, inv in enumerate(self.inverses))
+                    for s, inv in enumerate(self._inverses))
         self.max_coeff = bound // (images.denom ** 3 * d_inv)
         chosen = images.choose_primes(4 * bound, avoid=d_inv)
         self.primes = [p for p, _ in chosen]
@@ -366,6 +410,25 @@ class _Engine:
                 out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
             self._pair_cache[ij] = out
         return out[:]
+
+    def row(self, i: int, j: int) -> list[int]:
+        """All N[i,j]^k for k in ``indices``, in index order: the certified
+        row, or else the row summed exactly with ``cyclo.exact_sum``, which
+        names the first bad triple and its exact value."""
+        out = self.certified(i, j)
+        if out:
+            return out
+        times, s = self._times, self._s
+        pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], self._inverses)]
+        for k, c in zip(self.indices, self.cols):
+            value = cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)])
+            n = value.as_rational() if value.is_rational() else None
+            if n is None or n.denominator != 1:
+                raise NonIntegerResultError((i, j, k), value)
+            if n < 0:
+                raise NegativeResultError((i, j, k), n.numerator)
+            out.append(n.numerator)
+        return out
 
 
 # -- validation --------------------------------------------------------------

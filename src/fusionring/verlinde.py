@@ -13,14 +13,15 @@ block of a partial one, so the same call certifies a completed datum and
 checks a partial one before completion.  ``fusion_product`` evaluates one
 row of that tensor with the same engine.
 
-Coefficients are certified by the datum's one engine (``ModularDatum.engine``,
-which certifies S^2 = C too) from its image of S modulo primes p = 1 mod N;
-no float is consulted, and a row that fails is summed exactly, so its error
-carries its exact value (``_row_for_pair``).  The engine serves
-``fusion_tensor``, ``fusion_product`` and ``check_ring``, which reads the
-integer axioms off rows and columns, certifies qdims, associativity and
-simple currents when the engine reproduces every row (``_reproduces``),
-each pair imaged once per datum, and otherwise decides them exactly.
+Every row comes from the datum's one engine (``ModularDatum.engine``, which
+certifies S^2 = C too): certified from its image of S modulo primes
+p = 1 mod N, no float consulted, or else summed exactly, so its error
+(``NonIntegerResultError``, ``NegativeResultError``) carries its exact value
+(``modular_data._Engine.row``).  The engine serves ``fusion_tensor``,
+``fusion_product`` and ``check_ring``, which reads the integer axioms off rows
+and columns, certifies qdims, associativity and simple currents when the datum
+reproduces every row (``ModularDatum.reproduces``), each pair imaged once per
+datum, and otherwise decides them exactly.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
 from . import cyclo
-from .cyclo import Cyclotomic, format_brief
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
                   format_formal_sum)
-from .modular_data import (MissingEntryError, ModularDatum, NotPermutationError,
+from .modular_data import (MissingEntryError, ModularDatum, NegativeResultError,
+                           NonIntegerResultError, NotPermutationError,
                            dual_mismatches, quantum_dimensions)
 
 __all__ = [
@@ -41,25 +42,6 @@ __all__ = [
     "check_ring", "applicable_fixtures", "compare_fixtures",
     "tensor_to_triples", "triples_to_fixtures",
 ]
-
-
-class NonIntegerResultError(ArithmeticError):
-    """A Verlinde sum failed to canonicalize to a rational integer; the exact
-    ``residual`` is printed as ``cyclo.format_brief`` shows it."""
-
-    def __init__(self, triple, residual):
-        super().__init__(f"N{triple} is not a rational integer: {format_brief(residual)}")
-        self.triple = triple
-        self.residual = residual
-
-
-class NegativeResultError(ArithmeticError):
-    """A Verlinde sum produced a negative integer."""
-
-    def __init__(self, triple, value):
-        super().__init__(f"N{triple} = {value} is negative")
-        self.triple = triple
-        self.value = value
 
 
 class FusionTensor:
@@ -97,15 +79,6 @@ class FusionTensor:
         return self.indices == other.indices and self.values == other.values
 
 
-def _integer_coeff(value: Cyclotomic, triple) -> int:
-    if not value.is_rational() or value.as_rational().denominator != 1:
-        raise NonIntegerResultError(triple, value)
-    n = value.as_rational().numerator
-    if n < 0:
-        raise NegativeResultError(triple, n)
-    return n
-
-
 def _engine(datum: ModularDatum):
     """``datum.engine``; ValueError if a full datum passing the Galois check
     has dual labels other than its C, as the rows read S^-1[s,k] as S[s,k'].
@@ -119,20 +92,6 @@ def _engine(datum: ModularDatum):
         if wrong:
             raise ValueError(f"dual labels disagree with S^2 = C at modules {wrong}")
     return engine
-
-
-def _row_for_pair(engine, i: int, j: int) -> list[int]:
-    """All N[i,j]^k for k in ``engine.indices``, in index order: the engine's
-    certified row, or else the row summed exactly with ``cyclo.exact_sum``,
-    which names the first bad triple and its exact value."""
-    out = engine.certified(i, j)
-    if out:
-        return out
-    times, s = engine.times, engine.s
-    pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], engine.inverses)]
-    return [_integer_coeff(cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)]),
-                           (i, j, k))
-            for k, c in zip(engine.indices, engine.cols)]
 
 
 def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
@@ -152,7 +111,7 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     values = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            row = values[a][b] = _row_for_pair(engine, indices[a], indices[b])
+            row = values[a][b] = engine.row(indices[a], indices[b])
             values[b][a] = row[:]
     return FusionTensor(indices, values)
 
@@ -172,7 +131,7 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
     engine = _engine(datum)
     if i not in engine.indices or j not in engine.indices:
         raise MissingEntryError(f"rows {i}, {j} are not fully known")
-    return {k: m for k, m in zip(engine.indices, _row_for_pair(engine, i, j)) if m}
+    return {k: m for k, m in zip(engine.indices, engine.row(i, j)) if m}
 
 
 # -- ring-property verification ---------------------------------------------
@@ -218,7 +177,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
     Vacuum identity, commutativity and duality compare rows of N with rows
     and permuted columns.  If the datum's engine reproduces the tensor
-    (``_reproduces``), qdims multiply, N is associative and the simple
+    (``ModularDatum.reproduces``), qdims multiply, N is associative and the simple
     currents have S[i,0] = S[0,0]; otherwise the qdims of each pair are
     compared by exact sums and ``_first_nonassociative`` searches directly.
     With S[0,0] unknown or zero there are no qdims, and their verdicts are None.
@@ -246,7 +205,7 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
     pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
-    if _reproduces(datum, {(i, j): N[i][j] for i, j in pairs}):
+    if datum.reproduces({(i, j): N[i][j] for i, j in pairs}):
         # A certified S has S[0,0] != 0, so d_i = S[i,0] / S[0,0] is 1 iff S[i,0] = S[0,0].
         report.associative = report.qdim_multiplicative = True
         report.simple_currents = [i for i, row in enumerate(datum.s) if row[0] == datum.s[0][0]]
@@ -273,29 +232,6 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
             report.simple_currents_are_permutations = False
             report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
     return report
-
-
-def _reproduces(datum: ModularDatum, rows: dict) -> bool:
-    """Whether S is fully known, passes ``datum.galois`` and S^2 = C, its dual
-    labels are C (``dual_mismatches``), its engine has primes, and each
-    ``rows[i, j]`` (n integers) equals the engine's certified row N[i,j].
-    Then S^-1[s,k] = S[s,k'] gives N[i,j] = v S^-1, v(s) = S[i,s] S[j,s] / S[0,s],
-    so E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
-    column s, whose column 0 is the qdim identity.  ``check_ring`` passes the
-    whole tensor (i <= j for a commutative N): the matrix
-    R[m,s] = S[m,s]/S[0,s] is invertible, and i -> R[i,.] embeds N in C^n
-    with the pointwise product, so N is associative
-    (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).
-    ``branching.eigen_complete`` passes the recorded fusion products, to
-    certify its eigenvector relations at every column at once."""
-    if not datum.fully_known() or datum.galois is None:
-        return False
-    try:
-        engine, wrong = datum.engine, dual_mismatches(datum)
-    except (ZeroDivisionError, NotPermutationError):  # S[0,s] = 0, S^2 != C
-        return False
-    return not wrong and bool(engine.primes) and all(
-        engine.certified(i, j) == row for (i, j), row in rows.items())
 
 
 def _first_nonassociative(values) -> tuple[int, int, int, int] | None:

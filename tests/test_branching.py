@@ -369,7 +369,7 @@ def test_branching_tables_alone_determine_s(s4, s4_completed):
     # No tabulated entry is read: every S entry is solved from the relations.
     datum, parents, _ = s4
     result = complete(blank(datum), parents)
-    assert (len(result.solved), result.checks_passed) == (406, 0)
+    assert (len(result.solved), result.verified) == (406, 1218)
     assert result.datum.s == s4_completed.s
 
 

@@ -216,7 +216,7 @@ def test_scrambled_dual_labels_are_reported_not_trusted(monkeypatch, tmp_path, c
 
 
 def tensor_rows(values):
-    """The rows N[i,j] of a tensor, keyed by (i, j), as ``verlinde._reproduces`` takes them."""
+    """The rows N[i,j] of a tensor, keyed by (i, j), as ``ModularDatum.reproduces`` takes them."""
     return {(i, j): row for i, plane in enumerate(values) for j, row in enumerate(plane)}
 
 
@@ -320,8 +320,8 @@ def test_channel_moved_between_equal_qdims_keeps_qdim_multiplicativity(monkeypat
     values[2][2][2] -= 1
     values[2][2][4] += 1
     rows = tensor_rows(values)
-    assert verlinde._reproduces(datum, {(2, 2): rows.pop((2, 2))}) is False
-    assert verlinde._reproduces(datum, rows) is True
+    assert datum.reproduces({(2, 2): rows.pop((2, 2))}) is False
+    assert datum.reproduces(rows) is True
     searched = []
     search = verlinde._first_nonassociative
     monkeypatch.setattr(verlinde, "_first_nonassociative",
@@ -477,7 +477,7 @@ def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
 def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
     # The shipped s4 knows column 0, hence every qdim, but not all of S: the
     # qdim pairs are compared exactly and associativity is searched directly.
-    assert verlinde._reproduces(s4[0], tensor_rows(s4_tensor.values)) is False
+    assert s4[0].reproduces(tensor_rows(s4_tensor.values)) is False
     assert check_ring(s4_tensor, s4[0]) == check_ring(s4_tensor, s4_completed)
     assert assert_ring_report_matches(s4_tensor, s4[0]).ok
     assert assert_ring_report_matches(bumped(s4_tensor, [(20, 9, 14)]), s4[0]).failures == [
@@ -499,7 +499,7 @@ def test_identity_never_certifies_associativity_without_s_squared_c():
     values = [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]
     assert datum.galois is not None
     assert charge(datum) == "S^2[0,0] = 3 is neither 0 nor 1"
-    assert verlinde._reproduces(datum, tensor_rows(values)) is False
+    assert datum.reproduces(tensor_rows(values)) is False
     report = assert_ring_report_matches(FusionTensor([0, 1, 2], values), datum)
     assert report.commutative and report.qdim_multiplicative
     assert "associativity fails at quadruple (1, 1, 2, 0)" in report.failures
@@ -514,7 +514,7 @@ def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed
     negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
     for datum in (negated, *corrupted_data().values()):
         tensor = tensors[datum.size]
-        assert verlinde._reproduces(datum, tensor_rows(tensor.values)) is False
+        assert datum.reproduces(tensor_rows(tensor.values)) is False
         assert_ring_report_matches(tensor, datum)
 
 

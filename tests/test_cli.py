@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionring import verlinde
+from fusionring import modular_data
 from fusionring.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,7 +116,7 @@ def test_complete_and_validate(tmp_path, capsys):
     out_path = tmp_path / "completed.mdf"
     code, _, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
                        "-o", str(out_path))
-    assert (code, err) == (0, "# solved 28 unknown entries; 1498 relations verified\n")
+    assert (code, err) == (0, "# solved 28 unknown entries; 1596 relations verified\n")
     code, out, _ = run(capsys, "validate", str(out_path))
     assert code == 0
     assert "unknown entries: 0" in out
@@ -152,7 +152,7 @@ def test_complete_eigen_cross_check(completed_file, capsys):
     code, out, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
                          "--cross-check", "eigen")
     assert (code, out) == (0, Path(completed_file).read_text())
-    assert err == ("# solved 28 unknown entries; 1498 relations verified\n"
+    assert err == ("# solved 28 unknown entries; 1596 relations verified\n"
                    "# eigen cross-check: 49 entries agree\n")
 
 
@@ -172,7 +172,7 @@ def test_eigen_cross_check_failure_names_its_route(tmp_path, capsys):
         code, out, err = run(capsys, "complete", "@s4", "--parents", "@s4_branching",
                              "--cross-check", "eigen", "--fixtures", path)
         assert code == 3 and out == ""
-        assert err == ("# solved 28 unknown entries; 1498 relations verified\n"
+        assert err == ("# solved 28 unknown entries; 1596 relations verified\n"
                        f"error: eigen cross-check: {message}\n")
 
 
@@ -182,7 +182,7 @@ def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
     # default for @s4 only: read for Z_32, they made its cross-check fail
     # (exit 3) with relations of modules the dataset names.
     no_fixtures = "error: --cross-check eigen needs --fixtures for a datum other than @s4\n"
-    for k, verified in ((3, 34), (16, 1022)):
+    for k, verified in ((3, 35), (16, 1023)):
         datum = lattice_file(capsys, tmp_path, k, lambda line: line[:4] + "?" if line.startswith(
             ("1 2 ", "2 1 ")) else line)
         parents = tmp_path / f"self{k}.mdf"
@@ -286,7 +286,7 @@ def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "complete", str(datum), "--parents", str(parents),
                          "--cross-check", "eigen", "--fixtures", str(fixtures))
     assert code == 3 and out == ""
-    assert err == ("# solved 3 unknown entries; 12 relations verified\n"
+    assert err == ("# solved 3 unknown entries; 13 relations verified\n"
                    + "".join(f"# eigen route disagrees at S[{r},{c}]: 0\n"
                              for r, c in [(1, 1), (1, 3), (3, 1), (3, 3)]))
 
@@ -338,9 +338,9 @@ def completed_file(tmp_path_factory):
 def test_fuse(completed_file, capsys, monkeypatch):
     # One product needs one Verlinde row, not the whole tensor.
     calls = []
-    row_for_pair = verlinde._row_for_pair
-    monkeypatch.setattr(verlinde, "_row_for_pair",
-                        lambda engine, i, j: calls.append((i, j)) or row_for_pair(engine, i, j))
+    row = modular_data._Engine.row
+    monkeypatch.setattr(modular_data._Engine, "row",
+                        lambda engine, i, j: calls.append((i, j)) or row(engine, i, j))
     code, out, _ = run(capsys, "fuse", completed_file, "8", "18")
     assert code == 0
     assert out.strip() == "18 + 19 + 26 + 27"

@@ -17,7 +17,7 @@ from fusionring.modular_data import (MissingEntryError, ModularDatum,
                                      charge_conjugation, datum_from_file, datum_to_file,
                                      glob, quantum_dimensions, validate)
 from fusionring.s4_dataset import data_path
-from fusionring.verlinde import _reproduces, check_ring, fusion_product, fusion_tensor
+from fusionring.verlinde import check_ring, fusion_product, fusion_tensor
 
 
 def two_by_two():
@@ -178,7 +178,7 @@ def test_failed_verdict_is_derived_once_per_datum(monkeypatch):
     for _ in range(5):
         assert fusion_product(datum, 1, 2) == {0: 3, 1: 3, 2: 3}
     assert not check_ring(fusion_tensor(datum), datum).ok
-    assert not _reproduces(datum, {})
+    assert not datum.reproduces({})
     with pytest.raises(NotPermutationError, match="neither 0 nor 1"):
         charge_conjugation(datum)
     assert squared == [datum]

@@ -1,6 +1,9 @@
 """The shipped dataset: labels, partial S-matrix, branchings, fixtures."""
 
+import ast
 import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,10 +160,12 @@ def test_shipped_files_byte_stable():
         assert serialize(df) == body.lstrip("\n")
 
 
+GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_s4_data.py"
+
+
 def generator():
     """The generator script as a module; importing it writes nothing."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "generate_s4_data.py"
-    spec = importlib.util.spec_from_file_location("generate_s4_data", path)
+    spec = importlib.util.spec_from_file_location("generate_s4_data", GENERATOR)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
@@ -194,3 +199,19 @@ def test_generator_audit_names_each_mistranscribed_cell():
         gen.audit(partial, gen.build_branching_file())
     assert str(info.value) == ("transcription audit: 1 of 735 tabulated S entries "
                                "differ from the branching-only completion: S[26,27]")
+
+
+def test_generator_checks_survive_python_O():
+    # ``python -O`` strips asserts, so a multiplicity check written as one lets
+    # a line such as ``3 x 26 = 26 + 3*27`` through; every check raises instead.
+    tree = ast.parse(GENERATOR.read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    with pytest.raises(SystemExit, match=r"\(3, 26\)"):
+        generator().add(3, 26, {26: 1, 27: 3}, "x")
+    code = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('gen', {str(GENERATOR)!r})\n"
+            "gen = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(gen)\n"
+            "gen.add(3, 26, {26: 1, 27: 3}, 'x')\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode != 0 and "(3, 26)" in run.stderr

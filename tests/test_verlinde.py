@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import counted_kernels, expected_group_fusion, su2_datum
 
-from fusionring import branching, cyclo, modular_data, verlinde
+from fusionring import cyclo, modular_data
 from fusionring.branching import complete, eigen_complete
 from fusionring.cyclo import Cyclotomic, exact_sum, root_of_unity
 from fusionring.lattice import LatticeSpec, lattice_modular_data
@@ -306,7 +306,7 @@ def test_vacuum_inverse_with_a_denominator_is_certified_by_images(monkeypatch):
     engine = datum.engine
     assert engine.primes and engine.max_coeff == 4
     monkeypatch.setattr(cyclo, "exact_sum", lambda values: pytest.fail("a row was summed"))
-    assert [[verlinde._row_for_pair(engine, 0, 0)]] == expected
+    assert [[engine.row(0, 0)]] == expected
 
 
 def test_corrupted_entry_reports_the_exact_residual():
@@ -326,7 +326,7 @@ def test_bad_entry_fails_the_galois_check_before_any_image(monkeypatch):
     engine = bad.engine
     assert built == [] and engine.primes == []
     with pytest.raises(NonIntegerResultError) as err:
-        verlinde._row_for_pair(engine, 0, 0)
+        engine.row(0, 0)
     assert err.value.triple == (0, 0, 5)
 
 
@@ -383,8 +383,7 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     monkeypatch.setattr(cyclo, "packed_product",
                         lambda *args: calls.append(1) or packed_product(*args))
     engine = datum.engine
-    assert verlinde._row_for_pair(engine, 8, 18) == [int(k in (18, 19, 26, 27))
-                                                     for k in range(28)]
+    assert engine.row(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
 
@@ -443,8 +442,8 @@ def test_eigen_route_builds_one_engine_on_the_completed_s(monkeypatch, s4, s4_co
     datum, _, fixtures = s4
     built = counted_engines(monkeypatch)
     certified = []
-    reproduces = branching._reproduces
-    monkeypatch.setattr(branching, "_reproduces", lambda target, rows:
+    reproduces = ModularDatum.reproduces
+    monkeypatch.setattr(ModularDatum, "reproduces", lambda target, rows:
                         certified.append(target) or reproduces(target, rows))
     eigen = eigen_complete(datum, fixtures)
     assert len(eigen) == 49 and certified == [s4_completed]
