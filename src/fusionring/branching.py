@@ -37,14 +37,14 @@ compares every tabulated entry with the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
 
 from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
                     eliminate, weighted_sum)
 from .lattice import LatticeSpec, lattice_modular_data
-from .mdf import BranchingSection, IndexRangeError, check_fixture_range
+from .mdf import BranchingSection, IndexRangeError, Record, check_fixture_range
 from .modular_data import ModularDatum
 
 __all__ = [
@@ -103,17 +103,19 @@ def _entry(target: ModularDatum, i: int, j: int) -> Cyclotomic | None:
 
 # -- the linear system --------------------------------------------------------
 
-@dataclass
-class LinearSystem:
+class LinearSystem(Record):
     """Relations as ``cyclo.eliminate`` rows: (coeffs, rhs, (label,))."""
 
-    unknowns: list[tuple[int, int]]
-    equations: list[tuple] = field(default_factory=list)
-    checks_passed: int = 0
-    check_failures: list[str] = field(default_factory=list)
-    # The failed checks of single-module rows: the derived-row audit's findings.
-    derived_conflicts: list[str] = field(default_factory=list)
-    relations: int = 0  # relations read: checks, equations and failures alike
+    def __init__(self, unknowns: list[tuple[int, int]], equations: list[tuple] | None = None,
+                 checks_passed: int = 0, check_failures: list[str] | None = None,
+                 derived_conflicts: list[str] | None = None, relations: int = 0):
+        self.unknowns = unknowns
+        self.equations = [] if equations is None else equations
+        self.checks_passed = checks_passed
+        self.check_failures = [] if check_failures is None else check_failures
+        # The failed checks of single-module rows: the derived-row audit's findings.
+        self.derived_conflicts = [] if derived_conflicts is None else derived_conflicts
+        self.relations = relations  # relations read: checks, equations and failures alike
 
 
 def assemble_system(parents: list[BranchingSection],
@@ -170,11 +172,12 @@ def _conflict(label: str, r: int, m: int, shipped: Cyclotomic, residual: Cycloto
             f"derived {residual + shipped}, shipped {shipped}")
 
 
-@dataclass
-class CompletionResult:
-    datum: ModularDatum
-    solved: dict[tuple[int, int], Cyclotomic]
-    verified: int  # passed checks + equations eliminated to 0 = 0, len(eqs) - len(unknowns)
+class CompletionResult(namedtuple("CompletionResult", "datum solved verified")):
+    """The completed ``datum``, the ``solved`` folded unknowns and the count of
+    relations ``verified``: passed checks + equations eliminated to 0 = 0,
+    len(equations) - len(unknowns)."""
+
+    __slots__ = ()
 
 
 def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
@@ -199,10 +202,13 @@ def solve(system: LinearSystem, target: ModularDatum) -> CompletionResult:
                             + len(system.equations) - len(system.unknowns))
 
 
-@dataclass
-class DeriveReport:
-    entries_checked: int = 0
-    conflicts: list[str] = field(default_factory=list)
+class DeriveReport(namedtuple("DeriveReport", "entries_checked conflicts")):
+    """The derived-row audit: the relations it read and the conflicts it found."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries_checked: int = 0, conflicts: list[str] | None = None):
+        return super().__new__(cls, entries_checked, [] if conflicts is None else conflicts)
 
 
 def check_derived_rows(parents: list[BranchingSection],

@@ -8,6 +8,10 @@ SIGPIPE) when the reader of standard output goes away, e.g. ``| head -1``.
 File arguments accept a path, "-" for stdin, or an @alias into the shipped
 dataset: @s4 (partial datum), @s4_branching, @s4_fixtures.  Output is
 deterministic: identical inputs yield byte-identical reports.
+
+Each command imports what it runs beyond ``cyclo``, ``mdf`` and
+``modular_data``, which every command loads its files with, so a cold start
+imports no module the command does not use.
 """
 
 from __future__ import annotations
@@ -16,19 +20,13 @@ import argparse
 import os
 import sys
 
-from . import s4_dataset
-from .branching import (InconsistentSystemError, UnderdeterminedError,
-                        complete, eigen_complete)
-from .cyclo import embed, format_exact
-from .lattice import LatticeSpec, lattice_datum_file
+from .cyclo import InconsistentSystemError, UnderdeterminedError, embed, format_exact
 from .mdf import (BranchingSection, DatumFile, DuplicateEntryError,
                   IndexRangeError, ParseError, check_fixture_range,
                   format_formal_sum, parse_file, serialize)
-from .modular_data import (MissingEntryError, ModularDatum, datum_from_file,
+from .modular_data import (MissingEntryError, ModularDatum, NegativeResultError,
+                           NonIntegerResultError, check_qdims, datum_from_file,
                            datum_to_file, glob, quantum_dimensions, validate)
-from .verlinde import (NegativeResultError, NonIntegerResultError,
-                       applicable_fixtures, compare_fixtures, fusion_product,
-                       fusion_tensor, tensor_to_triples, triples_to_fixtures)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,7 +51,9 @@ def _read_text(spec: str) -> str:
     if spec == "-":
         return sys.stdin.read()
     if spec in _ALIASES:
-        return s4_dataset.data_path(_ALIASES[spec]).read_text()
+        from .s4_dataset import data_path
+
+        return data_path(_ALIASES[spec]).read_text()
     with open(spec, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -83,6 +83,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from .branching import complete, eigen_complete
+
     # The shipped fixtures describe the shipped datum only.
     fixtures_spec = args.fixtures or ("@s4_fixtures" if args.file == "@s4" else None)
     if args.cross_check == "eigen" and fixtures_spec is None:
@@ -103,6 +105,8 @@ def cmd_complete(args) -> int:
         result_datum = result.datum
         print(f"# solved {len(result.solved)} unknown entries; "
               f"{result.verified} relations verified", file=sys.stderr)
+        # The load checked only the qdim= labels that the partial S knows.
+        check_qdims(result_datum, df.qdims)
     if args.cross_check == "eigen":
         fixtures = parse_file(_read_text(fixtures_spec)).fixtures
         try:
@@ -128,12 +132,16 @@ def cmd_complete(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .verlinde import fusion_product
+
     datum, _ = _load_datum(args.file)
     print(format_formal_sum(fusion_product(datum, args.i, args.j)))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
+    from .verlinde import fusion_tensor, tensor_to_triples
+
     datum, _ = _load_datum(args.file)
     tensor = fusion_tensor(datum)
     sys.stdout.write(tensor_to_triples(tensor))
@@ -157,11 +165,16 @@ def cmd_glob(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from .lattice import LatticeSpec, lattice_datum_file
+
     sys.stdout.write(serialize(lattice_datum_file(LatticeSpec(args.k))))
     return EXIT_OK
 
 
 def cmd_regress(args) -> int:
+    from .verlinde import (applicable_fixtures, compare_fixtures, fusion_tensor,
+                           triples_to_fixtures)
+
     datum, _ = _load_datum(args.file)
     fixtures_text = _read_text(args.fixtures)
     stripped = next((line for line in fixtures_text.splitlines()

@@ -9,24 +9,24 @@ standard exactly-solvable oracle for the fusion engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclo import inverse, root_of_unity, sqrt_int
 from .mdf import MAX_MODULES, DatumFile
 from .modular_data import ModularDatum, ModuleLabel, datum_to_file
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(namedtuple("LatticeSpec", "k")):
     """Rank-1 even lattice with norm (alpha, alpha) = 2k."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int):
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if self.modules > MAX_MODULES:
-            raise ValueError(f"2k = {self.modules} modules exceeds {MAX_MODULES}")
+        if 2 * k > MAX_MODULES:
+            raise ValueError(f"2k = {2 * k} modules exceeds {MAX_MODULES}")
+        return super().__new__(cls, k)
 
     @property
     def modules(self) -> int:

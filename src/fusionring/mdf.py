@@ -48,7 +48,7 @@ a label name, ``"`` in a parent) is refused with ValueError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,7 +57,7 @@ from .cyclo import Cyclotomic, exact_sum, root_of_unity, sqrt_int
 __all__ = [
     "MAX_ORDER", "MAX_MODULES", "ParseError", "DuplicateEntryError", "IndexRangeError",
     "parse_expr", "eval_expr",
-    "ModuleLabel", "FixtureRecord", "BranchingSection", "DatumFile",
+    "Record", "ModuleLabel", "FixtureRecord", "BranchingSection", "DatumFile",
     "parse_file", "serialize", "format_formal_sum", "check_fixture_range",
 ]
 
@@ -287,41 +287,59 @@ def _summands(node, negate: bool):
 
 # -- datum files -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModuleLabel:
-    """A module's label facts: its name, its dual k' and its conformal weight."""
-    index: int
-    name: str
-    dual: int | None = None
-    weight: Fraction | None = None
+class ModuleLabel(namedtuple("ModuleLabel", "index name dual weight", defaults=(None, None))):
+    """A module's label facts: its name, its dual k' and its conformal weight
+    (index: int, name: str, dual: int | None, weight: Fraction | None)."""
+
+    __slots__ = ()
 
 
-@dataclass
-class FixtureRecord:
-    left: int
-    right: int
-    terms: dict[int, int]
-    soft: bool = False
-    citation: str = ""
+class Record:
+    """Base of the mutable records: equal when of one class with equal
+    attributes, and shown as ``Name(field=value, ...)``."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-@dataclass
-class BranchingSection:
-    parent: str
-    k: int
-    rows: dict[int, dict[int, int]] = field(default_factory=dict)
+class FixtureRecord(Record):
+    """A recorded fusion product ``left x right = terms``; ``soft`` where the
+    exact computation refutes it."""
+
+    def __init__(self, left: int, right: int, terms: dict[int, int], soft: bool = False,
+                 citation: str = ""):
+        self.left, self.right, self.terms = left, right, terms
+        self.soft, self.citation = soft, citation
 
 
-@dataclass
-class DatumFile:
-    name: str = ""
-    modules: int = 0
-    scale_expr: str | None = None
-    labels: list[ModuleLabel] = field(default_factory=list)
-    s_entries: dict[tuple[int, int], str | None] = field(default_factory=dict)
-    qdims: dict[int, str] = field(default_factory=dict)
-    fixtures: list[FixtureRecord] = field(default_factory=list)
-    branchings: list[BranchingSection] = field(default_factory=list)
+class BranchingSection(Record):
+    """A branching table: parent module index -> its orbifold modules, with multiplicities."""
+
+    def __init__(self, parent: str, k: int, rows: dict[int, dict[int, int]] | None = None):
+        self.parent, self.k = parent, k
+        self.rows = {} if rows is None else rows
+
+
+class DatumFile(Record):
+    """The sections of a datum file, each expression as its text."""
+
+    def __init__(self, name: str = "", modules: int = 0, scale_expr: str | None = None,
+                 labels: list[ModuleLabel] | None = None,
+                 s_entries: dict[tuple[int, int], str | None] | None = None,
+                 qdims: dict[int, str] | None = None,
+                 fixtures: list[FixtureRecord] | None = None,
+                 branchings: list[BranchingSection] | None = None):
+        self.name, self.modules, self.scale_expr = name, modules, scale_expr
+        self.labels = [] if labels is None else labels
+        self.s_entries = {} if s_entries is None else s_entries
+        self.qdims = {} if qdims is None else qdims
+        self.fixtures = [] if fixtures is None else fixtures
+        self.branchings = [] if branchings is None else branchings
 
 
 _SECTION_RE = re.compile(r"\[(\w+)((?:\s+\w+=(?:\"[^\"]*\"|\S+))*)\s*\]$")

@@ -5,7 +5,8 @@ datum file) and a square matrix of exact cyclotomic entries, possibly partial
 (``None`` marks an unknown entry).  The vacuum module is index 0 by
 file-format convention.  Validation reports problems instead of raising,
 because shipped datasets may be deliberately partial and discrepancies are
-data, not crashes; only recorded qdims are enforced on load.
+data, not crashes; only recorded qdims are enforced on load, those the
+file's S knows (``check_qdims``).
 A datum's one certificate engine (``ModularDatum.engine``) is the only holder
 of its one image of S per split prime, and the one maker of Verlinde rows
 (``_Engine.row``).  S^2 = C is read off its vacuum-pair rows (i, 0), as the
@@ -20,17 +21,15 @@ routes complete it.
 
 from __future__ import annotations
 
-import json
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, conj, embed, format_brief, format_exact, inverse
-from .mdf import DatumFile, ModuleLabel, ParseError, eval_expr, parse_expr
+from .mdf import DatumFile, ModuleLabel, ParseError, Record, eval_expr, parse_expr
 
 __all__ = [
     "MissingEntryError", "NotPermutationError", "QdimMismatchError",
@@ -38,7 +37,7 @@ __all__ = [
     "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "dual_mismatches", "computable_indices",
     "galois_permutations", "quantum_dimensions", "glob",
-    "datum_from_file", "datum_to_file",
+    "check_qdims", "datum_from_file", "datum_to_file",
 ]
 
 
@@ -433,19 +432,24 @@ class _Engine:
 
 # -- validation --------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    name: str = ""
-    size: int = 0
-    unknown_count: int = 0
-    symmetry_violations: list[tuple[int, int]] = field(default_factory=list)
-    vacuum_row_zeros: list[int] = field(default_factory=list)
-    bad_qdims: list[int] | None = None
-    square_is_permutation: bool | None = None
-    square_message: str = ""
-    dual_permutation: list[int] | None = None
-    dual_mismatches: list[int] = field(default_factory=list)
-    unitary: bool | None = None
+class ValidationReport(Record):
+    """The findings of ``validate``; None where a check could not run."""
+
+    def __init__(self, name: str = "", size: int = 0, unknown_count: int = 0,
+                 symmetry_violations: list[tuple[int, int]] | None = None,
+                 vacuum_row_zeros: list[int] | None = None,
+                 bad_qdims: list[int] | None = None,
+                 square_is_permutation: bool | None = None, square_message: str = "",
+                 dual_permutation: list[int] | None = None,
+                 dual_mismatches: list[int] | None = None, unitary: bool | None = None):
+        self.name, self.size, self.unknown_count = name, size, unknown_count
+        self.symmetry_violations = [] if symmetry_violations is None else symmetry_violations
+        self.vacuum_row_zeros = [] if vacuum_row_zeros is None else vacuum_row_zeros
+        self.bad_qdims = bad_qdims
+        self.square_is_permutation, self.square_message = square_is_permutation, square_message
+        self.dual_permutation = dual_permutation
+        self.dual_mismatches = [] if dual_mismatches is None else dual_mismatches
+        self.unitary = unitary
 
     @property
     def ok(self) -> bool:
@@ -482,6 +486,8 @@ class ValidationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "name": self.name,
             "modules": self.size,
@@ -539,36 +545,52 @@ def validate(datum: ModularDatum) -> ValidationReport:
 
 # -- file conversion ---------------------------------------------------------
 
-def _value(text: str) -> Cyclotomic:
-    return eval_expr(parse_expr(text))
+def _value(text: str, what: str) -> Cyclotomic:
+    """The value of the expression ``text`` of ``what``; a division by zero
+    is a ``mdf.ParseError`` that names both."""
+    try:
+        return eval_expr(parse_expr(text))
+    except ZeroDivisionError:
+        raise ParseError(f"{what} = {text}: division by zero", 0) from None
+
+
+def check_qdims(datum: ModularDatum, qdims: dict[int, str]) -> None:
+    """Check each recorded ``qdim=`` text, by module index, whose S[i,0] and
+    S[0,0] are known: it must equal S[i,0]/S[0,0] exactly, or a
+    QdimMismatchError names its module.  ``datum_from_file`` checks what the
+    file's S knows, and the CLI's ``complete`` the rest, on the completed datum."""
+    if not qdims or not datum.known(0, 0):
+        return
+    dims = quantum_dimensions(datum)
+    for i, text in qdims.items():
+        if dims[i] is not None:
+            value = _value(text, f"label {i} qdim")
+            if dims[i] != value:
+                raise QdimMismatchError(f"module {i}: S[{i},0]/S[0,0] != recorded qdim {value}")
 
 
 def datum_from_file(df: DatumFile) -> ModularDatum:
     """Build the in-memory datum, scaled by the header scale factor, evaluating
-    each distinct entry text once; every recorded ``qdim=`` must equal
-    S[i,0]/S[0,0] exactly.  A file without a header ``modules`` key is a
-    ``mdf.ParseError``."""
+    each distinct entry text once, and ``check_qdims`` it.  A file without a
+    header ``modules`` key, or an S entry, ``scale`` or ``qdim=`` text that
+    divides by zero, is a ``mdf.ParseError``."""
     n = df.modules
     if n < 1:
         raise ParseError("the header has no 'modules' key", 0)
     by_index = {lab.index: lab for lab in df.labels}
     labels = [by_index.get(i) or ModuleLabel(i, f"m{i}") for i in range(n)]
-    scale = _value(df.scale_expr) if df.scale_expr is not None else None
-    entry = lru_cache(maxsize=None)(
-        lambda text: _value(text) if scale is None else _value(text) * scale)
+    scale = _value(df.scale_expr, "scale") if df.scale_expr is not None else None
+    values: dict[str, Cyclotomic] = {}  # by text, each named by its first cell
     s: list[list[Cyclotomic | None]] = [[None] * n for _ in range(n)]
     for (r, c), text in df.s_entries.items():
-        if text is not None:
-            s[r][c] = entry(text)
+        if text is None:
+            continue
+        if text not in values:
+            value = _value(text, f"S[{r},{c}]")
+            values[text] = value if scale is None else value * scale
+        s[r][c] = values[text]
     datum = ModularDatum(labels, s, name=df.name)
-    if df.qdims:
-        dims = quantum_dimensions(datum)
-        for i, text in df.qdims.items():
-            if dims[i] is None:
-                raise MissingEntryError(f"S[{i},0] is unknown")
-            value = _value(text)
-            if dims[i] != value:
-                raise QdimMismatchError(f"module {i}: S[{i},0]/S[0,0] != recorded qdim {value}")
+    check_qdims(datum, df.qdims)
     return datum
 
 
@@ -576,7 +598,7 @@ def datum_to_file(datum: ModularDatum, scale_expr_text: str | None = None) -> Da
     """Serialize back to a DatumFile, dividing entries by the chosen scale;
     each distinct entry is scaled and formatted once, each distinct qdim
     formatted once."""
-    inv_scale = inverse(_value(scale_expr_text)) if scale_expr_text else None
+    inv_scale = inverse(_value(scale_expr_text, "scale")) if scale_expr_text else None
     dims = [None] * datum.size
     if datum.known(0, 0) and not datum.s[0][0].is_zero():
         dims = quantum_dimensions(datum)

@@ -26,12 +26,12 @@ datum, and otherwise decides them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter, mul
 
 from . import cyclo
 from .mdf import (DuplicateEntryError, FixtureRecord, IndexRangeError, ParseError,
-                  format_formal_sum)
+                  Record, format_formal_sum)
 from .modular_data import (MissingEntryError, ModularDatum, NegativeResultError,
                            NonIntegerResultError, NotPermutationError,
                            dual_mismatches, quantum_dimensions)
@@ -136,16 +136,21 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
 
 # -- ring-property verification ---------------------------------------------
 
-@dataclass
-class PropertyReport:
-    vacuum_identity: bool = False
-    commutative: bool = False
-    associative: bool = False
-    duality_symmetric: bool = False
-    qdim_multiplicative: bool | None = None
-    simple_currents: list[int] = field(default_factory=list)
-    simple_currents_are_permutations: bool | None = None
-    failures: list[str] = field(default_factory=list)
+class PropertyReport(Record):
+    """The verdicts of ``check_ring``; None where a check does not apply."""
+
+    def __init__(self, vacuum_identity: bool = False, commutative: bool = False,
+                 associative: bool = False, duality_symmetric: bool = False,
+                 qdim_multiplicative: bool | None = None,
+                 simple_currents: list[int] | None = None,
+                 simple_currents_are_permutations: bool | None = None,
+                 failures: list[str] | None = None):
+        self.vacuum_identity, self.commutative = vacuum_identity, commutative
+        self.associative, self.duality_symmetric = associative, duality_symmetric
+        self.qdim_multiplicative = qdim_multiplicative
+        self.simple_currents = [] if simple_currents is None else simple_currents
+        self.simple_currents_are_permutations = simple_currents_are_permutations
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -265,14 +270,11 @@ def _first_nonassociative(values) -> tuple[int, int, int, int] | None:
 
 # -- fixture regression -------------------------------------------------------
 
-@dataclass
-class Discrepancy:
-    left: int
-    right: int
-    expected: dict[int, int]
-    computed: dict[int, int]
-    soft: bool = False
-    citation: str = ""
+class Discrepancy(namedtuple("Discrepancy", "left right expected computed soft citation",
+                             defaults=(False, ""))):
+    """A fixture ``left x right`` whose ``expected`` product is not the ``computed`` one."""
+
+    __slots__ = ()
 
     def to_text(self, names: list[str] | None = None) -> str:
         kind = "soft" if self.soft else "hard"

@@ -11,7 +11,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -197,7 +196,8 @@ def test_scrambled_dual_labels_are_reported_not_trusted(monkeypatch, tmp_path, c
     duals = truth[:1] + random.Random(5).sample(truth[1:], len(truth) - 1)
     wrong = [i for i, (d, c) in enumerate(zip(duals, truth)) if d != c]
     assert wrong
-    scrambled = ModularDatum([replace(lab, dual=d) for lab, d in zip(datum.labels, duals)],
+    scrambled = ModularDatum([ModuleLabel(lab.index, lab.name, d, lab.weight)
+                              for lab, d in zip(datum.labels, duals)],
                              datum.s)
     summed = []
     exact = cyclo.exact_sum

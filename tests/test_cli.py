@@ -142,6 +142,23 @@ def test_complete_never_overwrites_a_known_entry(completed_file, tmp_path, capsy
     assert out == Path(completed_file).read_text()
 
 
+def test_labels_only_copy_checks_its_qdims_on_the_completion(completed_file, tmp_path,
+                                                             capsys):
+    # Without an [S] section no qdim= label can be checked at load: complete
+    # checks every one on the completed datum, and a wrong one names its module.
+    partial = Path(SRC, "fusionring", "data", "s4_partial.mdf").read_text()
+    labels = partial.split("[S]\n")[0]
+    assert labels.count(" qdim=") == 28
+    copy = tmp_path / "labels.mdf"
+    summary = "# solved 406 unknown entries; 1218 relations verified\n"
+    copy.write_text(labels)
+    assert run(capsys, "complete", str(copy), "--parents", "@s4_branching") == (
+        0, Path(completed_file).read_text(), summary)
+    copy.write_text(labels.replace("7 M7 qdim=4 dual=7", "7 M7 qdim=5 dual=7", 1))
+    assert run(capsys, "complete", str(copy), "--parents", "@s4_branching") == (
+        1, "", summary + "error: module 7: S[7,0]/S[0,0] != recorded qdim 5\n")
+
+
 def test_complete_without_parents(capsys):
     code, _, err = run(capsys, "complete", "@s4")
     assert code == 3
@@ -253,6 +270,15 @@ def test_unset_duals_that_contradict_s_squared_are_refused(tmp_path, capsys):
      "error: S[0,1] = 0 in the Verlinde denominator\n"),
     ("qdim", "[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 1\n1 0 ?\n1 1 -1\n", 1,
      "0 m0 1 1.0000000000\n", "error: S[1,0] is unknown\n"),
+    # A value that divides by zero is a parse error that names its text.
+    ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 1/(1-1)\n", 2, "",
+     "error: offset 0: S[0,0] = 1/(1-1): division by zero\n"),
+    ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 (1-1)^-1\n", 2, "",
+     "error: offset 0: S[0,0] = (1-1)^-1: division by zero\n"),
+    ("validate", "[header]\nmodules = 1\nscale = 1/(E(3)+E(3)^2+1)\n\n[S]\n0 0 1\n", 2, "",
+     "error: offset 0: scale = 1/(E(3)+E(3)^2+1): division by zero\n"),
+    ("validate", "[header]\nmodules = 1\n\n[labels]\n0 vac qdim=0^-1\n\n[S]\n0 0 1\n", 2, "",
+     "error: offset 0: label 0 qdim = 0^-1: division by zero\n"),
 ])
 def test_documented_errors(tmp_path, capsys, command, text, code, out, err):
     path = tmp_path / "datum.mdf"
