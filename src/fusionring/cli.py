@@ -8,11 +8,12 @@ SIGPIPE) when the reader of standard output goes away, e.g. ``| head -1``.
 File arguments accept a path, "-" for stdin, or an @alias into the shipped
 dataset: @s4 (partial datum), @s4_branching, @s4_fixtures.  Output is
 deterministic: identical inputs yield byte-identical reports.
-
-Each command imports what it runs beyond ``cyclo``, ``mdf`` and
-``modular_data``, which every command loads its files with, so a cold start
-imports no module the command does not use.
 """
+
+# The docstring is the user's ``--help`` text.  Each command imports what it
+# runs beyond ``cyclo``, ``mdf`` and ``modular_data``, which every command
+# loads its files with, so a cold start imports no module the command does
+# not use.
 
 from __future__ import annotations
 

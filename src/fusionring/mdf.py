@@ -63,17 +63,20 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed expression or file; carries the byte offset and, in a file, the line."""
+    """Malformed expression or file; carries the byte offset and, in a file,
+    the line, each None where the error has no such place (a missing key, a
+    value that divides by zero) and then left out of the text."""
 
-    def __init__(self, message: str, offset: int, line: int | None = None):
+    def __init__(self, message: str, offset: int | None = None, line: int | None = None):
         super().__init__(message)
         self.message = message
         self.offset = offset
         self.line = line
 
     def __str__(self) -> str:
-        where = f"line {self.line}, " if self.line is not None else ""
-        return f"{where}offset {self.offset}: {self.message}"
+        where = ([f"line {self.line}"] if self.line is not None else []) + (
+            [f"offset {self.offset}"] if self.offset is not None else [])
+        return f"{', '.join(where)}: {self.message}" if where else self.message
 
 
 class DuplicateEntryError(ValueError):
@@ -514,7 +517,7 @@ def parse_file(text: str) -> DatumFile:
         except ValueError as exc:
             raise ParseError(str(exc), 0, line_no) from exc
     if (datum.s_entries or datum.labels) and not datum.modules:
-        raise ParseError("the header has no 'modules' key", 0)
+        raise ParseError("the header has no 'modules' key")
     _check_ranges(datum)
     return datum
 

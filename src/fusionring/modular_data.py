@@ -7,6 +7,12 @@ file-format convention.  Validation reports problems instead of raising,
 because shipped datasets may be deliberately partial and discrepancies are
 data, not crashes; only recorded qdims are enforced on load, those the
 file's S knows (``check_qdims``).
+A datum numbers its entries once, when it is built: ``values`` holds each
+distinct entry once, in first-seen row-major order, and ``numbers`` is S with
+each entry replaced by its index there, so the Galois check, the image of S
+and ``validate`` compare and look up small integers, and only work per
+distinct value touches a cyclotomic.  S is never edited in place: a datum
+with other entries is a new datum (``with_entries``).
 A datum's one certificate engine (``ModularDatum.engine``) is the only holder
 of its one image of S per split prime, and the one maker of Verlinde rows
 (``_Engine.row``).  S^2 = C is read off its vacuum-pair rows (i, 0), as the
@@ -75,6 +81,11 @@ class NegativeResultError(ArithmeticError):
 class ModularDatum:
     """Immutable-after-load container for labels and the (partial) S-matrix.
 
+    Equal entries of ``s`` are one object.  ``values`` lists the distinct
+    entries in first-seen row-major order, and ``numbers`` is the n x n
+    matrix of their indices in ``values``, None where ``s`` has None; the
+    three agree because none of them is edited in place.
+
     Its derived state -- the Galois check, the S^2 = C verdict, the engine
     and its certified rows, the vacuum inverses -- is kept on the datum and
     computed at most once.  ``completed`` hands every caller that fills the
@@ -89,10 +100,13 @@ class ModularDatum:
         if not labels:
             raise ValueError("a modular datum needs at least the vacuum module")
         self.labels = labels
-        # Equal entries become one object, so lookups keyed by entries hit by
-        # identity instead of comparing coefficient maps.
-        shared: dict[Cyclotomic, Cyclotomic] = {}
-        self.s = [[v if v is None else shared.setdefault(v, v) for v in row] for row in s]
+        # Equal entries get one number and become one object, so lookups keyed
+        # by entries hit by identity instead of comparing coefficient maps.
+        numbering: dict[Cyclotomic, int] = {}
+        self.numbers = [[v if v is None else numbering.setdefault(v, len(numbering))
+                         for v in row] for row in s]
+        self.values = values = list(numbering)
+        self.s = [[x if x is None else values[x] for x in row] for row in self.numbers]
         self.name = name
         self._inverses: dict[Cyclotomic, Cyclotomic] = {}  # filled by vacuum_inverse
         self._completions: weakref.WeakValueDictionary | None = None  # made by completed
@@ -111,11 +125,11 @@ class ModularDatum:
         return self.s[i][j] is not None
 
     def unknown_positions(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in range(self.size)
-                if self.s[i][j] is None]
+        return [(i, j) for i, row in enumerate(self.numbers) if None in row
+                for j, x in enumerate(row) if x is None]
 
     def fully_known(self) -> bool:
-        return all(all(v is not None for v in row) for row in self.s)
+        return not any(None in row for row in self.numbers)
 
     def dual_permutation(self) -> list[int]:
         """The dual indices recorded on the labels; identity where unset."""
@@ -252,10 +266,9 @@ def computable_indices(datum: ModularDatum) -> list[int]:
     those rows and columns besides the vacuum row; ``verlinde.fusion_tensor``
     computes over them.
     """
-    n = datum.size
     dual = datum.dual_permutation()
-    return [i for i in range(n)
-            if all(datum.known(i, s) and datum.known(s, dual[i]) for s in range(n))]
+    full = [None not in column for column in zip(*datum.numbers)]
+    return [i for i, row in enumerate(datum.numbers) if None not in row and full[dual[i]]]
 
 
 def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
@@ -267,37 +280,51 @@ def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
     its dual labels are a permutation.  Modular data have them (de Boer-Goeree
     1991, Coste-Gannon 1994), and then a sum over s in which the sign of
     column s cancels, as in S[i,s] S[s,j], is rational.  Columns are matched
-    exactly, as tuples of entry ids taken at the smaller of their two signs.
+    exactly, as tuples of entry numbers (``ModularDatum.numbers``, with a
+    number beyond ``values`` for each negation not in S) taken at the smaller
+    of their two signs; only the distinct values are negated and conjugated.
     Raises MissingEntryError if the vacuum row has a hole.  Callers use
     ``ModularDatum.galois``, which runs this once per datum."""
+    numbers, values = datum.numbers, datum.values
+    if None in numbers[0]:
+        raise MissingEntryError(f"S[0,{numbers[0].index(None)}] is unknown")
     indices = computable_indices(datum)
     dual = datum.dual_permutation()
-    rows, cols = dict.fromkeys([0, *indices]), [dual[k] for k in indices]
-    ids: dict[Cyclotomic, int] = {}
-    columns = [[ids.setdefault(datum.entry(r, s), len(ids)) for r in rows]
-               + [ids.setdefault(datum.s[s][c], len(ids)) for c in cols]
-               for s in range(datum.size)]
-    values = list(ids)
-    for v in values:
-        ids.setdefault(-v, len(ids))
-    neg = [ids[-v] for v in list(ids)]
+    rows, cols = list(dict.fromkeys([0, *indices])), [dual[k] for k in indices]
+    columns = [(*map(column.__getitem__, rows), *map(row.__getitem__, cols))
+               for column, row in zip(zip(*numbers), numbers)]
+    used = set().union(*columns)
+    ids = {values[x]: x for x in used}
+    neg: list[int | None] = [None] * len(values)
+    for x in used:
+        y = neg[x] = ids.setdefault(-values[x], len(neg))
+        if y == len(neg):  # -values[x] is no entry: it gets a number of its own
+            neg.append(x)
+    flip = neg.__getitem__
 
-    def keys(image):
-        tuples = (tuple(image[x] for x in column) for column in columns)
-        return [min(t, tuple(neg[x] for x in t)) for t in tuples]
+    def key(t):  # min(t, -t), which the first entry decides unless it is 0
+        if t[0] < neg[t[0]]:
+            return t
+        negated = tuple(map(flip, t))
+        return negated if t[0] > neg[t[0]] else min(t, negated)
 
     homes: dict[tuple, list[int]] = {}
-    for s, key in enumerate(keys(range(len(values)))):
-        homes.setdefault(key, []).append(s)
+    for s, column in enumerate(columns):
+        homes.setdefault(key(column), []).append(s)
     perms = []
-    for g in cyclo.unit_generators(lcm(*(v.order for v in values))):
-        image = [ids.get(cyclo.galois(v, g)) for v in values]
-        if None in image:
-            return None
-        free = {key: home[:] for key, home in homes.items()}
-        perm = [free[key].pop() if free.get(key) else None for key in keys(image)]
-        if None in perm:
-            return None
+    for g in cyclo.unit_generators(lcm(*(values[x].order for x in used))):
+        image: list[int | None] = [None] * len(values)
+        for x in used:
+            image[x] = ids.get(cyclo.galois(values[x], g))
+            if image[x] is None:
+                return None
+        sigma, free = image.__getitem__, {t: home[:] for t, home in homes.items()}
+        perm = []
+        for column in columns:
+            home = free.get(key(tuple(map(sigma, column))))
+            if not home:
+                return None
+            perm.append(home.pop())
         perms.append(perm)
     return perms
 
@@ -365,12 +392,10 @@ class _Engine:
             return
 
         # The engine is cached per datum: each prime images each entry once.
-        images = cyclo.Images([v for row in datum.s for v in row if v is not None],
-                              summands=datum.size)
+        images = cyclo.Images(datum.values, summands=datum.size)
 
-        def as_matrix(values):  # one value per entry of ``images``, laid out as S
-            return [[None if v is None else values[images.index[v]] for v in row]
-                    for row in datum.s]
+        def as_matrix(values):  # one item per entry of ``datum.values``, laid out as S
+            return [[None if x is None else values[x] for x in row] for row in datum.numbers]
 
         norms = as_matrix(images.norms)
         d_inv = lcm(*(v.denom for v in self._inverses))
@@ -507,14 +532,14 @@ class ValidationReport(Record):
 
 def validate(datum: ModularDatum) -> ValidationReport:
     """Run all structural checks; reports findings and never raises."""
-    n = datum.size
+    n, numbers = datum.size, datum.numbers
     report = ValidationReport(name=datum.name, size=n,
-                              unknown_count=sum(v is None for row in datum.s for v in row))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if datum.known(i, j) and datum.known(j, i):
-                if datum.s[i][j] != datum.s[j][i]:
-                    report.symmetry_violations.append((i, j))
+                              unknown_count=sum(row.count(None) for row in numbers))
+    for i, (row, column) in enumerate(zip(numbers, zip(*numbers))):
+        if column != tuple(row):
+            report.symmetry_violations.extend(
+                (i, j) for j in range(i + 1, n)
+                if row[j] != column[j] and row[j] is not None and column[j] is not None)
     for j in range(n):
         if datum.known(0, j) and datum.s[0][j].is_zero():
             report.vacuum_row_zeros.append(j)
@@ -536,10 +561,12 @@ def validate(datum: ModularDatum) -> ValidationReport:
             wrong = dual_mismatches(datum)
             report.dual_mismatches = wrong if perm[0] == 0 or 0 in wrong else [0, *wrong]
             # S^2 = C gives S^-1[i,j] = S[i,perm[j]], so S is unitary iff that
-            # equals conj(S[j,i]) everywhere; symmetry is not assumed.
-            conjugates = {v: conj(v) for v in set().union(*datum.s)}
-            report.unitary = all(datum.s[i][perm[j]] == conjugates[datum.s[j][i]]
-                                 for i in range(n) for j in range(n))
+            # equals conj(S[j,i]) everywhere; symmetry is not assumed.  A
+            # conjugate that is no entry of S has no number and equals none.
+            number = {v: x for x, v in enumerate(datum.values)}
+            conjugate = [number.get(conj(v)) for v in datum.values].__getitem__
+            report.unitary = all(list(map(row.__getitem__, perm)) == list(map(conjugate, column))
+                                 for row, column in zip(numbers, zip(*numbers)))
     return report
 
 
@@ -551,7 +578,7 @@ def _value(text: str, what: str) -> Cyclotomic:
     try:
         return eval_expr(parse_expr(text))
     except ZeroDivisionError:
-        raise ParseError(f"{what} = {text}: division by zero", 0) from None
+        raise ParseError(f"{what} = {text}: division by zero") from None
 
 
 def check_qdims(datum: ModularDatum, qdims: dict[int, str]) -> None:
@@ -576,7 +603,7 @@ def datum_from_file(df: DatumFile) -> ModularDatum:
     divides by zero, is a ``mdf.ParseError``."""
     n = df.modules
     if n < 1:
-        raise ParseError("the header has no 'modules' key", 0)
+        raise ParseError("the header has no 'modules' key")
     by_index = {lab.index: lab for lab in df.labels}
     labels = [by_index.get(i) or ModuleLabel(i, f"m{i}") for i in range(n)]
     scale = _value(df.scale_expr, "scale") if df.scale_expr is not None else None

@@ -434,19 +434,72 @@ def test_galois_check_passes_on_modular_data(s4, s4_completed):
         assert galois_permutations(datum) is not None
 
 
-@pytest.mark.parametrize("k", [6, 18])
-def test_galois_permutations_carry_each_column_to_its_conjugate(k):
-    datum = relabeled(su2_datum(k), seed=k)
-    n = datum.size
-    order = math.lcm(*(v.order for row in datum.s for v in row))
+def swapped_vacuum(datum, a):
+    """The self-dual datum with modules 0 and a swapped: S as a matrix keeps
+    its Galois symmetry, and the new vacuum row has the zeros of row a."""
+    old = list(range(datum.size))
+    old[0], old[a] = a, 0
+    return ModularDatum([ModuleLabel(x, datum.labels[b].name, dual=x) for x, b in enumerate(old)],
+                        [[datum.s[b][c] for c in old] for b in old])
+
+
+def assert_columns_go_to_their_conjugates(datum):
+    """Column t is (S[r,t] for r in 0 and the rows I whose row and dual column
+    are fully known) followed by (S[t,k'] for k in I); every entry is
+    conjugated on its own and compared with +-column pi_g(t)."""
+    n, s, dual = datum.size, datum.s, datum.dual_permutation()
+    rows = [i for i in range(n) if all(s[i][t] is not None and s[t][dual[i]] is not None
+                                       for t in range(n))]
+    cols = [dual[k] for k in rows]
+    rows = [0, *(i for i in rows if i != 0)]
+    column = [[s[r][t] for r in rows] + [s[t][c] for c in cols] for t in range(n)]
+    order = math.lcm(*(v.order for entries in column for v in entries))
     perms = galois_permutations(datum)
     assert len(perms) == len(cyclo.unit_generators(order))
     for g, perm in zip(cyclo.unit_generators(order), perms):
         assert sorted(perm) == list(range(n))
-        for s, t in enumerate(perm):
-            conjugated = [cyclo.galois(datum.s[r][s], g) for r in range(n)]
-            assert conjugated in ([datum.s[r][t] for r in range(n)],
-                                  [-datum.s[r][t] for r in range(n)])
+        for t, u in enumerate(perm):
+            conjugated = [cyclo.galois(v, g) for v in column[t]]
+            assert conjugated in (column[u], [-v for v in column[u]])
+
+
+@pytest.mark.parametrize("k", [6, 18])
+def test_galois_permutations_carry_each_column_to_its_conjugate(k):
+    assert_columns_go_to_their_conjugates(relabeled(su2_datum(k), seed=k))
+
+
+@pytest.mark.parametrize("name", [*(f"lattice k={k}" for k in range(1, 17)),
+                                  "s4 completed", "s4 partial", "su(2)_4 vacuum 1"])
+def test_galois_permutations_carry_each_column_to_its_conjugate_on_more_data(
+        s4, s4_completed, name):
+    if name.startswith("lattice"):
+        k = int(name[10:])
+        datum = relabeled(lattice_modular_data(LatticeSpec(k)), seed=k)
+    elif name.startswith("s4"):
+        datum = s4_completed if name == "s4 completed" else s4[0]
+    else:  # S[0,2] = 0, and sqrt(3) -> -sqrt(3) negates column 2, (0, 1, -1, 0, 1)
+        # times +-1/sqrt(3), so its sign is decided past its first entry
+        datum = swapped_vacuum(su2_datum(4), 1)
+        assert datum.s[0][2].is_zero()
+    assert_columns_go_to_their_conjugates(datum)
+
+
+@pytest.mark.parametrize("name, order, count", [("s4", 288, 12), ("su(2)_7", 72, 12),
+                                                ("su(2)_10", 24, 8)])
+def test_galois_conjugates_have_the_same_fusion_rules(s4_completed, s4_tensor, name, order,
+                                                      count):
+    # sigma(S)^2 = sigma(C) = C and sigma fixes every rational N[i,j]^k, so
+    # each conjugate passes the Galois check and has the original's tensor;
+    # its qdims are conjugates too, so validate need not call it valid.
+    datum = s4_completed if name == "s4" else su2_datum(int(name[6:]))
+    tensor = s4_tensor if name == "s4" else fusion_tensor(datum)
+    assert math.lcm(*(v.order for row in datum.s for v in row)) == order
+    units = [g for g in range(1, order) if math.gcd(g, order) == 1]
+    for g in random.Random(order).sample(units, count):
+        conjugate = ModularDatum(datum.labels, [[cyclo.galois(v, g) for v in row]
+                                                for row in datum.s])
+        assert conjugate.galois is not None
+        assert fusion_tensor(conjugate) == tensor
 
 
 def test_galois_check_fails_on_corrupted_s4(s4_completed):

@@ -30,6 +30,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_help_shows_the_user_paragraphs_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert info.value.code == 0
+    assert "Subcommands: validate" in out and "Exit status: 0 success" in out
+    assert "File arguments accept a path" in out and "import" not in out
+
+
 def test_validate_partial(capsys):
     code, out, _ = run(capsys, "validate", "@s4")
     assert code == 0
@@ -58,7 +67,7 @@ def test_empty_datum_is_an_error(command, tmp_path, capsys):
     empty = tmp_path / "empty.mdf"
     empty.write_text("")
     assert run(capsys, command, str(empty)) == (
-        2, "", "error: offset 0: the header has no 'modules' key\n")
+        2, "", "error: the header has no 'modules' key\n")
 
 
 def test_validate_checks_recorded_qdims(tmp_path, capsys):
@@ -272,13 +281,13 @@ def test_unset_duals_that_contradict_s_squared_are_refused(tmp_path, capsys):
      "0 m0 1 1.0000000000\n", "error: S[1,0] is unknown\n"),
     # A value that divides by zero is a parse error that names its text.
     ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 1/(1-1)\n", 2, "",
-     "error: offset 0: S[0,0] = 1/(1-1): division by zero\n"),
+     "error: S[0,0] = 1/(1-1): division by zero\n"),
     ("validate", "[header]\nmodules = 1\n\n[S]\n0 0 (1-1)^-1\n", 2, "",
-     "error: offset 0: S[0,0] = (1-1)^-1: division by zero\n"),
+     "error: S[0,0] = (1-1)^-1: division by zero\n"),
     ("validate", "[header]\nmodules = 1\nscale = 1/(E(3)+E(3)^2+1)\n\n[S]\n0 0 1\n", 2, "",
-     "error: offset 0: scale = 1/(E(3)+E(3)^2+1): division by zero\n"),
+     "error: scale = 1/(E(3)+E(3)^2+1): division by zero\n"),
     ("validate", "[header]\nmodules = 1\n\n[labels]\n0 vac qdim=0^-1\n\n[S]\n0 0 1\n", 2, "",
-     "error: offset 0: label 0 qdim = 0^-1: division by zero\n"),
+     "error: label 0 qdim = 0^-1: division by zero\n"),
 ])
 def test_documented_errors(tmp_path, capsys, command, text, code, out, err):
     path = tmp_path / "datum.mdf"
@@ -295,7 +304,7 @@ def test_missing_modules_key_is_a_parse_error(tmp_path, capsys, argv):
     for text in ("[header]\nname = x\n", "[S]\n0 0 1\n"):
         path.write_text(text)
         assert run(capsys, argv[0], str(path), *argv[1:]) == (
-            2, "", "error: offset 0: the header has no 'modules' key\n")
+            2, "", "error: the header has no 'modules' key\n")
 
 
 def test_eigen_cross_check_disagreement_exits_3(tmp_path, capsys):

@@ -307,9 +307,9 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
      "branching target 2 out of range"),
     # S or label lines need the header's module count; files of branching
     # sections or fixtures alone need no header.
-    ("[S]\n0 0 1\n", ParseError, "offset 0: the header has no 'modules' key"),
+    ("[S]\n0 0 1\n", ParseError, "the header has no 'modules' key"),
     ("[header]\nname = x\n[labels]\n0 vac\n", ParseError,
-     "offset 0: the header has no 'modules' key"),
+     "the header has no 'modules' key"),
     # A repeated header key is rejected, not overwritten by the later line.
     ("[header]\nmodules = 1\nmodules = 2\n", DuplicateEntryError,
      "line 3: header key 'modules' declared twice"),

@@ -201,20 +201,21 @@ def test_glob_examples(s4):
 
 def test_quantum_dimensions_on_partial_data():
     labels = [ModuleLabel(0, "a"), ModuleLabel(1, "b"), ModuleLabel(2, "c")]
-    half = Cyclotomic.from_rational(Fraction(1, 2))
-    datum = ModularDatum(labels, [[half, None, None], [None, None, None],
-                                  [Cyclotomic.one(), None, None]])
+
+    def with_vacuum(value):  # S is never edited in place: each case is a datum of its own
+        return ModularDatum(labels, [[value, None, None], [None, None, None],
+                                     [Cyclotomic.one(), None, None]])
+
+    datum = with_vacuum(Cyclotomic.from_rational(Fraction(1, 2)))
     assert quantum_dimensions(datum) == [1, None, 2]
     with pytest.raises(MissingEntryError):
         glob(datum)
     assert validate(datum).bad_qdims == []
     assert list(datum_to_file(datum).qdims) == [0, 2]
-    datum.s[0][0] = None
     with pytest.raises(MissingEntryError):
-        quantum_dimensions(datum)
-    datum.s[0][0] = Cyclotomic.zero()
+        quantum_dimensions(with_vacuum(None))
     with pytest.raises(ZeroDivisionError):
-        quantum_dimensions(datum)
+        quantum_dimensions(with_vacuum(Cyclotomic.zero()))
 
 
 def test_quantum_dimensions_one_product_per_distinct_entry(monkeypatch):
