@@ -30,8 +30,9 @@ exponent like ``1e999999999``, which would be built in full, is refused.
 The optional ``vacuum`` line must read 0, and ``modules`` at least 1.  Each
 branching table is one ``BranchingSection``, which the completion takes as it
 is; ``qdim=`` labels are checked by ``modular_data.datum_from_file``.  Parse
-errors name the line, and a header key, label, S entry or branching row given
-twice is a ``DuplicateEntryError``.
+errors name the line, and a header key, label, S entry, branching row or
+fusion pair given twice is a ``DuplicateEntryError``; a pair may have one
+hard and one soft line.
 
 A ``DatumFile`` holds every expression as its stripped text: ``s_entries``
 (``None`` for ``?``), ``qdims`` (by module index) and ``scale_expr``.
@@ -42,7 +43,9 @@ A ``DatumFile`` holds every expression as its stripped text: ``s_entries``
 Serialization is deterministic: ``parse_file(serialize(d))`` reproduces the
 datum and re-serializing yields identical bytes; free text that would read
 back otherwise (a ``#``, a line break, surrounding whitespace, whitespace in
-a label name, ``"`` in a parent) is refused with ValueError.
+a label name or ``qdim=`` text, ``?`` in an S entry, ``"`` in a parent) is
+refused with ValueError, as is a fusion pair given twice; each distinct S
+text is checked once.
 """
 
 from __future__ import annotations
@@ -390,7 +393,7 @@ def _written(text: str, what: str, forbidden: str = "#", one_word: bool = False)
     read it back otherwise: it cuts lines at ``#`` and at line breaks, strips
     their ends and, on a label line, splits fields at whitespace."""
     if (text != text.strip() or len(text.splitlines()) > 1
-            or any(c in forbidden for c in text) or one_word and text.split() != [text]):
+            or any(map(text.__contains__, forbidden)) or one_word and text.split() != [text]):
         raise ValueError(f"{what} {text!r} cannot be written to a datum file")
     return text
 
@@ -402,6 +405,7 @@ def parse_file(text: str) -> DatumFile:
     branching: BranchingSection | None = None
     seen_keys: set[str] = set()
     seen_labels: set[int] = set()
+    seen_pairs: set[tuple[int, int, bool]] = set()  # (i <= j, soft)
 
     @lru_cache(maxsize=None)
     def checked(text: str) -> str:
@@ -495,9 +499,14 @@ def parse_file(text: str) -> DatumFile:
                 if not x or "=" not in rest:
                     raise ParseError("fusion lines are: [soft] i x j = sum [| citation]", 0, line_no)
                 right_s, _, sum_s = rest.partition("=")
+                left, right = int(left_s), int(right_s)
+                pair = (left, right, soft) if left <= right else (right, left, soft)
+                if pair in seen_pairs:
+                    raise DuplicateEntryError(f"line {line_no}: {'soft ' * soft}fusion pair "
+                                              f"{left} x {right} declared twice")
+                seen_pairs.add(pair)
                 datum.fixtures.append(FixtureRecord(
-                    left=int(left_s), right=int(right_s),
-                    terms=_parse_sum(sum_s, line_no),
+                    left=left, right=right, terms=_parse_sum(sum_s, line_no),
                     soft=soft, citation=citation.strip()))
             elif section == "branching":
                 idx_s, eq, sum_s = line.partition("=")
@@ -569,7 +578,7 @@ def serialize(datum: DatumFile) -> str:
     lines = ["[header]", f"name = {_written(datum.name, 'header name')}",
              f"modules = {datum.modules}", "vacuum = 0"]
     if datum.scale_expr is not None:
-        lines.append(f"scale = {datum.scale_expr}")
+        lines.append(f"scale = {_written(datum.scale_expr, 'scale')}")
     unlabelled = sorted(set(datum.qdims) - {rec.index for rec in datum.labels})
     if unlabelled:
         raise ValueError(f"qdims of modules {unlabelled} have no label line to be written on")
@@ -579,7 +588,7 @@ def serialize(datum: DatumFile) -> str:
         for rec in sorted(datum.labels, key=lambda r: r.index):
             parts = [str(rec.index), _written(rec.name, "label name", one_word=True)]
             if rec.index in datum.qdims:
-                parts.append(f"qdim={datum.qdims[rec.index]}")
+                parts.append(f"qdim={_written(datum.qdims[rec.index], 'qdim', one_word=True)}")
             if rec.dual is not None:
                 parts.append(f"dual={rec.dual}")
             if rec.weight is not None:
@@ -588,6 +597,8 @@ def serialize(datum: DatumFile) -> str:
     if datum.s_entries:
         lines.append("")
         lines.append("[S]")
+        for text in set(datum.s_entries.values()) - {None}:  # "?" is no expression
+            _written(text, "S entry", "#?")
         for (r, c) in sorted(datum.s_entries):
             text = datum.s_entries[(r, c)]
             lines.append(f"{r} {c} {'?' if text is None else text}")
@@ -600,7 +611,14 @@ def serialize(datum: DatumFile) -> str:
     if datum.fixtures:
         lines.append("")
         lines.append("[fusion]")
+        seen_pairs = set()
         for fx in datum.fixtures:
+            pair = ((fx.left, fx.right, fx.soft) if fx.left <= fx.right
+                    else (fx.right, fx.left, fx.soft))
+            if pair in seen_pairs:
+                raise ValueError(f"{'soft ' * fx.soft}fusion pair {fx.left} x {fx.right} given "
+                                 "twice cannot be written to a datum file")
+            seen_pairs.add(pair)
             prefix = "soft " if fx.soft else ""
             line = f"{prefix}{fx.left} x {fx.right} = {_sum_text(fx.terms)}"
             if fx.citation:

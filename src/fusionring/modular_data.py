@@ -15,9 +15,11 @@ distinct value touches a cyclotomic.  S is never edited in place: a datum
 with other entries is a new datum (``with_entries``).
 A datum's one certificate engine (``ModularDatum.engine``) is the only holder
 of its one image of S per split prime, and the one maker of Verlinde rows
-(``_Engine.row``).  S^2 = C is read off its vacuum-pair rows (i, 0), as the
-Verlinde tensor reads its other rows, and decided once per datum, held or
-failed (``ModularDatum.s_squared``).  Once S^2 = C holds, S^-1[i,j] = S[i,j']
+(``_Engine.row``).  Its first step is the Galois check on the block it
+images, so it alone decides whether rows are certified by images.  S^2 = C
+is read off its vacuum-pair rows (i, 0), as the Verlinde tensor reads its
+other rows, and decided once per datum, held or failed
+(``ModularDatum.s_squared``).  Once S^2 = C holds, S^-1[i,j] = S[i,j']
 is known entry by entry, and unitarity is decided from it.  Each 1/S[0,s] is
 inverted once per datum (``ModularDatum.vacuum_inverse``).  Equal completions
 of one datum are one datum while any caller holds it
@@ -42,7 +44,7 @@ __all__ = [
     "NonIntegerResultError", "NegativeResultError",
     "ModuleLabel", "ModularDatum",
     "validate", "charge_conjugation", "dual_mismatches", "computable_indices",
-    "galois_permutations", "quantum_dimensions", "glob",
+    "quantum_dimensions", "glob",
     "check_qdims", "datum_from_file", "datum_to_file",
 ]
 
@@ -86,8 +88,8 @@ class ModularDatum:
     matrix of their indices in ``values``, None where ``s`` has None; the
     three agree because none of them is edited in place.
 
-    Its derived state -- the Galois check, the S^2 = C verdict, the engine
-    and its certified rows, the vacuum inverses -- is kept on the datum and
+    Its derived state -- the S^2 = C verdict, the engine with its Galois
+    check and certified rows, the vacuum inverses -- is kept on the datum and
     computed at most once.  ``completed`` hands every caller that fills the
     same values into this datum the same completed datum, so that state is
     shared by every route that reaches one S; ``with_entries`` always builds
@@ -136,11 +138,6 @@ class ModularDatum:
         return [lab.dual if lab.dual is not None else lab.index for lab in self.labels]
 
     @cached_property
-    def galois(self) -> list[list[int]] | None:
-        """``galois_permutations(self)``, computed at most once per datum."""
-        return galois_permutations(self)
-
-    @cached_property
     def s_squared(self) -> list[int] | str:
         """The verdict on S^2 = C, derived at most once per datum, held or
         failed: C as a permutation, or why S^2 is none as a message (a kept
@@ -169,9 +166,10 @@ class ModularDatum:
         return _Engine(self, computable_indices(self))
 
     def reproduces(self, rows: dict) -> bool:
-        """Whether S is fully known, passes ``galois`` and S^2 = C, its dual
-        labels are C (``dual_mismatches``), its engine has primes, and each
-        ``rows[i, j]`` (n integers) equals the engine's certified row N[i,j].
+        """Whether S is fully known, its engine has primes (so S passes the
+        Galois check, ``_Engine.galois``), S^2 = C, its dual labels are C
+        (``dual_mismatches``), and each ``rows[i, j]`` (n integers) equals
+        the engine's certified row N[i,j].
         Then S^-1[s,k] = S[s,k'] gives N[i,j] = v S^-1, v(s) = S[i,s] S[j,s] / S[0,s],
         so E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
         column s, whose column 0 is the qdim identity.  ``verlinde.check_ring``
@@ -181,14 +179,14 @@ class ModularDatum:
         (Etingof-Gelaki-Nikshych-Ostrik, *Tensor Categories*, ch. 3).
         ``branching.eigen_complete`` passes the recorded fusion products, to
         certify its eigenvector relations at every column at once."""
-        if not self.fully_known() or self.galois is None:
+        if not self.fully_known():
             return False
-        try:
-            engine, wrong = self.engine, dual_mismatches(self)
+        try:  # no primes (S fails the Galois check) is decided before S^2 = C
+            engine = self.engine
+            wrong = not engine.primes or dual_mismatches(self)
         except (ZeroDivisionError, NotPermutationError):  # S[0,s] = 0, S^2 != C
             return False
-        return not wrong and bool(engine.primes) and all(
-            engine.certified(i, j) == row for (i, j), row in rows.items())
+        return not wrong and all(engine.certified(i, j) == row for (i, j), row in rows.items())
 
     def vacuum_inverse(self, s: int) -> Cyclotomic:
         """1/S[0,s], each distinct vacuum entry inverted at most once per datum."""
@@ -271,26 +269,23 @@ def computable_indices(datum: ModularDatum) -> list[int]:
     return [i for i, row in enumerate(datum.numbers) if None not in row and full[dual[i]]]
 
 
-def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
+def _galois_permutations(datum: ModularDatum, indices: list[int],
+                         cols: list[int]) -> list[list[int]] | None:
     """Per generator g of the units mod the entries' common order
     (``cyclo.unit_generators``), a permutation pi_g of the columns s of S
-    with sigma_g(column s) = +-column pi_g(s); None if there is none.  With
-    I = ``computable_indices(datum)``, column s is (S[r,s] for r = 0 and r in
-    I) followed by (S[s,k'] for k in I): all of S when S is fully known and
-    its dual labels are a permutation.  Modular data have them (de Boer-Goeree
-    1991, Coste-Gannon 1994), and then a sum over s in which the sign of
-    column s cancels, as in S[i,s] S[s,j], is rational.  Columns are matched
-    exactly, as tuples of entry numbers (``ModularDatum.numbers``, with a
-    number beyond ``values`` for each negation not in S) taken at the smaller
-    of their two signs; only the distinct values are negated and conjugated.
-    Raises MissingEntryError if the vacuum row has a hole.  Callers use
-    ``ModularDatum.galois``, which runs this once per datum."""
+    with sigma_g(column s) = +-column pi_g(s); None if there is none.  Column
+    s is (S[r,s] for r = 0 and r in ``indices``) followed by (S[s,c] for c in
+    ``cols``): the block that ``_Engine`` images, all of S when S is fully
+    known and its dual labels are a permutation.  Modular data have them
+    (de Boer-Goeree 1991, Coste-Gannon 1994), and then a sum over s in which
+    the sign of column s cancels, as in S[i,s] S[s,j], is rational.  Columns
+    are matched exactly, as tuples of entry numbers (``ModularDatum.numbers``,
+    with a number beyond ``values`` for each negation not in S) at the sign
+    that their first entry, S[0,s], decides; the engine has refused a vacuum
+    row with a hole or a 0.  Only the distinct values are negated and
+    conjugated."""
     numbers, values = datum.numbers, datum.values
-    if None in numbers[0]:
-        raise MissingEntryError(f"S[0,{numbers[0].index(None)}] is unknown")
-    indices = computable_indices(datum)
-    dual = datum.dual_permutation()
-    rows, cols = list(dict.fromkeys([0, *indices])), [dual[k] for k in indices]
+    rows = list(dict.fromkeys([0, *indices]))
     columns = [(*map(column.__getitem__, rows), *map(row.__getitem__, cols))
                for column, row in zip(zip(*numbers), numbers)]
     used = set().union(*columns)
@@ -302,11 +297,8 @@ def galois_permutations(datum: ModularDatum) -> list[list[int]] | None:
             neg.append(x)
     flip = neg.__getitem__
 
-    def key(t):  # min(t, -t), which the first entry decides unless it is 0
-        if t[0] < neg[t[0]]:
-            return t
-        negated = tuple(map(flip, t))
-        return negated if t[0] > neg[t[0]] else min(t, negated)
+    def key(t):  # t, or -t, as the nonzero first entry decides
+        return t if t[0] < neg[t[0]] else tuple(map(flip, t))
 
     homes: dict[tuple, list[int]] = {}
     for s, column in enumerate(columns):
@@ -359,10 +351,12 @@ class _Engine:
     ``ModularDatum.engine``; it holds ``datum.s``, not the datum, so the two
     form no cycle.  A row is certified from the datum's one image of S, a
     ``cyclo.Images`` that only the engine holds, at the fewest primes its
-    bound needs, never by canonicalizing a coefficient.  The
-    Galois permutations (``ModularDatum.galois``, on the rows 0 and
-    ``indices`` and the dual columns of ``indices``) make every N[i,j]^k
-    rational, the sign of column s cancelling in S[i,s] S[j,s] S[s,k'] / S[0,s].
+    bound needs, never by canonicalizing a coefficient.  Building it refuses
+    a vacuum row with a hole or a 0, then runs the Galois check (``galois``;
+    None, and no ``primes``, if S fails it) on the block it images: the rows
+    0 and ``indices`` and the dual columns ``cols``.  Its permutations make
+    every N[i,j]^k rational, the sign of column s cancelling in
+    S[i,s] S[j,s] S[s,k'] / S[0,s].
     Over the denominators D of S and D_inv of the vacuum inverses, the sum
     over s of the lifts of (D S[i,s]) (D S[j,s]) (D_inv / S[0,s]) (D S[s,k'])
     to Z[C_N] reduces to D^3 D_inv N[i,j]^k, with l1 norm at most
@@ -388,7 +382,8 @@ class _Engine:
         self._row_cache: dict = {}
         self._pair_cache: dict = {}
         self.primes: list[int] = []
-        if datum.galois is None:
+        self.galois = _galois_permutations(datum, indices, cols)
+        if self.galois is None:
             return
 
         # The engine is cached per datum: each prime images each entry once.

@@ -80,11 +80,12 @@ class FusionTensor:
 
 
 def _engine(datum: ModularDatum):
-    """``datum.engine``; ValueError if a full datum passing the Galois check
-    has dual labels other than its C, as the rows read S^-1[s,k] as S[s,k'].
-    Without a C to compare, a bad sum names its own triple."""
+    """``datum.engine``; ValueError if a full datum whose engine passed the
+    Galois check (``engine.galois``) has dual labels other than its C, as the
+    rows read S^-1[s,k] as S[s,k'].  Without a C to compare, a bad sum names
+    its own triple."""
     engine = datum.engine
-    if datum.fully_known() and datum.galois is not None:
+    if datum.fully_known() and engine.galois is not None:
         try:
             wrong = dual_mismatches(datum)
         except NotPermutationError:

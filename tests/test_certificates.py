@@ -23,7 +23,7 @@ from fusionring.lattice import LatticeSpec, lattice_modular_data
 from fusionring.mdf import serialize
 from fusionring.modular_data import (MissingEntryError, ModularDatum, ModuleLabel,
                                      NotPermutationError, charge_conjugation, computable_indices,
-                                     datum_to_file, galois_permutations, quantum_dimensions,
+                                     datum_to_file, quantum_dimensions,
                                      validate)
 from fusionring.verlinde import (FusionTensor, NonIntegerResultError, PropertyReport,
                                  check_ring, fusion_product, fusion_tensor)
@@ -425,13 +425,13 @@ def verlinde_by_exact_sum(datum, i, j, k):
 
 
 def test_galois_check_passes_on_modular_data(s4, s4_completed):
-    assert galois_permutations(s4_completed) is not None
+    assert s4_completed.engine.galois is not None
     # The block of the shipped partial s4 that the tensor engine uses.
     assert len(computable_indices(s4[0])) == 21
-    assert galois_permutations(s4[0]) is not None
+    assert s4[0].engine.galois is not None
     for datum in (lattice_modular_data(LatticeSpec(11)), lattice_modular_data(LatticeSpec(13)),
                   su2_datum(18), su2_datum(24)):
-        assert galois_permutations(datum) is not None
+        assert datum.engine.galois is not None
 
 
 def swapped_vacuum(datum, a):
@@ -454,7 +454,7 @@ def assert_columns_go_to_their_conjugates(datum):
     rows = [0, *(i for i in rows if i != 0)]
     column = [[s[r][t] for r in rows] + [s[t][c] for c in cols] for t in range(n)]
     order = math.lcm(*(v.order for entries in column for v in entries))
-    perms = galois_permutations(datum)
+    perms = datum.engine.galois
     assert len(perms) == len(cyclo.unit_generators(order))
     for g, perm in zip(cyclo.unit_generators(order), perms):
         assert sorted(perm) == list(range(n))
@@ -469,19 +469,27 @@ def test_galois_permutations_carry_each_column_to_its_conjugate(k):
 
 
 @pytest.mark.parametrize("name", [*(f"lattice k={k}" for k in range(1, 17)),
-                                  "s4 completed", "s4 partial", "su(2)_4 vacuum 1"])
+                                  "s4 completed", "s4 partial"])
 def test_galois_permutations_carry_each_column_to_its_conjugate_on_more_data(
         s4, s4_completed, name):
     if name.startswith("lattice"):
         k = int(name[10:])
         datum = relabeled(lattice_modular_data(LatticeSpec(k)), seed=k)
-    elif name.startswith("s4"):
+    else:
         datum = s4_completed if name == "s4 completed" else s4[0]
-    else:  # S[0,2] = 0, and sqrt(3) -> -sqrt(3) negates column 2, (0, 1, -1, 0, 1)
-        # times +-1/sqrt(3), so its sign is decided past its first entry
-        datum = swapped_vacuum(su2_datum(4), 1)
-        assert datum.s[0][2].is_zero()
     assert_columns_go_to_their_conjugates(datum)
+
+
+def test_engine_refuses_a_zero_vacuum_entry_before_the_galois_check(monkeypatch):
+    # S[0,2] = 0: the Verlinde denominator is refused before S is checked or
+    # imaged, so the check never decides a column's sign past its first entry.
+    calls = []
+    monkeypatch.setattr(modular_data, "_galois_permutations", lambda *args: calls.append(args))
+    datum = swapped_vacuum(su2_datum(4), 1)
+    assert datum.s[0][2].is_zero()
+    with pytest.raises(ZeroDivisionError, match=r"S\[0,2\] = 0"):
+        datum.engine
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, order, count", [("s4", 288, 12), ("su(2)_7", 72, 12),
@@ -498,7 +506,7 @@ def test_galois_conjugates_have_the_same_fusion_rules(s4_completed, s4_tensor, n
     for g in random.Random(order).sample(units, count):
         conjugate = ModularDatum(datum.labels, [[cyclo.galois(v, g) for v in row]
                                                 for row in datum.s])
-        assert conjugate.galois is not None
+        assert conjugate.engine.galois is not None
         assert fusion_tensor(conjugate) == tensor
 
 
@@ -506,18 +514,18 @@ def test_galois_check_fails_on_corrupted_s4(s4_completed):
     negated = with_symmetric(s4_completed, {(9, 20): lambda v: -v})
     rotated = s4_completed.with_entries({(3, 5): s4_completed.s[3][5] * root_of_unity(3)})
     for datum in (negated, rotated):
-        assert galois_permutations(datum) is None
+        assert datum.engine.galois is None
 
 
 def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
     calls = []
-    check = modular_data.galois_permutations
+    check = modular_data._galois_permutations
 
-    def counted(datum):
+    def counted(datum, *block):
         calls.append(datum)
-        return check(datum)
+        return check(datum, *block)
 
-    monkeypatch.setattr(modular_data, "galois_permutations", counted)
+    monkeypatch.setattr(modular_data, "_galois_permutations", counted)
     datum = s4_completed.with_entries({})  # not yet checked, unlike the shared fixture
     assert validate(datum).ok
     assert check_ring(fusion_tensor(datum), datum).ok
@@ -525,6 +533,18 @@ def test_galois_check_runs_once_per_datum(monkeypatch, s4_completed):
     copy = datum.with_entries({})
     assert check_ring(fusion_tensor(copy), copy).ok
     assert calls == [datum, copy]
+
+
+def test_block_is_derived_once_per_datum(monkeypatch, s4_completed):
+    # The engine derives its block once, and the Galois check runs on it.
+    calls = []
+    indices = modular_data.computable_indices
+    monkeypatch.setattr(modular_data, "computable_indices",
+                        lambda datum: calls.append(datum) or indices(datum))
+    datum = s4_completed.with_entries({})
+    assert validate(datum).ok
+    assert check_ring(fusion_tensor(datum), datum).ok
+    assert calls == [datum]
 
 
 def test_ring_check_against_partial_data_is_decided_exactly(s4, s4_completed, s4_tensor):
@@ -550,7 +570,7 @@ def test_identity_never_certifies_associativity_without_s_squared_c():
                          [[one] * 3 for _ in range(3)])
     unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     values = [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]
-    assert datum.galois is not None
+    assert datum.engine.galois is not None
     assert charge(datum) == "S^2[0,0] = 3 is neither 0 nor 1"
     assert datum.reproduces(tensor_rows(values)) is False
     report = assert_ring_report_matches(FusionTensor([0, 1, 2], values), datum)
@@ -573,7 +593,7 @@ def test_ring_check_on_data_failing_the_galois_check_or_s_squared_c(s4_completed
 
 def test_vacuum_hole_is_reported_before_the_galois_check(monkeypatch, s4_completed):
     calls = []
-    monkeypatch.setattr(modular_data, "galois_permutations", calls.append)
+    monkeypatch.setattr(modular_data, "_galois_permutations", lambda *args: calls.append(args))
     holed = s4_completed.with_entries({(0, 9): None})
     with pytest.raises(MissingEntryError, match=r"S\[0,9\] is unknown"):
         fusion_tensor(holed)
@@ -603,7 +623,7 @@ def test_rotation_datum_without_galois_symmetry_reports_as_before():
     s = (z - root_of_unity(7, 6)) * minus_i * Fraction(1, 2)
     datum = ModularDatum([ModuleLabel(0, "a", dual=0), ModuleLabel(1, "b", dual=1)],
                          [[c, s], [s, -c]])
-    assert galois_permutations(datum) is None
+    assert datum.engine.galois is None
     assert charge(datum) == square_by_triple_loop(datum) == [0, 1]
     report = validate(datum)
     assert report.to_text().splitlines()[-3:] == [

@@ -202,6 +202,33 @@ def test_eigen_cross_check_failure_names_its_route(tmp_path, capsys):
                        f"error: eigen cross-check: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["complete", "@s4", "--parents", "@s4_branching", "--cross-check", "eigen", "--fixtures"],
+    ["regress", "@s4"],
+])
+def test_fusion_pair_given_twice_is_refused(tmp_path, capsys, argv):
+    # The shipped fixtures have 8 x 9; a second hard line for the pair would
+    # overwrite it in the eigen route and contradict it in regress.
+    from fusionring.s4_dataset import data_path
+
+    fixtures = tmp_path / "twice.mdf"
+    text = data_path("s4_fixtures.mdf").read_text() + "9 x 8 = 8\n"
+    fixtures.write_text(text)
+    code, out, err = run(capsys, *argv, str(fixtures))
+    line = len(text.splitlines())
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: line {line}: fusion pair 9 x 8 declared twice\n")
+
+
+@pytest.mark.parametrize("module, line", [(0, "0 m0 1 1.0000000000"),
+                                          (1, "1 m1 E(4) 0.0000000000+1.0000000000i")])
+def test_qdim_prints_a_complex_embedding(tmp_path, capsys, module, line):
+    path = tmp_path / "complex.mdf"
+    path.write_text("[header]\nmodules = 2\n[S]\n0 0 1\n0 1 E(4)\n1 0 E(4)\n1 1 1\n")
+    code, out, _ = run(capsys, "qdim", str(path))
+    assert code == 0 and out.splitlines()[module] == line
+
+
 def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
     # Lattice data with S[1,2] = S[2,1] hidden, completed from themselves.
     # The shipped fixtures belong to the 28-module dataset, so they are the

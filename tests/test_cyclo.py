@@ -138,6 +138,17 @@ def test_galois_needs_a_unit():
         galois(root_of_unity(12, 1), 3)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: root_of_unity(3).as_rational(), ValueError, "not a rational number: E(3)"),
+    (lambda: Cyclotomic.one() + "x", TypeError, "cannot add str to Cyclotomic"),
+    (lambda: sqrt_int(0), ValueError, "argument must be a positive integer"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def su2_vacuum_entry(k):
     """S[0,0] = sqrt(2/(k+2)) sin(pi/(k+2)) of su(2)_k."""
     h = k + 2

@@ -315,6 +315,11 @@ HEADER2 = "[header]\nmodules = 2\n"  # a [labels] or [S] header after it is line
      "line 3: header key 'modules' declared twice"),
     ("[header]\nmodules = 1\nscale = 1/2\nscale = 2\n", DuplicateEntryError,
      "line 4: header key 'scale' declared twice"),
+    # So is a second hard, or soft, line for one unordered fusion pair.
+    ("[fusion]\n0 x 1 = 1\nsoft 1 x 0 = 1\n1 x 0 = 1\n", DuplicateEntryError,
+     "line 4: fusion pair 1 x 0 declared twice"),
+    ("[fusion]\nsoft 1 x 1 = 0\n1 x 1 = 0\nsoft 1 x 1 = 0\n", DuplicateEntryError,
+     "line 4: soft fusion pair 1 x 1 declared twice"),
 ])
 def test_malformed_lines_are_located(text, error, message):
     with pytest.raises(error) as info:
@@ -362,6 +367,13 @@ def writable_file():
     ("citation", "src#2", "fixture citation 'src#2'"),
     ("citation", "src\r\n2", "fixture citation 'src\\r\\n2'"),
     ("citation", "src ", "fixture citation 'src '"),
+    # "1 # 2" reads back as 1, "?" as an unknown, and "1 + 0" as three fields.
+    ("S", "1 # 2", "S entry '1 # 2'"),
+    ("S", "?", "S entry '?'"),
+    ("qdim", "1 + 0", "qdim '1 + 0'"),
+    ("scale", "1/2 # 3", "scale '1/2 # 3'"),
+    # parse_file refuses a second hard line for 1 x 1.
+    ("fixture", "src:7.2", "fusion pair 1 x 1 given twice"),
 ])
 def test_serialize_refuses_text_it_cannot_write_back(field, value, message):
     df = writable_file()
@@ -372,6 +384,14 @@ def test_serialize_refuses_text_it_cannot_write_back(field, value, message):
         df.labels[1] = ModuleLabel(1, value)
     elif field == "parent":
         df.branchings[0].parent = value
+    elif field == "S":
+        df.s_entries = {(0, 0): "1", (0, 1): value, (1, 0): value}
+    elif field == "qdim":
+        df.qdims[1] = value
+    elif field == "scale":
+        df.scale_expr = value
+    elif field == "fixture":
+        df.fixtures.append(FixtureRecord(left=1, right=1, terms={0: 1}, citation=value))
     else:
         df.fixtures[0].citation = value
     with pytest.raises(ValueError) as info:
@@ -439,12 +459,14 @@ def datum_files(draw):
                           unique=True, max_size=6))
     for cell in cells:
         df.s_entries[cell] = draw(st.none() | SPACED_EXPR)
-    for _ in range(draw(st.integers(0, 3))):
+    # A file gives each unordered pair at most one hard and one soft line.
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                          unique_by=lambda p: (min(p[:2]), max(p[:2]), p[2]), max_size=3))
+    for left, right, soft in pairs:
         terms = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3),
                                      min_size=1, max_size=3))
         df.fixtures.append(FixtureRecord(
-            left=draw(st.integers(0, n - 1)), right=draw(st.integers(0, n - 1)),
-            terms=terms, soft=draw(st.booleans()),
+            left=left, right=right, terms=terms, soft=soft,
             citation=draw(st.just("") | st.just("src:demo"))))
     return df
 

@@ -36,6 +36,18 @@ def test_equal_entries_share_one_object():
     assert datum.with_entries({(1, 1): -b}).s[0][1] is a
 
 
+@pytest.mark.parametrize("labels, s, message", [
+    ([], [], "a modular datum needs at least the vacuum module"),
+    ([ModuleLabel(0, "vac")], [], "S-matrix shape must match the label count"),
+    ([ModuleLabel(0, "vac"), ModuleLabel(1, "m")], [[1, 1], [1]],
+     "S-matrix shape must match the label count"),
+])
+def test_datum_refuses_no_labels_and_a_wrong_shape(labels, s, message):
+    with pytest.raises(ValueError) as info:
+        ModularDatum(labels, s)
+    assert str(info.value) == message
+
+
 def test_two_by_two_valid():
     report = validate(two_by_two())
     assert report.ok
@@ -173,7 +185,7 @@ def test_failed_verdict_is_derived_once_per_datum(monkeypatch):
                         lambda datum: squared.append(datum) or s_squared_rows(datum))
     one = Cyclotomic.one()
     datum = ModularDatum([ModuleLabel(i, f"m{i}") for i in range(3)], [[one] * 3] * 3)
-    assert datum.galois is not None
+    assert datum.engine.galois is not None
     assert validate(datum).square_message == "S^2[0,0] = 3 is neither 0 nor 1"
     for _ in range(5):
         assert fusion_product(datum, 1, 2) == {0: 3, 1: 3, 2: 3}
