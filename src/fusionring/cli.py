@@ -93,6 +93,9 @@ def cmd_complete(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     datum, df = _load_datum(args.file)
+    # Read before the solve, so a fixtures file that fails to parse stops the run at once.
+    if args.cross_check == "eigen":
+        fixtures = parse_file(_read_text(fixtures_spec)).fixtures
     if not args.parents:
         if not datum.fully_known():
             print("error: unknown entries present and no parents given "
@@ -109,7 +112,6 @@ def cmd_complete(args) -> int:
         # The load checked only the qdim= labels that the partial S knows.
         check_qdims(result_datum, df.qdims)
     if args.cross_check == "eigen":
-        fixtures = parse_file(_read_text(fixtures_spec)).fixtures
         try:
             eigen = eigen_complete(datum, fixtures)
         except (UnderdeterminedError, InconsistentSystemError) as exc:

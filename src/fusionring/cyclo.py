@@ -690,43 +690,82 @@ def eliminate(rows, unknowns: list) -> dict:
     ``Fraction`` or ``Cyclotomic``.  A pivot of +-1 is its own inverse and keeps
     its type, so integer rows with unit pivots update in ``int``s; any other
     pivot c is inverted as ``Fraction(1) / c``, so the solution is exact.
-    Unknowns are pivoted in the given order, each on the first remaining row
-    that contains it, and every other row -- earlier pivot rows included -- is
-    reduced by the pivot at once, so no back-substitution is needed.  A
-    reduced row inherits the labels of every pivot applied to it.  Each
-    distinct update x - a * b is computed once per call, through one local
-    memo of ``_minus_product`` that keys on the types too, so an ``int`` and
-    an equal ``Fraction`` keep their own results.
+    Unknowns are pivoted in the given order, each on the remaining row with
+    the fewest coefficients (ties go to the earliest row), which limits
+    fill-in (Markowitz 1957).  An index from each unknown to the rows that
+    hold it, pivot rows included, names the rows a pivot reduces, so each
+    pivot touches only those, and no back-substitution is needed.  A reduced
+    row inherits the labels of every pivot applied to it.  Each distinct
+    update x - a * b is computed once per call, through one local memo of
+    ``_minus_product`` that keys on the types too, so an ``int`` and an equal
+    ``Fraction`` keep their own results.
 
-    Returns {unknown: value}, a rational value as a ``Fraction``.  Raises
-    InconsistentSystemError with the merged labels of the first row a pivot
-    reduces to 0 = r, r != 0 (a row read without coefficients counts as
-    zeroed by the first pivot, or is reported when no pivot is made), and
-    UnderdeterminedError naming the unknowns left without a pivot.
+    Returns {unknown: value}, a rational value as a ``Fraction``.  Which
+    unknowns get a pivot, and the solution, do not depend on the rows chosen
+    (the type of a value can, where rational and cyclotomic right-hand sides
+    mix); a certificate does.  So when a row first reads 0 = r, r != 0, the
+    elimination runs again with each unknown pivoted on the earliest
+    remaining row that holds it, and raises InconsistentSystemError with the
+    merged labels of the first row a pivot of that run reduces to 0 = r (a
+    row read without coefficients counts as zeroed by the first pivot, or is
+    reported when no pivot is made).  A system with a row holding an
+    unlisted unknown, whose values do depend on the rows chosen, is pivoted
+    by that rule alone.  Raises UnderdeterminedError naming the unknowns
+    left without a pivot.
     """
     work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
             for coeffs, rhs, labels in rows]
-    pivots: dict = {}
     minus_product = lru_cache(maxsize=None, typed=True)(_minus_product)
+    try:
+        return _gauss_jordan(work, unknowns, minus_product, True)
+    except InconsistentSystemError:
+        return _gauss_jordan(work, unknowns, minus_product, False)
+
+
+def _gauss_jordan(work, unknowns, minus_product, fewest: bool) -> dict:
+    """``eliminate`` on rows without zero coefficients, each unknown pivoted on
+    the remaining row with the ``fewest`` coefficients, or else on the
+    earliest, as also when a row holds an unknown that is not listed."""
+    work = list(work)
+    holders: dict = {}  # unknown -> ids of the rows holding it, pivot rows included
+    for i, (coeffs, _, _) in enumerate(work):
+        for k in coeffs:
+            holders.setdefault(k, set()).add(i)
+    fewest = fewest and holders.keys() <= set(unknowns)
+    zeroed = [i for i, row in enumerate(work) if not row[0]]
+    pivots: dict = {}  # unknown -> id of its pivot row
+    pivot_rows = set()
     for u in unknowns:
-        index = next((i for i, row in enumerate(work) if row[0].get(u)), None)
-        if index is None:
+        ids = holders.pop(u, set())
+        remaining = ids - pivot_rows
+        if not remaining:
             continue
-        coeffs, rhs, labels = work.pop(index)
-        lead = coeffs.pop(u)
+        p = min(remaining, key=lambda i: (len(work[i][0]), i)) if fewest else min(remaining)
+        coeffs, rhs, labels = work[p]
+        lead = coeffs[u]
         inv = lead if lead in (1, -1) else Fraction(1) / lead
-        pivot = ({k: c * inv for k, c in coeffs.items()}, rhs * inv, labels)
-        work = [_reduce_row(row, u, pivot, minus_product) for row in work]
-        _raise_contradiction(work)
-        work = [row for row in work if row[0]]
-        pivots = {v: _reduce_row(row, u, pivot, minus_product) for v, row in pivots.items()}
-        pivots[u] = pivot
+        pivot = work[p] = ({k: c * inv for k, c in coeffs.items() if k != u}, rhs * inv, labels)
+        pivots[u] = p
+        pivot_rows.add(p)
+        for i in ids:
+            if i == p:
+                continue
+            row = work[i] = _reduce_row(work[i], u, pivot, minus_product)
+            for k in pivot[0]:
+                if k in row[0]:
+                    holders[k].add(i)
+                else:
+                    holders[k].discard(i)
+            if not row[0] and i not in pivot_rows:
+                zeroed.append(i)
+        _raise_contradiction(work[i] for i in sorted(zeroed))
+        zeroed = []
     if not pivots:
-        _raise_contradiction(work)
+        _raise_contradiction(work[i] for i in zeroed)
     free = [u for u in unknowns if u not in pivots]
     if free:
         raise UnderdeterminedError(free)
-    values = {u: pivots[u][1] for u in unknowns}
+    values = {u: work[pivots[u]][1] for u in unknowns}
     return {u: Fraction(v) if type(v) is int else v for u, v in values.items()}
 
 

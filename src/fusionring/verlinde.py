@@ -121,8 +121,8 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
     """The fusion product of modules i and j as a formal sum, from one Verlinde row.
 
     Channels range over ``computable_indices(datum)``.  Raises IndexRangeError
-    for an index outside the datum and MissingEntryError when row i or j is
-    not fully known.
+    for an index outside the datum and MissingEntryError naming the rows
+    among i and j that are not fully known.
     """
     for idx in (i, j):
         if not 0 <= idx < datum.size:
@@ -130,8 +130,10 @@ def fusion_product(datum: ModularDatum, i: int, j: int) -> dict[int, int]:
     # The engine comes first, as in fusion_tensor: a hole in the vacuum row
     # is reported as such before any row is blamed.
     engine = _engine(datum)
-    if i not in engine.indices or j not in engine.indices:
-        raise MissingEntryError(f"rows {i}, {j} are not fully known")
+    missing = [idx for idx in dict.fromkeys((i, j)) if idx not in engine.indices]
+    if missing:
+        rows = f"row {missing[0]} is" if len(missing) == 1 else f"rows {i}, {j} are"
+        raise MissingEntryError(f"{rows} not fully known")
     return {k: m for k, m in zip(engine.indices, engine.row(i, j)) if m}
 
 

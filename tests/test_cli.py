@@ -208,7 +208,8 @@ def test_eigen_cross_check_failure_names_its_route(tmp_path, capsys):
 ])
 def test_fusion_pair_given_twice_is_refused(tmp_path, capsys, argv):
     # The shipped fixtures have 8 x 9; a second hard line for the pair would
-    # overwrite it in the eigen route and contradict it in regress.
+    # overwrite it in the eigen route and contradict it in regress.  complete
+    # reads the fixtures before it solves, so only the error is printed.
     from fusionring.s4_dataset import data_path
 
     fixtures = tmp_path / "twice.mdf"
@@ -217,7 +218,7 @@ def test_fusion_pair_given_twice_is_refused(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(fixtures))
     line = len(text.splitlines())
     assert code == 2 and out == ""
-    assert err.endswith(f"error: line {line}: fusion pair 9 x 8 declared twice\n")
+    assert err == f"error: line {line}: fusion pair 9 x 8 declared twice\n"
 
 
 @pytest.mark.parametrize("module, line", [(0, "0 m0 1 1.0000000000"),
@@ -436,6 +437,13 @@ def test_fuse_unknown_rows(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: rows 1, 2 are not fully known\n"
+
+
+@pytest.mark.parametrize("i, j", [("0", "1"), ("1", "0"), ("1", "1")])
+def test_fuse_names_only_the_row_not_fully_known(capsys, i, j):
+    # Row 0, the vacuum, is fully known on the partial datum; row 1 is not.
+    code, out, err = run(capsys, "fuse", "@s4", i, j)
+    assert (code, out, err) == (1, "", "error: row 1 is not fully known\n")
 
 
 @pytest.mark.parametrize("i", ["99", "-1"])

@@ -374,6 +374,89 @@ def test_eliminate_solves_integer_systems_exactly(data):
     assert "bad" in info.value.certificate
 
 
+def test_eliminate_pivots_on_the_earliest_row_when_an_unknown_is_unlisted():
+    # w is never pivoted, so the values depend on the rows chosen: on the
+    # earliest row a, x = 1 and b reads 0 = 1; the sparsest row, c, gives x = 0.
+    rows = [({"x": 1, "w": 1}, 1, ("a",)), ({"x": 1, "w": 1}, 2, ("b",)), ({"x": 1}, 0, ("c",))]
+    assert eliminate([rows[0], rows[2]], ["x"]) == {"x": 1}
+    with pytest.raises(InconsistentSystemError) as info:
+        eliminate(rows, ["x"])
+    assert info.value.certificate == ["a", "b"] and info.value.residual == 1
+
+
+def dense_gauss_jordan(rows, unknowns):
+    """``eliminate``'s documented result by dense Gauss-Jordan over Fractions:
+    each unknown is pivoted on the earliest remaining row that holds it, every
+    other row, pivot rows included, is reduced at once, and the first row a
+    pivot leaves reading 0 = r, r != 0, is reported (a row read without
+    coefficients with the first pivot, or when no pivot is made).  Returns
+    ("solved", values), ("free", unknowns) or ("inconsistent", labels, r)."""
+    work = [([Fraction(coeffs.get(u, 0)) for u in unknowns], Fraction(rhs), set(labels))
+            for coeffs, rhs, labels in rows]
+
+    def contradiction(rows):
+        return next((("inconsistent", sorted(labels), rhs) for coeffs, rhs, labels in rows
+                     if rhs and not any(coeffs)), None)
+
+    pivots = {}
+    for j, u in enumerate(unknowns):
+        at = next((i for i, (coeffs, _, _) in enumerate(work) if coeffs[j]), None)
+        if at is None:
+            continue
+        coeffs, rhs, labels = work.pop(at)
+        pivot = ([c / coeffs[j] for c in coeffs], rhs / coeffs[j], labels)
+
+        def reduced(row, j=j, pivot=pivot):
+            coeffs, rhs, labels = row
+            factor = coeffs[j]
+            if not factor:
+                return row
+            return ([c - factor * p for c, p in zip(coeffs, pivot[0])],
+                    rhs - factor * pivot[1], labels | pivot[2])
+
+        work = [reduced(row) for row in work]
+        if found := contradiction(work):
+            return found
+        work = [row for row in work if any(row[0])]
+        pivots = {v: reduced(row) for v, row in pivots.items()}
+        pivots[u] = pivot
+    if not pivots and (found := contradiction(work)):
+        return found
+    free = [u for u in unknowns if u not in pivots]
+    return ("free", free) if free else ("solved", {u: pivots[u][1] for u in unknowns})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_eliminate_agrees_with_a_dense_reference(data):
+    # Sparse rows of many sizes, so the sparsest row is often not the
+    # earliest: consistent with a hidden solution, or with some right-hand
+    # sides moved off it, and underdetermined when the rows pin too little.
+    # The solution, the free unknowns, and the certificate and residual of a
+    # contradiction must be the dense reference's.
+    n = data.draw(st.integers(1, 5))
+    number = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    x = data.draw(st.lists(number, min_size=n, max_size=n))
+    offset = st.just(0)
+    if data.draw(st.booleans()):
+        offset = st.sampled_from([0, 0, 0, 1, -2, Fraction(1, 2)])
+    rows = []
+    for i in range(data.draw(st.integers(0, 8))):
+        coeffs = data.draw(st.dictionaries(st.integers(0, n - 1), number, max_size=n))
+        rhs = sum(c * x[u] for u, c in coeffs.items()) + data.draw(offset)
+        rows.append((coeffs, rhs, (f"r{i}",)))
+    unknowns = data.draw(st.permutations(range(n)))
+    try:
+        result = ("solved", eliminate(rows, unknowns))
+    except UnderdeterminedError as exc:
+        result = ("free", exc.free_unknowns)
+    except InconsistentSystemError as exc:
+        result = ("inconsistent", exc.certificate, exc.residual)
+    assert result == dense_gauss_jordan(rows, unknowns)
+    if result[0] == "solved":
+        assert all(type(value) is Fraction for value in result[1].values())
+
+
 def test_eliminate_underdetermined_names_free_unknowns():
     rows = [({"x": 1, "y": 1}, Fraction(1), ("a",)),
             ({"z": 0}, Fraction(0), ("b",))]
