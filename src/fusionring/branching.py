@@ -10,8 +10,13 @@ parent module l and orbifold module m, one exact linear relation
 
 between orbifold S-entries (P is the parent S-matrix).  Relations touching
 only known entries are consistency checks on the shipped data; the rest
-form an overdetermined linear system in the unknown entries, solved by
-exact Gaussian elimination with symmetry-folded unknowns.
+form an overdetermined linear system in the unknown entries, with
+symmetry-folded unknowns.  The package's one exact solver, ``eliminate``,
+is sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
+which source relations every reduced row came from.  The completion
+eliminates all its relations; the eigenvector route eliminates doubling
+prefixes of each column's relations and certifies the rest by the Verlinde
+rows of the completed S.
 
 A parent is the parsed ``mdf.BranchingSection`` (parent, k, rows); its
 lattice datum of norm 2k is rebuilt where needed, in a few milliseconds.
@@ -38,17 +43,17 @@ compares every tabulated entry with the result.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .cyclo import (Cyclotomic, InconsistentSystemError, UnderdeterminedError,
-                    eliminate, weighted_sum)
+from .cyclo import Cyclotomic, minus_product, weighted_sum
 from .lattice import LatticeSpec, lattice_modular_data
 from .mdf import BranchingSection, IndexRangeError, Record, check_fixture_range
 from .modular_data import ModularDatum
 
 __all__ = [
-    "UnderdeterminedError", "InconsistentSystemError", "check_derived_rows",
+    "UnderdeterminedError", "InconsistentSystemError", "eliminate", "check_derived_rows",
     "assemble_system", "solve", "complete", "eigen_complete",
 ]
 
@@ -101,10 +106,138 @@ def _entry(target: ModularDatum, i: int, j: int) -> Cyclotomic | None:
     return target.s[j][i] if value is None else value
 
 
+# -- exact linear elimination -------------------------------------------------
+
+class UnderdeterminedError(ValueError):
+    def __init__(self, free_unknowns):
+        super().__init__(f"system leaves unknowns free: {free_unknowns}")
+        self.free_unknowns = free_unknowns
+
+
+class InconsistentSystemError(ValueError):
+    """The relations contradict each other; carries a minimal certificate."""
+
+    def __init__(self, certificate, residual):
+        super().__init__(f"contradictory relations (residual {residual}): {sorted(certificate)}")
+        self.certificate = sorted(certificate)
+        self.residual = residual
+
+
+def eliminate(rows, unknowns: list) -> dict:
+    """Sparse Gauss-Jordan elimination over Q or a cyclotomic field.
+
+    Each row is ``(coeffs, rhs, labels)``: the relation
+    sum_u coeffs[u] * x_u = rhs together with the labels of the source
+    relations it came from.  Coefficients and right-hand sides may be ``int``,
+    ``Fraction`` or ``Cyclotomic``.  A pivot of +-1 is its own inverse and keeps
+    its type, so integer rows with unit pivots update in ``int``s; any other
+    pivot c is inverted as ``Fraction(1) / c``, so the solution is exact.
+    Unknowns are pivoted in the given order, each on the remaining row with
+    the fewest coefficients (ties go to the earliest row), which limits
+    fill-in (Markowitz 1957).  An index from each unknown to the rows that
+    hold it, pivot rows included, names the rows a pivot reduces, so each
+    pivot touches only those, and no back-substitution is needed.  A reduced
+    row inherits the labels of every pivot applied to it.  Each distinct
+    update x - a * b is computed once per call, through one local memo of
+    ``cyclo.minus_product`` that keys on the types too, so an ``int`` and an equal
+    ``Fraction`` keep their own results.
+
+    Returns {unknown: value}, a rational value as a ``Fraction``.  Which
+    unknowns get a pivot, and the solution, do not depend on the rows chosen
+    (the type of a value can, where rational and cyclotomic right-hand sides
+    mix); a certificate does.  So when a row first reads 0 = r, r != 0, the
+    elimination runs again with each unknown pivoted on the earliest
+    remaining row that holds it, and raises InconsistentSystemError with the
+    merged labels of the first row a pivot of that run reduces to 0 = r (a
+    row read without coefficients counts as zeroed by the first pivot, or is
+    reported when no pivot is made).  Raises UnderdeterminedError naming the
+    unknowns left without a pivot, and ValueError naming those that a row
+    holds but ``unknowns`` does not list.
+    """
+    work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
+            for coeffs, rhs, labels in rows]
+    listed = set(unknowns)
+    unlisted = list(dict.fromkeys(k for coeffs, _, _ in work for k in coeffs if k not in listed))
+    if unlisted:
+        raise ValueError(f"rows hold unknowns that are not listed: {unlisted}")
+    update = lru_cache(maxsize=None, typed=True)(minus_product)
+    try:
+        return _gauss_jordan(work, unknowns, update, True)
+    except InconsistentSystemError:
+        return _gauss_jordan(work, unknowns, update, False)
+
+
+def _gauss_jordan(work, unknowns, update, fewest: bool) -> dict:
+    """``eliminate`` on rows without zero coefficients, each unknown pivoted on
+    the remaining row with the ``fewest`` coefficients, or else on the earliest."""
+    work = list(work)
+    holders: dict = {}  # unknown -> ids of the rows holding it, pivot rows included
+    for i, (coeffs, _, _) in enumerate(work):
+        for k in coeffs:
+            holders.setdefault(k, set()).add(i)
+    zeroed = [i for i, row in enumerate(work) if not row[0]]
+    pivots: dict = {}  # unknown -> id of its pivot row
+    pivot_rows = set()
+    for u in unknowns:
+        ids = holders.pop(u, set())
+        remaining = ids - pivot_rows
+        if not remaining:
+            continue
+        p = min(remaining, key=lambda i: (len(work[i][0]), i)) if fewest else min(remaining)
+        coeffs, rhs, labels = work[p]
+        lead = coeffs[u]
+        inv = lead if lead in (1, -1) else Fraction(1) / lead
+        pivot = work[p] = ({k: c * inv for k, c in coeffs.items() if k != u}, rhs * inv, labels)
+        pivots[u] = p
+        pivot_rows.add(p)
+        for i in ids:
+            if i == p:
+                continue
+            row = work[i] = _reduce_row(work[i], u, pivot, update)
+            for k in pivot[0]:
+                if k in row[0]:
+                    holders[k].add(i)
+                else:
+                    holders[k].discard(i)
+            if not row[0] and i not in pivot_rows:
+                zeroed.append(i)
+        _raise_contradiction(work[i] for i in sorted(zeroed))
+        zeroed = []
+    if not pivots:
+        _raise_contradiction(work[i] for i in zeroed)
+    free = [u for u in unknowns if u not in pivots]
+    if free:
+        raise UnderdeterminedError(free)
+    values = {u: work[pivots[u]][1] for u in unknowns}
+    return {u: Fraction(v) if type(v) is int else v for u, v in values.items()}
+
+
+def _raise_contradiction(work) -> None:
+    """Raise InconsistentSystemError on the first row reading 0 = r, r != 0."""
+    for coeffs, rhs, labels in work:
+        if not coeffs and rhs:
+            raise InconsistentSystemError(labels, rhs)
+
+
+def _reduce_row(row, u, pivot, update):
+    """Eliminate unknown u from a row that holds it, with a normalized pivot row
+    for u; ``update(x, a, b)`` is x - a * b."""
+    coeffs, rhs, labels = row
+    factor = coeffs[u]
+    coeffs = {k: c for k, c in coeffs.items() if k != u}
+    for k, c in pivot[0].items():
+        value = update(coeffs.get(k, 0), factor, c)
+        if value:
+            coeffs[k] = value
+        else:
+            coeffs.pop(k, None)
+    return coeffs, update(rhs, factor, pivot[1]), labels | pivot[2]
+
+
 # -- the linear system --------------------------------------------------------
 
 class LinearSystem(Record):
-    """Relations as ``cyclo.eliminate`` rows: (coeffs, rhs, (label,))."""
+    """Relations as ``eliminate`` rows: (coeffs, rhs, (label,))."""
 
     def __init__(self, unknowns: list[tuple[int, int]], equations: list[tuple] | None = None,
                  checks_passed: int = 0, check_failures: list[str] | None = None,
@@ -237,7 +370,7 @@ def complete(target: ModularDatum, parents: list[BranchingSection]) -> Completio
 # -- eigenvector cross-check --------------------------------------------------
 
 def _eigen_rows(target: ModularDatum, products, s: int, missing: set, inv0: Cyclotomic):
-    """The eigenvalue relations of column s, as ``cyclo.eliminate`` rows, one
+    """The eigenvalue relations of column s, as ``eliminate`` rows, one
     per recorded product (a, b) in the insertion order of ``products`` (sorted
     once by ``eigen_complete``); built as they are read, each
     chi_s(r) = S[r,s]/S[0,s] once, when a row first needs it.  Fusion

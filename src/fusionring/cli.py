@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .cyclo import InconsistentSystemError, UnderdeterminedError, embed, format_exact
+from .cyclo import embed, format_exact
 from .mdf import (BranchingSection, DatumFile, DuplicateEntryError,
                   IndexRangeError, ParseError, check_fixture_range,
                   format_formal_sum, parse_file, serialize)
@@ -84,8 +84,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    from .branching import complete, eigen_complete
+    from .branching import (InconsistentSystemError, UnderdeterminedError, complete,
+                            eigen_complete)
 
+    if args.fixtures and not args.cross_check:
+        print("error: --fixtures needs --cross-check eigen", file=sys.stderr)
+        return EXIT_USAGE
     # The shipped fixtures describe the shipped datum only.
     fixtures_spec = args.fixtures or ("@s4_fixtures" if args.file == "@s4" else None)
     if args.cross_check == "eigen" and fixtures_spec is None:
@@ -101,11 +105,13 @@ def cmd_complete(args) -> int:
             print("error: unknown entries present and no parents given "
                   "(underdetermined)", file=sys.stderr)
             return EXIT_COMPLETION
-        parents = []
         result_datum = datum
     else:
-        parents = _load_parents(args.parents)
-        result = complete(datum, parents)
+        try:
+            result = complete(datum, _load_parents(args.parents))
+        except (UnderdeterminedError, InconsistentSystemError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_COMPLETION
         result_datum = result.datum
         print(f"# solved {len(result.solved)} unknown entries; "
               f"{result.verified} relations verified", file=sys.stderr)
@@ -290,9 +296,6 @@ def main(argv=None) -> int:
     except (ParseError, DuplicateEntryError, IndexRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnderdeterminedError, InconsistentSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPLETION
     except (MissingEntryError, NonIntegerResultError, NegativeResultError,
             ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

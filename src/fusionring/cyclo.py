@@ -33,13 +33,6 @@ Verlinde coefficients and the entries of S^2 are certified by one image
 kernel, ``Images``: the entries of S lifted to their common order N and
 imaged, in one pass, modulo the fewest primes p = 1 mod N that a bound needs,
 which suffices once the Galois symmetry of S makes each sum rational.
-
-The module also holds the package's one exact linear solver, ``eliminate``:
-sparse Gauss-Jordan elimination over Q or a cyclotomic field that records
-which source relations every reduced row came from.  The branching
-completion eliminates all its relations; the eigenvector route eliminates
-doubling prefixes of each column's relations and certifies the rest by the
-Verlinde rows of the completed S.
 """
 
 from __future__ import annotations
@@ -417,6 +410,14 @@ def _weighted(x, weight) -> tuple[Cyclotomic, int | Fraction]:
     raise TypeError(f"cannot add {type(x).__name__} to Cyclotomic")
 
 
+def minus_product(x, a, b):
+    """x - a * b for ints, Fractions and Cyclotomics: one ``weighted_sum``
+    with a rational a or b as the other's weight."""
+    if isinstance(a, Cyclotomic) is isinstance(b, Cyclotomic):
+        return x - a * b
+    return weighted_sum((_weighted(x, 1), (a, -b) if isinstance(a, Cyclotomic) else (b, -a)))
+
+
 # -- images in split prime fields ---------------------------------------------
 #
 # A value known to be a rational integer, or an identity whose sides must
@@ -660,143 +661,6 @@ def inverse(a: Cyclotomic) -> Cyclotomic:
     for image in others[1:]:
         result = result * image
     return result * Fraction(norm.denom, norm.coeffs[0])
-
-
-# -- exact linear elimination -------------------------------------------------
-
-class UnderdeterminedError(ValueError):
-    def __init__(self, free_unknowns):
-        super().__init__(f"system leaves unknowns free: {free_unknowns}")
-        self.free_unknowns = free_unknowns
-
-
-class InconsistentSystemError(ValueError):
-    """The relations contradict each other; carries a minimal certificate."""
-
-    def __init__(self, certificate, residual):
-        super().__init__(
-            "contradictory relations "
-            f"(residual {residual}): {sorted(certificate)}")
-        self.certificate = sorted(certificate)
-        self.residual = residual
-
-
-def eliminate(rows, unknowns: list) -> dict:
-    """Sparse Gauss-Jordan elimination over Q or a cyclotomic field.
-
-    Each row is ``(coeffs, rhs, labels)``: the relation
-    sum_u coeffs[u] * x_u = rhs together with the labels of the source
-    relations it came from.  Coefficients and right-hand sides may be ``int``,
-    ``Fraction`` or ``Cyclotomic``.  A pivot of +-1 is its own inverse and keeps
-    its type, so integer rows with unit pivots update in ``int``s; any other
-    pivot c is inverted as ``Fraction(1) / c``, so the solution is exact.
-    Unknowns are pivoted in the given order, each on the remaining row with
-    the fewest coefficients (ties go to the earliest row), which limits
-    fill-in (Markowitz 1957).  An index from each unknown to the rows that
-    hold it, pivot rows included, names the rows a pivot reduces, so each
-    pivot touches only those, and no back-substitution is needed.  A reduced
-    row inherits the labels of every pivot applied to it.  Each distinct
-    update x - a * b is computed once per call, through one local memo of
-    ``_minus_product`` that keys on the types too, so an ``int`` and an equal
-    ``Fraction`` keep their own results.
-
-    Returns {unknown: value}, a rational value as a ``Fraction``.  Which
-    unknowns get a pivot, and the solution, do not depend on the rows chosen
-    (the type of a value can, where rational and cyclotomic right-hand sides
-    mix); a certificate does.  So when a row first reads 0 = r, r != 0, the
-    elimination runs again with each unknown pivoted on the earliest
-    remaining row that holds it, and raises InconsistentSystemError with the
-    merged labels of the first row a pivot of that run reduces to 0 = r (a
-    row read without coefficients counts as zeroed by the first pivot, or is
-    reported when no pivot is made).  A system with a row holding an
-    unlisted unknown, whose values do depend on the rows chosen, is pivoted
-    by that rule alone.  Raises UnderdeterminedError naming the unknowns
-    left without a pivot.
-    """
-    work = [({k: c for k, c in coeffs.items() if c}, rhs, set(labels))
-            for coeffs, rhs, labels in rows]
-    minus_product = lru_cache(maxsize=None, typed=True)(_minus_product)
-    try:
-        return _gauss_jordan(work, unknowns, minus_product, True)
-    except InconsistentSystemError:
-        return _gauss_jordan(work, unknowns, minus_product, False)
-
-
-def _gauss_jordan(work, unknowns, minus_product, fewest: bool) -> dict:
-    """``eliminate`` on rows without zero coefficients, each unknown pivoted on
-    the remaining row with the ``fewest`` coefficients, or else on the
-    earliest, as also when a row holds an unknown that is not listed."""
-    work = list(work)
-    holders: dict = {}  # unknown -> ids of the rows holding it, pivot rows included
-    for i, (coeffs, _, _) in enumerate(work):
-        for k in coeffs:
-            holders.setdefault(k, set()).add(i)
-    fewest = fewest and holders.keys() <= set(unknowns)
-    zeroed = [i for i, row in enumerate(work) if not row[0]]
-    pivots: dict = {}  # unknown -> id of its pivot row
-    pivot_rows = set()
-    for u in unknowns:
-        ids = holders.pop(u, set())
-        remaining = ids - pivot_rows
-        if not remaining:
-            continue
-        p = min(remaining, key=lambda i: (len(work[i][0]), i)) if fewest else min(remaining)
-        coeffs, rhs, labels = work[p]
-        lead = coeffs[u]
-        inv = lead if lead in (1, -1) else Fraction(1) / lead
-        pivot = work[p] = ({k: c * inv for k, c in coeffs.items() if k != u}, rhs * inv, labels)
-        pivots[u] = p
-        pivot_rows.add(p)
-        for i in ids:
-            if i == p:
-                continue
-            row = work[i] = _reduce_row(work[i], u, pivot, minus_product)
-            for k in pivot[0]:
-                if k in row[0]:
-                    holders[k].add(i)
-                else:
-                    holders[k].discard(i)
-            if not row[0] and i not in pivot_rows:
-                zeroed.append(i)
-        _raise_contradiction(work[i] for i in sorted(zeroed))
-        zeroed = []
-    if not pivots:
-        _raise_contradiction(work[i] for i in zeroed)
-    free = [u for u in unknowns if u not in pivots]
-    if free:
-        raise UnderdeterminedError(free)
-    values = {u: work[pivots[u]][1] for u in unknowns}
-    return {u: Fraction(v) if type(v) is int else v for u, v in values.items()}
-
-
-def _raise_contradiction(work) -> None:
-    """Raise InconsistentSystemError on the first row reading 0 = r, r != 0."""
-    for coeffs, rhs, labels in work:
-        if not coeffs and rhs:
-            raise InconsistentSystemError(labels, rhs)
-
-
-def _reduce_row(row, u, pivot, minus_product):
-    """Eliminate unknown u from a row with a normalized pivot row for u."""
-    coeffs, rhs, labels = row
-    factor = coeffs.get(u)
-    if not factor:
-        return row
-    coeffs = {k: c for k, c in coeffs.items() if k != u}
-    for k, c in pivot[0].items():
-        value = minus_product(coeffs.get(k, 0), factor, c)
-        if value:
-            coeffs[k] = value
-        else:
-            coeffs.pop(k, None)
-    return coeffs, minus_product(rhs, factor, pivot[1]), labels | pivot[2]
-
-
-def _minus_product(x, a, b):
-    """x - a * b: one ``weighted_sum`` with a rational a or b as the other's weight."""
-    if isinstance(a, Cyclotomic) is isinstance(b, Cyclotomic):
-        return x - a * b
-    return weighted_sum((_weighted(x, 1), (a, -b) if isinstance(a, Cyclotomic) else (b, -a)))
 
 
 def embed(a: Cyclotomic) -> complex:

@@ -157,7 +157,7 @@ def test_each_distinct_sum_once_per_call(s4, s4_completed, monkeypatch):
     # Each memo lives for one call, so a second call sums everything again.
     datum, parents, _ = s4
     calls = []
-    for module, name in ((branching, "weighted_sum"), (cyclo, "_minus_product")):
+    for module, name in ((branching, "weighted_sum"), (branching, "minus_product")):
         func = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, name=name, func=func:
                             calls.append(name) or func(*args))
@@ -165,7 +165,7 @@ def test_each_distinct_sum_once_per_call(s4, s4_completed, monkeypatch):
     def counted(call):
         calls.clear()
         result = call()
-        return result, (calls.count("weighted_sum"), calls.count("_minus_product"))
+        return result, (calls.count("weighted_sum"), calls.count("minus_product"))
 
     system, count = counted(lambda: assemble_system(parents, datum))
     assert count == (178, 0)
@@ -185,8 +185,9 @@ def test_solve_reduces_only_the_rows_that_hold_each_pivot(s4, monkeypatch):
     # calls on @s4 and 425245 on the labels-only copy.
     datum, parents, _ = s4
     calls = []
-    reduce_row = cyclo._reduce_row
-    monkeypatch.setattr(cyclo, "_reduce_row", lambda *args: calls.append(1) or reduce_row(*args))
+    reduce_row = branching._reduce_row
+    monkeypatch.setattr(branching, "_reduce_row",
+                        lambda *args: calls.append(1) or reduce_row(*args))
     for target, count in ((datum, 297), (blank(datum), 2096)):
         system = assemble_system(parents, target)
         calls.clear()

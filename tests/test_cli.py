@@ -255,6 +255,13 @@ def test_eigen_fixtures_outside_the_datum(tmp_path, capsys):
     assert err.endswith("error: fusion record index 6 out of range for 6 modules\n")
 
 
+def test_fixtures_without_the_eigen_cross_check_is_a_usage_error(capsys):
+    # Only the eigen cross-check reads fixtures; the path is not opened.
+    assert run(capsys, "complete", "@s4", "--parents", "@s4_branching",
+               "--fixtures", "/nonexistent") == (
+        4, "", "error: --fixtures needs --cross-check eigen\n")
+
+
 def lattice_file(capsys, tmp_path, k, edit=lambda line: line):
     """The lattice datum of norm 2k written to a file, each line passed through ``edit``."""
     code, out, _ = run(capsys, "lattice", "--k", str(k))
@@ -275,6 +282,18 @@ def test_validate_reports_wrong_dual_labels(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(datum), "--json")
     payload = json.loads(out)
     assert code == 1 and payload["dual_mismatches"] == [1] and payload["ok"] is False
+
+
+def test_validate_reports_a_symmetry_violation(tmp_path, capsys):
+    datum = tmp_path / "asymmetric.mdf"
+    datum.write_text("[header]\nmodules = 2\n\n[S]\n0 0 1\n0 1 1\n1 0 2\n1 1 -1\n")
+    assert run(capsys, "validate", str(datum)) == (1, (
+        "datum: (unnamed)  modules: 2\nunknown entries: 0\nsymmetry: violated at [(0, 1)]\n"
+        "vacuum row: no zero entries\nqdim embeddings: all positive real\n"
+        "S^2=C: FAILED (S^2[0,0] = 3 is neither 0 nor 1)\nverdict: INVALID\n"), "")
+    code, out, _ = run(capsys, "validate", str(datum), "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["symmetry_violations"] == [[0, 1]] and payload["ok"] is False
 
 
 def test_unset_duals_that_contradict_s_squared_are_refused(tmp_path, capsys):

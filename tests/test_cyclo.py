@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionring import cyclo
+from fusionring import branching, cyclo
+from fusionring.branching import InconsistentSystemError, UnderdeterminedError, eliminate
 from fusionring.mdf import MAX_ORDER
-from fusionring.cyclo import (Cyclotomic, InconsistentSystemError,
-                              UnderdeterminedError, conj, eliminate, embed,
-                              exact_sum, format_exact, galois, inverse, is_real,
-                              root_of_unity, sqrt_int, weighted_sum)
+from fusionring.cyclo import (Cyclotomic, conj, embed, exact_sum, format_exact, galois,
+                              inverse, is_real, root_of_unity, sqrt_int, weighted_sum)
 
 ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24]
 
@@ -252,8 +251,8 @@ def test_eliminate_unit_pivots_update_in_ints_and_return_fractions(monkeypatch):
             ({"z": 1}, 3, ("c",)),
             ({"x": 1, "y": 1, "z": 2}, 9, ("d",))]
     operands = []
-    minus_product = cyclo._minus_product
-    monkeypatch.setattr(cyclo, "_minus_product",
+    minus_product = branching.minus_product
+    monkeypatch.setattr(branching, "minus_product",
                         lambda *args: operands.extend(args) or minus_product(*args))
     solution = eliminate(rows, ["x", "y", "z"])
     assert solution == {"x": 1, "y": 2, "z": 3}
@@ -374,14 +373,15 @@ def test_eliminate_solves_integer_systems_exactly(data):
     assert "bad" in info.value.certificate
 
 
-def test_eliminate_pivots_on_the_earliest_row_when_an_unknown_is_unlisted():
-    # w is never pivoted, so the values depend on the rows chosen: on the
-    # earliest row a, x = 1 and b reads 0 = 1; the sparsest row, c, gives x = 0.
-    rows = [({"x": 1, "w": 1}, 1, ("a",)), ({"x": 1, "w": 1}, 2, ("b",)), ({"x": 1}, 0, ("c",))]
-    assert eliminate([rows[0], rows[2]], ["x"]) == {"x": 1}
-    with pytest.raises(InconsistentSystemError) as info:
+def test_eliminate_refuses_unknowns_that_are_not_listed():
+    # w is never pivoted, so the values would depend on the rows chosen: a
+    # and c force x = 0 (with w = 1), yet a pivot on a alone reads x = 1.
+    rows = [({"x": 1, "w": 1}, 1, ("a",)), ({"x": 1}, 0, ("c",)), ({"v": 2, "w": 0}, 1, ("d",))]
+    with pytest.raises(ValueError, match=r"not listed: \['w', 'v'\]$") as info:
         eliminate(rows, ["x"])
-    assert info.value.certificate == ["a", "b"] and info.value.residual == 1
+    assert type(info.value) is ValueError
+    # A zero coefficient holds nothing.
+    assert eliminate([({"x": 1, "w": 0}, 1, ("a",))], ["x"]) == {"x": 1}
 
 
 def dense_gauss_jordan(rows, unknowns):

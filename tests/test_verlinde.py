@@ -226,7 +226,7 @@ def test_parallel_matches_serial():
 def test_dual_permutation_realizes_the_inverse():
     # The engine takes (S^-1)[s,k] = S[s,k']; genuine matrix inversion must
     # agree.  Solve S x = e_j column by column over the cyclotomic field.
-    from fusionring.cyclo import eliminate
+    from fusionring.branching import eliminate
 
     datum = lattice_modular_data(LatticeSpec(2))
     n = datum.size
