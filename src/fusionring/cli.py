@@ -186,9 +186,9 @@ def cmd_regress(args) -> int:
 
     datum, _ = _load_datum(args.file)
     fixtures_text = _read_text(args.fixtures)
-    stripped = next((line for line in fixtures_text.splitlines()
-                     if line.split("#", 1)[0].strip()), "")
-    if stripped.startswith("["):
+    first = next(filter(None, (line.split("#", 1)[0].strip()
+                               for line in fixtures_text.splitlines())), "")
+    if first.startswith("["):
         fixtures = parse_file(fixtures_text).fixtures
     else:
         fixtures = triples_to_fixtures(fixtures_text)

@@ -18,10 +18,13 @@ certifies S^2 = C too): certified from its image of S modulo primes
 p = 1 mod N, no float consulted, or else summed exactly, so its error
 (``NonIntegerResultError``, ``NegativeResultError``) carries its exact value
 (``modular_data._Engine.row``).  The engine serves ``fusion_tensor``,
-``fusion_product`` and ``check_ring``, which reads the integer axioms off rows
-and columns, certifies qdims, associativity and simple currents when the datum
-reproduces every row (``ModularDatum.reproduces``), each pair imaged once per
-datum, and otherwise decides them exactly.
+``fusion_product`` and ``check_ring``.  The ring check compares N[i,j] with
+N[j,i]; when the datum then reproduces every row (``ModularDatum.reproduces``),
+each pair imaged once per datum, N is the Verlinde tensor of an S with
+S^2 = C, so qdims, associativity and simple currents are certified, the
+vacuum identity N[0,j]^k = (S^2)[j,k'] = delta_jk holds unread, and so does
+duality when S = S^T.  Otherwise it compares rows with rows and permuted
+columns and decides the rest exactly.
 """
 
 from __future__ import annotations
@@ -183,37 +186,47 @@ class PropertyReport(Record):
 def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     """Verify ring axioms, duality, qdim laws and simple currents exactly.
 
-    Vacuum identity, commutativity and duality compare rows of N with rows
-    and permuted columns.  If the datum's engine reproduces the tensor
-    (``ModularDatum.reproduces``), qdims multiply, N is associative and the simple
-    currents have S[i,0] = S[0,0]; otherwise the qdims of each pair are
-    compared by exact sums and ``_first_nonassociative`` searches directly.
-    With S[0,0] unknown or zero there are no qdims, and their verdicts are None.
+    Commutativity compares N[i,j] with N[j,i].  If the datum's engine then
+    reproduces the tensor (``ModularDatum.reproduces``), N is the Verlinde
+    tensor of an S with S^2 = C and dual labels C: qdims multiply, N is
+    associative, the simple currents have S[i,0] = S[0,0], and
+    N[0,j]^k = sum_s S[j,s] S[s,k'] = (S^2)[j,k'] = delta_jk, so no row of N[0]
+    is read.  If S = S^T too, N[i,k']^{j'} = sum_s S[i,s] S[k',s] S[s,j] / S[0,s]
+    is N[i,j]^k term by term, so duality holds unread; an S with S^2 = C that
+    is not symmetric can break it.  Otherwise, and for a tensor with a plane
+    or row past n, the vacuum identity and duality compare rows of N with
+    rows and permuted columns.  Without the certificate the qdims of each
+    pair are compared by exact sums and ``_first_nonassociative`` searches
+    directly.  With S[0,0] unknown or zero there are no qdims, and their
+    verdicts are None.
     """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
     report = PropertyReport()
     n, N, dual = datum.size, tensor.values, datum.dual_permutation()
     every = range(n)
-    report.vacuum_identity = all(tuple(row) == (0,) * j + (1,) + (0,) * (n - 1 - j)
-                                 for j, row in enumerate(N[0]))
-    if not report.vacuum_identity:
-        report.failures.append("N[0,j]^k != delta_jk")
     report.commutative = all(N[i][j] == N[j][i] for i in every for j in range(i))
-    if not report.commutative:
-        report.failures.append("N[i,j]^k != N[j,i]^k somewhere")
-    # Row j of plane i is its column j' read at k'; itemgetter(0) gives no tuple.
-    permuted = itemgetter(*dual) if n > 1 else tuple
-    report.duality_symmetric = all(
-        tuple(row) == permuted(columns[d])
-        for plane in N for columns in [list(zip(*plane))] for row, d in zip(plane, dual))
-    if not report.duality_symmetric:
-        report.failures.append("N[i,j]^k != N[i,k']^{j'} somewhere")
-
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
     pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
-    if datum.reproduces({(i, j): N[i][j] for i, j in pairs}):
+    certified = datum.reproduces({(i, j): N[i][j] for i, j in pairs})
+    # The pairs read planes and rows 0..n-1 only: one past them is compared directly.
+    is_verlinde = certified and len(N) == n and all(len(plane) == n for plane in N)
+    symmetric = is_verlinde and list(zip(*datum.numbers)) == list(map(tuple, datum.numbers))
+    report.vacuum_identity = is_verlinde or all(
+        tuple(row) == (0,) * j + (1,) + (0,) * (n - 1 - j) for j, row in enumerate(N[0]))
+    # Row j of plane i is its column j' read at k'; itemgetter(0) gives no tuple.
+    permuted = itemgetter(*dual) if n > 1 else tuple
+    report.duality_symmetric = symmetric or all(
+        tuple(row) == permuted(columns[d])
+        for plane in N for columns in [list(zip(*plane))] for row, d in zip(plane, dual))
+    for holds, failure in ((report.vacuum_identity, "N[0,j]^k != delta_jk"),
+                           (report.commutative, "N[i,j]^k != N[j,i]^k somewhere"),
+                           (report.duality_symmetric, "N[i,j]^k != N[i,k']^{j'} somewhere")):
+        if not holds:
+            report.failures.append(failure)
+
+    if certified:
         # A certified S has S[0,0] != 0, so d_i = S[i,0] / S[0,0] is 1 iff S[i,0] = S[0,0].
         report.associative = report.qdim_multiplicative = True
         report.simple_currents = [i for i, row in enumerate(datum.s) if row[0] == datum.s[0][0]]
@@ -236,10 +249,18 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
     report.simple_currents_are_permutations = True
     for i in report.simple_currents:
-        if not all(sorted(line) == [0] * (n - 1) + [1] for line in (*N[i], *zip(*N[i]))):
+        if not _is_permutation(N[i], n):
             report.simple_currents_are_permutations = False
             report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
     return report
+
+
+def _is_permutation(plane, n: int) -> bool:
+    """Whether ``plane`` is an n x n permutation matrix: n rows, each of n - 1
+    zeros and one 1, the 1s in distinct columns."""
+    places = {row.index(1) for row in plane
+              if len(row) == n and row.count(0) == n - 1 and 1 in row}
+    return len(plane) == n == len(places)
 
 
 def _first_nonassociative(values) -> tuple[int, int, int, int] | None:

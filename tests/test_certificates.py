@@ -7,6 +7,8 @@ numpy arrays and einsum.  None touches ``cyclo.Images`` or the Galois check,
 so a fault in the certificates shows as a disagreement.
 """
 
+import functools
+import importlib.util
 import json
 import math
 import random
@@ -14,6 +16,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import counted_kernels, relabeled, su2_datum
 
 from fusionring import cyclo, modular_data, verlinde
@@ -653,3 +657,224 @@ def test_negated_s4_pair_reports_as_before(s4_completed):
     assert err.value.triple == (0, 0, 9)
     assert err.value.residual == verlinde_by_exact_sum(datum, 0, 0, 9)
     assert str(err.value) == "N(0, 0, 9) is not a rational integer: -1/16*E(16)^3+1/16*E(16)^5"
+
+
+# -- the ring check against plain loops, with or without numpy ----------------
+
+def ring_report_by_loops(tensor, datum):
+    """The whole ``check_ring`` report from plain loops over the entries of N:
+    the axioms entry by entry, the first non-associative quadruple by direct
+    sums, qdims from the exact loop.  No numpy, no engine."""
+    n, N, dual = datum.size, tensor.values, datum.dual_permutation()
+    every = range(n)
+    report = PropertyReport()
+    report.vacuum_identity = all(N[0][j][k] == (j == k) for j in every for k in every)
+    report.commutative = all(N[i][j][k] == N[j][i][k]
+                             for i in every for j in every for k in every)
+    report.duality_symmetric = all(N[i][j][k] == N[i][dual[k]][dual[j]]
+                                   for i in every for j in every for k in every)
+    for holds, failure in ((report.vacuum_identity, "N[0,j]^k != delta_jk"),
+                           (report.commutative, "N[i,j]^k != N[j,i]^k somewhere"),
+                           (report.duality_symmetric, "N[i,j]^k != N[i,k']^{j'} somewhere")):
+        if not holds:
+            report.failures.append(failure)
+    terms = {(i, j): [(m, N[i][j][m]) for m in every if N[i][j][m]]
+             for i in every for j in every}
+    bad = next(((i, j, k, l) for i in every for j in every for k in every for l in every
+                if sum(a * N[m][k][l] for m, a in terms[i, j])
+                != sum(b * N[i][m][l] for m, b in terms[j, k])), None)
+    report.associative = bad is None
+    if bad:
+        report.failures.append(f"associativity fails at quadruple {bad}")
+    qdims = quantum_dimensions(datum) if datum.known(0, 0) and datum.s[0][0] else [None]
+    if None in qdims:
+        return report
+    qdim_failures = qdim_failures_by_exact_loop(N, datum)
+    report.failures += qdim_failures
+    report.qdim_multiplicative = not qdim_failures
+    report.simple_currents = [i for i in every if qdims[i] == 1]
+    report.simple_currents_are_permutations = True
+    for i in report.simple_currents:
+        if not all(N[i][j][k] in (0, 1) for j in every for k in every) or not all(
+                sum(N[i][j][k] for k in every) == sum(N[i][k][j] for k in every) == 1
+                for j in every):
+            report.simple_currents_are_permutations = False
+            report.failures.append(f"simple current {i} has a non-permutation fusion matrix")
+    return report
+
+
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def assert_ring_report_matches_loops(tensor, datum):
+    """``check_ring``'s report, asserted equal to the loop oracle's, and to
+    the einsum oracle's where numpy is installed."""
+    report = check_ring(tensor, datum)
+    expected = ring_report_by_loops(tensor, datum)
+    assert report == expected
+    assert report.to_text() == expected.to_text()
+    if HAVE_NUMPY:
+        assert report == ring_report_by_einsum(tensor, datum)
+    return report
+
+
+@functools.cache
+def family_tensor(family, k):
+    """(datum, tensor) of a relabeled lattice or su(2)_k datum, built once."""
+    datum = relabeled(lattice_modular_data(LatticeSpec(k)) if family == "lattice"
+                      else su2_datum(k), seed=k)
+    return datum, fusion_tensor(datum)
+
+
+@pytest.mark.parametrize("family, k", [*(("lattice", k) for k in range(1, 6)),
+                                       *(("su2", k) for k in range(1, 7))])
+def test_clean_tensors_are_certified_as_the_loop_oracle(family, k):
+    datum, tensor = family_tensor(family, k)
+    assert datum.reproduces(tensor_rows(tensor.values)) is True
+    assert assert_ring_report_matches_loops(tensor, datum).ok
+
+
+@st.composite
+def edited_tensors(draw):
+    """A lattice (k <= 5) or su(2)_k (k <= 6) tensor with one or two entries
+    bumped, N[i,j]^k and N[j,i]^k bumped together, or two rows swapped."""
+    family = draw(st.sampled_from(["lattice", "su2"]))
+    datum, tensor = family_tensor(family, draw(st.integers(1, 5 if family == "lattice" else 6)))
+    n = datum.size
+    index = st.integers(0, n - 1)
+    values = [[row[:] for row in plane] for plane in tensor.values]
+    edit = draw(st.sampled_from(["one", "two", "mirrored", "swap"]))
+    if edit == "swap":
+        (a, b), (c, d) = draw(st.lists(st.tuples(index, index), min_size=2, max_size=2,
+                                       unique=True))
+        values[a][b], values[c][d] = values[c][d], values[a][b]
+    else:
+        i, j, k = draw(index), draw(index), draw(index)
+        changes = {"one": [(i, j, k)], "mirrored": [(i, j, k), (j, i, k)],
+                   "two": [(i, j, k), (draw(index), draw(index), draw(index))]}[edit]
+        for a, b, c in changes:
+            values[a][b][c] += 1
+    return datum, FusionTensor(tensor.indices, values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edited_tensors())
+def test_edited_tensors_report_as_the_loop_oracle(case):
+    datum, tensor = case
+    assert_ring_report_matches_loops(tensor, datum)
+
+
+def test_crafted_tensors_report_as_the_loop_oracle():
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    vacuum = ModularDatum([ModuleLabel(0, "vac", dual=0)], [[one]])
+    assert not assert_ring_report_matches_loops(FusionTensor([0], [[[2]]]), vacuum).ok
+    su2 = su2_datum(6)
+    values = [[row[:] for row in plane] for plane in fusion_tensor(su2).values]
+    for a, b in ((6, 2), (2, 6)):
+        values[a][b][4], values[a][b][3] = 0, 1
+    report = assert_ring_report_matches_loops(FusionTensor(list(range(7)), values), su2)
+    assert report.simple_currents_are_permutations is False
+    swapped = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(2)],
+                           [[zero, one], [one, zero]])
+    report = assert_ring_report_matches_loops(
+        fusion_tensor(lattice_modular_data(LatticeSpec(1))), swapped)
+    assert report.ok and report.qdim_multiplicative is None
+    ones = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(3)],
+                        [[one] * 3 for _ in range(3)])
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    report = assert_ring_report_matches_loops(
+        FusionTensor([0, 1, 2], [unit, [unit[1], unit[0], unit[1]], [unit[2], unit[1], unit[0]]]),
+        ones)
+    assert not report.associative
+
+
+def test_non_symmetric_s_has_its_duality_compared():
+    # S = [[1, -1], [0, -1]] squares to 1, its entries are rational, and its
+    # Verlinde tensor, 1 x 1 = 1, is integral: the engine reproduces it, and
+    # N[0,j]^k = (S^2)[j,k'] holds.  But S != S^T, and N[1,0]^1 = 1 while
+    # N[1,1']^{0'} = 0, so duality must be compared, not inferred.
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    datum = ModularDatum([ModuleLabel(i, f"m{i}", dual=i) for i in range(2)],
+                         [[one, -one], [zero, -one]])
+    tensor = fusion_tensor(datum)
+    assert tensor.values == [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]
+    assert datum.reproduces(tensor_rows(tensor.values)) is True
+    report = assert_ring_report_matches_loops(tensor, datum)
+    assert report.vacuum_identity and report.associative and not report.duality_symmetric
+    assert report.failures == ["N[i,j]^k != N[i,k']^{j'} somewhere"]
+
+
+def ring_check_reads(tensor, datum):
+    """``check_ring``'s report, asserted equal to the oracles', and the (i, j)
+    of each row of N it iterates, as a row-by-row compare does; list equality
+    and ``count``/``index`` read a row without iterating it."""
+    reads = []
+
+    class Row(list):
+        def __init__(self, entries, at):
+            super().__init__(entries)
+            self.at = at
+
+        def __iter__(self):
+            reads.append(self.at)
+            return super().__iter__()
+
+    values = [[Row(entries, (i, j)) for j, entries in enumerate(plane)]
+              for i, plane in enumerate(tensor.values)]
+    report = check_ring(FusionTensor(tensor.indices, values), datum)
+    assert report == assert_ring_report_matches_loops(tensor, datum)
+    return report, reads
+
+
+def test_certified_tensors_are_read_by_no_row_compare(s4, s4_completed, s4_tensor):
+    # The engine's certificate gives the vacuum identity, and with S = S^T
+    # duality: no row of N is iterated.  A bumped tensor is compared row by
+    # row, its failures in their order, as is the clean tensor against
+    # partial data, which no engine certifies: then every row is read.
+    for datum, tensor in ((s4_completed, s4_tensor), (su2_datum(12), None)):
+        tensor = tensor or fusion_tensor(datum)
+        report, reads = ring_check_reads(tensor, datum)
+        assert report.ok and reads == []
+        report, reads = ring_check_reads(bumped(tensor, [(0, 2, 3)]), datum)
+        assert report.failures[:3] == ["N[0,j]^k != delta_jk", "N[i,j]^k != N[j,i]^k somewhere",
+                                       "N[i,j]^k != N[i,k']^{j'} somewhere"]
+        assert (0, 0) in reads
+    report, reads = ring_check_reads(s4_tensor, s4[0])
+    assert report.ok and set(reads) == {(i, j) for i in range(28) for j in range(28)}
+
+
+def test_planes_or_rows_past_n_are_compared_as_before():
+    # The engine certifies rows 0..n-1 of planes 0..n-1 only; a row or plane
+    # past them is still read by the vacuum and duality compares.
+    datum = su2_datum(6)
+    tensor = fusion_tensor(datum)
+    values = [[row[:] for row in plane] for plane in tensor.values]
+    values[0].append([0] * 7)
+    assert check_ring(FusionTensor(tensor.indices, values), datum).failures == [
+        "N[0,j]^k != delta_jk", "simple current 0 has a non-permutation fusion matrix"]
+    values = [[row[:] for row in plane] for plane in tensor.values]
+    values.append([[1] + [0] * 6] * 7)
+    assert check_ring(FusionTensor(tensor.indices, values), datum).failures == [
+        "N[i,j]^k != N[i,k']^{j'} somewhere"]
+
+def permutation_by_sorting(plane, n):
+    """The former simple-current test: every row and column sorts to n - 1 zeros and a 1."""
+    return all(sorted(line) == [0] * (n - 1) + [1] for line in (*plane, *zip(*plane)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_permutation_test_keeps_the_sorting_verdict(data):
+    n = data.draw(st.integers(1, 4))
+    rows = st.lists(st.integers(-1, 2), min_size=max(0, n - 1), max_size=n + 1)
+    if data.draw(st.booleans()):
+        # A permutation matrix with at most one entry changed, most draws.
+        order = data.draw(st.permutations(range(n)))
+        plane = [[int(k == order[j]) for k in range(n)] for j in range(n)]
+        if data.draw(st.booleans()):
+            j, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            plane[j][k] = data.draw(st.integers(-1, 2))
+    else:
+        # check_ring reads N[i][j] for every j < n first, so a plane has n rows or more.
+        plane = data.draw(st.lists(rows, min_size=n, max_size=n + 1))
+    assert verlinde._is_permutation(plane, n) == permutation_by_sorting(plane, n)

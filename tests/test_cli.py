@@ -519,6 +519,18 @@ def test_regress_detects_corruption(completed_file, tmp_path, capsys):
     assert "discrepancies: 1" in out
 
 
+def test_regress_reads_an_indented_header_as_a_datum_file(completed_file, tmp_path, capsys):
+    # The file kind is told by the first content line with its indent and
+    # comment stripped, as parse_file reads it.
+    text = ("# demo fixtures\n[header]\nname = f\nmodules = 28\nvacuum = 0\n"
+            "[fusion]\n8 x 18 = 18 | src:demo\n")
+    plain, indented = tmp_path / "plain.mdf", tmp_path / "indented.mdf"
+    plain.write_text(text)
+    indented.write_text("".join(f"  {line}\n" for line in text.splitlines()))
+    expected = run(capsys, "regress", completed_file, str(plain))
+    assert expected[0] == 1 and "discrepancies: 1" in expected[1]
+    assert run(capsys, "regress", completed_file, str(indented)) == expected
+
 def test_regress_fixture_outside_the_datum(completed_file, tmp_path, capsys):
     triples = tmp_path / "triples.txt"
     triples.write_text("0 0 0 1\n0 30 30 1\n")
