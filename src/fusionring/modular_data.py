@@ -168,8 +168,8 @@ class ModularDatum:
     def reproduces(self, rows: dict) -> bool:
         """Whether S is fully known, its engine has primes (so S passes the
         Galois check, ``_Engine.galois``), S^2 = C, its dual labels are C
-        (``dual_mismatches``), and each ``rows[i, j]`` (n integers) equals
-        the engine's certified row N[i,j].
+        (``dual_mismatches``), and each ``rows[i, j]`` (n integers, a tuple
+        or a list) equals the engine's certified row N[i,j].
         Then S^-1[s,k] = S[s,k'] gives N[i,j] = v S^-1, v(s) = S[i,s] S[j,s] / S[0,s],
         so E_ij(s) = S[0,s] sum_k N[i,j]^k S[k,s] - S[i,s] S[j,s] = 0 at every
         column s, whose column 0 is the qdim identity.  ``verlinde.check_ring``
@@ -186,7 +186,7 @@ class ModularDatum:
             wrong = not engine.primes or dual_mismatches(self)
         except (ZeroDivisionError, NotPermutationError):  # S[0,s] = 0, S^2 != C
             return False
-        return not wrong and all(engine.certified(i, j) == row for (i, j), row in rows.items())
+        return not wrong and all(engine.certified(*ij) == tuple(row) for ij, row in rows.items())
 
     def vacuum_inverse(self, s: int) -> Cyclotomic:
         """1/S[0,s], each distinct vacuum entry inverted at most once per datum."""
@@ -338,7 +338,7 @@ def _s_squared_rows(datum: ModularDatum):
             pass
     times = lru_cache(maxsize=None)(mul)
     for i in everything:
-        row = engine.certified(i, 0) if engine else []
+        row = engine.certified(i, 0) if engine else ()
         if row and max(row) <= 1:
             yield zip(engine.cols, row)
         else:
@@ -366,9 +366,9 @@ class _Engine:
     x the image of S and y(s) = x(0,s)^-1; lifted to 0..P-1,
     0 <= c <= B / (D^3 D_inv) certifies N[i,j]^k = c, and any other c that
     it is not a nonnegative integer.  Certified rows are cached by the pair
-    {i, j} and by the images of S[i,s] S[j,s]; callers get copies.  ``row``
-    sums a row the images do not certify exactly, its products memoized
-    across rows."""
+    {i, j} and by the images of S[i,s] S[j,s], each one tuple that every
+    caller shares; () marks a row the images do not certify, which ``row``
+    sums exactly, its products memoized across rows."""
 
     def __init__(self, datum: ModularDatum, indices: list[int]):
         self._s, self.indices = datum.s, indices
@@ -409,11 +409,11 @@ class _Engine:
                          for y, row in zip((pow(v, -1, p) for v in rows[0]), rows)]
                         for p, rows in zip(self.primes, self._rows)]
 
-    def certified(self, i: int, j: int) -> list[int]:
+    def certified(self, i: int, j: int) -> tuple[int, ...]:
         """All N[i,j]^k for k in ``indices``, in index order, if the images
-        certify them, else []."""
+        certify them, else ().  The row is the cached tuple itself."""
         if not self.primes:
-            return []
+            return ()
         ij = (i, j) if i <= j else (j, i)  # the image product is symmetric
         out = self._pair_cache.get(ij)
         if out is None:
@@ -422,15 +422,15 @@ class _Engine:
             key = tuple(map(cyclo.pack, pairs))
             out = self._row_cache.get(key)
             if out is None:
-                out = cyclo.combine(self.primes, (
+                out = tuple(cyclo.combine(self.primes, (
                     cyclo.packed_product(pair, packed, len(self.indices), p)
-                    for pair, packed, p in zip(pairs, self._packed, self.primes)))
-                # A lift above the bound is negative or not an integer: [].
-                out = self._row_cache[key] = out if max(out) <= self.max_coeff else []
+                    for pair, packed, p in zip(pairs, self._packed, self.primes))))
+                # A lift above the bound is negative or not an integer: ().
+                out = self._row_cache[key] = out if max(out) <= self.max_coeff else ()
             self._pair_cache[ij] = out
-        return out[:]
+        return out
 
-    def row(self, i: int, j: int) -> list[int]:
+    def row(self, i: int, j: int) -> tuple[int, ...]:
         """All N[i,j]^k for k in ``indices``, in index order: the certified
         row, or else the row summed exactly with ``cyclo.exact_sum``, which
         names the first bad triple and its exact value."""
@@ -439,6 +439,7 @@ class _Engine:
             return out
         times, s = self._times, self._s
         pair = [times(times(a, b), inv) for a, b, inv in zip(s[i], s[j], self._inverses)]
+        out = []
         for k, c in zip(self.indices, self.cols):
             value = cyclo.exact_sum([times(a, row[c]) for a, row in zip(pair, s)])
             n = value.as_rational() if value.is_rational() else None
@@ -447,7 +448,7 @@ class _Engine:
             if n < 0:
                 raise NegativeResultError((i, j, k), n.numerator)
             out.append(n.numerator)
-        return out
+        return tuple(out)
 
 
 # -- validation --------------------------------------------------------------

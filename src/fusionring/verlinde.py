@@ -18,7 +18,8 @@ certifies S^2 = C too): certified from its image of S modulo primes
 p = 1 mod N, no float consulted, or else summed exactly, so its error
 (``NonIntegerResultError``, ``NegativeResultError``) carries its exact value
 (``modular_data._Engine.row``).  The engine serves ``fusion_tensor``,
-``fusion_product`` and ``check_ring``.  The ring check compares N[i,j] with
+``fusion_product`` and ``check_ring``.  A row is one tuple, which the engine
+and every tensor that holds it share.  The ring check compares N[i,j] with
 N[j,i]; when the datum then reproduces every row (``ModularDatum.reproduces``),
 each pair imaged once per datum, N is the Verlinde tensor of an S with
 S^2 = C, so qdims, associativity and simple currents are certified, the
@@ -30,6 +31,7 @@ columns and decides the rest exactly.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from operator import itemgetter, mul
 
 from . import cyclo
@@ -52,13 +54,21 @@ class FusionTensor:
 
     ``indices`` are the datum-level module indices of the three axes; a full
     tensor has indices 0..d, a partial one (for block computations on a
-    partly known S-matrix) any subset.
+    partly known S-matrix) any subset.  ``rows[a][b]``, a tuple, is N[i,j] for
+    the a-th and b-th indices i and j; ``values`` is a fresh nested-list copy.
     """
 
-    def __init__(self, indices: list[int], values: list[list[list[int]]]):
-        self.indices = list(indices)
-        self.values = values
+    def __init__(self, indices: list[int], values):
+        self.indices, n = list(indices), len(indices)
+        # Lists first: tuple() of an iterator resizes as it grows, fragmenting the heap.
+        self.rows = tuple([tuple([tuple(row) for row in plane]) for plane in values])
+        if {len(self.rows), *map(len, self.rows), *map(len, chain(*self.rows))} != {n}:
+            raise ValueError(f"a tensor over {n} modules is not {n} x {n} x {n}")
         self._pos = {idx: p for p, idx in enumerate(self.indices)}
+
+    @property
+    def values(self) -> list[list[list[int]]]:
+        return [[list(row) for row in plane] for plane in self.rows]
 
     @property
     def size(self) -> int:
@@ -68,18 +78,17 @@ class FusionTensor:
         return i in self._pos
 
     def coeff(self, i: int, j: int, k: int) -> int:
-        return self.values[self._pos[i]][self._pos[j]][self._pos[k]]
+        return self.rows[self._pos[i]][self._pos[j]][self._pos[k]]
 
     def product(self, i: int, j: int) -> dict[int, int]:
         """The fusion product of irreducibles i and j as a formal sum."""
-        pi, pj = self._pos[i], self._pos[j]
-        row = self.values[pi][pj]
+        row = self.rows[self._pos[i]][self._pos[j]]
         return {self.indices[pk]: m for pk, m in enumerate(row) if m}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionTensor):
             return NotImplemented
-        return self.indices == other.indices and self.values == other.values
+        return self.indices == other.indices and self.rows == other.rows
 
 
 def _engine(datum: ModularDatum):
@@ -106,8 +115,9 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     ``tensor.indices`` lists (``check_ring`` rejects such a tensor).  Raises
     MissingEntryError if the vacuum row is not fully known, ValueError if the
     dual labels of a fully known datum disagree with its S^2 = C, and fails
-    atomically on the first non-integer or negative coefficient.  Each row is
-    a list of its own.  ``jobs`` is accepted for compatibility and ignored.
+    atomically on the first non-integer or negative coefficient.  N[i,j] and
+    N[j,i] are both the engine's row, one tuple.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     engine = _engine(datum)
     indices = engine.indices
@@ -115,8 +125,7 @@ def fusion_tensor(datum: ModularDatum, jobs: int = 1) -> FusionTensor:
     values = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            row = values[a][b] = engine.row(indices[a], indices[b])
-            values[b][a] = row[:]
+            values[a][b] = values[b][a] = engine.row(indices[a], indices[b])
     return FusionTensor(indices, values)
 
 
@@ -193,32 +202,29 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
     N[0,j]^k = sum_s S[j,s] S[s,k'] = (S^2)[j,k'] = delta_jk, so no row of N[0]
     is read.  If S = S^T too, N[i,k']^{j'} = sum_s S[i,s] S[k',s] S[s,j] / S[0,s]
     is N[i,j]^k term by term, so duality holds unread; an S with S^2 = C that
-    is not symmetric can break it.  Otherwise, and for a tensor with a plane
-    or row past n, the vacuum identity and duality compare rows of N with
-    rows and permuted columns.  Without the certificate the qdims of each
-    pair are compared by exact sums and ``_first_nonassociative`` searches
-    directly.  With S[0,0] unknown or zero there are no qdims, and their
-    verdicts are None.
+    is not symmetric can break it.  Otherwise the vacuum identity and
+    duality compare rows of N with rows and permuted columns, the qdims of
+    each pair are compared by exact sums and ``_first_nonassociative``
+    searches directly.  With S[0,0] unknown or zero there are no qdims, and
+    their verdicts are None.
     """
     if tensor.indices != list(range(datum.size)):
         raise ValueError("check_ring needs the full tensor over all modules")
     report = PropertyReport()
-    n, N, dual = datum.size, tensor.values, datum.dual_permutation()
+    n, N, dual = datum.size, tensor.rows, datum.dual_permutation()
     every = range(n)
     report.commutative = all(N[i][j] == N[j][i] for i in every for j in range(i))
     # Once N is commutative, pair (j, i) fails iff (i, j) does, and the first
     # failing pair in row-major order has i <= j; only those pairs are checked.
     pairs = [(i, j) for i in every for j in range(i if report.commutative else 0, n)]
     certified = datum.reproduces({(i, j): N[i][j] for i, j in pairs})
-    # The pairs read planes and rows 0..n-1 only: one past them is compared directly.
-    is_verlinde = certified and len(N) == n and all(len(plane) == n for plane in N)
-    symmetric = is_verlinde and list(zip(*datum.numbers)) == list(map(tuple, datum.numbers))
-    report.vacuum_identity = is_verlinde or all(
-        tuple(row) == (0,) * j + (1,) + (0,) * (n - 1 - j) for j, row in enumerate(N[0]))
+    symmetric = certified and list(zip(*datum.numbers)) == list(map(tuple, datum.numbers))
+    report.vacuum_identity = certified or all(
+        row == (0,) * j + (1,) + (0,) * (n - 1 - j) for j, row in enumerate(N[0]))
     # Row j of plane i is its column j' read at k'; itemgetter(0) gives no tuple.
     permuted = itemgetter(*dual) if n > 1 else tuple
     report.duality_symmetric = symmetric or all(
-        tuple(row) == permuted(columns[d])
+        row == permuted(columns[d])
         for plane in N for columns in [list(zip(*plane))] for row, d in zip(plane, dual))
     for holds, failure in ((report.vacuum_identity, "N[0,j]^k != delta_jk"),
                            (report.commutative, "N[i,j]^k != N[j,i]^k somewhere"),
@@ -256,11 +262,10 @@ def check_ring(tensor: FusionTensor, datum: ModularDatum) -> PropertyReport:
 
 
 def _is_permutation(plane, n: int) -> bool:
-    """Whether ``plane`` is an n x n permutation matrix: n rows, each of n - 1
+    """Whether the n x n ``plane`` is a permutation matrix: each row n - 1
     zeros and one 1, the 1s in distinct columns."""
-    places = {row.index(1) for row in plane
-              if len(row) == n and row.count(0) == n - 1 and 1 in row}
-    return len(plane) == n == len(places)
+    places = {row.index(1) for row in plane if row.count(0) == n - 1 and 1 in row}
+    return len(places) == n
 
 
 def _first_nonassociative(values) -> tuple[int, int, int, int] | None:

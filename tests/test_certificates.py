@@ -306,11 +306,11 @@ def test_vacuum_zero_s00_leaves_qdims_open_as_the_oracle():
 
 def test_tensor_edited_in_place_is_checked_as_edited(s4_completed):
     # The datum's engine keeps the rows it certified; the ring check must see
-    # the edited tensor, not the cached rows.
+    # a tensor built from edited values, not the cached rows.
     datum = s4_completed.with_entries({})
-    tensor = fusion_tensor(datum)
-    tensor.values[2][3][1] += 1
-    report = assert_ring_report_matches(tensor, datum)
+    values = fusion_tensor(datum).values
+    values[2][3][1] += 1
+    report = assert_ring_report_matches(FusionTensor(list(range(28)), values), datum)
     assert not report.ok and not report.commutative
 
 
@@ -806,22 +806,38 @@ def test_non_symmetric_s_has_its_duality_compared():
 
 def ring_check_reads(tensor, datum):
     """``check_ring``'s report, asserted equal to the oracles', and the (i, j)
-    of each row of N it iterates, as a row-by-row compare does; list equality
-    and ``count``/``index`` read a row without iterating it."""
-    reads = []
+    of each row of N it iterates, as a row-by-row compare does; tuple equality
+    and ``count``/``index`` read a row without iterating it.  ``reproduces``
+    takes each row as ``tuple(row)``, the row itself for the tensor's plain
+    tuples, so its reads are not counted."""
+    reads, quiet = [], []
 
-    class Row(list):
-        def __init__(self, entries, at):
-            super().__init__(entries)
-            self.at = at
-
+    class Row(tuple):
         def __iter__(self):
-            reads.append(self.at)
+            if not quiet:
+                reads.append(self.at)
             return super().__iter__()
 
-    values = [[Row(entries, (i, j)) for j, entries in enumerate(plane)]
-              for i, plane in enumerate(tensor.values)]
-    report = check_ring(FusionTensor(tensor.indices, values), datum)
+    def row(entries, at):
+        out = Row(entries)
+        out.at = at
+        return out
+
+    def reproduces(self, rows, original=ModularDatum.reproduces):
+        quiet.append(True)
+        try:
+            return original(self, rows)
+        finally:
+            quiet.pop()
+
+    # The constructor turns every row into a plain tuple: the counting rows
+    # go in after it.
+    counting = FusionTensor(tensor.indices, tensor.rows)
+    counting.rows = tuple(tuple(row(entries, (i, j)) for j, entries in enumerate(plane))
+                          for i, plane in enumerate(tensor.rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModularDatum, "reproduces", reproduces)
+        report = check_ring(counting, datum)
     assert report == assert_ring_report_matches_loops(tensor, datum)
     return report, reads
 
@@ -843,19 +859,36 @@ def test_certified_tensors_are_read_by_no_row_compare(s4, s4_completed, s4_tenso
     assert report.ok and set(reads) == {(i, j) for i in range(28) for j in range(28)}
 
 
-def test_planes_or_rows_past_n_are_compared_as_before():
-    # The engine certifies rows 0..n-1 of planes 0..n-1 only; a row or plane
-    # past them is still read by the vacuum and duality compares.
+def test_mis_shaped_tensors_are_refused():
+    # A ragged row, a row or a plane past n, or too few of them: the tensor
+    # over n modules is n planes of n rows of n entries, or no tensor.
     datum = su2_datum(6)
     tensor = fusion_tensor(datum)
-    values = [[row[:] for row in plane] for plane in tensor.values]
-    values[0].append([0] * 7)
-    assert check_ring(FusionTensor(tensor.indices, values), datum).failures == [
-        "N[0,j]^k != delta_jk", "simple current 0 has a non-permutation fusion matrix"]
-    values = [[row[:] for row in plane] for plane in tensor.values]
-    values.append([[1] + [0] * 6] * 7)
-    assert check_ring(FusionTensor(tensor.indices, values), datum).failures == [
-        "N[i,j]^k != N[i,k']^{j'} somewhere"]
+    for edit in (lambda v: v[3][2].append(0), lambda v: v[3][2].pop(),
+                 lambda v: v[3].append([0] * 6 + [1]), lambda v: v[0].append([0] * 7),
+                 lambda v: v.append([[1] + [0] * 6] * 7), lambda v: v.pop(),
+                 lambda v: v[5].pop()):
+        values = tensor.values
+        edit(values)
+        with pytest.raises(ValueError, match="a tensor over 7 modules is not 7 x 7 x 7"):
+            FusionTensor(tensor.indices, values)
+    with pytest.raises(ValueError):
+        FusionTensor([0, 1], [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]])
+
+
+def test_tensor_rows_are_not_edited_in_place():
+    tensor = fusion_tensor(su2_datum(6))
+    with pytest.raises(TypeError):
+        tensor.rows[2][3][1] += 1
+    with pytest.raises(AttributeError):
+        tensor.rows[3].append(tensor.rows[3][0])
+    with pytest.raises(TypeError):
+        tensor.rows[3][2] = tensor.rows[2][3]
+    # ``values`` is a fresh copy each time: editing it leaves the tensor as it was.
+    values = tensor.values
+    values[2][3][1] += 1
+    assert tensor.values != values and tensor == fusion_tensor(su2_datum(6))
+
 
 def permutation_by_sorting(plane, n):
     """The former simple-current test: every row and column sorts to n - 1 zeros and a 1."""
@@ -865,8 +898,9 @@ def permutation_by_sorting(plane, n):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_permutation_test_keeps_the_sorting_verdict(data):
+    # check_ring reads planes of n x n tensors only: the constructor refuses others.
     n = data.draw(st.integers(1, 4))
-    rows = st.lists(st.integers(-1, 2), min_size=max(0, n - 1), max_size=n + 1)
+    rows = st.lists(st.integers(-1, 2), min_size=n, max_size=n)
     if data.draw(st.booleans()):
         # A permutation matrix with at most one entry changed, most draws.
         order = data.draw(st.permutations(range(n)))
@@ -875,6 +909,5 @@ def test_permutation_test_keeps_the_sorting_verdict(data):
             j, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
             plane[j][k] = data.draw(st.integers(-1, 2))
     else:
-        # check_ring reads N[i][j] for every j < n first, so a plane has n rows or more.
-        plane = data.draw(st.lists(rows, min_size=n, max_size=n + 1))
+        plane = data.draw(st.lists(rows, min_size=n, max_size=n))
     assert verlinde._is_permutation(plane, n) == permutation_by_sorting(plane, n)

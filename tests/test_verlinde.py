@@ -306,7 +306,7 @@ def test_vacuum_inverse_with_a_denominator_is_certified_by_images(monkeypatch):
     engine = datum.engine
     assert engine.primes and engine.max_coeff == 4
     monkeypatch.setattr(cyclo, "exact_sum", lambda values: pytest.fail("a row was summed"))
-    assert [[engine.row(0, 0)]] == expected
+    assert engine.row(0, 0) == tuple(expected[0][0]) == (4,)
 
 
 def test_corrupted_entry_reports_the_exact_residual():
@@ -383,7 +383,7 @@ def test_one_product_evaluates_one_row_per_image(monkeypatch, s4_completed):
     monkeypatch.setattr(cyclo, "packed_product",
                         lambda *args: calls.append(1) or packed_product(*args))
     engine = datum.engine
-    assert engine.row(8, 18) == [int(k in (18, 19, 26, 27)) for k in range(28)]
+    assert engine.row(8, 18) == tuple(int(k in (18, 19, 26, 27)) for k in range(28))
     # One image per prime, and one prime suffices.
     assert len(calls) == len(engine.primes) == 1
 
@@ -433,7 +433,7 @@ def test_ring_check_after_the_tensor_makes_no_product(monkeypatch):
     assert check_ring(tensor, fresh) == report
     assert {"pack", "packed_product", "combine"} <= set(calls)
     rows = datum.engine.certified(2, 3), datum.engine.certified(3, 2)
-    assert rows[0] == rows[1] == tensor.values[2][3] and rows[0] is not rows[1]
+    assert rows[0] is rows[1] is tensor.rows[2][3] is tensor.rows[3][2]
 
 
 def test_eigen_route_builds_one_engine_on_the_completed_s(monkeypatch, s4, s4_completed):
@@ -522,14 +522,23 @@ def test_engine_and_datum_form_no_cycle():
         gc.enable()
 
 
-def test_rows_are_copies_of_the_cached_rows(s4_completed):
+def test_rows_are_the_cached_rows(s4_completed):
+    # One tuple per row, held by the engine and by every tensor that reads it.
     datum = s4_completed.with_entries({})
     tensor = fusion_tensor(datum)
-    tensor.values[2][3][1] += 1
-    tensor.values[8][18].clear()
-    assert tensor.values[3][2][1] == tensor.values[2][3][1] - 1
-    assert fusion_tensor(datum).values[2][3][1] == tensor.values[2][3][1] - 1
+    rows = tensor.rows
+    assert all(rows[a][b] is rows[b][a] is datum.engine.certified(a, b)
+               for a in range(28) for b in range(28))
+    assert all(x is y for p, q in zip(rows, fusion_tensor(datum).rows) for x, y in zip(p, q))
     assert fusion_product(datum, 8, 18) == {18: 1, 19: 1, 26: 1, 27: 1}
+
+
+def test_lattice_rows_are_shared_by_their_sums():
+    # In Z_40, N[i,j] is the row of i + j mod 40: the engine caches one row
+    # per sum, so the tensor holds 40 row objects for its 1600 pairs.
+    tensor = fusion_tensor(lattice_modular_data(LatticeSpec(20)))
+    assert tensor.size == 40
+    assert len({id(row) for plane in tensor.rows for row in plane}) <= 40
 
 
 def test_package_runs_with_numpy_blocked(tmp_path):
